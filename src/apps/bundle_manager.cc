@@ -259,5 +259,20 @@ bool BundleManager::Validate(const ServingState& live,
   return true;
 }
 
+HealthProvider BundleManagerHealth(std::string name,
+                                   const BundleManager* manager) {
+  return [name = std::move(name), manager] {
+    HealthCheck check;
+    check.name = name;
+    check.generation = manager->generation();
+    check.ok = !manager->reload_degraded();
+    check.detail = check.ok ? "serving generation "
+                            : "last bundle push rolled back; serving "
+                              "generation ";
+    check.detail += std::to_string(*check.generation);
+    return check;
+  };
+}
+
 }  // namespace apps
 }  // namespace dlinf

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/location_service.h"
 #include "io/bundle.h"
 
@@ -142,6 +143,13 @@ class BundleManager {
   std::filesystem::file_time_type last_mtime_{};
   uintmax_t last_size_ = 0;
 };
+
+/// /healthz check named `name` over `manager`: reports the live generation,
+/// and is not-ok while `reload_degraded()` (a push was rolled back and the
+/// service runs on the previous generation). `manager` must outlive the
+/// server that mounts the check.
+HealthProvider BundleManagerHealth(std::string name,
+                                   const BundleManager* manager);
 
 }  // namespace apps
 }  // namespace dlinf

@@ -280,7 +280,7 @@ class HttpClient {
 };
 
 /// Minimal one-shot GET helper (connect, request, read, close). Used by the
-/// telemetry endpoints' tests and the chaos healthz scenario.
+/// admin-route tests, the chaos healthz scenarios and the benchmark.
 bool HttpGetOnce(int port, const std::string& path, int* status,
                  std::string* body);
 

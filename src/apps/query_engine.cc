@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "apps/telemetry_server.h"
 #include "fault/fault.h"
 #include "obs/profiler.h"
 #include "obs/trace_log.h"
@@ -194,6 +193,8 @@ std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
     const std::string label = "#shard=" + std::to_string(i);
     shard->hits = registry.GetCounter("service.shard.hits" + label);
     shard->shed = registry.GetCounter("service.shard.shed" + label);
+    engine->admin_.AddHealthProvider(BundleManagerHealth(
+        "shard." + std::to_string(i), shard->manager.get()));
     engine->shards_.push_back(std::move(shard));
   }
   engine->address_count_.store(
@@ -228,9 +229,6 @@ QueryEngine::~QueryEngine() { Stop(); }
 
 void QueryEngine::Stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
-  // An in-flight /profilez capture answers through this engine's event
-  // loop; reel it in while the loop is still alive.
-  obs::prof::CaptureManager::Global().CancelAndJoin();
   // Drain the workers first: they finish every queued job (each completion
   // posts through the still-open event loop), then the loop itself stops.
   // The reverse order would let a worker complete into a closed eventfd.
@@ -244,7 +242,7 @@ void QueryEngine::Stop() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  server_.Stop();
+  StopAdminServer(&server_);
 }
 
 QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
@@ -292,27 +290,6 @@ bool QueryEngine::AnyShardDegraded() const {
     if (shard->manager->reload_degraded()) return true;
   }
   return false;
-}
-
-std::string QueryEngine::HealthzJson() const {
-  const bool degraded = AnyShardDegraded();
-  std::string body = "{\"ok\":";
-  body += degraded ? "false" : "true";
-  body += ",\"shards\":[";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const BundleManager* manager = shards_[i]->manager.get();
-    if (i > 0) body += ',';
-    body += "{\"shard\":" + std::to_string(i);
-    body += ",\"generation\":" + std::to_string(manager->generation());
-    body += ",\"degraded\":";
-    body += manager->reload_degraded() ? "true" : "false";
-    body += "}";
-  }
-  body += "],\"detail\":\"";
-  body += degraded ? "shard(s) rolled back, serving previous generation"
-                   : "serving";
-  body += "\"}";
-  return body;
 }
 
 DeliveryLocationService::Answer QueryEngine::ShedAnswer(
@@ -508,18 +485,6 @@ void QueryEngine::Handle(const HttpRequest& request,
     HandleQuery(request, std::move(handle));
   } else if (request.path == "/query_batch") {
     HandleQueryBatch(request, std::move(handle));
-  } else if (request.path == "/metrics") {
-    handle.Respond(200, "text/plain; version=0.0.4",
-                   obs::MetricsRegistry::Global().SnapshotPrometheus());
-  } else if (request.path == "/healthz") {
-    const std::string body = HealthzJson();
-    handle.Respond(AnyShardDegraded() ? 503 : 200, "application/json",
-                   body);
-  } else if (request.path == "/varz") {
-    handle.Respond(200, "text/plain",
-                   obs::MetricsRegistry::Global().SnapshotText());
-  } else if (request.path == "/profilez") {
-    HandleProfilezRequest(request, std::move(handle));
   } else if (request.path == "/inventory") {
     handle.Respond(
         200, "application/json",
@@ -527,7 +492,7 @@ void QueryEngine::Handle(const HttpRequest& request,
             std::to_string(
                 address_count_.load(std::memory_order_acquire)) +
             ",\"shards\":" + std::to_string(num_shards()) + "}");
-  } else {
+  } else if (!admin_.Handle(request, handle)) {
     handle.Respond(404, "text/plain", "not found\n");
   }
 }

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/bundle_manager.h"
 #include "apps/http_conn.h"
 #include "apps/location_service.h"
@@ -42,9 +43,12 @@
 /// Every query is always answered; shedding only changes which tier answers
 /// and is visible in `"shed": true` and the `service.shard.shed` counters.
 ///
-/// Telemetry endpoints (/metrics, /healthz, /varz) are served from the same
+/// The engine serves `/query`, `/query_batch` and `/inventory`, then falls
+/// through to the shared admin routes (apps/admin_routes.h) on the same
 /// event loop, so a stalled or slow client can never delay a health scrape
-/// (the slow-loris fix; see tests/query_engine_test.cc).
+/// (the slow-loris fix; see tests/query_engine_test.cc). `/healthz` carries
+/// one check per shard (`shard.<i>`, with that shard's live generation),
+/// not-ok while the shard runs on a rolled-back generation.
 
 namespace dlinf {
 namespace apps {
@@ -152,11 +156,10 @@ class QueryEngine {
   /// True when the request was shed (handled inline); false when enqueued.
   bool AdmitOrShed(int shard_index, Job job);
 
-  std::string HealthzJson() const;
-
   Options options_;
   ShardRouter router_{1};
   std::vector<std::unique_ptr<Shard>> shards_;
+  AdminRoutes admin_;
   HttpServer server_;
   std::atomic<int64_t> address_count_{0};  ///< Bounds check on admission.
   std::atomic<bool> stopped_{false};

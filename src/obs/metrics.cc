@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "obs/json_escape.h"
 
 namespace dlinf {
 namespace obs {
@@ -43,26 +44,6 @@ std::string FormatDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9g", value);
   return buffer;
-}
-
-/// Metric names are dot/slash/underscore identifiers, but escape defensively
-/// so the snapshot is always valid JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Prometheus metric names allow only [a-zA-Z0-9_:]; we keep `:` reserved
@@ -242,31 +223,6 @@ void MetricsRegistry::RecordSpan(const std::string& path, double seconds) {
   }
   ++stats.count;
   stats.total_seconds += seconds;
-}
-
-std::string MetricsRegistry::SnapshotText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, counter] : counters_) {
-    out += "counter " + name + " " + std::to_string(counter->value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out += "gauge " + name + " " + FormatDouble(gauge->value()) + "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += "histogram " + name + " count=" + std::to_string(hist->count()) +
-           " sum=" + FormatDouble(hist->sum()) +
-           " min=" + FormatDouble(hist->min()) +
-           " max=" + FormatDouble(hist->max()) +
-           " p50=" + FormatDouble(hist->Quantile(0.50)) +
-           " p95=" + FormatDouble(hist->Quantile(0.95)) +
-           " p99=" + FormatDouble(hist->Quantile(0.99)) + "\n";
-  }
-  for (const auto& [path, stats] : spans_) {
-    out += "span " + path + " count=" + std::to_string(stats.count) +
-           " total_seconds=" + FormatDouble(stats.total_seconds) + "\n";
-  }
-  return out;
 }
 
 std::string MetricsRegistry::SnapshotJson() const {

@@ -155,17 +155,13 @@ class MetricsRegistry {
   /// ("build_dataset/candidate_generation"). Called by obs::Span.
   void RecordSpan(const std::string& path, double seconds);
 
-  /// Plain-text snapshot: one `kind name value...` line per metric, sorted
-  /// by name (stable across identical runs; parse-friendly).
-  std::string SnapshotText() const;
-
   /// JSON snapshot: {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count,sum,min,max,p50,p95,p99}}, "spans": {path:
   /// {count,total_seconds,min_seconds,max_seconds}}}.
   std::string SnapshotJson() const;
 
-  /// Prometheus text exposition (format 0.0.4), served by the telemetry
-  /// server's /metrics endpoint (DESIGN.md §10). Metric names are the
+  /// Prometheus text exposition (format 0.0.4), served by the admin
+  /// routes' /metrics endpoint (DESIGN.md §10). Metric names are the
   /// registry names with every non-[a-zA-Z0-9_] character mapped to `_`;
   /// histograms expose cumulative `_bucket{le="..."}` series (ending in
   /// le="+Inf") plus `_sum` and `_count`; span statistics are exported as

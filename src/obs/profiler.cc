@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/json_escape.h"
 #include "obs/trace_log.h"
 
 // SIGEV_THREAD_ID and its sigevent field are Linux-specific; older glibc
@@ -276,22 +277,6 @@ int TrimFrames(const Sample& sample) {
     if (IsHandlerFrame(sample.pcs[i])) start = i + 1;
   }
   return start;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back('?');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Memoized symbolization across one export: profiles repeat the same hot

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 
+#include "obs/json_escape.h"
 #include "obs/metrics.h"
 #include "obs/trace_log.h"
 
@@ -62,26 +63,6 @@ void CloseLocked(SinkState& state) {
   if (state.file != nullptr && !state.is_stderr) std::fclose(state.file);
   state.file = nullptr;
   state.is_stderr = false;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/json_escape.h"
+
 namespace dlinf {
 namespace obs {
 
@@ -93,22 +95,6 @@ bool SampleTrace(uint64_t trace_id, double rate) {
   x ^= x >> 31;
   return static_cast<double>(x) <
          rate * 18446744073709551616.0;  // 2^64.
-}
-
-std::string JsonEscapeName(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back('?');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -259,7 +245,7 @@ void TraceLog::AppendChromeEvents(std::string* out, bool* first) const {
       if (ring->name[0] == '\0') continue;
       *out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
               std::to_string(ring->tid) + ",\"args\":{\"name\":\"" +
-              JsonEscapeName(ring->name) + "\"}}";
+              JsonEscape(ring->name) + "\"}}";
     }
   }
 
@@ -274,7 +260,7 @@ void TraceLog::AppendChromeEvents(std::string* out, bool* first) const {
       const TraceEvent& event = ring->slots[(begin + i) % capacity];
       if (!*first) *out += ",\n";
       *first = false;
-      *out += "{\"name\":\"" + JsonEscapeName(event.name) + "\",\"ph\":\"";
+      *out += "{\"name\":\"" + JsonEscape(event.name) + "\",\"ph\":\"";
       out->push_back(event.phase);
       *out += "\",";
       if (event.phase == 'i') *out += "\"s\":\"t\",";

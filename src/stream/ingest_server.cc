@@ -10,10 +10,11 @@
 
 #include "common/string_util.h"
 #include "fault/fault.h"
-#include "obs/profiler.h"
 #include "io/artifact.h"
 #include "io/codecs.h"
+#include "obs/json_escape.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 
 namespace dlinf {
 namespace stream {
@@ -117,33 +118,7 @@ constexpr const char* kJsonType = "application/json";
 std::string ErrorJson(const std::string& message) {
   // Messages echo client-supplied tokens, so every control character must
   // be escaped or the error body itself stops being valid JSON.
-  std::string escaped;
-  for (const char c : message) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\r':
-        escaped += "\\r";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          escaped += StrPrintf("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          escaped.push_back(c);
-        }
-    }
-  }
-  return "{\"error\":\"" + escaped + "\"}\n";
+  return "{\"error\":\"" + obs::JsonEscape(message) + "\"}\n";
 }
 
 }  // namespace
@@ -247,7 +222,9 @@ std::string FormatIngestLine(const IngestRecord& record) {
   return "";
 }
 
-IngestServer::IngestServer(Options options) : options_(std::move(options)) {}
+IngestServer::IngestServer(Options options) : options_(std::move(options)) {
+  admin_.AddHealthProvider([this] { return WalHealth(); });
+}
 
 IngestServer::~IngestServer() {
   if (running_) Stop();
@@ -270,6 +247,7 @@ bool IngestServer::Start(std::string* error) {
 
   writer_stop_ = false;
   writer_crashed_ = false;
+  wal_failing_.store(false, std::memory_order_relaxed);
   writer_ = std::thread([this] { WriterLoop(); });
 
   apps::HttpServer::Options http_options;
@@ -297,7 +275,7 @@ bool IngestServer::Start(std::string* error) {
 
 void IngestServer::Stop() {
   if (!running_) return;
-  http_.Stop();
+  apps::StopAdminServer(&http_);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     writer_stop_ = true;
@@ -310,7 +288,7 @@ void IngestServer::Stop() {
 
 void IngestServer::CrashForTest() {
   if (!running_) return;
-  http_.Stop();
+  apps::StopAdminServer(&http_);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     writer_crashed_ = true;
@@ -357,18 +335,27 @@ std::string IngestServer::StatsJson() const {
           tracked_clients_.load(std::memory_order_relaxed)));
 }
 
+apps::HealthCheck IngestServer::WalHealth() const {
+  apps::HealthCheck check;
+  check.name = "ingest.wal";
+  if (!wal_failing_.load(std::memory_order_acquire)) {
+    check.detail = "appending";
+    return check;
+  }
+  check.ok = false;
+  std::lock_guard<std::mutex> lock(wal_error_mu_);
+  check.detail = "wal append failed: " + wal_error_;
+  return check;
+}
+
 void IngestServer::HandleRequest(const apps::HttpRequest& request,
                                  apps::HttpServer::ResponseHandle handle) {
-  if (request.path == "/healthz") {
-    handle.Respond(200, "text/plain", "ok\n");
-    return;
-  }
-  if (request.path == "/ingest/stats") {
-    handle.Respond(200, kJsonType, StatsJson());
-    return;
-  }
   if (request.path != "/ingest") {
-    handle.Respond(404, kJsonType, ErrorJson("no such endpoint"));
+    if (request.path == "/ingest/stats") {
+      handle.Respond(200, kJsonType, StatsJson());
+    } else if (!admin_.Handle(request, handle)) {
+      handle.Respond(404, kJsonType, ErrorJson("no such endpoint"));
+    }
     return;
   }
   if (request.method != "POST") {
@@ -605,9 +592,15 @@ void IngestServer::ProcessBatch(Batch* batch) {
     }
     std::string wal_error;
     if (!wal_->AppendFrames(frames, fresh.size(), &wal_error)) {
+      {
+        std::lock_guard<std::mutex> lock(wal_error_mu_);
+        wal_error_ = wal_error;
+      }
+      wal_failing_.store(true, std::memory_order_release);
       reject(503, metrics.rejected_wal, "wal append failed: " + wal_error);
       return;
     }
+    wal_failing_.store(false, std::memory_order_release);
     for (const IngestRecord* record : fresh) ApplyRecord(*record);
     tracked_clients_.store(static_cast<int64_t>(clients_.size()),
                            std::memory_order_relaxed);

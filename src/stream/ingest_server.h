@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/http_conn.h"
 #include "dlinfma/candidate_generation.h"
 #include "sim/world.h"
@@ -75,6 +76,16 @@
 /// tail (WalWriter::Open), and only then begins serving. Snapshots are
 /// written at segment-rotation boundaries every `snapshot_every_segments`
 /// rotations; segments covered by a persisted snapshot are retired.
+///
+/// ## Admin routes
+///
+/// `GET /ingest/stats` returns the Stats below as JSON; every other path
+/// falls through to the shared admin routes (apps/admin_routes.h), then
+/// 404s. The `/healthz` check `ingest.wal` is not-ok from a failed WAL
+/// append until the next successful one, with the WAL error as its detail,
+/// so the health check answers 503 exactly while POSTs do. A full queue
+/// stays out of health: it is already a typed 429 with Retry-After, and
+/// flipping health on it would make the check flap.
 ///
 /// ## Threading
 ///
@@ -218,8 +229,11 @@ class IngestServer {
   bool WriteSnapshot(uint64_t covered_segment, std::string* error);
   void MaybeSnapshot();
   std::string StatsJson() const;
+  /// The `ingest.wal` /healthz check (loop thread).
+  apps::HealthCheck WalHealth() const;
 
   Options options_;
+  apps::AdminRoutes admin_;
   apps::HttpServer http_;
   std::unique_ptr<StreamIngestor> ingestor_;
   std::optional<WalWriter> wal_;
@@ -248,6 +262,12 @@ class IngestServer {
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> trips_{0};
   std::atomic<int64_t> tracked_clients_{0};
+
+  // WAL health: set by the writer when an append fails, cleared by the
+  // next successful append, read by the /healthz check.
+  std::atomic<bool> wal_failing_{false};
+  mutable std::mutex wal_error_mu_;
+  std::string wal_error_;  ///< Guarded by wal_error_mu_.
 };
 
 }  // namespace stream

@@ -656,12 +656,44 @@ TEST(IngestServerTest, StatsAndHealthEndpointsServe) {
   std::string body;
   ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("{\"name\":\"ingest.wal\",\"ok\":true"),
+            std::string::npos)
+      << body;
   ASSERT_TRUE(
       apps::HttpGetOnce(server.port(), "/ingest/stats", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"acked\""), std::string::npos) << body;
-  ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/nope", &status, &body));
-  EXPECT_EQ(status, 404);
+  server.Stop();
+}
+
+TEST(IngestServerTest, WalFailureFlipsHealthzUntilNextAppend) {
+  IngestServer server(BaseOptions(ScratchDir("walhealth")));
+  ASSERT_TRUE(server.Start());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  int status = 0;
+  std::string body;
+
+  // A full disk: the POST is refused and health reads 503 with the WAL
+  // error as the check's detail, for as long as appends keep failing.
+  const std::string batch = "start_trip d 1 1 0 100\npoint d 2 1 2 3\n";
+  {
+    fault::ScopedFaultPlan plan(
+        fault::FaultPlan().FailAlways("wal.disk_full"), /*seed=*/13);
+    ASSERT_EQ(PostIngest(&client, batch), 503);
+    ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/healthz", &status, &body));
+    EXPECT_EQ(status, 503);
+    EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos)
+        << body;
+    EXPECT_NE(body.find("\"ok\":false"), std::string::npos) << body;
+    EXPECT_NE(body.find("disk-full"), std::string::npos) << body;
+  }
+
+  // The disk has room again: the retried POST acks and health recovers.
+  ASSERT_EQ(PostIngest(&client, batch), 200);
+  ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
   server.Stop();
 }
 

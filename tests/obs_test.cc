@@ -1,11 +1,11 @@
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
+#include "obs/json_escape.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -186,7 +186,18 @@ TEST(RegistryTest, GetterReturnsStablePointersPerName) {
   EXPECT_EQ(registry.GetHistogram("test.hist"), histogram);
 }
 
-TEST(RegistryTest, SnapshotTextRoundTrip) {
+/// The body of one top-level section of a SnapshotJson() document: from
+/// the `"name"` key up to the next section's key (or the end).
+std::string Section(const std::string& json, const std::string& name,
+                    const std::string& next) {
+  const size_t begin = json.find("\"" + name + "\"");
+  const size_t end =
+      next.empty() ? json.size() : json.find("\"" + next + "\"");
+  if (begin == std::string::npos || end == std::string::npos) return "";
+  return json.substr(begin, end - begin);
+}
+
+TEST(RegistryTest, SnapshotJsonRoundTrip) {
   MetricsRegistry registry;
   registry.GetCounter("rt.queries")->Add(17);
   registry.GetCounter("rt.errors")->Add(2);
@@ -194,24 +205,46 @@ TEST(RegistryTest, SnapshotTextRoundTrip) {
   registry.GetHistogram("rt.latency")->Observe(0.5);
   registry.RecordSpan("rt_stage", 1.5);
 
-  // Parse the text snapshot back: `kind name value...` lines, sorted.
-  std::map<std::string, std::string> parsed;
-  std::istringstream lines(registry.SnapshotText());
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream fields(line);
-    std::string kind, name, rest;
-    fields >> kind >> name;
-    std::getline(fields, rest);
-    parsed[kind + " " + name] = rest;
+  // Every registered entry appears exactly once, in its own section.
+  const std::string json = registry.SnapshotJson();
+  size_t entries = 0;
+  for (size_t at = json.find("\"rt"); at != std::string::npos;
+       at = json.find("\"rt", at + 1)) {
+    ++entries;
   }
-  EXPECT_EQ(parsed.size(), 5u);
-  EXPECT_EQ(parsed["counter rt.queries"], " 17");
-  EXPECT_EQ(parsed["counter rt.errors"], " 2");
-  EXPECT_EQ(parsed["gauge rt.depth"], " 4");
-  EXPECT_NE(parsed["histogram rt.latency"].find("count=1"), std::string::npos);
-  EXPECT_NE(parsed["histogram rt.latency"].find("sum=0.5"), std::string::npos);
-  EXPECT_NE(parsed["span rt_stage"].find("total_seconds=1.5"),
+  EXPECT_EQ(entries, 5u) << json;
+  const std::string counters = Section(json, "counters", "gauges");
+  EXPECT_NE(counters.find("\"rt.queries\": 17"), std::string::npos);
+  EXPECT_NE(counters.find("\"rt.errors\": 2"), std::string::npos);
+  EXPECT_NE(Section(json, "gauges", "histograms").find("\"rt.depth\": 4"),
+            std::string::npos);
+  EXPECT_NE(Section(json, "histograms", "spans")
+                .find("\"rt.latency\": {\"count\": 1, \"sum\": 0.5,"),
+            std::string::npos);
+  EXPECT_NE(Section(json, "spans", "")
+                .find("\"rt_stage\": {\"count\": 1, \"total_seconds\": 1.5"),
+            std::string::npos);
+}
+
+TEST(JsonEscapeTest, ControlCharactersAreEscapedNeverLost) {
+  // The short escapes, then \u00XX for every other control character;
+  // printable ASCII and UTF-8 bytes pass through unchanged.
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(JsonEscape(std::string("\x00\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x7f"), "caf\xc3\xa9 \x7f");
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string escaped =
+        JsonEscape(std::string(1, static_cast<char>(c)));
+    EXPECT_EQ(escaped[0], '\\') << "control 0x" << std::hex << c;
+    EXPECT_EQ(escaped.find('?'), std::string::npos);
+  }
+
+  // The registry's snapshot goes through the same escaper.
+  MetricsRegistry registry;
+  registry.GetCounter("ctl\x01name\t")->Add(1);
+  EXPECT_NE(registry.SnapshotJson().find("\"ctl\\u0001name\\t\": 1"),
             std::string::npos);
 }
 
@@ -375,9 +408,11 @@ TEST(SpanTest, NestedSpansBuildSlashPaths) {
     EXPECT_EQ(Span::CurrentPath(), "outer_stage");
   }
   EXPECT_EQ(Span::CurrentPath(), "");
-  const std::string text = MetricsRegistry::Global().SnapshotText();
-  EXPECT_NE(text.find("span outer_stage "), std::string::npos);
-  EXPECT_NE(text.find("span outer_stage/inner_stage "), std::string::npos);
+  const std::string spans =
+      Section(MetricsRegistry::Global().SnapshotJson(), "spans", "");
+  EXPECT_NE(spans.find("\"outer_stage\": {\"count\": 1,"), std::string::npos);
+  EXPECT_NE(spans.find("\"outer_stage/inner_stage\": {\"count\": 1,"),
+            std::string::npos);
 }
 
 TEST(SpanTest, RepeatedSpansAggregate) {
@@ -385,8 +420,10 @@ TEST(SpanTest, RepeatedSpansAggregate) {
   for (int i = 0; i < 3; ++i) {
     Span span("repeated_stage");
   }
-  const std::string text = MetricsRegistry::Global().SnapshotText();
-  EXPECT_NE(text.find("span repeated_stage count=3"), std::string::npos);
+  const std::string spans =
+      Section(MetricsRegistry::Global().SnapshotJson(), "spans", "");
+  EXPECT_NE(spans.find("\"repeated_stage\": {\"count\": 3,"),
+            std::string::npos);
 }
 
 TEST(SpanTest, DisabledMetricsSkipSpans) {
@@ -397,7 +434,7 @@ TEST(SpanTest, DisabledMetricsSkipSpans) {
     EXPECT_EQ(Span::CurrentPath(), "");
   }
   SetMetricsEnabled(true);
-  EXPECT_EQ(MetricsRegistry::Global().SnapshotText().find("disabled_stage"),
+  EXPECT_EQ(MetricsRegistry::Global().SnapshotJson().find("disabled_stage"),
             std::string::npos);
 }
 

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "apps/telemetry_server.h"
+#include "apps/admin_routes.h"
 #include "nn/kernels.h"
 #include "obs/trace_log.h"
 
@@ -162,9 +162,9 @@ TEST(ProfilerTest, CombinedChromeExportMergesSpansAndSamples) {
 }
 
 TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
-  apps::TelemetryServer server;
-  apps::TelemetryServer::Options options;
-  ASSERT_TRUE(server.Start(options));
+  apps::AdminRoutes admin;
+  apps::HttpServer server;
+  ASSERT_TRUE(server.Start({}, admin.StandaloneHandler()));
 
   // Background CPU load so the capture has something to sample.
   std::atomic<bool> stop_spin{false};
@@ -185,9 +185,8 @@ TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
   std::thread capture([&server] {
     int status = 0;
     std::string body;
-    ASSERT_TRUE(
-        apps::HttpGet(server.port(), "/profilez?seconds=1&hz=200", &status,
-                      &body));
+    ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/profilez?seconds=1&hz=200",
+                                  &status, &body));
     EXPECT_EQ(status, 200);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -199,7 +198,7 @@ TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
       for (int j = 0; j < 5; ++j) {
         int status = 0;
         std::string body;
-        if (apps::HttpGet(server.port(), "/metrics", &status, &body) &&
+        if (apps::HttpGetOnce(server.port(), "/metrics", &status, &body) &&
             status == 200) {
           metrics_ok.fetch_add(1);
         }
@@ -209,8 +208,8 @@ TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
   // While the first capture runs, a second one must be refused, not queued.
   int conflict_status = 0;
   std::string conflict_body;
-  ASSERT_TRUE(apps::HttpGet(server.port(), "/profilez?seconds=1",
-                            &conflict_status, &conflict_body));
+  ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/profilez?seconds=1",
+                                &conflict_status, &conflict_body));
   EXPECT_EQ(conflict_status, 409);
 
   for (std::thread& scraper : scrapers) scraper.join();
@@ -219,7 +218,7 @@ TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
 
   stop_spin.store(true);
   spinner.join();
-  server.Stop();
+  apps::StopAdminServer(&server);
   EXPECT_FALSE(obs::prof::ProfilingArmed());
 }
 

@@ -25,7 +25,6 @@
 #include "apps/bundle_manager.h"
 #include "apps/query_engine.h"
 #include "apps/shard_router.h"
-#include "apps/telemetry_server.h"
 #include "common/check.h"
 #include "dlinfma/dlinfma_method.h"
 #include "fault/fault.h"
@@ -448,7 +447,11 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
   std::string body;
   ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
-  EXPECT_NE(body.find("\"ok\":true"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
+  EXPECT_NE(
+      body.find("{\"name\":\"shard.1\",\"ok\":true,\"generation\":0"),
+      std::string::npos)
+      << body;
 
   const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
   {
@@ -464,8 +467,12 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
 
   ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 503);
-  EXPECT_NE(body.find("\"ok\":false"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"degraded\":true"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos)
+      << body;
+  EXPECT_NE(
+      body.find("{\"name\":\"shard.1\",\"ok\":false,\"generation\":0"),
+      std::string::npos)
+      << body;
 
   // Queries keep answering correctly from the previous generation while
   // health is degraded.
@@ -482,6 +489,10 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
   EXPECT_FALSE(engine->AnyShardDegraded());
   ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
+  EXPECT_NE(
+      body.find("{\"name\":\"shard.1\",\"ok\":true,\"generation\":1"),
+      std::string::npos)
+      << body;
 }
 
 TEST(QueryEngineTest, SlowLorisCannotDelayHealthz) {

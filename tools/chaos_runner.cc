@@ -34,7 +34,8 @@
 #include "apps/bundle_manager.h"
 #include "apps/location_service.h"
 #include "apps/query_engine.h"
-#include "apps/telemetry_server.h"
+#include "apps/admin_routes.h"
+#include "apps/http_conn.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
@@ -789,11 +790,12 @@ void RunHealthzDuringRollback(Checker& check) {
   check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
   if (manager == nullptr) return;
 
-  apps::TelemetryServer telemetry;
-  apps::TelemetryServer::Options options;
-  options.port = 0;  // Ephemeral: parallel CI runs must not collide.
-  options.health = apps::BundleManagerHealth(manager.get());
-  check.Expect(telemetry.Start(options, &error),
+  // The standalone telemetry endpoint: a bare HttpServer mounting the
+  // admin routes, on an ephemeral port so parallel CI runs cannot collide.
+  apps::AdminRoutes admin;
+  admin.AddHealthProvider(apps::BundleManagerHealth("bundle", manager.get()));
+  apps::HttpServer telemetry;
+  check.Expect(telemetry.Start({}, admin.StandaloneHandler(), &error),
                "telemetry server start failed: " + error);
   if (!telemetry.running()) return;
   const int port = telemetry.port();
@@ -801,7 +803,7 @@ void RunHealthzDuringRollback(Checker& check) {
   auto healthz_status = [&](const char* when) {
     int status = 0;
     std::string body;
-    if (!apps::HttpGet(port, "/healthz", &status, &body)) {
+    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
       check.Expect(false, std::string("healthz unreachable ") + when);
       return std::make_pair(0, std::string());
     }
@@ -825,7 +827,7 @@ void RunHealthzDuringRollback(Checker& check) {
     while (!stop.load(std::memory_order_acquire)) {
       int status = 0;
       std::string body;
-      if (!apps::HttpGet(port, "/healthz", &status, &body) ||
+      if (!apps::HttpGetOnce(port, "/healthz", &status, &body) ||
           (status != 200 && status != 503)) {
         bad_probes.fetch_add(1, std::memory_order_relaxed);
       }
@@ -857,7 +859,7 @@ void RunHealthzDuringRollback(Checker& check) {
   {
     int status = 0;
     std::string body;
-    check.Expect(apps::HttpGet(port, "/metrics", &status, &body),
+    check.Expect(apps::HttpGetOnce(port, "/metrics", &status, &body),
                  "metrics unreachable during rollback window");
     check.ExpectEq(status, 200, "metrics status during rollback window");
     check.Expect(
@@ -887,7 +889,7 @@ void RunHealthzDuringRollback(Checker& check) {
 
   stop.store(true, std::memory_order_release);
   prober.join();
-  telemetry.Stop();
+  apps::StopAdminServer(&telemetry);
   check.Expect(probes.load() > 0, "concurrent prober never completed a probe");
   check.ExpectEq(bad_probes.load(), 0,
                  "probes with transport errors or unexpected statuses");
@@ -989,7 +991,9 @@ void RunShardReloadUnderLoad(Checker& check) {
   {
     const auto [status, body] = healthz_status("at boot");
     check.ExpectEq(status, 200, "healthz status at boot");
-    check.Expect(body.find("\"ok\":true") != std::string::npos,
+    check.Expect(body.find("\"status\":\"ok\"") != std::string::npos &&
+                     body.find("{\"name\":\"shard.1\",\"ok\":true,"
+                               "\"generation\":0") != std::string::npos,
                  "healthz body at boot: " + body);
   }
 
@@ -1011,7 +1015,9 @@ void RunShardReloadUnderLoad(Checker& check) {
   {
     const auto [status, body] = healthz_status("during rollback window");
     check.ExpectEq(status, 503, "healthz status during rollback window");
-    check.Expect(body.find("\"ok\":false") != std::string::npos,
+    check.Expect(body.find("\"status\":\"degraded\"") != std::string::npos &&
+                     body.find("{\"name\":\"shard.1\",\"ok\":false,"
+                               "\"generation\":0") != std::string::npos,
                  "healthz body during rollback window: " + body);
   }
   wait_for_answers(answered.load() + 32, "inside the rollback window");
@@ -1032,7 +1038,9 @@ void RunShardReloadUnderLoad(Checker& check) {
   {
     const auto [status, body] = healthz_status("after recovery");
     check.ExpectEq(status, 200, "healthz status after recovery");
-    check.Expect(body.find("\"ok\":true") != std::string::npos,
+    check.Expect(body.find("\"status\":\"ok\"") != std::string::npos &&
+                     body.find("{\"name\":\"shard.1\",\"ok\":true,"
+                               "\"generation\":1") != std::string::npos,
                  "healthz body after recovery: " + body);
   }
   wait_for_answers(answered.load() + 32, "after recovery");
@@ -1131,18 +1139,17 @@ void RunStreamIngestUnderFaults(Checker& check) {
   check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
   if (manager == nullptr) return;
 
-  apps::TelemetryServer telemetry;
-  apps::TelemetryServer::Options telemetry_options;
-  telemetry_options.port = 0;
-  telemetry_options.health = apps::BundleManagerHealth(manager.get());
-  check.Expect(telemetry.Start(telemetry_options, &error),
+  apps::AdminRoutes admin;
+  admin.AddHealthProvider(apps::BundleManagerHealth("bundle", manager.get()));
+  apps::HttpServer telemetry;
+  check.Expect(telemetry.Start({}, admin.StandaloneHandler(), &error),
                "telemetry server start failed: " + error);
   if (!telemetry.running()) return;
   const int port = telemetry.port();
   auto healthz_status = [&](const char* when) {
     int status = 0;
     std::string body;
-    if (!apps::HttpGet(port, "/healthz", &status, &body)) {
+    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
       check.Expect(false, std::string("healthz unreachable ") + when);
       return 0;
     }
@@ -1251,7 +1258,7 @@ void RunStreamIngestUnderFaults(Checker& check) {
 
   stop.store(true, std::memory_order_release);
   load.join();
-  telemetry.Stop();
+  apps::StopAdminServer(&telemetry);
   check.Expect(answered.load() > 0, "query load never answered anything");
   check.ExpectEq(bad_answers.load(), 0,
                  "dropped or non-finite answers under publication churn");
@@ -1338,7 +1345,8 @@ bool StaysBitIdentical(const stream::StreamIngestor& a,
 /// intact (recovered == acked, cross-checked against stream.ingest.*), ack
 /// the producer's retry of the in-flight batch as an exact dedup no-op, and
 /// finish the stream with stay points bit-identical to a run that was never
-/// killed.
+/// killed. A full disk after the restart must read as 503 on both /ingest
+/// and /healthz, and both must return to 200 once appends succeed again.
 void RunKillMidIngestRecover(Checker& check) {
   Fixture& fx = GetFixture();
   sim::World city = fx.world;
@@ -1416,8 +1424,17 @@ void RunKillMidIngestRecover(Checker& check) {
                  acked_at_kill, "stream.ingest.recovered counter");
 
   // Phase 3: the producer retries its last acked batch (it never saw the
-  // crash) — an exact dedup no-op — then streams the rest.
+  // crash) — an exact dedup no-op — then streams the rest. The first fresh
+  // batch first meets a full disk: refused with 503 while /healthz reads
+  // 503 too; the loop then resends it once the disk has room.
   const int64_t deduped_before = CounterValue("stream.ingest.deduped");
+  auto healthz_status = [&server] {
+    int status = 0;
+    std::string body;
+    return apps::HttpGetOnce(server.port(), "/healthz", &status, &body)
+               ? status
+               : -1;
+  };
   {
     apps::HttpClient client;
     check.Expect(client.Connect(server.port(), &error),
@@ -1426,11 +1443,19 @@ void RunKillMidIngestRecover(Checker& check) {
       check.ExpectEq(ingest_chaos::PostBatch(&client, bodies[kill_after - 1]),
                      200, "retried batch status");
     }
+    if (kill_after < bodies.size()) {
+      fault::ScopedFaultPlan armed(
+          fault::FaultPlan().FailAlways("wal.disk_full"), g_base_seed);
+      check.ExpectEq(ingest_chaos::PostBatch(&client, bodies[kill_after]),
+                     503, "batch status while the disk is full");
+      check.ExpectEq(healthz_status(), 503, "healthz while the disk is full");
+    }
     for (size_t i = kill_after; i < bodies.size(); ++i) {
       check.ExpectEq(ingest_chaos::PostBatch(&client, bodies[i]), 200,
                      "post-restart batch status");
     }
   }
+  check.ExpectEq(healthz_status(), 200, "healthz after the disk recovers");
   check.Expect(server.WaitIdle(30.0), "post-restart ingest never went idle");
   server.Stop();
 

@@ -32,16 +32,16 @@
 //       (apps/bundle_manager.h): every K batches (default 8) the bundle
 //       directory is polled, a fresh push is staged + shadow-validated and
 //       swapped in with zero downtime, and a bad push rolls back to the
-//       live bundle. --telemetry-port starts the embedded telemetry
-//       endpoint (apps/telemetry_server.h; port 0 picks a free port) with
-//       /metrics, /healthz, /varz and /tracez, arms trace recording at
-//       sampling rate R (default 0.01), and keeps the process (and the
-//       endpoint) alive S extra seconds after the query load finishes so
-//       external scrapers can read the final state. With --shards N the
-//       command instead boots the sharded HTTP query engine (DESIGN.md
-//       §11): N shard workers behind one epoll event loop on --port P
-//       (default 0 = ephemeral), serving /query, /query_batch, /metrics,
-//       /healthz, /varz and /inventory until --serve-seconds S elapses
+//       live bundle. --telemetry-port starts the standalone telemetry
+//       endpoint (port 0 picks a free port) serving the shared admin
+//       routes (apps/admin_routes.h; the startup line lists them), arms
+//       trace recording at sampling rate R (default 0.01), and keeps the
+//       process (and the endpoint) alive S extra seconds after the query
+//       load finishes so external scrapers can read the final state. With
+//       --shards N the command instead boots the sharded HTTP query engine
+//       (DESIGN.md §11): N shard workers behind one epoll event loop on
+//       --port P (default 0 = ephemeral), serving /query, /query_batch,
+//       /inventory and the admin routes until --serve-seconds S elapses
 //       (default 0 = until killed), polling for bundle pushes every
 //       --poll-every K seconds; drive it with tools/load_gen.
 //
@@ -73,21 +73,21 @@
 //       --ckpt writes a crash-safe CKPT artifact every K epochs during
 //       each round, so a round killed mid-training resumes without losing
 //       accumulated samples (`dlinf_cli train --resume` semantics).
-//       --telemetry-port starts the /metrics endpoint up front, so
-//       scrapers watch stream.ingest.* counters live, and keeps it up S
-//       extra seconds after the feed drains.
+//       --telemetry-port starts the telemetry endpoint (the admin routes)
+//       up front, so scrapers watch stream.ingest.* counters live, and
+//       keeps it up S extra seconds after the feed drains.
 //
 //   dlinf_cli stream --listen PORT --wal-dir DIR [--city DIR]
 //              [--serve-seconds S] [--fsync-every N] [--fsync-interval S]
 //              [--segment-bytes B] [--snapshot-every K] [--max-queue Q]
 //       Durable network ingestion (DESIGN.md §14): instead of replaying a
-//       recorded world, serve POST /ingest on PORT (0 = ephemeral) and
-//       stream whatever producers send through the same incremental
-//       pipeline. Every accepted record is WAL-committed under --wal-dir
-//       before it is acked; on startup the WAL (plus the newest state
-//       snapshot, written every K segment rotations) is replayed, so a
-//       kill -9'd listener resumes with zero acked-record loss — drive it
-//       with `load_gen --ingest`. --city seeds the static world (station,
+//       recorded world, serve POST /ingest, /ingest/stats and the admin
+//       routes on PORT (0 = ephemeral) and stream whatever producers send
+//       through the same incremental pipeline. Every accepted record is
+//       WAL-committed under --wal-dir before it is acked; on startup the
+//       WAL (plus the newest state snapshot, written every K segment
+//       rotations) is replayed, so a kill -9'd listener resumes with zero
+//       acked-record loss — drive it with `load_gen --ingest`. --city seeds the static world (station,
 //       buildings, addresses) from a world dir; the default is the
 //       built-in synthetic city. Mutually exclusive with --world. Serves
 //       until S elapses (0 = until SIGINT/SIGTERM), then drains and
@@ -125,10 +125,11 @@
 #include <string>
 #include <thread>
 
+#include "apps/admin_routes.h"
 #include "apps/bundle_manager.h"
+#include "apps/http_conn.h"
 #include "apps/location_service.h"
 #include "apps/query_engine.h"
-#include "apps/telemetry_server.h"
 #include "baselines/evaluation.h"
 #include "baselines/simple_baselines.h"
 #include "common/csv.h"
@@ -476,6 +477,51 @@ int CmdInfer(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// The standalone telemetry endpoint behind --telemetry-port: a bare
+/// HttpServer mounting the shared admin routes.
+struct TelemetryEndpoint {
+  apps::AdminRoutes admin;
+  apps::HttpServer server;
+  ~TelemetryEndpoint() { apps::StopAdminServer(&server); }
+};
+
+/// Starts `telemetry` when --telemetry-port is given (add health providers
+/// first); true when the flag is absent. False, with the error printed,
+/// when the port cannot be bound.
+bool StartTelemetry(const std::map<std::string, std::string>& flags,
+                    TelemetryEndpoint* telemetry) {
+  auto it = flags.find("telemetry-port");
+  if (it == flags.end()) return true;
+  apps::HttpServer::Options options;
+  options.port = it->second == "true" ? 0 : std::stoi(it->second);
+  options.thread_name = "telemetry.loop";
+  std::string error;
+  if (!telemetry->server.Start(options, telemetry->admin.StandaloneHandler(),
+                               &error)) {
+    std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
+                 error.c_str());
+    return false;
+  }
+  std::printf("telemetry: http://127.0.0.1:%d (%s)\n",
+              telemetry->server.port(),
+              apps::AdminRoutes::PathList().c_str());
+  std::fflush(stdout);
+  return true;
+}
+
+/// Keeps a running endpoint up --linger-seconds for scrapers, then stops it.
+void LingerAndStopTelemetry(const std::map<std::string, std::string>& flags,
+                            TelemetryEndpoint* telemetry) {
+  if (!telemetry->server.running()) return;
+  const int linger = IntFlag(flags, "linger-seconds", 0);
+  if (linger > 0) {
+    std::printf("telemetry: lingering %d s for scrapers\n", linger);
+    std::fflush(stdout);
+    std::this_thread::sleep_for(std::chrono::seconds(linger));
+  }
+  apps::StopAdminServer(&telemetry->server);
+}
+
 /// `serve --shards N`: the sharded HTTP query engine (DESIGN.md §11).
 /// Boots a QueryEngine over the bundle, prints the bound port, then serves
 /// until --serve-seconds elapses (0 = until killed), polling every shard's
@@ -499,8 +545,9 @@ int CmdServeEngine(const std::map<std::string, std::string>& flags) {
   }
   std::printf(
       "query engine up in %.2f s: %d shards on http://127.0.0.1:%d "
-      "(/query /query_batch /metrics /healthz /varz /inventory)\n",
-      watch.ElapsedSeconds(), engine->num_shards(), engine->port());
+      "(/query /query_batch /inventory %s)\n",
+      watch.ElapsedSeconds(), engine->num_shards(), engine->port(),
+      apps::AdminRoutes::PathList().c_str());
   std::fflush(stdout);
 
   const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
@@ -590,28 +637,16 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 
   // Embedded telemetry endpoint: scrapeable while the query load runs (and
   // for --linger-seconds after it, so CI / operators can read final state).
-  apps::TelemetryServer telemetry;
-  if (auto it = flags.find("telemetry-port"); it != flags.end()) {
-    apps::TelemetryServer::Options options;
-    options.port = it->second == "true" ? 0 : std::stoi(it->second);
-    if (manager != nullptr) {
-      options.health = apps::BundleManagerHealth(manager.get());
-    }
-    std::string error;
-    if (!telemetry.Start(options, &error)) {
-      std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    // Arm per-query trace sampling unless --trace-out already armed a
-    // record-everything session in main().
-    if (!obs::TracingArmed()) {
-      obs::TraceLog::Global().Start(DoubleFlag(flags, "trace-sample", 0.01));
-    }
-    std::printf("telemetry: http://127.0.0.1:%d (/metrics /healthz /varz "
-                "/tracez)\n",
-                telemetry.port());
-    std::fflush(stdout);
+  TelemetryEndpoint telemetry;
+  if (manager != nullptr) {
+    telemetry.admin.AddHealthProvider(
+        apps::BundleManagerHealth("bundle", manager.get()));
+  }
+  if (!StartTelemetry(flags, &telemetry)) return 1;
+  // Arm per-query trace sampling unless --trace-out already armed a
+  // record-everything session in main().
+  if (telemetry.server.running() && !obs::TracingArmed()) {
+    obs::TraceLog::Global().Start(DoubleFlag(flags, "trace-sample", 0.01));
   }
 
   // Drive a batched query load through the pool-backed QueryBatch API.
@@ -705,15 +740,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
             registry.GetCounter("service.reload.rollbacks")->value()),
         manager->reload_degraded() ? " [degraded: last push rejected]" : "");
   }
-  if (telemetry.running()) {
-    const int linger = IntFlag(flags, "linger-seconds", 0);
-    if (linger > 0) {
-      std::printf("telemetry: lingering %d s for scrapers\n", linger);
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::seconds(linger));
-    }
-    telemetry.Stop();
-  }
+  LingerAndStopTelemetry(flags, &telemetry);
   return 0;
 }
 
@@ -775,7 +802,9 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   const stream::IngestServer::Stats boot = server.stats();
-  std::printf("ingest: http://127.0.0.1:%d/ingest (wal %s)\n", server.port(),
+  std::printf("ingest: http://127.0.0.1:%d (/ingest /ingest/stats %s) "
+              "(wal %s)\n",
+              server.port(), apps::AdminRoutes::PathList().c_str(),
               flags.at("wal-dir").c_str());
   std::printf(
       "ingest: recovered %lld records (%lld trips) from snapshot + wal\n",
@@ -833,21 +862,8 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
 
   // Telemetry comes up before the first point, so scrapers watch the
   // stream.ingest.* counters move while the feed is live.
-  apps::TelemetryServer telemetry;
-  if (auto it = flags.find("telemetry-port"); it != flags.end()) {
-    apps::TelemetryServer::Options options;
-    options.port = it->second == "true" ? 0 : std::stoi(it->second);
-    std::string error;
-    if (!telemetry.Start(options, &error)) {
-      std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    std::printf("telemetry: http://127.0.0.1:%d (/metrics /healthz /varz "
-                "/tracez)\n",
-                telemetry.port());
-    std::fflush(stdout);
-  }
+  TelemetryEndpoint telemetry;
+  if (!StartTelemetry(flags, &telemetry)) return 1;
 
   const int retrain_every = IntFlag(flags, "retrain-every", 0);
   const int max_trips =
@@ -971,15 +987,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
           registry.GetCounter("stream.publish.success")->value()),
       static_cast<long long>(
           registry.GetCounter("stream.publish.failures")->value()));
-  if (telemetry.running()) {
-    const int linger = IntFlag(flags, "linger-seconds", 0);
-    if (linger > 0) {
-      std::printf("telemetry: lingering %d s for scrapers\n", linger);
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::seconds(linger));
-    }
-    telemetry.Stop();
-  }
+  LingerAndStopTelemetry(flags, &telemetry);
   return 0;
 }
 
