@@ -76,6 +76,17 @@ const char* ReasonPhrase(int status) {
   }
 }
 
+// A port the sockaddr_in cannot carry is an error, not something for the
+// uint16_t cast to wrap onto another port.
+bool PortInRange(int port, int min_port, std::string* error) {
+  if (port >= min_port && port <= 65535) return true;
+  if (error != nullptr) {
+    *error = "port " + std::to_string(port) + " outside [" +
+             std::to_string(min_port) + ", 65535]";
+  }
+  return false;
+}
+
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -466,6 +477,7 @@ bool HttpServer::Start(const Options& options, Handler handler,
     if (error != nullptr) *error = "http server already running";
     return false;
   }
+  if (!PortInRange(options.port, 0, error)) return false;
   options_ = options;
   handler_ = std::move(handler);
 
@@ -808,6 +820,7 @@ void HttpServer::SweepIdle(double now_s) {
 
 bool HttpClient::Connect(int port, std::string* error) {
   Close();
+  if (!PortInRange(port, 1, error)) return false;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     if (error != nullptr) *error = std::string("socket: ") + strerror(errno);

@@ -172,7 +172,7 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds 127.0.0.1:port, spawns the loop thread. False (reason in *error)
-  /// when the socket setup fails.
+  /// when the port is outside [0, 65535] or the socket setup fails.
   bool Start(const Options& options, Handler handler,
              std::string* error = nullptr);
 
@@ -247,6 +247,8 @@ class HttpClient {
   HttpClient(const HttpClient&) = delete;
   HttpClient& operator=(const HttpClient&) = delete;
 
+  /// Connects to 127.0.0.1:port. False (reason in *error) when the port is
+  /// outside [1, 65535] or the connection fails.
   bool Connect(int port, std::string* error = nullptr);
 
   /// Sends raw bytes (e.g. several pipelined GET requests at once).

@@ -7,14 +7,15 @@
 #include "dlinfma/candidate_generation.h"
 #include "sim/world.h"
 #include "stream/candidate_updater.h"
-#include "stream/streaming_stay_point.h"
+#include "traj/noise_filter.h"
+#include "traj/stay_point.h"
 #include "traj/trajectory.h"
 
 namespace dlinf {
 namespace stream {
 
-/// Point-at-a-time ingestion front end (DESIGN.md §13): glues the streaming
-/// noise filter + stay-point detector to the incremental candidate index and
+/// Point-at-a-time ingestion front end (DESIGN.md §13): glues the noise
+/// filter + stay-point detector to the incremental candidate index and
 /// accumulates an ingested sim::World that the batch pipeline can replay.
 ///
 /// Lifecycle per trip: StartTrip (metadata: courier, waybills, window) →
@@ -76,8 +77,8 @@ class StreamIngestor {
   dlinfma::CandidateGeneration::Options options_;
   sim::World world_;
   CandidateIndexUpdater updater_;
-  StreamingNoiseFilter filter_;
-  StreamingStayPointDetector detector_;
+  NoiseFilter filter_;
+  StayPointDetector detector_;
 
   bool trip_open_ = false;
   sim::DeliveryTrip current_;

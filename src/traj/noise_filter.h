@@ -19,11 +19,32 @@ struct NoiseFilterOptions {
   int max_consecutive_drops = 5;
 };
 
-/// Returns a copy of `input` with heuristic GPS outliers removed.
-/// Duplicate-timestamp and out-of-order points are dropped (keeping the
-/// first), as are samples with non-finite coordinates or timestamps, so the
-/// result is always finite and satisfies Trajectory::IsChronological() —
-/// even on deliberately corrupted input (see traj/corruption.h).
+/// The heuristic GPS outlier filter, one point at a time. Feed raw points in
+/// arrival order; Push() returns true when the point is kept. Duplicate-
+/// timestamp and out-of-order points are dropped (keeping the first), as are
+/// samples with non-finite coordinates or timestamps, so the kept sequence is
+/// always finite and chronological — even on deliberately corrupted input
+/// (see traj/corruption.h). The only state is the last kept point and the
+/// consecutive-drop counter.
+class NoiseFilter {
+ public:
+  explicit NoiseFilter(const NoiseFilterOptions& options = {});
+
+  /// True when `p` survives the filter (forward it downstream).
+  bool Push(const TrajPoint& p);
+
+  /// Forgets all state (start of a new trajectory).
+  void Reset();
+
+ private:
+  NoiseFilterOptions options_;
+  bool has_last_ = false;
+  TrajPoint last_kept_{};
+  int consecutive_drops_ = 0;
+};
+
+/// Returns a copy of `input` holding the points a fresh NoiseFilter keeps,
+/// in order. The result always satisfies Trajectory::IsChronological().
 Trajectory FilterNoise(const Trajectory& input,
                        const NoiseFilterOptions& options = {});
 

@@ -391,6 +391,23 @@ TEST(TelemetryServerTest, PortInUseFailsWithError) {
   std::string error;
   EXPECT_FALSE(second.Start(first.server.port(), &error));
   EXPECT_FALSE(error.empty());
+
+  // Ports a sockaddr_in cannot hold fail the same way; cast unchecked,
+  // 70000 would bind 4464 and -1 would bind 65535.
+  for (const int port : {70000, -1}) {
+    error.clear();
+    EXPECT_FALSE(second.Start(port, &error)) << port;
+    EXPECT_EQ(error, "port " + std::to_string(port) + " outside [0, 65535]");
+  }
+}
+
+TEST(TelemetryServerTest, ClientRejectsOutOfRangePort) {
+  for (const int port : {0, 70000, -1}) {
+    HttpClient client;
+    std::string error;
+    EXPECT_FALSE(client.Connect(port, &error)) << port;
+    EXPECT_EQ(error, "port " + std::to_string(port) + " outside [1, 65535]");
+  }
 }
 
 TEST(TelemetryServerTest, ConcurrentScrapesRaceLiveUpdates) {

@@ -1,9 +1,10 @@
 // Property-style equivalence suite for the streaming ingestion layer
-// (src/stream): the streamed stay-point pipeline must be *bit-identical* to
-// the batch pipeline on any replayed point sequence — across >= 1000
-// randomized trajectories, a full (D_max, T_min) sweep, and GPS corruption
-// — and the incremental candidate index must uphold the batch clustering
-// invariants and replay-consistency of its snapshots.
+// (src/stream): the noise filter and stay-point detector must be
+// *bit-identical* to literal reference implementations of the batch
+// algorithms, whether fed a whole trajectory or one point at a time —
+// across >= 1000 randomized trajectories, a full (D_max, T_min) sweep, and
+// GPS corruption — and the incremental candidate index must uphold the
+// batch clustering invariants and replay-consistency of its snapshots.
 
 #include <algorithm>
 #include <cmath>
@@ -18,7 +19,6 @@
 #include "sim/generator.h"
 #include "stream/candidate_updater.h"
 #include "stream/stream_pipeline.h"
-#include "stream/streaming_stay_point.h"
 #include "traj/corruption.h"
 #include "traj/noise_filter.h"
 #include "traj/stay_point.h"
@@ -42,34 +42,126 @@ bool BitEqual(const StayPoint& a, const StayPoint& b) {
 }
 
 ::testing::AssertionResult StaysBitIdentical(
-    const std::vector<StayPoint>& batch,
-    const std::vector<StayPoint>& streamed) {
-  if (batch.size() != streamed.size()) {
+    const std::vector<StayPoint>& expected,
+    const std::vector<StayPoint>& actual) {
+  if (expected.size() != actual.size()) {
     return ::testing::AssertionFailure()
-           << "stay counts differ: batch " << batch.size() << ", streamed "
-           << streamed.size();
+           << "stay counts differ: expected " << expected.size() << ", got "
+           << actual.size();
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!BitEqual(batch[i], streamed[i])) {
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (!BitEqual(expected[i], actual[i])) {
       return ::testing::AssertionFailure()
-             << "stay " << i << " differs: batch (" << batch[i].location.x
-             << "," << batch[i].location.y << ") [" << batch[i].start_time
-             << "," << batch[i].end_time << "] vs streamed ("
-             << streamed[i].location.x << "," << streamed[i].location.y
-             << ") [" << streamed[i].start_time << ","
-             << streamed[i].end_time << "]";
+             << "stay " << i << " differs: expected ("
+             << expected[i].location.x << "," << expected[i].location.y
+             << ") [" << expected[i].start_time << "," << expected[i].end_time
+             << "] vs (" << actual[i].location.x << "," << actual[i].location.y
+             << ") [" << actual[i].start_time << "," << actual[i].end_time
+             << "]";
     }
   }
   return ::testing::AssertionSuccess();
 }
 
-std::vector<StayPoint> StreamDetect(const Trajectory& traj,
-                                    const StayPointOptions& options) {
-  stream::StreamingStayPointDetector detector(options, traj.courier_id);
-  std::vector<StayPoint> streamed;
-  for (const TrajPoint& p : traj.points) detector.Push(p, &streamed);
-  detector.Flush(&streamed);
-  return streamed;
+// --- Exact-output references ------------------------------------------------
+//
+// Literal batch formulations of the filter pass [8] and the anchor scan of
+// Li et al. [7], kept here as the specification the point-at-a-time
+// NoiseFilter and StayPointDetector must reproduce bit for bit.
+
+Trajectory ReferenceFilterNoise(const Trajectory& input,
+                                const NoiseFilterOptions& options) {
+  Trajectory output;
+  output.courier_id = input.courier_id;
+  int consecutive_drops = 0;
+  for (const TrajPoint& p : input.points) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.t)) {
+      continue;
+    }
+    if (output.points.empty()) {
+      output.points.push_back(p);
+      continue;
+    }
+    const TrajPoint& prev = output.points.back();
+    const double dt = p.t - prev.t;
+    if (dt <= 0) continue;  // Out-of-order or duplicate timestamp.
+    const double speed = Distance(p.position(), prev.position()) / dt;
+    if (speed > options.max_speed_mps &&
+        consecutive_drops < options.max_consecutive_drops) {
+      ++consecutive_drops;
+      continue;
+    }
+    consecutive_drops = 0;
+    output.points.push_back(p);
+  }
+  return output;
+}
+
+StayPoint ReferenceMakeStayPoint(const Trajectory& trajectory, size_t begin,
+                                 size_t end) {
+  // Centroid and time span over points [begin, end).
+  double sx = 0.0;
+  double sy = 0.0;
+  for (size_t k = begin; k < end; ++k) {
+    sx += trajectory.points[k].x;
+    sy += trajectory.points[k].y;
+  }
+  const double n = static_cast<double>(end - begin);
+  StayPoint sp;
+  sp.location = Point{sx / n, sy / n};
+  sp.start_time = trajectory.points[begin].t;
+  sp.end_time = trajectory.points[end - 1].t;
+  sp.courier_id = trajectory.courier_id;
+  return sp;
+}
+
+std::vector<StayPoint> ReferenceDetectStayPoints(
+    const Trajectory& trajectory, const StayPointOptions& options) {
+  std::vector<StayPoint> stays;
+  const std::vector<TrajPoint>& pts = trajectory.points;
+  const size_t n = pts.size();
+  size_t i = 0;
+  while (i < n) {
+    size_t j = i + 1;
+    while (j < n && Distance(pts[i].position(), pts[j].position()) <=
+                        options.distance_threshold_m) {
+      ++j;
+    }
+    // Window is [i, j): all points within D_max of the anchor p_i.
+    if (pts[j - 1].t - pts[i].t >= options.time_threshold_s) {
+      stays.push_back(ReferenceMakeStayPoint(trajectory, i, j));
+      i = j;  // Restart after the stay, per [7].
+    } else {
+      ++i;
+    }
+  }
+  return stays;
+}
+
+std::vector<StayPoint> DetectPointAtATime(const Trajectory& traj,
+                                          const StayPointOptions& options) {
+  StayPointDetector detector(options, traj.courier_id);
+  std::vector<StayPoint> stays;
+  for (const TrajPoint& p : traj.points) detector.Push(p, &stays);
+  detector.Flush(&stays);
+  return stays;
+}
+
+// Both feeding modes — the whole trajectory (DetectStayPoints) and one
+// point at a time (Push…Flush) — against the reference scan.
+::testing::AssertionResult BothModesMatchReference(
+    const Trajectory& traj, const StayPointOptions& options,
+    size_t* num_stays = nullptr) {
+  const std::vector<StayPoint> expected =
+      ReferenceDetectStayPoints(traj, options);
+  if (num_stays != nullptr) *num_stays = expected.size();
+  ::testing::AssertionResult whole =
+      StaysBitIdentical(expected, DetectStayPoints(traj, options));
+  if (!whole) return whole << " (whole trajectory)";
+  ::testing::AssertionResult streamed =
+      StaysBitIdentical(expected, DetectPointAtATime(traj, options));
+  if (!streamed) return streamed << " (point at a time)";
+  return ::testing::AssertionSuccess();
 }
 
 // The sweep of detector options each randomized trajectory is checked
@@ -83,7 +175,7 @@ StayPointOptions SweepOptions(int index) {
   return options;
 }
 
-// --- Streamed vs batch stay points: >= 1000 randomized replays -------------
+// --- Detector vs reference: >= 1000 randomized replays ---------------------
 
 TEST(StreamingStayPointTest, BitIdenticalToBatchOnThousandTrajectories) {
   constexpr int kTrajectories = 1008;  // 84 per (D_max, T_min) combination.
@@ -95,12 +187,11 @@ TEST(StreamingStayPointTest, BitIdenticalToBatchOnThousandTrajectories) {
     traj_options.courier_id = seed % 7;
     const Trajectory traj = MakeRandomTrajectory(&rng, traj_options);
 
-    const std::vector<StayPoint> batch = DetectStayPoints(traj, options);
-    const std::vector<StayPoint> streamed = StreamDetect(traj, options);
-    ASSERT_TRUE(StaysBitIdentical(batch, streamed))
+    size_t stays = 0;
+    ASSERT_TRUE(BothModesMatchReference(traj, options, &stays))
         << "seed " << seed << ", D=" << options.distance_threshold_m
         << ", T=" << options.time_threshold_s;
-    total_stays += static_cast<int64_t>(batch.size());
+    total_stays += static_cast<int64_t>(stays);
   }
   // The sweep must actually exercise emissions, not trivially agree on
   // empty outputs.
@@ -134,18 +225,16 @@ TEST(StreamingStayPointTest, BitIdenticalOnDegenerateShapes) {
 
   for (size_t i = 0; i < shapes.size(); ++i) {
     shapes[i].courier_id = static_cast<int64_t>(i);
-    EXPECT_TRUE(StaysBitIdentical(DetectStayPoints(shapes[i], options),
-                                  StreamDetect(shapes[i], options)))
-        << "shape " << i;
+    EXPECT_TRUE(BothModesMatchReference(shapes[i], options)) << "shape " << i;
   }
 }
 
 // --- Equivalence under GPS corruption --------------------------------------
 
-// The full cleaning chain (noise filter -> detector) streamed point-at-a-
-// time over corrupted tracks must match the batch chain bit-for-bit: the
-// faults produce NaNs, duplicates, out-of-order and clock-skewed samples,
-// exercising every filter branch.
+// The full cleaning chain (noise filter -> detector) over corrupted tracks
+// must match the reference chain bit-for-bit, both as whole-trajectory
+// calls and streamed point-at-a-time: the faults produce NaNs, duplicates,
+// out-of-order and clock-skewed samples, exercising every filter branch.
 TEST(StreamingStayPointTest, BitIdenticalUnderGpsFaults) {
   constexpr int kTrajectories = 250;
   const NoiseFilterOptions filter_options;
@@ -170,32 +259,40 @@ TEST(StreamingStayPointTest, BitIdenticalUnderGpsFaults) {
       corrupted = traj::ApplyTrajectoryFaults(clean);
     }
 
-    // Batch chain.
-    const Trajectory cleaned = FilterNoise(corrupted, filter_options);
-    const std::vector<StayPoint> batch = DetectStayPoints(cleaned, options);
+    // Reference chain.
+    const Trajectory reference_cleaned =
+        ReferenceFilterNoise(corrupted, filter_options);
+    const std::vector<StayPoint> expected =
+        ReferenceDetectStayPoints(reference_cleaned, options);
     total_dropped +=
-        static_cast<int64_t>(corrupted.size() - cleaned.size());
+        static_cast<int64_t>(corrupted.size() - reference_cleaned.size());
 
-    // Streaming chain over the exact corrupted arrival order.
-    stream::StreamingNoiseFilter filter(filter_options);
-    stream::StreamingStayPointDetector detector(options,
-                                                corrupted.courier_id);
+    // Whole-trajectory chain.
+    const Trajectory cleaned = FilterNoise(corrupted, filter_options);
+    ASSERT_TRUE(
+        StaysBitIdentical(expected, DetectStayPoints(cleaned, options)))
+        << "seed " << seed << " (whole trajectory)";
+
+    // Point-at-a-time chain over the exact corrupted arrival order.
+    NoiseFilter filter(filter_options);
+    StayPointDetector detector(options, corrupted.courier_id);
     std::vector<StayPoint> streamed;
     for (const TrajPoint& p : corrupted.points) {
       if (filter.Push(p)) detector.Push(p, &streamed);
     }
     detector.Flush(&streamed);
-
-    ASSERT_TRUE(StaysBitIdentical(batch, streamed)) << "seed " << seed;
-    total_stays += static_cast<int64_t>(batch.size());
+    ASSERT_TRUE(StaysBitIdentical(expected, streamed))
+        << "seed " << seed << " (point at a time)";
+    total_stays += static_cast<int64_t>(expected.size());
   }
   EXPECT_GT(total_stays, 0);
   EXPECT_GT(total_dropped, 0) << "corruption never exercised the filter";
 }
 
-// The streaming filter alone must keep exactly the batch filter's
-// subsequence (same points, same order) on corrupted input.
-TEST(StreamingNoiseFilterTest, KeepsExactlyTheBatchSubsequence) {
+// The filter alone must keep exactly the reference filter's subsequence
+// (same points, same order) on corrupted input, both through FilterNoise and
+// pushed point at a time.
+TEST(NoiseFilterStreamTest, KeepsExactlyTheBatchSubsequence) {
   for (int seed = 0; seed < 100; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) + 77);
     const Trajectory clean = MakeRandomTrajectory(&rng);
@@ -209,18 +306,23 @@ TEST(StreamingNoiseFilterTest, KeepsExactlyTheBatchSubsequence) {
       corrupted = traj::ApplyTrajectoryFaults(clean);
     }
 
-    const Trajectory batch = FilterNoise(corrupted, {});
-    stream::StreamingNoiseFilter filter;
+    const Trajectory expected = ReferenceFilterNoise(corrupted, {});
+    NoiseFilter filter;
     std::vector<TrajPoint> streamed;
     for (const TrajPoint& p : corrupted.points) {
       if (filter.Push(p)) streamed.push_back(p);
     }
-    ASSERT_EQ(batch.points.size(), streamed.size()) << "seed " << seed;
-    for (size_t i = 0; i < streamed.size(); ++i) {
-      ASSERT_TRUE(BitEqual(batch.points[i].x, streamed[i].x) &&
-                  BitEqual(batch.points[i].y, streamed[i].y) &&
-                  BitEqual(batch.points[i].t, streamed[i].t))
-          << "seed " << seed << ", point " << i;
+    const Trajectory whole = FilterNoise(corrupted, {});
+    ASSERT_EQ(expected.courier_id, whole.courier_id) << "seed " << seed;
+    const std::vector<TrajPoint>* both[] = {&whole.points, &streamed};
+    for (const std::vector<TrajPoint>* kept : both) {
+      ASSERT_EQ(expected.points.size(), kept->size()) << "seed " << seed;
+      for (size_t i = 0; i < kept->size(); ++i) {
+        ASSERT_TRUE(BitEqual(expected.points[i].x, (*kept)[i].x) &&
+                    BitEqual(expected.points[i].y, (*kept)[i].y) &&
+                    BitEqual(expected.points[i].t, (*kept)[i].t))
+            << "seed " << seed << ", point " << i;
+      }
     }
   }
 }
@@ -232,7 +334,7 @@ TEST(StreamingStayPointTest, BufferBoundedByDwellNotTrajectoryLength) {
 
   // Pure motion with 40 m steps: the window never holds more than the
   // anchor and its breaker, regardless of trajectory length.
-  stream::StreamingStayPointDetector moving(options, 1);
+  StayPointDetector moving(options, 1);
   std::vector<StayPoint> out;
   for (int i = 0; i < 20000; ++i) {
     moving.Push({40.0 * i, 0.0, 5.0 * i}, &out);
@@ -248,7 +350,7 @@ TEST(StreamingStayPointTest, BufferBoundedByDwellNotTrajectoryLength) {
   testing_support::RandomTrajectoryOptions traj_options;
   traj_options.num_segments = 30;
   const Trajectory traj = MakeRandomTrajectory(&rng, traj_options);
-  stream::StreamingStayPointDetector detector(options, 1);
+  StayPointDetector detector(options, 1);
   size_t longest_dwell = 0;
   {
     // Upper bound on any dwell window: max points within 240 s (the dwell
