@@ -1,0 +1,121 @@
+#include "common/flags.h"
+
+#include <charconv>
+#include <cmath>
+#include <type_traits>
+
+#include "common/check.h"
+
+namespace dlinf {
+namespace {
+
+/// Parses all of `text` as a T; false when it is malformed, with
+/// *out_of_range set when it is a well-formed number that does not fit.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out, bool* out_of_range) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  *out_of_range = ec == std::errc::result_out_of_range;
+  if (ec != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;  // from_chars reads inf, nan.
+  }
+  *out = value;
+  return true;
+}
+
+/// Empty when `value` parses as a T, else the one-line reason.
+template <typename T>
+std::string CheckNumber(std::string_view name, const std::string& value,
+                        const char* wants) {
+  T parsed{};
+  bool out_of_range = false;
+  if (ParseNumber(value, &parsed, &out_of_range)) return "";
+  const std::string flag(name);
+  if (out_of_range) return flag + " value '" + value + "' is out of range";
+  return flag + " wants " + wants + ", got '" + value + "'";
+}
+
+/// Empty when `value` parses as the flag's type, else the one-line reason.
+std::string CheckValue(const FlagSpec& spec, const std::string& value) {
+  switch (spec.type) {
+    case FlagType::kBool:
+    case FlagType::kString:
+      break;
+    case FlagType::kInt:
+      return CheckNumber<int>(spec.name, value, "an integer");
+    case FlagType::kUint64:
+      return CheckNumber<uint64_t>(spec.name, value, "a non-negative integer");
+    case FlagType::kDouble:
+      return CheckNumber<double>(spec.name, value, "a number");
+  }
+  return "";
+}
+
+/// A numeric flag's value, which Parse already validated.
+template <typename T>
+T ReadNumber(const Flags& flags, std::string_view name, T fallback) {
+  const std::string text = flags.Str(name);
+  if (text.empty()) return fallback;  // Absent, or given without a value.
+  T value = fallback;
+  bool out_of_range = false;
+  CHECK(ParseNumber(text, &value, &out_of_range)) << name;
+  return value;
+}
+
+}  // namespace
+
+std::optional<Flags> Flags::Parse(std::span<const FlagSpec> specs,
+                                  std::span<char* const> args,
+                                  std::string* error) {
+  CHECK(error != nullptr);
+  error->clear();
+  Flags flags;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string token = args[i];
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& candidate : specs) {
+      if (candidate.name == token) spec = &candidate;
+    }
+    if (spec == nullptr) {
+      *error = token.starts_with("--") ? "unknown flag " + token
+                                       : "unexpected argument '" + token + "'";
+      return std::nullopt;
+    }
+    std::optional<std::string> value;
+    if (spec->type != FlagType::kBool && i + 1 < args.size() &&
+        !std::string_view(args[i + 1]).starts_with("--")) {
+      value = args[++i];
+      *error = CheckValue(*spec, *value);
+    } else if (spec->type != FlagType::kBool && !spec->optional_value) {
+      *error = token + " needs a value";
+    }
+    if (!error->empty()) return std::nullopt;
+    flags.values_[token] = std::move(value);
+  }
+  return flags;
+}
+
+bool Flags::Has(std::string_view name) const {
+  return values_.find(name) != values_.end();
+}
+
+std::string Flags::Str(std::string_view name, std::string fallback) const {
+  auto it = values_.find(name);
+  return it == values_.end() || !it->second ? fallback : *it->second;
+}
+
+int Flags::Int(std::string_view name, int fallback) const {
+  return ReadNumber(*this, name, fallback);
+}
+
+uint64_t Flags::Uint64(std::string_view name, uint64_t fallback) const {
+  return ReadNumber(*this, name, fallback);
+}
+
+double Flags::Double(std::string_view name, double fallback) const {
+  return ReadNumber(*this, name, fallback);
+}
+
+}  // namespace dlinf

@@ -49,22 +49,6 @@ void DlInfMaMethod::Fit(const Dataset& data, const SampleSet& samples) {
   }
 }
 
-bool DlInfMaMethod::SaveModel(const std::string& path) const {
-  if (models_.size() != 1) return false;
-  return nn::SaveParameters(path, models_.front()->Parameters());
-}
-
-bool DlInfMaMethod::LoadModel(const std::string& path) {
-  if (ensemble_size_ != 1) return false;
-  Rng rng(train_config_.seed);
-  auto fresh = std::make_unique<LocMatcher>(model_config_, &rng);
-  std::vector<nn::Tensor> params = fresh->Parameters();
-  if (!nn::LoadParameters(path, &params)) return false;
-  models_.clear();
-  models_.push_back(std::move(fresh));
-  return true;
-}
-
 std::string DlInfMaMethod::ExportParameters() const {
   if (models_.size() != 1) return std::string();
   return nn::EncodeParameters(models_.front()->Parameters());

@@ -42,7 +42,7 @@ class DlInfMaMethod : public Inferrer {
 
   const TrainResult& train_result() const { return train_result_; }
 
-  /// The (first) trained model; nullptr before Fit/LoadModel.
+  /// The (first) trained model; nullptr before Fit/RestoreModel.
   LocMatcher* model() {
     return models_.empty() ? nullptr : models_.front().get();
   }
@@ -50,7 +50,7 @@ class DlInfMaMethod : public Inferrer {
   const LocMatcherConfig& model_config() const { return model_config_; }
   const TrainConfig& train_config() const { return train_config_; }
 
-  /// Whether the method can infer right now (Fit ran or a model was loaded).
+  /// Whether the method can infer right now (Fit or RestoreModel ran).
   bool has_model() const { return !models_.empty(); }
 
   /// Serializes the trained model's parameters to an in-memory blob (see
@@ -63,16 +63,6 @@ class DlInfMaMethod : public Inferrer {
   /// blob). After success the method infers without Fit. Returns false on
   /// ensemble methods or any shape mismatch in the blob.
   bool RestoreModel(const std::string& parameter_blob);
-
-  /// Persists the trained model's parameters (binary, see nn/serialize.h).
-  /// Only supported for single-model methods (ensemble_size == 1); returns
-  /// false otherwise, if no model is trained, or on I/O failure.
-  bool SaveModel(const std::string& path) const;
-
-  /// Restores parameters into a freshly constructed model with this
-  /// method's configuration; after a successful load the method can infer
-  /// without Fit. Returns false on shape mismatch or I/O failure.
-  bool LoadModel(const std::string& path);
 
  private:
   std::string name_;

@@ -72,7 +72,7 @@ std::optional<dlinfma::SampleSet> LoadSamplesArtifact(
 
 /// Persists the method's name, full model + train configuration, and the
 /// trained parameter blob. Only single-model methods are supported (the
-/// same restriction as DlInfMaMethod::SaveModel); returns false for
+/// same restriction as DlInfMaMethod::ExportParameters); returns false for
 /// ensembles or untrained methods.
 bool SaveModelArtifact(const dlinfma::DlInfMaMethod& method,
                        const std::string& path);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 
 namespace dlinf {
 namespace nn {
@@ -73,24 +72,6 @@ bool DecodeParameters(std::string_view blob,
     }
   }
   return reader.offset == blob.size();
-}
-
-bool SaveParameters(const std::string& path,
-                    const std::vector<Tensor>& parameters) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  const std::string blob = EncodeParameters(parameters);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(out);
-}
-
-bool LoadParameters(const std::string& path, std::vector<Tensor>* parameters) {
-  CHECK(parameters != nullptr);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return DecodeParameters(blob, parameters);
 }
 
 }  // namespace nn

@@ -12,8 +12,7 @@ namespace nn {
 
 /// Serializes the parameter list to an in-memory blob (magic + count, then
 /// shape + float32 payload per tensor) — the unit the artifact layer
-/// (src/io) embeds inside checksummed model artifacts. The blob is exactly
-/// the byte stream SaveParameters writes to disk.
+/// (src/io) embeds inside checksummed model artifacts.
 std::string EncodeParameters(const std::vector<Tensor>& parameters);
 
 /// Restores parameter data in place from an EncodeParameters blob. The list
@@ -21,16 +20,6 @@ std::string EncodeParameters(const std::vector<Tensor>& parameters);
 /// returns false on any mismatch or short/overlong blob (parameters may be
 /// partially updated on failure).
 bool DecodeParameters(std::string_view blob, std::vector<Tensor>* parameters);
-
-/// Writes the parameter list to a binary file (shape + float32 payload per
-/// tensor). Returns false on I/O failure.
-bool SaveParameters(const std::string& path,
-                    const std::vector<Tensor>& parameters);
-
-/// Restores parameter data in place. The list must have the same length and
-/// per-tensor shapes as at save time; returns false on any mismatch or I/O
-/// failure (parameters may be partially updated on failure).
-bool LoadParameters(const std::string& path, std::vector<Tensor>* parameters);
 
 }  // namespace nn
 }  // namespace dlinf

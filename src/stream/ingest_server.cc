@@ -222,6 +222,38 @@ std::string FormatIngestLine(const IngestRecord& record) {
   return "";
 }
 
+std::vector<std::string> TripLines(const std::string& client,
+                                   const sim::DeliveryTrip& trip,
+                                   uint64_t* seq) {
+  auto next = [&](IngestRecord::Kind kind) {
+    IngestRecord record;
+    record.kind = kind;
+    record.client_id = client;
+    record.seq = ++*seq;
+    return record;
+  };
+  std::vector<std::string> lines;
+  IngestRecord start = next(IngestRecord::Kind::kStartTrip);
+  start.courier_id = trip.courier_id;
+  start.start_time = trip.start_time;
+  start.end_time = trip.end_time;
+  start.waybills = trip.waybills;
+  lines.push_back(FormatIngestLine(start));
+  for (const TrajPoint& p : trip.trajectory.points) {
+    IngestRecord point = next(IngestRecord::Kind::kPoint);
+    point.x = p.x;
+    point.y = p.y;
+    point.t = p.t;
+    lines.push_back(FormatIngestLine(point));
+  }
+  lines.push_back(FormatIngestLine(next(IngestRecord::Kind::kFinishTrip)));
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  return lines.empty() ? std::string() : Join(lines, "\n") + "\n";
+}
+
 IngestServer::IngestServer(Options options) : options_(std::move(options)) {
   admin_.AddHealthProvider([this] { return WalHealth(); });
 }

@@ -135,6 +135,16 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
 /// Format → Parse round-trips bit-exactly (the WAL stores these lines).
 std::string FormatIngestLine(const IngestRecord& record);
 
+/// The protocol lines that stream one recorded trip from producer
+/// `client`: start_trip with its waybills, one point per trajectory fix,
+/// then finish_trip. Each line takes the next sequence number from *seq.
+std::vector<std::string> TripLines(const std::string& client,
+                                   const sim::DeliveryTrip& trip,
+                                   uint64_t* seq);
+
+/// A POST /ingest body: every line newline-terminated.
+std::string JoinLines(const std::vector<std::string>& lines);
+
 class IngestServer {
  public:
   struct Options {

@@ -2,10 +2,13 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/csv.h"
+#include "common/flags.h"
 #include "common/flat_json.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -135,6 +138,78 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
 TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](int64_t) { FAIL(); });
+}
+
+constexpr FlagSpec kTestFlags[] = {{"--days", FlagType::kInt},
+                                   {"--seed", FlagType::kUint64},
+                                   {"--seconds", FlagType::kDouble},
+                                   {"--port", FlagType::kInt},
+                                   {"--out", FlagType::kString},
+                                   {"--quick", FlagType::kBool},
+                                   {"--metrics", FlagType::kString, true}};
+
+std::optional<Flags> ParseTestFlags(const std::vector<std::string>& args,
+                                    std::string* error) {
+  std::vector<char*> argv;
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  return Flags::Parse(kTestFlags, argv, error);
+}
+
+TEST(FlagsTest, AcceptsOrRejectsEachCommandLine) {
+  struct Row {
+    std::vector<std::string> args;
+    std::string error;  ///< The one-line rejection; empty when accepted.
+    std::string flag = "";   ///< Accepted rows: a flag that is present...
+    std::string value = "";  ///< ...with this value (empty when bare).
+  };
+  const Row rows[] = {
+      {{"--dayz", "2"}, "unknown flag --dayz"},
+      {{"--days", "2x"}, "--days wants an integer, got '2x'"},
+      {{"--seconds", "abc"}, "--seconds wants a number, got 'abc'"},
+      {{"--seconds", "nan"}, "--seconds wants a number, got 'nan'"},
+      {{"--out"}, "--out needs a value"},
+      {{"--days", "--quick"}, "--days needs a value"},
+      {{"--out", "dir", "stray"}, "unexpected argument 'stray'"},
+      {{"stray"}, "unexpected argument 'stray'"},
+      {{"--days", "3000000000"}, "--days value '3000000000' is out of range"},
+      {{"--seconds", "1e999"}, "--seconds value '1e999' is out of range"},
+      {{"--seed", "-1"}, "--seed wants a non-negative integer, got '-1'"},
+      {{"--quick"}, "", "--quick", ""},
+      {{"--quick", "--out", "dir"}, "", "--out", "dir"},
+      {{"--metrics"}, "", "--metrics", ""},
+      {{"--metrics", "--quick"}, "", "--metrics", ""},
+      {{"--metrics", "m.json"}, "", "--metrics", "m.json"},
+      {{"--port", "-1"}, "", "--port", "-1"},
+      {{"--days", "2", "--days", "5"}, "", "--days", "5"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(Join(row.args, " "));
+    std::string error;
+    const std::optional<Flags> flags = ParseTestFlags(row.args, &error);
+    EXPECT_EQ(error, row.error);
+    ASSERT_EQ(flags.has_value(), row.error.empty());
+    if (flags) {
+      EXPECT_TRUE(flags->Has(row.flag));
+      EXPECT_EQ(flags->Str(row.flag), row.value);
+    }
+  }
+}
+
+TEST(FlagsTest, TypedGettersReadValuesOrFallBack) {
+  std::string error;
+  const std::optional<Flags> flags = ParseTestFlags(
+      {"--port", "-1", "--seed", "18446744073709551615", "--seconds", "2.5",
+       "--metrics"},
+      &error);
+  ASSERT_TRUE(flags.has_value()) << error;
+  EXPECT_EQ(flags->Int("--port", 0), -1);
+  EXPECT_EQ(flags->Uint64("--seed", 0), 18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(flags->Double("--seconds", 0.0), 2.5);
+  EXPECT_EQ(flags->Int("--days", 30), 30);
+  EXPECT_FALSE(flags->Has("--days"));
+  EXPECT_EQ(flags->Str("--metrics", "stdout"), "stdout");
 }
 
 TEST(StopwatchTest, MeasuresElapsed) {

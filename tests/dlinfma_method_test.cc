@@ -1,7 +1,5 @@
 #include "dlinfma/dlinfma_method.h"
 
-#include <cstdio>
-
 #include "gtest/gtest.h"
 #include "sim/generator.h"
 
@@ -44,39 +42,39 @@ TEST_F(DlInfMaMethodTest, FitInferAndPersistRoundTrip) {
   const std::vector<Point> before = method.InferAll(*data_, samples_->test);
   ASSERT_EQ(before.size(), samples_->test.size());
 
-  const std::string path = testing::TempDir() + "/locmatcher.bin";
-  ASSERT_TRUE(method.SaveModel(path));
+  const std::string blob = method.ExportParameters();
+  ASSERT_FALSE(blob.empty());
 
-  // A fresh method loads the checkpoint and reproduces the predictions
-  // exactly (the deployed-system path: infer without retraining).
+  // A fresh method restores the exported weights and reproduces the
+  // predictions exactly (the deployed-system path: infer without
+  // retraining).
   DlInfMaMethod restored("DLInfMA", LocMatcherConfig{}, train_config);
-  ASSERT_TRUE(restored.LoadModel(path));
+  ASSERT_TRUE(restored.RestoreModel(blob));
   const std::vector<Point> after = restored.InferAll(*data_, samples_->test);
   ASSERT_EQ(after.size(), before.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]) << "sample " << i;
   }
-  std::remove(path.c_str());
 }
 
-TEST_F(DlInfMaMethodTest, LoadModelRejectsWrongArchitecture) {
+TEST_F(DlInfMaMethodTest, RestoreModelRejectsWrongArchitecture) {
   TrainConfig train_config;
   train_config.max_epochs = 2;
   DlInfMaMethod small("DLInfMA", LocMatcherConfig{}, train_config);
   small.Fit(*data_, *samples_);
-  const std::string path = testing::TempDir() + "/locmatcher2.bin";
-  ASSERT_TRUE(small.SaveModel(path));
+  const std::string blob = small.ExportParameters();
+  ASSERT_FALSE(blob.empty());
 
   LocMatcherConfig bigger;
   bigger.model_dim = 32;
   DlInfMaMethod other("DLInfMA", bigger, train_config);
-  EXPECT_FALSE(other.LoadModel(path));
-  std::remove(path.c_str());
+  EXPECT_FALSE(other.RestoreModel(blob));
+  EXPECT_FALSE(other.has_model());
 }
 
-TEST_F(DlInfMaMethodTest, SaveModelWithoutFitFails) {
+TEST_F(DlInfMaMethodTest, ExportWithoutFitIsEmpty) {
   DlInfMaMethod method;
-  EXPECT_FALSE(method.SaveModel(testing::TempDir() + "/nope.bin"));
+  EXPECT_TRUE(method.ExportParameters().empty());
 }
 
 TEST_F(DlInfMaMethodTest, EnsembleAveragesModels) {
@@ -98,7 +96,7 @@ TEST_F(DlInfMaMethodTest, EnsembleAveragesModels) {
     EXPECT_TRUE(from_candidates);
   }
   // Persistence is single-model-only by contract.
-  EXPECT_FALSE(ensemble.SaveModel(testing::TempDir() + "/e.bin"));
+  EXPECT_TRUE(ensemble.ExportParameters().empty());
 }
 
 TEST_F(DlInfMaMethodTest, DeterministicAcrossRuns) {

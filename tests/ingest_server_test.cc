@@ -24,8 +24,10 @@ using apps::HttpClient;
 using stream::FormatIngestLine;
 using stream::IngestRecord;
 using stream::IngestServer;
+using stream::JoinLines;
 using stream::ParseIngestLine;
 using stream::StreamIngestor;
+using stream::TripLines;
 using ::testing::TempDir;
 
 std::string ScratchDir(const std::string& name) {
@@ -55,47 +57,6 @@ const sim::World& City() {
     return c;
   }();
   return *city;
-}
-
-/// The protocol lines for one trip from one client, advancing *seq.
-std::vector<std::string> TripLines(const std::string& client,
-                                   const sim::DeliveryTrip& trip,
-                                   uint64_t* seq) {
-  std::vector<std::string> lines;
-  IngestRecord start;
-  start.kind = IngestRecord::Kind::kStartTrip;
-  start.client_id = client;
-  start.seq = ++*seq;
-  start.courier_id = trip.courier_id;
-  start.start_time = trip.start_time;
-  start.end_time = trip.end_time;
-  start.waybills = trip.waybills;
-  lines.push_back(FormatIngestLine(start));
-  for (const TrajPoint& p : trip.trajectory.points) {
-    IngestRecord point;
-    point.kind = IngestRecord::Kind::kPoint;
-    point.client_id = client;
-    point.seq = ++*seq;
-    point.x = p.x;
-    point.y = p.y;
-    point.t = p.t;
-    lines.push_back(FormatIngestLine(point));
-  }
-  IngestRecord finish;
-  finish.kind = IngestRecord::Kind::kFinishTrip;
-  finish.client_id = client;
-  finish.seq = ++*seq;
-  lines.push_back(FormatIngestLine(finish));
-  return lines;
-}
-
-std::string JoinLines(const std::vector<std::string>& lines) {
-  std::string body;
-  for (const std::string& line : lines) {
-    body += line;
-    body += '\n';
-  }
-  return body;
 }
 
 /// POSTs `body` to /ingest and returns the status (-1 on transport error).

@@ -30,76 +30,64 @@
 //
 // The comparison policy itself lives in src/common/bench_compare.{h,cc}
 // (unit-tested in tests/bench_compare_test.cc); this binary is flag
-// parsing, file I/O and console rendering.
+// parsing, file I/O and console rendering. A malformed command line prints
+// one line naming the flag and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
 #include "common/bench_compare.h"
+#include "common/flags.h"
 #include "common/flat_json.h"
 
 namespace {
 
-struct Options {
-  std::string baseline_path;
-  std::string pr_path;
-  std::string summary_path;
-  dlinf::BenchCompareOptions compare;
-};
-
-std::optional<Options> ParseArgs(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--baseline" && has_value) {
-      options.baseline_path = argv[++i];
-    } else if (arg == "--pr" && has_value) {
-      options.pr_path = argv[++i];
-    } else if (arg == "--threshold" && has_value) {
-      options.compare.threshold = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-seconds" && has_value) {
-      options.compare.min_seconds = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--summary" && has_value) {
-      options.summary_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown or valueless argument: %s\n", arg.c_str());
-      return std::nullopt;
-    }
-  }
-  if (options.baseline_path.empty() || options.pr_path.empty() ||
-      options.compare.threshold <= 0.0) {
-    std::fprintf(stderr,
-                 "usage: bench_compare --baseline FILE --pr FILE "
-                 "[--threshold 0.25]\n");
-    return std::nullopt;
-  }
-  return options;
-}
+constexpr dlinf::FlagSpec kFlags[] = {
+    {"--baseline", dlinf::FlagType::kString},
+    {"--pr", dlinf::FlagType::kString},
+    {"--threshold", dlinf::FlagType::kDouble},
+    {"--min-seconds", dlinf::FlagType::kDouble},
+    {"--summary", dlinf::FlagType::kString}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Options> options = ParseArgs(argc, argv);
-  if (!options) return 2;
-
-  auto baseline = dlinf::FlatJsonLoad(options->baseline_path);
-  if (!baseline) {
-    std::fprintf(stderr, "error: cannot read baseline %s\n",
-                 options->baseline_path.c_str());
+  std::string error;
+  const std::optional<dlinf::Flags> flags = dlinf::Flags::Parse(
+      kFlags, std::span<char* const>(argv + 1, argc - 1), &error);
+  if (!flags) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  auto pr = dlinf::FlatJsonLoad(options->pr_path);
+  const std::string baseline_path = flags->Str("--baseline");
+  const std::string pr_path = flags->Str("--pr");
+  const std::string summary_path = flags->Str("--summary");
+  dlinf::BenchCompareOptions compare;
+  compare.threshold = flags->Double("--threshold", compare.threshold);
+  compare.min_seconds = flags->Double("--min-seconds", compare.min_seconds);
+  if (baseline_path.empty() || pr_path.empty() || compare.threshold <= 0.0) {
+    std::fprintf(stderr,
+                 "usage: bench_compare --baseline FILE --pr FILE "
+                 "[--threshold 0.25]\n");
+    return 2;
+  }
+
+  auto baseline = dlinf::FlatJsonLoad(baseline_path);
+  if (!baseline) {
+    std::fprintf(stderr, "error: cannot read baseline %s\n",
+                 baseline_path.c_str());
+    return 2;
+  }
+  auto pr = dlinf::FlatJsonLoad(pr_path);
   if (!pr) {
     std::fprintf(stderr, "error: cannot read PR results %s\n",
-                 options->pr_path.c_str());
+                 pr_path.c_str());
     return 2;
   }
 
   const dlinf::BenchComparison comparison =
-      dlinf::CompareBenchResults(*baseline, *pr, options->compare);
+      dlinf::CompareBenchResults(*baseline, *pr, compare);
   if (comparison.calibrated) {
     std::printf("calibration: scaling pr times by %.3f\n", comparison.scale);
   } else {
@@ -124,10 +112,10 @@ int main(int argc, char** argv) {
                 "-", seconds, "-");
   }
 
-  if (!options->summary_path.empty()) {
+  if (!summary_path.empty()) {
     const std::string markdown =
-        dlinf::BenchComparisonMarkdown(comparison, options->compare);
-    std::FILE* f = std::fopen(options->summary_path.c_str(), "w");
+        dlinf::BenchComparisonMarkdown(comparison, compare);
+    std::FILE* f = std::fopen(summary_path.c_str(), "w");
     const bool written =
         f != nullptr &&
         std::fwrite(markdown.data(), 1, markdown.size(), f) ==
@@ -135,7 +123,7 @@ int main(int argc, char** argv) {
     if (f != nullptr) std::fclose(f);
     if (!written) {
       std::fprintf(stderr, "error: cannot write summary %s\n",
-                   options->summary_path.c_str());
+                   summary_path.c_str());
       return 2;
     }
   }
@@ -145,11 +133,11 @@ int main(int argc, char** argv) {
                  "FAIL: %d regression(s) beyond +%.0f%%, %d missing "
                  "benchmark(s)\n",
                  comparison.regressions,
-                 options->compare.threshold * 100.0,
+                 compare.threshold * 100.0,
                  static_cast<int>(comparison.missing.size()));
     return 1;
   }
   std::printf("OK: all benchmarks within +%.0f%% of baseline\n",
-              options->compare.threshold * 100.0);
+              compare.threshold * 100.0);
   return 0;
 }

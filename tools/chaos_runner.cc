@@ -13,7 +13,8 @@
 //   chaos_runner --seed S           # fault-plan base seed (default 20240807)
 //
 // Exits nonzero if any scenario fails a contract check (a crash also exits
-// nonzero, by nature). Run under ASan/UBSan/TSan in CI.
+// nonzero, by nature), and 2 on a malformed command line. Run under
+// ASan/UBSan/TSan in CI.
 
 #include <atomic>
 #include <chrono>
@@ -23,7 +24,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -31,11 +31,12 @@
 #include <thread>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/bundle_manager.h"
+#include "apps/http_conn.h"
 #include "apps/location_service.h"
 #include "apps/query_engine.h"
-#include "apps/admin_routes.h"
-#include "apps/http_conn.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
@@ -45,7 +46,6 @@
 #include "io/bundle.h"
 #include "io/checkpoint.h"
 #include "io/codecs.h"
-#include "apps/http_conn.h"
 #include "io/wal_frame.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
@@ -74,6 +74,22 @@ struct Checker {
     }
   }
 };
+
+/// One GET /healthz reply; status 0 when the endpoint was unreachable.
+struct HealthzReply {
+  int status = 0;
+  std::string body;
+};
+
+/// GETs /healthz on `port`, recording a failure when it is unreachable.
+HealthzReply GetHealthz(Checker& check, int port, const std::string& when) {
+  HealthzReply reply;
+  if (!apps::HttpGetOnce(port, "/healthz", &reply.status, &reply.body)) {
+    check.Expect(false, "healthz unreachable " + when);
+    reply.status = 0;
+  }
+  return reply;
+}
 
 int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->value();
@@ -118,11 +134,7 @@ struct Fixture {
     method = std::make_unique<dlinfma::DlInfMaMethod>(
         "DLInfMA", dlinfma::LocMatcherConfig{}, train_config);
     method->Fit(data, samples);
-    all_samples = samples.train;
-    all_samples.insert(all_samples.end(), samples.val.begin(),
-                       samples.val.end());
-    all_samples.insert(all_samples.end(), samples.test.begin(),
-                       samples.test.end());
+    all_samples = io::AllSamples(samples);
     service = std::make_unique<apps::DeliveryLocationService>(
         apps::DeliveryLocationService::BuildFromInferrer(
             world, data, all_samples, method.get()));
@@ -139,6 +151,83 @@ struct Fixture {
 Fixture& GetFixture() {
   static Fixture* fixture = new Fixture();
   return *fixture;
+}
+
+/// Continuous QueryBatch load on a background thread over the first 64
+/// addresses `manager` serves. Each batch pins one generation (state()),
+/// exactly like the serve loop, so every answer must be present and finite
+/// no matter what the control thread does to the bundle.
+class BackgroundQueryLoad {
+ public:
+  explicit BackgroundQueryLoad(const apps::BundleManager* manager)
+      : manager_(manager) {
+    for (const dlinfma::AddressSample& sample : manager->state()->samples) {
+      ids_.push_back(sample.address_id);
+      if (ids_.size() >= 64) break;
+    }
+    thread_ = std::thread([this] { Run(); });
+  }
+  BackgroundQueryLoad(const BackgroundQueryLoad&) = delete;
+  BackgroundQueryLoad& operator=(const BackgroundQueryLoad&) = delete;
+  ~BackgroundQueryLoad() { Join(); }
+
+  /// Stops the load and checks its contract held through `churn`.
+  void Finish(Checker& check, const std::string& churn) {
+    Join();
+    check.Expect(answered_.load() > 0, "query load never answered anything");
+    check.ExpectEq(bad_answers_.load(), 0,
+                   "dropped or non-finite answers under " + churn);
+  }
+
+ private:
+  void Run() {
+    while (!stop_.load(std::memory_order_acquire)) {
+      const std::shared_ptr<const apps::BundleManager::ServingState> pinned =
+          manager_->state();
+      const std::vector<apps::DeliveryLocationService::Answer> answers =
+          pinned->service->QueryBatch(ids_, &pool_);
+      if (answers.size() != ids_.size()) {
+        bad_answers_.fetch_add(1, std::memory_order_relaxed);
+      }
+      for (const auto& answer : answers) {
+        if (!std::isfinite(answer.location.x) ||
+            !std::isfinite(answer.location.y)) {
+          bad_answers_.fetch_add(1, std::memory_order_relaxed);
+        }
+        answered_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  void Join() {
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+  const apps::BundleManager* manager_;
+  std::vector<int64_t> ids_;
+  ThreadPool pool_{2};
+  std::atomic<bool> stop_{false};
+  std::atomic<int64_t> answered_{0};
+  std::atomic<int64_t> bad_answers_{0};
+  std::thread thread_;
+};
+
+/// Saves the fixture bundle into `dir` and boots a BundleManager on it;
+/// nullptr, with the failure recorded, when either step fails.
+std::unique_ptr<apps::BundleManager> BootFixtureBundle(
+    Checker& check, const std::string& dir) {
+  Fixture& fx = GetFixture();
+  std::string error;
+  check.Expect(
+      io::SaveBundle(dir, fx.world, fx.data, fx.samples, *fx.method, &error),
+      "fixture bundle save failed: " + error);
+  apps::BundleManager::Config config;
+  config.dir = dir;
+  std::unique_ptr<apps::BundleManager> manager =
+      apps::BundleManager::Create(config, &error);
+  check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
+  return manager;
 }
 
 /// Writes the fixture world to a valid artifact file once; scenarios that
@@ -651,45 +740,11 @@ void RunKillMidTrainResume(Checker& check) {
 /// zero downtime and clears it. Real on-disk corruption (flipped byte in
 /// model.art) must take the same rollback path as the injected faults.
 void RunCorruptPushRollback(Checker& check) {
-  Fixture& fx = GetFixture();
   const std::string dir = ScratchPath("reload_bundle");
-  std::string error;
-  check.Expect(
-      io::SaveBundle(dir, fx.world, fx.data, fx.samples, *fx.method, &error),
-      "fixture bundle save failed: " + error);
-
-  apps::BundleManager::Config config;
-  config.dir = dir;
-  std::unique_ptr<apps::BundleManager> manager =
-      apps::BundleManager::Create(config, &error);
-  check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
+  std::unique_ptr<apps::BundleManager> manager = BootFixtureBundle(check, dir);
   if (manager == nullptr) return;
 
-  // Continuous QueryBatch load on a background thread: every answer must be
-  // finite no matter what the control thread does to the bundle. Each batch
-  // pins one generation (state()), exactly like the serve loop.
-  std::vector<int64_t> ids;
-  for (size_t i = 0; i < fx.all_samples.size() && ids.size() < 64; ++i) {
-    ids.push_back(fx.all_samples[i].address_id);
-  }
-  check.Expect(!ids.empty(), "fixture has no serving inventory");
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> answered{0};
-  std::atomic<int64_t> bad_answers{0};
-  ThreadPool pool(2);
-  std::thread load([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::shared_ptr<const apps::BundleManager::ServingState> pinned =
-          manager->state();
-      for (const auto& answer : pinned->service->QueryBatch(ids, &pool)) {
-        if (!std::isfinite(answer.location.x) ||
-            !std::isfinite(answer.location.y)) {
-          bad_answers.fetch_add(1, std::memory_order_relaxed);
-        }
-        answered.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
+  BackgroundQueryLoad load(manager.get());
 
   const int64_t attempts_before = CounterValue("service.reload.attempts");
   const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
@@ -754,11 +809,7 @@ void RunCorruptPushRollback(Checker& check) {
   check.Expect(!manager->reload_degraded(),
                "successful swap did not clear the degraded flag");
 
-  stop.store(true, std::memory_order_release);
-  load.join();
-  check.Expect(answered.load() > 0, "query load never answered anything");
-  check.ExpectEq(bad_answers.load(), 0,
-                 "non-finite answers under reload churn");
+  load.Finish(check, "reload churn");
 
   check.ExpectEq(CounterValue("service.reload.attempts") - attempts_before, 4,
                  "service.reload.attempts");
@@ -776,19 +827,10 @@ void RunCorruptPushRollback(Checker& check) {
 /// it, while a concurrent prober hammers the endpoint throughout. /metrics
 /// must expose the rollback counter in Prometheus form the whole time.
 void RunHealthzDuringRollback(Checker& check) {
-  Fixture& fx = GetFixture();
-  const std::string dir = ScratchPath("healthz_bundle");
-  std::string error;
-  check.Expect(
-      io::SaveBundle(dir, fx.world, fx.data, fx.samples, *fx.method, &error),
-      "fixture bundle save failed: " + error);
-
-  apps::BundleManager::Config config;
-  config.dir = dir;
   std::unique_ptr<apps::BundleManager> manager =
-      apps::BundleManager::Create(config, &error);
-  check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
+      BootFixtureBundle(check, ScratchPath("healthz_bundle"));
   if (manager == nullptr) return;
+  std::string error;
 
   // The standalone telemetry endpoint: a bare HttpServer mounting the
   // admin routes, on an ephemeral port so parallel CI runs cannot collide.
@@ -800,19 +842,9 @@ void RunHealthzDuringRollback(Checker& check) {
   if (!telemetry.running()) return;
   const int port = telemetry.port();
 
-  auto healthz_status = [&](const char* when) {
-    int status = 0;
-    std::string body;
-    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
-      check.Expect(false, std::string("healthz unreachable ") + when);
-      return std::make_pair(0, std::string());
-    }
-    return std::make_pair(status, body);
-  };
-
   // Healthy boot: 200 with status "ok".
   {
-    const auto [status, body] = healthz_status("at boot");
+    const auto [status, body] = GetHealthz(check, port, "at boot");
     check.ExpectEq(status, 200, "healthz status at boot");
     check.Expect(body.find("\"status\":\"ok\"") != std::string::npos,
                  "healthz body at boot: " + body);
@@ -846,7 +878,8 @@ void RunHealthzDuringRollback(Checker& check) {
                  "corrupt push did not roll back");
   }
   {
-    const auto [status, body] = healthz_status("during rollback window");
+    const auto [status, body] =
+        GetHealthz(check, port, "during rollback window");
     check.ExpectEq(status, 503, "healthz status during rollback window");
     check.Expect(body.find("\"status\":\"degraded\"") != std::string::npos,
                  "healthz body during rollback window: " + body);
@@ -879,7 +912,7 @@ void RunHealthzDuringRollback(Checker& check) {
                  "healthy push did not swap: " + why);
   }
   {
-    const auto [status, body] = healthz_status("after recovery");
+    const auto [status, body] = GetHealthz(check, port, "after recovery");
     check.ExpectEq(status, 200, "healthz status after recovery");
     check.Expect(body.find("\"status\":\"ok\"") != std::string::npos,
                  "healthz body after recovery: " + body);
@@ -974,22 +1007,12 @@ void RunShardReloadUnderLoad(Checker& check) {
   };
   wait_for_answers(32, "before the first reload");
 
-  auto healthz_status = [&](const char* when) {
-    int status = 0;
-    std::string body;
-    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
-      check.Expect(false, std::string("healthz unreachable ") + when);
-      return std::make_pair(0, std::string());
-    }
-    return std::make_pair(status, body);
-  };
-
   const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
   const int64_t success_before = CounterValue("service.reload.success");
 
   // Healthy boot: /healthz is 200 with every shard on generation 0.
   {
-    const auto [status, body] = healthz_status("at boot");
+    const auto [status, body] = GetHealthz(check, port, "at boot");
     check.ExpectEq(status, 200, "healthz status at boot");
     check.Expect(body.find("\"status\":\"ok\"") != std::string::npos &&
                      body.find("{\"name\":\"shard.1\",\"ok\":true,"
@@ -1013,7 +1036,8 @@ void RunShardReloadUnderLoad(Checker& check) {
   check.ExpectEq(CounterValue("service.reload.rollbacks") - rollbacks_before,
                  kShards, "service.reload.rollbacks == rolled-back shards");
   {
-    const auto [status, body] = healthz_status("during rollback window");
+    const auto [status, body] =
+        GetHealthz(check, port, "during rollback window");
     check.ExpectEq(status, 503, "healthz status during rollback window");
     check.Expect(body.find("\"status\":\"degraded\"") != std::string::npos &&
                      body.find("{\"name\":\"shard.1\",\"ok\":false,"
@@ -1036,7 +1060,7 @@ void RunShardReloadUnderLoad(Checker& check) {
   check.ExpectEq(CounterValue("service.reload.success") - success_before,
                  kShards, "service.reload.success == swapped shards");
   {
-    const auto [status, body] = healthz_status("after recovery");
+    const auto [status, body] = GetHealthz(check, port, "after recovery");
     check.ExpectEq(status, 200, "healthz status after recovery");
     check.Expect(body.find("\"status\":\"ok\"") != std::string::npos &&
                      body.find("{\"name\":\"shard.1\",\"ok\":true,"
@@ -1146,54 +1170,19 @@ void RunStreamIngestUnderFaults(Checker& check) {
                "telemetry server start failed: " + error);
   if (!telemetry.running()) return;
   const int port = telemetry.port();
-  auto healthz_status = [&](const char* when) {
-    int status = 0;
-    std::string body;
-    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
-      check.Expect(false, std::string("healthz unreachable ") + when);
-      return 0;
-    }
-    return status;
-  };
 
   // Background QueryBatch load for the whole publish/reload cycle: the
-  // zero-dropped-queries contract — every query answered, every answer
-  // finite, regardless of what the publication side does.
-  std::vector<int64_t> ids;
-  for (const dlinfma::AddressSample& sample : manager->state()->samples) {
-    ids.push_back(sample.address_id);
-    if (ids.size() >= 64) break;
-  }
-  check.Expect(!ids.empty(), "published bundle has no serving inventory");
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> answered{0};
-  std::atomic<int64_t> bad_answers{0};
-  ThreadPool pool(2);
-  std::thread load([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::shared_ptr<const apps::BundleManager::ServingState> pinned =
-          manager->state();
-      const std::vector<apps::DeliveryLocationService::Answer> answers =
-          pinned->service->QueryBatch(ids, &pool);
-      if (answers.size() != ids.size()) {
-        bad_answers.fetch_add(1, std::memory_order_relaxed);
-      }
-      for (const auto& answer : answers) {
-        if (!std::isfinite(answer.location.x) ||
-            !std::isfinite(answer.location.y)) {
-          bad_answers.fetch_add(1, std::memory_order_relaxed);
-        }
-        answered.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
+  // zero-dropped-queries contract, regardless of what the publication side
+  // does.
+  BackgroundQueryLoad load(manager.get());
 
   const int64_t attempts_before = CounterValue("service.reload.attempts");
   const int64_t success_before = CounterValue("service.reload.success");
   const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
   const int64_t publish_failures_before =
       CounterValue("stream.publish.failures");
-  check.ExpectEq(healthz_status("at boot"), 200, "healthz status at boot");
+  check.ExpectEq(GetHealthz(check, port, "at boot").status, 200,
+                 "healthz status at boot");
 
   // Round 2: a healthy online publication swaps in under load.
   {
@@ -1208,7 +1197,7 @@ void RunStreamIngestUnderFaults(Checker& check) {
   }
   check.ExpectEq(static_cast<int64_t>(manager->generation()), 1,
                  "generation after healthy online publication");
-  check.ExpectEq(healthz_status("after round 2 swap"), 200,
+  check.ExpectEq(GetHealthz(check, port, "after round 2 swap").status, 200,
                  "healthz status after round 2 swap");
 
   // Corrupt publication: one flipped payload byte in the pushed model
@@ -1226,7 +1215,7 @@ void RunStreamIngestUnderFaults(Checker& check) {
   }
   check.Expect(manager->reload_degraded(),
                "corrupt publication did not raise the degraded flag");
-  check.ExpectEq(healthz_status("during rollback window"), 503,
+  check.ExpectEq(GetHealthz(check, port, "during rollback window").status, 503,
                  "healthz status during rollback window");
 
   // Injected publication failure: the round trains but reports a typed
@@ -1243,8 +1232,9 @@ void RunStreamIngestUnderFaults(Checker& check) {
   check.ExpectEq(CounterValue("stream.publish.failures") -
                      publish_failures_before,
                  1, "stream.publish.failures");
-  check.ExpectEq(healthz_status("while last push still bad"), 503,
-                 "healthz while the last push is still bad");
+  check.ExpectEq(
+      GetHealthz(check, port, "while last push still bad").status, 503,
+      "healthz while the last push is still bad");
 
   // Heal the push: the degraded window closes on the next reload.
   WriteFileBytes(model_path, model_bytes);
@@ -1253,15 +1243,11 @@ void RunStreamIngestUnderFaults(Checker& check) {
                "healed publication did not swap: " + error);
   check.Expect(!manager->reload_degraded(),
                "healed swap did not clear the degraded flag");
-  check.ExpectEq(healthz_status("after recovery"), 200,
+  check.ExpectEq(GetHealthz(check, port, "after recovery").status, 200,
                  "healthz status after recovery");
 
-  stop.store(true, std::memory_order_release);
-  load.join();
+  load.Finish(check, "publication churn");
   apps::StopAdminServer(&telemetry);
-  check.Expect(answered.load() > 0, "query load never answered anything");
-  check.ExpectEq(bad_answers.load(), 0,
-                 "dropped or non-finite answers under publication churn");
   check.ExpectEq(CounterValue("service.reload.attempts") - attempts_before, 3,
                  "service.reload.attempts");
   check.ExpectEq(CounterValue("service.reload.success") - success_before, 2,
@@ -1273,47 +1259,6 @@ void RunStreamIngestUnderFaults(Checker& check) {
 // --- Scenario: kill -9 mid network ingest, recover from the WAL -------------
 
 namespace ingest_chaos {
-
-/// The protocol lines of one trip from producer `client`, advancing *seq.
-std::vector<std::string> TripLines(const std::string& client,
-                                   const sim::DeliveryTrip& trip,
-                                   uint64_t* seq) {
-  std::vector<std::string> lines;
-  stream::IngestRecord start;
-  start.kind = stream::IngestRecord::Kind::kStartTrip;
-  start.client_id = client;
-  start.seq = ++*seq;
-  start.courier_id = trip.courier_id;
-  start.start_time = trip.start_time;
-  start.end_time = trip.end_time;
-  start.waybills = trip.waybills;
-  lines.push_back(stream::FormatIngestLine(start));
-  for (const TrajPoint& point : trip.trajectory.points) {
-    stream::IngestRecord record;
-    record.kind = stream::IngestRecord::Kind::kPoint;
-    record.client_id = client;
-    record.seq = ++*seq;
-    record.x = point.x;
-    record.y = point.y;
-    record.t = point.t;
-    lines.push_back(stream::FormatIngestLine(record));
-  }
-  stream::IngestRecord finish;
-  finish.kind = stream::IngestRecord::Kind::kFinishTrip;
-  finish.client_id = client;
-  finish.seq = ++*seq;
-  lines.push_back(stream::FormatIngestLine(finish));
-  return lines;
-}
-
-std::string JoinLines(const std::vector<std::string>& lines) {
-  std::string body;
-  for (const std::string& line : lines) {
-    body += line;
-    body += '\n';
-  }
-  return body;
-}
 
 /// POSTs one batch; returns the HTTP status, -1 on transport failure.
 int PostBatch(apps::HttpClient* client, const std::string& body) {
@@ -1361,8 +1306,7 @@ void RunKillMidIngestRecover(Checker& check) {
   uint64_t seq = 0;
   std::vector<std::string> bodies;
   for (const sim::DeliveryTrip& trip : fx.world.trips) {
-    bodies.push_back(ingest_chaos::JoinLines(
-        ingest_chaos::TripLines("chaos", trip, &seq)));
+    bodies.push_back(stream::JoinLines(stream::TripLines("chaos", trip, &seq)));
   }
   const size_t kill_after = bodies.size() / 2;
 
@@ -1428,13 +1372,6 @@ void RunKillMidIngestRecover(Checker& check) {
   // batch first meets a full disk: refused with 503 while /healthz reads
   // 503 too; the loop then resends it once the disk has room.
   const int64_t deduped_before = CounterValue("stream.ingest.deduped");
-  auto healthz_status = [&server] {
-    int status = 0;
-    std::string body;
-    return apps::HttpGetOnce(server.port(), "/healthz", &status, &body)
-               ? status
-               : -1;
-  };
   {
     apps::HttpClient client;
     check.Expect(client.Connect(server.port(), &error),
@@ -1448,14 +1385,18 @@ void RunKillMidIngestRecover(Checker& check) {
           fault::FaultPlan().FailAlways("wal.disk_full"), g_base_seed);
       check.ExpectEq(ingest_chaos::PostBatch(&client, bodies[kill_after]),
                      503, "batch status while the disk is full");
-      check.ExpectEq(healthz_status(), 503, "healthz while the disk is full");
+      check.ExpectEq(GetHealthz(check, server.port(), "while the disk is full")
+                         .status,
+                     503, "healthz while the disk is full");
     }
     for (size_t i = kill_after; i < bodies.size(); ++i) {
       check.ExpectEq(ingest_chaos::PostBatch(&client, bodies[i]), 200,
                      "post-restart batch status");
     }
   }
-  check.ExpectEq(healthz_status(), 200, "healthz after the disk recovers");
+  check.ExpectEq(
+      GetHealthz(check, server.port(), "after the disk recovers").status, 200,
+      "healthz after the disk recovers");
   check.Expect(server.WaitIdle(30.0), "post-restart ingest never went idle");
   server.Stop();
 
@@ -1644,39 +1585,32 @@ int RunScenarios(const std::vector<const Scenario*>& selected) {
   return failed == 0 ? 0 : 1;
 }
 
-int Main(int argc, char** argv) {
-  std::string suite = "smoke";
-  std::string only;
-  bool list = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--suite") {
-      suite = next();
-    } else if (arg == "--scenario") {
-      only = next();
-    } else if (arg == "--seed") {
-      g_base_seed = std::stoull(next());
-    } else if (arg == "--list") {
-      list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: chaos_runner [--suite smoke|full] [--scenario NAME] "
-          "[--seed S] [--list]\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", arg.c_str());
-      return 2;
-    }
-  }
+constexpr FlagSpec kFlags[] = {{"--suite", FlagType::kString},
+                               {"--scenario", FlagType::kString},
+                               {"--seed", FlagType::kUint64},
+                               {"--list", FlagType::kBool},
+                               {"--help", FlagType::kBool},
+                               {"-h", FlagType::kBool}};
 
-  if (list) {
+int Main(int argc, char** argv) {
+  std::string error;
+  const std::optional<Flags> flags =
+      Flags::Parse(kFlags, std::span<char* const>(argv + 1, argc - 1), &error);
+  if (!flags) {
+    std::fprintf(stderr, "error: %s (try --help)\n", error.c_str());
+    return 2;
+  }
+  if (flags->Has("--help") || flags->Has("-h")) {
+    std::printf(
+        "usage: chaos_runner [--suite smoke|full] [--scenario NAME] "
+        "[--seed S] [--list]\n");
+    return 0;
+  }
+  const std::string suite = flags->Str("--suite", "smoke");
+  const std::string only = flags->Str("--scenario");
+  g_base_seed = flags->Uint64("--seed", g_base_seed);
+
+  if (flags->Has("--list")) {
     for (const Scenario& scenario : kScenarios) {
       std::printf("%-20s [%s] %s\n", scenario.name,
                   scenario.smoke ? "smoke" : "full ", scenario.description);

@@ -7,49 +7,48 @@
 //   dlinf_cli stats --world DIR
 //       Print dataset statistics (Table I style).
 //
-//   dlinf_cli train --world DIR --bundle DIR [--model FILE] [--quick]
-//              [--ckpt FILE [--ckpt-every N] [--resume]]
+//   dlinf_cli train --world DIR --bundle DIR [--quick]
+//              [--ckpt FILE [--ckpt-every N] [--resume [FILE]]]
 //       The offline pipeline: candidate generation + feature extraction,
 //       train LocMatcher on the train/val splits, report test metrics, then
 //       persist the full artifact bundle (world, candidate pool + retrieval
-//       indexes, feature tensors, model weights; see io/bundle.h) so that
-//       serve/infer warm-start without retraining. --model additionally
-//       writes a bare nn checkpoint (legacy format). --ckpt writes a
-//       crash-safe CKPT artifact (io/checkpoint.h) every N epochs (default
-//       5); --resume restores it first, so a killed run finishes
-//       bit-identical to an uninterrupted one.
+//       indexes, feature tensors, checksummed model weights; see
+//       io/bundle.h) so that serve/infer warm-start without retraining.
+//       --ckpt writes a crash-safe CKPT artifact (io/checkpoint.h) every N
+//       epochs (default 5); --resume restores it first, so a killed run
+//       finishes bit-identical to an uninterrupted one.
 //
 //   dlinf_cli serve --bundle DIR [--queries N] [--batch B] [--threads T]
-//              [--watch-bundle [--poll-every K]]
+//              [--poll-every K]
 //              [--telemetry-port P [--trace-sample R] [--linger-seconds S]]
 //              [--shards N [--port P] [--serve-seconds S] [--poll-every K]]
 //       The online service: warm-start from the bundle (milliseconds, no
-//       retraining), score every delivered address, build the 3-tier
-//       delivery-location service, then answer N address queries (default
-//       10000) in batches of B (default 256) on T pool threads (default 4)
-//       through the QueryBatch API, reporting warm-start and per-batch
-//       latency. --watch-bundle serves through the hot-reload BundleManager
-//       (apps/bundle_manager.h): every K batches (default 8) the bundle
-//       directory is polled, a fresh push is staged + shadow-validated and
-//       swapped in with zero downtime, and a bad push rolls back to the
-//       live bundle. --telemetry-port starts the standalone telemetry
-//       endpoint (port 0 picks a free port) serving the shared admin
-//       routes (apps/admin_routes.h; the startup line lists them), arms
-//       trace recording at sampling rate R (default 0.01), and keeps the
-//       process (and the endpoint) alive S extra seconds after the query
-//       load finishes so external scrapers can read the final state. With
-//       --shards N the command instead boots the sharded HTTP query engine
-//       (DESIGN.md §11): N shard workers behind one epoll event loop on
-//       --port P (default 0 = ephemeral), serving /query, /query_batch,
-//       /inventory and the admin routes until --serve-seconds S elapses
-//       (default 0 = until killed), polling for bundle pushes every
-//       --poll-every K seconds; drive it with tools/load_gen.
+//       retraining) through the hot-reload BundleManager
+//       (apps/bundle_manager.h), build the 3-tier delivery-location
+//       service, then answer N address queries (default 10000) in batches
+//       of B (default 256) on T pool threads (default 4) through the
+//       QueryBatch API, reporting per-batch latency. Every K batches
+//       (default 8) the bundle directory is polled: a fresh push is staged,
+//       shadow-validated and swapped in with zero downtime, and a bad push
+//       rolls back to the live bundle. --telemetry-port starts the
+//       standalone telemetry endpoint (port 0 picks a free port) serving
+//       the shared admin routes (apps/admin_routes.h; the startup line
+//       lists them), arms trace recording at sampling rate R (default
+//       0.01), and keeps the process (and the endpoint) alive S extra
+//       seconds after the query load finishes so external scrapers can read
+//       the final state. With --shards N the command instead boots the
+//       sharded HTTP query engine (DESIGN.md §11): N shard workers behind
+//       one epoll event loop on --port P (default 0 = ephemeral), serving
+//       /query, /query_batch, /inventory and the admin routes until
+//       --serve-seconds S elapses (default 0 = until SIGINT/SIGTERM),
+//       polling for bundle pushes every --poll-every K seconds, then stops
+//       the engine and prints its final counters; drive it with
+//       tools/load_gen.
 //
-//   dlinf_cli infer (--bundle DIR | --world DIR --model FILE) --out FILE.csv
+//   dlinf_cli infer --bundle DIR --out FILE.csv
 //       Write the inferred delivery location of every delivered address as
-//       CSV (address_id,x,y). With --bundle the whole pipeline state is
-//       warm-started from artifacts; the legacy --world/--model path
-//       re-mines candidates and only loads the checkpoint.
+//       CSV (address_id,x,y); the whole pipeline state is warm-started from
+//       the bundle's artifacts.
 //
 //   dlinf_cli stream --world DIR --publish-dir DIR [--retrain-every N]
 //              [--max-trips M] [--rate R] [--quick] [--epochs E]
@@ -113,17 +112,21 @@
 //                        flamegraph.pl. FILE ending in .json writes the
 //                        Chrome-trace merge (samples + spans) instead.
 //     --profile-hz H     sampling rate for --profile-out (default 99).
+//
+//   Each command accepts only its own flags plus these global ones
+//   (common/flags.h): an unknown flag, a stray argument, a missing value
+//   or a malformed or out-of-range number prints one line naming it and
+//   exits 2.
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <exception>
 #include <filesystem>
-#include <map>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/admin_routes.h"
 #include "apps/bundle_manager.h"
@@ -133,6 +136,7 @@
 #include "baselines/evaluation.h"
 #include "baselines/simple_baselines.h"
 #include "common/csv.h"
+#include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/logging.h"
@@ -157,39 +161,12 @@ namespace {
 
 using namespace dlinf;
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "true";
-    }
-  }
-  return flags;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: dlinf_cli "
                "<generate|stats|train|serve|infer|stream|evaluate> "
                "[--flags]\n(see the header comment of tools/dlinf_cli.cc)\n");
   return 2;
-}
-
-int IntFlag(const std::map<std::string, std::string>& flags,
-            const std::string& key, int fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoi(it->second);
-}
-
-double DoubleFlag(const std::map<std::string, std::string>& flags,
-                  const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
 }
 
 /// Typed user-input validation: a path handed to --world/--bundle/--ckpt
@@ -218,47 +195,39 @@ bool PathUsable(const char* what, const std::string& path, bool want_dir) {
   return true;
 }
 
-int CmdGenerate(const std::map<std::string, std::string>& flags) {
-  sim::SimConfig config = sim::SynDowBJConfig();
-  auto preset = flags.find("preset");
-  if (preset != flags.end() && preset->second == "subbj") {
-    config = sim::SynSubBJConfig();
-  }
-  if (auto it = flags.find("days"); it != flags.end()) {
-    config.num_days = std::stoi(it->second);
-  }
-  if (auto it = flags.find("seed"); it != flags.end()) {
-    config.seed = std::stoull(it->second);
-  }
-  auto out = flags.find("out");
-  if (out == flags.end()) return Usage();
+int CmdGenerate(const Flags& flags) {
+  if (!flags.Has("--out")) return Usage();
+  sim::SimConfig config = flags.Str("--preset") == "subbj"
+                              ? sim::SynSubBJConfig()
+                              : sim::SynDowBJConfig();
+  config.num_days = flags.Int("--days", config.num_days);
+  config.seed = flags.Uint64("--seed", config.seed);
+  const std::string out = flags.Str("--out");
   const sim::World world = sim::GenerateWorld(config);
-  if (!sim::SaveWorldCsv(world, out->second)) {
-    std::fprintf(stderr, "error: cannot write %s\n", out->second.c_str());
+  if (!sim::SaveWorldCsv(world, out)) {
+    std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
     return 1;
   }
   std::printf("wrote %s: %zu addresses, %zu trips, %lld waybills\n",
-              out->second.c_str(), world.addresses.size(), world.trips.size(),
+              out.c_str(), world.addresses.size(), world.trips.size(),
               static_cast<long long>(world.TotalWaybills()));
   return 0;
 }
 
-std::optional<sim::World> LoadWorldFlag(
-    const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("world");
-  if (it == flags.end()) return std::nullopt;
-  if (!PathUsable("--world", it->second, /*want_dir=*/true)) {
-    return std::nullopt;
-  }
-  std::optional<sim::World> world = sim::LoadWorldCsv(it->second);
+/// Loads the world named by --world, which the caller checked is given.
+/// Returns nullopt (after printing the reason) on failure.
+std::optional<sim::World> LoadWorldFlag(const Flags& flags) {
+  const std::string dir = flags.Str("--world");
+  if (!PathUsable("--world", dir, /*want_dir=*/true)) return std::nullopt;
+  std::optional<sim::World> world = sim::LoadWorldCsv(dir);
   if (!world) {
-    std::fprintf(stderr, "error: cannot load world from %s\n",
-                 it->second.c_str());
+    std::fprintf(stderr, "error: cannot load world from %s\n", dir.c_str());
   }
   return world;
 }
 
-int CmdStats(const std::map<std::string, std::string>& flags) {
+int CmdStats(const Flags& flags) {
+  if (!flags.Has("--world")) return Usage();
   const auto world = LoadWorldFlag(flags);
   if (!world) return 1;
   const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
@@ -279,25 +248,18 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdTrain(const std::map<std::string, std::string>& flags) {
-  auto bundle_dir = flags.find("bundle");
-  auto model_path = flags.find("model");
-  if (flags.count("world") == 0 ||
-      (bundle_dir == flags.end() && model_path == flags.end())) {
-    return Usage();
-  }
+int CmdTrain(const Flags& flags) {
+  if (!flags.Has("--world") || !flags.Has("--bundle")) return Usage();
   const auto world = LoadWorldFlag(flags);
   if (!world) return 1;
 
   // Resolve checkpointing flags before any heavy lifting: --resume needs a
   // checkpoint path (its own value, or the one from --ckpt) that names a
   // readable CKPT artifact.
-  auto ckpt = flags.find("ckpt");
+  const std::string ckpt_path = flags.Str("--ckpt");
   std::string resume_path;
-  if (auto it = flags.find("resume"); it != flags.end()) {
-    resume_path = it->second != "true" ? it->second
-                  : ckpt != flags.end() ? ckpt->second
-                                        : std::string();
+  if (flags.Has("--resume")) {
+    resume_path = flags.Str("--resume", ckpt_path);
     if (resume_path.empty()) {
       std::fprintf(stderr, "error: --resume needs a checkpoint (pass --ckpt "
                            "FILE or --resume FILE)\n");
@@ -320,14 +282,13 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
 
   dlinfma::TrainConfig train_config;
-  if (flags.count("quick") > 0) {
+  if (flags.Has("--quick")) {
     train_config.max_epochs = 20;
     train_config.early_stop_patience = 5;
   }
-  if (ckpt != flags.end()) {
+  if (flags.Has("--ckpt")) {
     train_config.checkpoint_every_epochs =
-        std::max(1, IntFlag(flags, "ckpt-every", 5));
-    const std::string ckpt_path = ckpt->second;
+        std::max(1, flags.Int("--ckpt-every", 5));
     train_config.checkpoint_sink =
         [ckpt_path](const dlinfma::TrainCheckpoint& state) {
           return io::SaveCheckpointArtifact(state, ckpt_path);
@@ -362,65 +323,51 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   std::printf("trained %d epochs in %.1fs; test %s\n",
               method.train_result().epochs_run, result.fit_seconds,
               result.metrics.ToString().c_str());
-  if (ckpt != flags.end()) {
+  if (flags.Has("--ckpt")) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     std::printf(
         "checkpoints: %s every %d epochs (%lld written, %lld failed)\n",
-        ckpt->second.c_str(), train_config.checkpoint_every_epochs,
+        ckpt_path.c_str(), train_config.checkpoint_every_epochs,
         static_cast<long long>(
             registry.GetCounter("train.checkpoint.writes")->value()),
         static_cast<long long>(
             registry.GetCounter("train.checkpoint.failures")->value()));
   }
 
-  if (bundle_dir != flags.end()) {
-    std::string error;
-    if (!io::SaveBundle(bundle_dir->second, *world, data, samples, method,
-                        &error)) {
-      std::fprintf(stderr, "error: cannot save bundle: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("artifact bundle: %s\n", bundle_dir->second.c_str());
+  const std::string bundle_dir = flags.Str("--bundle");
+  std::string error;
+  if (!io::SaveBundle(bundle_dir, *world, data, samples, method, &error)) {
+    std::fprintf(stderr, "error: cannot save bundle: %s\n", error.c_str());
+    return 1;
   }
-  if (model_path != flags.end()) {
-    if (!method.SaveModel(model_path->second)) {
-      std::fprintf(stderr, "error: cannot save model to %s\n",
-                   model_path->second.c_str());
-      return 1;
-    }
-    std::printf("checkpoint: %s\n", model_path->second.c_str());
-  }
+  std::printf("artifact bundle: %s\n", bundle_dir.c_str());
   return 0;
 }
 
-/// Loads the artifact bundle named by --bundle, reporting the warm-start
-/// time. Returns nullopt (after printing the reason) on failure.
-std::optional<io::WarmBundle> LoadBundleFlag(
-    const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("bundle");
-  if (it == flags.end()) return std::nullopt;
-  if (!PathUsable("--bundle", it->second, /*want_dir=*/true)) {
-    return std::nullopt;
-  }
+int CmdInfer(const Flags& flags) {
+  if (!flags.Has("--bundle") || !flags.Has("--out")) return Usage();
+  const std::string dir = flags.Str("--bundle");
+  const std::string out = flags.Str("--out");
+  if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
   Stopwatch watch;
   std::string error;
-  std::optional<io::WarmBundle> bundle = io::LoadBundle(it->second, &error);
+  std::optional<io::WarmBundle> bundle = io::LoadBundle(dir, &error);
   if (!bundle) {
     std::fprintf(stderr, "error: cannot load bundle: %s\n", error.c_str());
-    return std::nullopt;
+    return 1;
   }
   std::printf(
       "warm-start: bundle %s loaded in %.1f ms (%zu addresses, %zu "
       "candidates, %lld model parameters; no retraining)\n",
-      it->second.c_str(), watch.ElapsedSeconds() * 1e3,
+      dir.c_str(), watch.ElapsedSeconds() * 1e3,
       bundle->world->addresses.size(), bundle->data.gen->candidates().size(),
       static_cast<long long>(bundle->method->model()->NumParameters()));
-  return bundle;
-}
 
-bool WriteLocationsCsv(const std::string& path,
-                       const std::vector<dlinfma::AddressSample>& samples,
-                       const std::vector<Point>& locations) {
+  // Every pipeline artifact comes from the bundle.
+  const std::vector<dlinfma::AddressSample> samples =
+      io::AllSamples(bundle->samples);
+  const std::vector<Point> locations =
+      bundle->method->InferAll(bundle->data, samples);
   CsvTable table;
   table.header = {"address_id", "x", "y"};
   for (size_t i = 0; i < samples.size(); ++i) {
@@ -428,52 +375,12 @@ bool WriteLocationsCsv(const std::string& path,
                           StrPrintf("%.2f", locations[i].x),
                           StrPrintf("%.2f", locations[i].y)});
   }
-  return WriteCsv(path, table);
-}
-
-int CmdInfer(const std::map<std::string, std::string>& flags) {
-  auto out = flags.find("out");
-  if (out == flags.end()) return Usage();
-
-  if (flags.count("bundle") > 0) {
-    // Warm path: every pipeline artifact comes from the bundle.
-    std::optional<io::WarmBundle> bundle = LoadBundleFlag(flags);
-    if (!bundle) return 1;
-    const std::vector<dlinfma::AddressSample> samples =
-        io::AllSamples(bundle->samples);
-    const std::vector<Point> locations =
-        bundle->method->InferAll(bundle->data, samples);
-    if (!WriteLocationsCsv(out->second, samples, locations)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out->second.c_str());
-      return 1;
-    }
-    std::printf("inferred %zu delivery locations -> %s\n", samples.size(),
-                out->second.c_str());
-    return 0;
-  }
-
-  // Legacy path: CSV world + bare checkpoint; re-mines candidates.
-  const auto world = LoadWorldFlag(flags);
-  auto model_path = flags.find("model");
-  if (!world || model_path == flags.end()) return Usage();
-  const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
-  dlinfma::FeatureExtractor extractor(&*world, data.gen.get());
-  const std::vector<dlinfma::AddressSample> samples =
-      extractor.ExtractAll(world->DeliveredAddressIds(), /*with_labels=*/true);
-
-  dlinfma::DlInfMaMethod method;
-  if (!method.LoadModel(model_path->second)) {
-    std::fprintf(stderr, "error: cannot load model from %s\n",
-                 model_path->second.c_str());
-    return 1;
-  }
-  const std::vector<Point> locations = method.InferAll(data, samples);
-  if (!WriteLocationsCsv(out->second, samples, locations)) {
-    std::fprintf(stderr, "error: cannot write %s\n", out->second.c_str());
+  if (!WriteCsv(out, table)) {
+    std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
     return 1;
   }
   std::printf("inferred %zu delivery locations -> %s\n", samples.size(),
-              out->second.c_str());
+              out.c_str());
   return 0;
 }
 
@@ -488,12 +395,10 @@ struct TelemetryEndpoint {
 /// Starts `telemetry` when --telemetry-port is given (add health providers
 /// first); true when the flag is absent. False, with the error printed,
 /// when the port cannot be bound.
-bool StartTelemetry(const std::map<std::string, std::string>& flags,
-                    TelemetryEndpoint* telemetry) {
-  auto it = flags.find("telemetry-port");
-  if (it == flags.end()) return true;
+bool StartTelemetry(const Flags& flags, TelemetryEndpoint* telemetry) {
+  if (!flags.Has("--telemetry-port")) return true;
   apps::HttpServer::Options options;
-  options.port = it->second == "true" ? 0 : std::stoi(it->second);
+  options.port = flags.Int("--telemetry-port", 0);
   options.thread_name = "telemetry.loop";
   std::string error;
   if (!telemetry->server.Start(options, telemetry->admin.StandaloneHandler(),
@@ -510,10 +415,9 @@ bool StartTelemetry(const std::map<std::string, std::string>& flags,
 }
 
 /// Keeps a running endpoint up --linger-seconds for scrapers, then stops it.
-void LingerAndStopTelemetry(const std::map<std::string, std::string>& flags,
-                            TelemetryEndpoint* telemetry) {
+void LingerAndStopTelemetry(const Flags& flags, TelemetryEndpoint* telemetry) {
   if (!telemetry->server.running()) return;
-  const int linger = IntFlag(flags, "linger-seconds", 0);
+  const int linger = flags.Int("--linger-seconds", 0);
   if (linger > 0) {
     std::printf("telemetry: lingering %d s for scrapers\n", linger);
     std::fflush(stdout);
@@ -522,18 +426,58 @@ void LingerAndStopTelemetry(const std::map<std::string, std::string>& flags,
   apps::StopAdminServer(&telemetry->server);
 }
 
+/// Prints a swap or a rollback (with its reason); false when the reload
+/// left the bundle unchanged.
+bool PrintReload(apps::BundleManager::ReloadOutcome outcome,
+                 const apps::BundleManager& manager, const std::string& error) {
+  switch (outcome) {
+    case apps::BundleManager::ReloadOutcome::kSwapped:
+      std::printf("hot-reload: swapped to generation %llu\n",
+                  static_cast<unsigned long long>(manager.generation()));
+      return true;
+    case apps::BundleManager::ReloadOutcome::kRolledBack:
+      std::printf("hot-reload: rolled back (%s)\n", error.c_str());
+      return true;
+    case apps::BundleManager::ReloadOutcome::kUnchanged:
+      break;
+  }
+  return false;
+}
+
+volatile std::sig_atomic_t g_stop_requested = 0;
+
+void HandleStopSignal(int) { g_stop_requested = 1; }
+
+/// The serve-until loop of every long-running server: returns once
+/// --serve-seconds elapses (0 = no limit) or SIGINT/SIGTERM arrives, so the
+/// caller always gets to stop its server cleanly. `tick`, when set, runs
+/// every 50 ms with the seconds served so far.
+void ServeUntilStopped(const Flags& flags,
+                       const std::function<void(double)>& tick) {
+  g_stop_requested = 0;
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+  const double serve_seconds = flags.Double("--serve-seconds", 0.0);
+  Stopwatch watch;
+  while (g_stop_requested == 0 &&
+         (serve_seconds <= 0.0 || watch.ElapsedSeconds() < serve_seconds)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (tick) tick(watch.ElapsedSeconds());
+  }
+}
+
 /// `serve --shards N`: the sharded HTTP query engine (DESIGN.md §11).
 /// Boots a QueryEngine over the bundle, prints the bound port, then serves
-/// until --serve-seconds elapses (0 = until killed), polling every shard's
-/// bundle directory for pushes every --poll-every seconds.
-int CmdServeEngine(const std::map<std::string, std::string>& flags) {
-  const std::string& dir = flags.at("bundle");
+/// until ServeUntilStopped returns, polling every shard's bundle directory
+/// for pushes every --poll-every seconds.
+int CmdServeEngine(const Flags& flags) {
+  const std::string dir = flags.Str("--bundle");
   if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
 
   apps::QueryEngine::Options options;
   options.bundle_dir = dir;
-  options.num_shards = std::max(1, IntFlag(flags, "shards", 4));
-  options.port = IntFlag(flags, "port", 0);
+  options.num_shards = std::max(1, flags.Int("--shards", 4));
+  options.port = flags.Int("--port", 0);
   Stopwatch watch;
   std::string error;
   std::unique_ptr<apps::QueryEngine> engine =
@@ -550,70 +494,56 @@ int CmdServeEngine(const std::map<std::string, std::string>& flags) {
       apps::AdminRoutes::PathList().c_str());
   std::fflush(stdout);
 
-  const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
-  const int poll_every_s = std::max(1, IntFlag(flags, "poll-every", 5));
-  watch.Reset();
+  const int poll_every_s = std::max(1, flags.Int("--poll-every", 5));
   double last_poll = 0.0;
-  while (serve_seconds <= 0.0 || watch.ElapsedSeconds() < serve_seconds) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    if (watch.ElapsedSeconds() - last_poll >= poll_every_s) {
-      last_poll = watch.ElapsedSeconds();
-      const apps::QueryEngine::ReloadSummary summary =
-          engine->PollShards(&error);
-      if (summary.swapped > 0 || summary.rolled_back > 0) {
-        std::printf("hot-reload: %d shard(s) swapped, %d rolled back%s%s\n",
-                    summary.swapped, summary.rolled_back,
-                    summary.rolled_back > 0 ? ": " : "",
-                    summary.rolled_back > 0 ? error.c_str() : "");
-        std::fflush(stdout);
-      }
+  ServeUntilStopped(flags, [&](double elapsed) {
+    if (elapsed - last_poll < poll_every_s) return;
+    last_poll = elapsed;
+    const apps::QueryEngine::ReloadSummary summary =
+        engine->PollShards(&error);
+    if (summary.swapped > 0 || summary.rolled_back > 0) {
+      std::printf("hot-reload: %d shard(s) swapped, %d rolled back%s%s\n",
+                  summary.swapped, summary.rolled_back,
+                  summary.rolled_back > 0 ? ": " : "",
+                  summary.rolled_back > 0 ? error.c_str() : "");
+      std::fflush(stdout);
     }
-  }
+  });
   engine->Stop();
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   int64_t hits = 0;
   int64_t shed = 0;
   for (int shard = 0; shard < engine->num_shards(); ++shard) {
-    hits += registry
-                .GetCounter("service.shard.hits#shard=" +
-                            std::to_string(shard))
-                ->value();
-    shed += registry
-                .GetCounter("service.shard.shed#shard=" +
-                            std::to_string(shard))
-                ->value();
+    const std::string label = "#shard=" + std::to_string(shard);
+    hits += registry.GetCounter("service.shard.hits" + label)->value();
+    shed += registry.GetCounter("service.shard.shed" + label)->value();
   }
   std::printf("query engine done: %lld shard hits, %lld shed\n",
               static_cast<long long>(hits), static_cast<long long>(shed));
   return 0;
 }
 
-int CmdServe(const std::map<std::string, std::string>& flags) {
-  if (flags.count("bundle") == 0) return Usage();
-  if (flags.count("shards") > 0) return CmdServeEngine(flags);
-  const bool watch_bundle = flags.count("watch-bundle") > 0;
-  const int poll_every = std::max(1, IntFlag(flags, "poll-every", 8));
+int CmdServe(const Flags& flags) {
+  if (!flags.Has("--bundle")) return Usage();
+  if (flags.Has("--shards")) return CmdServeEngine(flags);
+  const std::string dir = flags.Str("--bundle");
+  if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
+  const int poll_every = std::max(1, flags.Int("--poll-every", 8));
 
-  // Two serving modes share the query loop: a fixed warm-started bundle, or
-  // the hot-reload BundleManager that re-resolves the live generation every
-  // batch and polls the directory for pushes.
-  std::optional<io::WarmBundle> fixed_bundle;
-  std::optional<apps::DeliveryLocationService> fixed_service;
-  std::vector<dlinfma::AddressSample> fixed_samples;
-  std::unique_ptr<apps::BundleManager> manager;
+  // Serve through the hot-reload BundleManager: every batch re-resolves the
+  // live generation, and the directory is polled for pushes.
   Stopwatch watch;
-  if (watch_bundle) {
-    const std::string& dir = flags.at("bundle");
-    if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
-    apps::BundleManager::Config config;
-    config.dir = dir;
-    std::string error;
-    manager = apps::BundleManager::Create(config, &error);
-    if (manager == nullptr) {
-      std::fprintf(stderr, "error: cannot load bundle: %s\n", error.c_str());
-      return 1;
-    }
+  apps::BundleManager::Config config;
+  config.dir = dir;
+  std::string error;
+  std::unique_ptr<apps::BundleManager> manager =
+      apps::BundleManager::Create(config, &error);
+  if (manager == nullptr) {
+    std::fprintf(stderr, "error: cannot load bundle: %s\n", error.c_str());
+    return 1;
+  }
+  {
     const auto state = manager->state();
     std::printf(
         "service up in %.2f s (generation %llu, watching %s): %zu address "
@@ -621,38 +551,24 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         watch.ElapsedSeconds(),
         static_cast<unsigned long long>(state->generation), dir.c_str(),
         state->service->address_entries(), state->service->building_entries());
-  } else {
-    fixed_bundle = LoadBundleFlag(flags);
-    if (!fixed_bundle) return 1;
-    watch.Reset();
-    fixed_samples = io::AllSamples(fixed_bundle->samples);
-    fixed_service = apps::DeliveryLocationService::BuildFromInferrer(
-        *fixed_bundle->world, fixed_bundle->data, fixed_samples,
-        fixed_bundle->method.get());
-    std::printf(
-        "service up in %.2f s: %zu address entries, %zu building entries\n",
-        watch.ElapsedSeconds(), fixed_service->address_entries(),
-        fixed_service->building_entries());
   }
 
   // Embedded telemetry endpoint: scrapeable while the query load runs (and
   // for --linger-seconds after it, so CI / operators can read final state).
   TelemetryEndpoint telemetry;
-  if (manager != nullptr) {
-    telemetry.admin.AddHealthProvider(
-        apps::BundleManagerHealth("bundle", manager.get()));
-  }
+  telemetry.admin.AddHealthProvider(
+      apps::BundleManagerHealth("bundle", manager.get()));
   if (!StartTelemetry(flags, &telemetry)) return 1;
   // Arm per-query trace sampling unless --trace-out already armed a
   // record-everything session in main().
   if (telemetry.server.running() && !obs::TracingArmed()) {
-    obs::TraceLog::Global().Start(DoubleFlag(flags, "trace-sample", 0.01));
+    obs::TraceLog::Global().Start(flags.Double("--trace-sample", 0.01));
   }
 
   // Drive a batched query load through the pool-backed QueryBatch API.
-  const int num_queries = IntFlag(flags, "queries", 10000);
-  const int batch_size = std::max(1, IntFlag(flags, "batch", 256));
-  const int num_threads = IntFlag(flags, "threads", 4);
+  const int num_queries = flags.Int("--queries", 10000);
+  const int batch_size = std::max(1, flags.Int("--batch", 256));
+  const int num_threads = flags.Int("--threads", 4);
   ThreadPool pool(num_threads);
 
   watch.Reset();
@@ -660,48 +576,26 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   int64_t tier_hits[3] = {0, 0, 0};
   std::vector<int64_t> batch;
   batch.reserve(batch_size);
-  int batch_index = 0;
-  for (int q = 0; q < num_queries;) {
+  for (int q = 0, batch_index = 0; q < num_queries; ++batch_index) {
+    if (batch_index % poll_every == 0) {
+      PrintReload(manager->Poll(&error), *manager, error);
+    }
     // Pin one generation per batch: in-flight answers always come from a
     // single consistent bundle even if a swap lands mid-run.
-    std::shared_ptr<const apps::BundleManager::ServingState> pinned;
-    const apps::DeliveryLocationService* service = nullptr;
-    const std::vector<sim::Address>* addresses = nullptr;
-    if (manager != nullptr) {
-      if (batch_index % poll_every == 0) {
-        std::string error;
-        switch (manager->Poll(&error)) {
-          case apps::BundleManager::ReloadOutcome::kSwapped:
-            std::printf("hot-reload: swapped to generation %llu\n",
-                        static_cast<unsigned long long>(
-                            manager->state()->generation));
-            break;
-          case apps::BundleManager::ReloadOutcome::kRolledBack:
-            std::printf("hot-reload: rolled back (%s)\n", error.c_str());
-            break;
-          case apps::BundleManager::ReloadOutcome::kUnchanged:
-            break;
-        }
-      }
-      pinned = manager->state();
-      service = pinned->service.get();
-      addresses = &pinned->bundle.world->addresses;
-    } else {
-      service = &*fixed_service;
-      addresses = &fixed_bundle->world->addresses;
-    }
-    if (addresses->empty()) {
+    const std::shared_ptr<const apps::BundleManager::ServingState> pinned =
+        manager->state();
+    const std::vector<sim::Address>& addresses =
+        pinned->bundle.world->addresses;
+    if (addresses.empty()) {
       std::fprintf(stderr, "error: bundle world has no addresses\n");
       return 1;
     }
-    ++batch_index;
-
     batch.clear();
     for (; q < num_queries && static_cast<int>(batch.size()) < batch_size;
          ++q) {
-      batch.push_back((*addresses)[q % addresses->size()].id);
+      batch.push_back(addresses[q % addresses.size()].id);
     }
-    for (const auto& answer : service->QueryBatch(batch, &pool)) {
+    for (const auto& answer : pinned->service->QueryBatch(batch, &pool)) {
       ++tier_hits[static_cast<int>(answer.source)];
       ++answered;
     }
@@ -717,63 +611,53 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
               static_cast<long long>(tier_hits[0]),
               static_cast<long long>(tier_hits[1]),
               static_cast<long long>(tier_hits[2]));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Histogram* batch_latency =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "service.query.batch_latency_seconds");
+      registry.GetHistogram("service.query.batch_latency_seconds");
   if (batch_latency->count() > 0) {
     std::printf("batch latency: p50 %.0f us, p95 %.0f us, max %.0f us\n",
                 batch_latency->Quantile(0.5) * 1e6,
                 batch_latency->Quantile(0.95) * 1e6,
                 batch_latency->max() * 1e6);
   }
-  if (manager != nullptr) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    std::printf(
-        "hot-reload: generation %llu, %lld attempts, %lld swapped, "
-        "%lld rolled back%s\n",
-        static_cast<unsigned long long>(manager->generation()),
-        static_cast<long long>(
-            registry.GetCounter("service.reload.attempts")->value()),
-        static_cast<long long>(
-            registry.GetCounter("service.reload.success")->value()),
-        static_cast<long long>(
-            registry.GetCounter("service.reload.rollbacks")->value()),
-        manager->reload_degraded() ? " [degraded: last push rejected]" : "");
-  }
+  std::printf(
+      "hot-reload: generation %llu, %lld attempts, %lld swapped, "
+      "%lld rolled back%s\n",
+      static_cast<unsigned long long>(manager->generation()),
+      static_cast<long long>(
+          registry.GetCounter("service.reload.attempts")->value()),
+      static_cast<long long>(
+          registry.GetCounter("service.reload.success")->value()),
+      static_cast<long long>(
+          registry.GetCounter("service.reload.rollbacks")->value()),
+      manager->reload_degraded() ? " [degraded: last push rejected]" : "");
   LingerAndStopTelemetry(flags, &telemetry);
   return 0;
 }
 
-volatile std::sig_atomic_t g_stop_requested = 0;
-
-void HandleStopSignal(int) { g_stop_requested = 1; }
-
 /// `stream --listen`: durable network ingestion (see the header comment).
-int CmdStreamListen(const std::map<std::string, std::string>& flags) {
+int CmdStreamListen(const Flags& flags) {
   stream::IngestServer::Options options;
-  {
-    const std::string& value = flags.at("listen");
-    char* end = nullptr;
-    options.port = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-    if (end == value.c_str() || *end != '\0' || options.port < 0) {
-      std::fprintf(stderr, "error: --listen wants a port number, got %s\n",
-                   value.c_str());
-      return 2;
-    }
+  options.port = flags.Int("--listen", 0);
+  if (options.port < 0) {
+    std::fprintf(stderr, "error: --listen wants a port number, got %d\n",
+                 options.port);
+    return 2;
   }
-  if (flags.count("wal-dir") == 0 || flags.at("wal-dir") == "true") {
+  if (!flags.Has("--wal-dir")) {
     std::fprintf(stderr, "error: --listen requires --wal-dir DIR\n");
     return 2;
   }
-  options.wal.dir = flags.at("wal-dir");
+  options.wal.dir = flags.Str("--wal-dir");
   std::error_code ec;
   std::filesystem::create_directories(options.wal.dir, ec);
 
-  if (auto city = flags.find("city"); city != flags.end()) {
-    std::optional<sim::World> world = sim::LoadWorldCsv(city->second);
+  if (flags.Has("--city")) {
+    const std::string city = flags.Str("--city");
+    std::optional<sim::World> world = sim::LoadWorldCsv(city);
     if (!world) {
       std::fprintf(stderr, "error: cannot load city world from %s\n",
-                   city->second.c_str());
+                   city.c_str());
       return 1;
     }
     world->trips.clear();  // Trips arrive over the wire, not from disk.
@@ -785,14 +669,14 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
     options.city.trips.clear();
   }
 
-  options.wal.fsync_every_n = IntFlag(flags, "fsync-every", 0);
-  options.wal.fsync_interval_s = DoubleFlag(flags, "fsync-interval", 0.0);
+  options.wal.fsync_every_n = flags.Int("--fsync-every", 0);
+  options.wal.fsync_interval_s = flags.Double("--fsync-interval", 0.0);
   options.wal.segment_bytes =
-      static_cast<uint64_t>(IntFlag(flags, "segment-bytes", 4 << 20));
+      static_cast<uint64_t>(flags.Int("--segment-bytes", 4 << 20));
   options.snapshot_every_segments =
-      static_cast<uint64_t>(IntFlag(flags, "snapshot-every", 0));
+      static_cast<uint64_t>(flags.Int("--snapshot-every", 0));
   options.max_queue_records =
-      static_cast<uint64_t>(IntFlag(flags, "max-queue", 4096));
+      static_cast<uint64_t>(flags.Int("--max-queue", 4096));
 
   stream::IngestServer server(std::move(options));
   std::string error;
@@ -805,26 +689,16 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
   std::printf("ingest: http://127.0.0.1:%d (/ingest /ingest/stats %s) "
               "(wal %s)\n",
               server.port(), apps::AdminRoutes::PathList().c_str(),
-              flags.at("wal-dir").c_str());
+              flags.Str("--wal-dir").c_str());
   std::printf(
       "ingest: recovered %lld records (%lld trips) from snapshot + wal\n",
       static_cast<long long>(boot.recovered),
       static_cast<long long>(boot.trips));
   std::fflush(stdout);
 
-  g_stop_requested = 0;
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
   Stopwatch serve_time;
-  while (g_stop_requested == 0 &&
-         (serve_seconds <= 0.0 ||
-          serve_time.ElapsedSeconds() < serve_seconds)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  ServeUntilStopped(flags, nullptr);
   server.Stop();  // Drains the queue and fsyncs the WAL.
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
 
   const stream::IngestServer::Stats stats = server.stats();
   std::printf(
@@ -843,9 +717,9 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
 /// `stream`: replay recorded trips as a live GPS feed through the
 /// incremental pipeline, retraining and publishing bundles as the stream
 /// progresses (see the header comment).
-int CmdStream(const std::map<std::string, std::string>& flags) {
-  if (flags.count("listen") > 0) {
-    if (flags.count("world") > 0 || flags.count("publish-dir") > 0) {
+int CmdStream(const Flags& flags) {
+  if (flags.Has("--listen")) {
+    if (flags.Has("--world") || flags.Has("--publish-dir")) {
       std::fprintf(stderr,
                    "error: stream --listen (network ingestion) and --world/"
                    "--publish-dir (recorded replay) are mutually exclusive\n");
@@ -853,41 +727,38 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
     }
     return CmdStreamListen(flags);
   }
-  if (flags.count("world") == 0 || flags.count("publish-dir") == 0) {
-    return Usage();
-  }
+  if (!flags.Has("--world") || !flags.Has("--publish-dir")) return Usage();
   const auto world = LoadWorldFlag(flags);
   if (!world) return 1;
-  const std::string publish_dir = flags.at("publish-dir");
+  const std::string publish_dir = flags.Str("--publish-dir");
 
   // Telemetry comes up before the first point, so scrapers watch the
   // stream.ingest.* counters move while the feed is live.
   TelemetryEndpoint telemetry;
   if (!StartTelemetry(flags, &telemetry)) return 1;
 
-  const int retrain_every = IntFlag(flags, "retrain-every", 0);
+  const int retrain_every = flags.Int("--retrain-every", 0);
   const int max_trips =
-      IntFlag(flags, "max-trips", static_cast<int>(world->trips.size()));
-  const double rate = DoubleFlag(flags, "rate", 0.0);
+      flags.Int("--max-trips", static_cast<int>(world->trips.size()));
+  const double rate = flags.Double("--rate", 0.0);
 
   stream::StreamIngestor ingestor(*world, {});
   stream::OnlineTrainer::Options trainer_options;
-  if (flags.count("quick") > 0) {
+  if (flags.Has("--quick")) {
     trainer_options.train.max_epochs = 20;
     trainer_options.train.early_stop_patience = 5;
   }
-  if (flags.count("epochs") > 0) {
-    trainer_options.train.max_epochs = IntFlag(flags, "epochs", 20);
-  }
-  if (auto ckpt = flags.find("ckpt"); ckpt != flags.end()) {
-    trainer_options.checkpoint_path = ckpt->second;
+  trainer_options.train.max_epochs =
+      flags.Int("--epochs", trainer_options.train.max_epochs);
+  if (flags.Has("--ckpt")) {
+    trainer_options.checkpoint_path = flags.Str("--ckpt");
     trainer_options.checkpoint_every_epochs =
-        std::max(1, IntFlag(flags, "ckpt-every", 5));
+        std::max(1, flags.Int("--ckpt-every", 5));
   }
   trainer_options.publish_dir = publish_dir;
   stream::OnlineTrainer trainer(trainer_options);
 
-  const bool watch = flags.count("watch") > 0;
+  const bool watch = flags.Has("--watch");
   std::unique_ptr<apps::BundleManager> manager;
 
   auto retrain = [&]() {
@@ -916,7 +787,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
     if (manager == nullptr) {
       apps::BundleManager::Config config;
       config.dir = publish_dir;
-      config.min_agree_fraction = DoubleFlag(flags, "agree-frac", 0.0);
+      config.min_agree_fraction = flags.Double("--agree-frac", 0.0);
       manager = apps::BundleManager::Create(config, &error);
       if (manager == nullptr) {
         std::fprintf(stderr, "error: cannot watch %s: %s\n",
@@ -928,17 +799,8 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
       }
       return;
     }
-    switch (manager->ReloadNow(&error)) {
-      case apps::BundleManager::ReloadOutcome::kSwapped:
-        std::printf("hot-reload: swapped to generation %llu\n",
-                    static_cast<unsigned long long>(manager->generation()));
-        break;
-      case apps::BundleManager::ReloadOutcome::kRolledBack:
-        std::printf("hot-reload: rolled back (%s)\n", error.c_str());
-        break;
-      case apps::BundleManager::ReloadOutcome::kUnchanged:
-        std::printf("hot-reload: unchanged\n");
-        break;
+    if (!PrintReload(manager->ReloadNow(&error), *manager, error)) {
+      std::printf("hot-reload: unchanged\n");
     }
   };
 
@@ -991,7 +853,8 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdEvaluate(const std::map<std::string, std::string>& flags) {
+int CmdEvaluate(const Flags& flags) {
+  if (!flags.Has("--world")) return Usage();
   const auto world = LoadWorldFlag(flags);
   if (!world) return 1;
   const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
@@ -1006,7 +869,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   results.push_back(baselines::RunMethod(&max_tc_ilc, data, samples));
 
   dlinfma::TrainConfig train_config;
-  if (flags.count("quick") > 0) {
+  if (flags.Has("--quick")) {
     train_config.max_epochs = 20;
     train_config.early_stop_patience = 5;
   }
@@ -1016,34 +879,117 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+constexpr FlagSpec kGenerateFlags[] = {{"--preset", FlagType::kString},
+                                       {"--days", FlagType::kInt},
+                                       {"--seed", FlagType::kUint64},
+                                       {"--out", FlagType::kString}};
+constexpr FlagSpec kStatsFlags[] = {{"--world", FlagType::kString}};
+constexpr FlagSpec kTrainFlags[] = {{"--world", FlagType::kString},
+                                    {"--bundle", FlagType::kString},
+                                    {"--quick", FlagType::kBool},
+                                    {"--ckpt", FlagType::kString},
+                                    {"--ckpt-every", FlagType::kInt},
+                                    {"--resume", FlagType::kString, true}};
+constexpr FlagSpec kServeFlags[] = {
+    {"--bundle", FlagType::kString},
+    {"--queries", FlagType::kInt},
+    {"--batch", FlagType::kInt},
+    {"--threads", FlagType::kInt},
+    {"--poll-every", FlagType::kInt},
+    {"--telemetry-port", FlagType::kInt, true},
+    {"--trace-sample", FlagType::kDouble},
+    {"--linger-seconds", FlagType::kInt},
+    {"--shards", FlagType::kInt},
+    {"--port", FlagType::kInt},
+    {"--serve-seconds", FlagType::kDouble}};
+constexpr FlagSpec kInferFlags[] = {{"--bundle", FlagType::kString},
+                                    {"--out", FlagType::kString}};
+constexpr FlagSpec kStreamFlags[] = {
+    {"--world", FlagType::kString},
+    {"--publish-dir", FlagType::kString},
+    {"--retrain-every", FlagType::kInt},
+    {"--max-trips", FlagType::kInt},
+    {"--rate", FlagType::kDouble},
+    {"--quick", FlagType::kBool},
+    {"--epochs", FlagType::kInt},
+    {"--watch", FlagType::kBool},
+    {"--agree-frac", FlagType::kDouble},
+    {"--ckpt", FlagType::kString},
+    {"--ckpt-every", FlagType::kInt},
+    {"--telemetry-port", FlagType::kInt, true},
+    {"--linger-seconds", FlagType::kInt},
+    {"--listen", FlagType::kInt},
+    {"--wal-dir", FlagType::kString},
+    {"--city", FlagType::kString},
+    {"--serve-seconds", FlagType::kDouble},
+    {"--fsync-every", FlagType::kInt},
+    {"--fsync-interval", FlagType::kDouble},
+    {"--segment-bytes", FlagType::kInt},
+    {"--snapshot-every", FlagType::kInt},
+    {"--max-queue", FlagType::kInt}};
+constexpr FlagSpec kEvaluateFlags[] = {{"--world", FlagType::kString},
+                                       {"--quick", FlagType::kBool}};
+/// Accepted by every command (see the header comment).
+constexpr FlagSpec kGlobalFlags[] = {{"--metrics", FlagType::kString, true},
+                                     {"--trace-out", FlagType::kString},
+                                     {"--log-json", FlagType::kString, true},
+                                     {"--profile-out", FlagType::kString},
+                                     {"--profile-hz", FlagType::kInt}};
+
+struct Command {
+  std::string_view name;
+  std::span<const FlagSpec> flags;
+  int (*run)(const Flags&);
+};
+
+constexpr Command kCommands[] = {
+    {"generate", kGenerateFlags, CmdGenerate},
+    {"stats", kStatsFlags, CmdStats},
+    {"train", kTrainFlags, CmdTrain},
+    {"serve", kServeFlags, CmdServe},
+    {"infer", kInferFlags, CmdInfer},
+    {"stream", kStreamFlags, CmdStream},
+    {"evaluate", kEvaluateFlags, CmdEvaluate}};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   SetMinLogLevel(LogLevel::kWarning);
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv);
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (candidate.name == argv[1]) command = &candidate;
+  }
+  if (command == nullptr) return Usage();
+  std::vector<FlagSpec> specs(command->flags.begin(), command->flags.end());
+  specs.insert(specs.end(), std::begin(kGlobalFlags), std::end(kGlobalFlags));
+  std::string parse_error;
+  const std::optional<Flags> flags = Flags::Parse(
+      specs, std::span<char* const>(argv + 2, argc - 2), &parse_error);
+  if (!flags) {
+    std::fprintf(stderr, "error: %s\n", parse_error.c_str());
+    return 2;
+  }
 
-  if (auto it = flags.find("log-json"); it != flags.end()) {
-    if (it->second == "true") {
+  if (flags->Has("--log-json")) {
+    const std::string path = flags->Str("--log-json");
+    if (path.empty()) {
       obs::StructuredLog::Global().UseStderr();
-    } else if (!obs::StructuredLog::Global().OpenFile(it->second)) {
+    } else if (!obs::StructuredLog::Global().OpenFile(path)) {
       std::fprintf(stderr, "error: cannot open %s for --log-json\n",
-                   it->second.c_str());
+                   path.c_str());
       return 1;
     }
   }
-  const auto trace_out = flags.find("trace-out");
-  if (trace_out != flags.end() && trace_out->second != "true") {
+  const std::string trace_out = flags->Str("--trace-out");
+  if (!trace_out.empty()) {
     obs::TraceLog::Global().Start(/*sample_rate=*/1.0);
   }
-  const auto profile_out = flags.find("profile-out");
-  if (profile_out != flags.end() && profile_out->second != "true") {
+  const std::string profile_out = flags->Str("--profile-out");
+  if (!profile_out.empty()) {
     obs::prof::RegisterCurrentThread("main");
     obs::prof::CpuProfiler::Options profile_options;
-    if (auto hz = flags.find("profile-hz"); hz != flags.end()) {
-      profile_options.hz = std::stoi(hz->second);
-    }
+    profile_options.hz = flags->Int("--profile-hz", profile_options.hz);
     std::string error;
     if (!obs::prof::CpuProfiler::Global().Start(profile_options, &error)) {
       std::fprintf(stderr, "error: cannot start profiler: %s\n",
@@ -1058,51 +1004,25 @@ int main(int argc, char** argv) {
   obs::LogLine(obs::LogSeverity::kInfo, "startup.kernel_path")
       .Str("path", nn::kernel::PathName());
 
-  int status = 2;
-  try {
-    if (command == "generate") {
-      status = CmdGenerate(flags);
-    } else if (command == "stats") {
-      status = CmdStats(flags);
-    } else if (command == "train") {
-      status = CmdTrain(flags);
-    } else if (command == "serve") {
-      status = CmdServe(flags);
-    } else if (command == "infer") {
-      status = CmdInfer(flags);
-    } else if (command == "stream") {
-      status = CmdStream(flags);
-    } else if (command == "evaluate") {
-      status = CmdEvaluate(flags);
-    } else {
-      return Usage();
-    }
-  } catch (const std::exception& e) {
-    // Malformed flag values (e.g. a non-numeric --epochs) surface here as
-    // std::invalid_argument from std::stoi; report and exit cleanly.
-    std::fprintf(stderr, "error: %s (check flag values)\n", e.what());
-    return 1;
-  }
+  int status = command->run(*flags);
 
-  if (auto it = flags.find("metrics"); it != flags.end()) {
+  if (flags->Has("--metrics")) {
     const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    if (it->second == "true") {
+    const std::string path = flags->Str("--metrics");
+    if (path.empty()) {
       std::fputs(registry.SnapshotJson().c_str(), stdout);
-    } else if (!registry.DumpJson(it->second)) {
+    } else if (!registry.DumpJson(path)) {
       std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   it->second.c_str());
+                   path.c_str());
       if (status == 0) status = 1;
     }
   }
-  if (profile_out != flags.end() && profile_out->second != "true") {
+  if (!profile_out.empty()) {
     obs::prof::CpuProfiler& profiler = obs::prof::CpuProfiler::Global();
     profiler.Stop();
-    const std::string& path = profile_out->second;
-    const bool chrome =
-        path.size() > 5 && path.compare(path.size() - 5, 5, ".json") == 0;
     bool written = false;
-    if (chrome) {
-      std::FILE* file = std::fopen(path.c_str(), "w");
+    if (profile_out.ends_with(".json")) {
+      std::FILE* file = std::fopen(profile_out.c_str(), "w");
       if (file != nullptr) {
         const std::string json = obs::prof::ExportCombinedChromeJson();
         const bool full =
@@ -1110,28 +1030,28 @@ int main(int argc, char** argv) {
         written = std::fclose(file) == 0 && full;
       }
     } else {
-      written = profiler.ExportFolded(path);
+      written = profiler.ExportFolded(profile_out);
     }
     if (written) {
       std::fprintf(stderr, "profile: %lld samples @ %d Hz -> %s\n",
                    static_cast<long long>(profiler.sample_count()),
-                   profiler.hz(), path.c_str());
+                   profiler.hz(), profile_out.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write profile to %s\n",
-                   path.c_str());
+                   profile_out.c_str());
       if (status == 0) status = 1;
     }
   }
-  if (trace_out != flags.end() && trace_out->second != "true") {
+  if (!trace_out.empty()) {
     obs::TraceLog::Global().Stop();
-    if (obs::TraceLog::Global().ExportChromeJson(trace_out->second)) {
+    if (obs::TraceLog::Global().ExportChromeJson(trace_out)) {
       std::fprintf(stderr, "trace: %lld events -> %s\n",
                    static_cast<long long>(
                        obs::TraceLog::Global().recorded_events()),
-                   trace_out->second.c_str());
+                   trace_out.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write trace to %s\n",
-                   trace_out->second.c_str());
+                   trace_out.c_str());
       if (status == 0) status = 1;
     }
   }

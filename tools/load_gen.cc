@@ -26,21 +26,23 @@
 //   load_gen: ingest records=N acked=A deduped=D rps=R p50_ms=X p99_ms=Y
 //             shed=S errors=E
 //
-// and exits nonzero on any transport failure or unexpected status, so CI
-// smoke steps can gate on it directly. Latency per request is measured as
-// its burst's round-trip time — an upper bound for every request in the
-// burst; in ingest mode it is the per-POST ack latency.
+// and exits nonzero on any transport failure or unexpected status, or when
+// no request completes at all, so CI smoke steps can gate on it directly.
+// A malformed command line prints one line naming the flag and exits 2.
+// Latency per request is measured as its burst's round-trip time — an upper
+// bound for every request in the burst; in ingest mode it is the per-POST
+// ack latency.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/http_conn.h"
+#include "common/flags.h"
 #include "stream/ingest_server.h"
 
 namespace {
@@ -53,10 +55,11 @@ struct Options {
   int threads = 4;
   double seconds = 2.0;
   int pipeline = 16;
-  int batch = 0;  ///< 0: single GETs; N>0: /query_batch of N ids.
-  int64_t max_requests = 0;  ///< 0: until --seconds elapses.
-  bool ingest = false;       ///< Drive POST /ingest instead of /query.
-  int dup_every = 0;         ///< Ingest: re-send every Mth POST (0: never).
+  int batch = 0;              ///< 0: single GETs; N>0: /query_batch of N ids.
+  int max_requests = 0;       ///< 0: until --seconds elapses.
+  bool ingest = false;        ///< Drive POST /ingest instead of /query.
+  int dup_every = 0;          ///< Ingest: re-send every Mth POST (0: never).
+  int64_t address_count = 0;  ///< Query mode: keyspace from /inventory.
 };
 
 struct ThreadStats {
@@ -75,62 +78,36 @@ double NowSeconds() {
       .count();
 }
 
-bool ParseArgs(int argc, char** argv, Options* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--port" && has_value) {
-      options->port = std::atoi(argv[++i]);
-    } else if (arg == "--threads" && has_value) {
-      options->threads = std::atoi(argv[++i]);
-    } else if (arg == "--seconds" && has_value) {
-      options->seconds = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--pipeline" && has_value) {
-      options->pipeline = std::atoi(argv[++i]);
-    } else if (arg == "--batch" && has_value) {
-      options->batch = std::atoi(argv[++i]);
-    } else if (arg == "--max-requests" && has_value) {
-      options->max_requests = std::atoll(argv[++i]);
-    } else if (arg == "--ingest") {
-      options->ingest = true;
-    } else if (arg == "--dup-every" && has_value) {
-      options->dup_every = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown or valueless argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (options->port <= 0 || options->threads < 1 || options->pipeline < 1) {
-    std::fprintf(stderr,
-                 "usage: load_gen --port P [--ingest] [--threads N] "
-                 "[--seconds S] [--pipeline D] [--batch B] "
-                 "[--dup-every M] [--max-requests M]\n");
-    return false;
-  }
-  return true;
+constexpr dlinf::FlagSpec kFlags[] = {
+    {"--port", dlinf::FlagType::kInt},
+    {"--threads", dlinf::FlagType::kInt},
+    {"--seconds", dlinf::FlagType::kDouble},
+    {"--pipeline", dlinf::FlagType::kInt},
+    {"--batch", dlinf::FlagType::kInt},
+    {"--max-requests", dlinf::FlagType::kInt},
+    {"--ingest", dlinf::FlagType::kBool},
+    {"--dup-every", dlinf::FlagType::kInt}};
+
+/// Whether a thread that began at `begin` and completed `done` requests
+/// has --seconds and its share of --max-requests left.
+bool InBudget(const Options& options, double begin, int64_t done) {
+  const int64_t cap =
+      (int64_t{options.max_requests} + options.threads - 1) / options.threads;
+  return NowSeconds() < begin + options.seconds &&
+         (options.max_requests <= 0 || done < cap);
 }
 
-void RunClient(const Options& options, int thread_index,
-               int64_t address_count, ThreadStats* stats) {
-  HttpClient client;
+void RunClient(const Options& options, int thread_index, HttpClient* client,
+               ThreadStats* stats) {
+  const int64_t address_count = options.address_count;
   std::string error;
-  if (!client.Connect(options.port, &error)) {
-    stats->errors = 1;
-    stats->first_error = "connect: " + error;
-    return;
-  }
-  const double deadline = NowSeconds() + options.seconds;
+  const double begin = NowSeconds();
   // Deterministic per-thread key stream: a fixed stride walk over the
   // inventory, disjoint phases per thread.
   int64_t cursor = (thread_index * 7919) % address_count;
   const int64_t stride = 13;
-  const int64_t per_thread_cap =
-      options.max_requests > 0
-          ? (options.max_requests + options.threads - 1) / options.threads
-          : 0;
 
-  while (NowSeconds() < deadline &&
-         (per_thread_cap == 0 || stats->requests < per_thread_cap)) {
+  while (InBudget(options, begin, stats->requests)) {
     const double start = NowSeconds();
     int in_flight = 0;
     std::string burst;
@@ -155,7 +132,7 @@ void RunClient(const Options& options, int thread_index,
       }
       in_flight = options.pipeline;
     }
-    if (!client.SendRaw(burst)) {
+    if (!client->SendRaw(burst)) {
       ++stats->errors;
       if (stats->first_error.empty()) stats->first_error = "send failed";
       return;
@@ -165,7 +142,7 @@ void RunClient(const Options& options, int thread_index,
     for (int i = 0; i < in_flight; ++i) {
       int status = 0;
       std::string body;
-      if (!client.ReadResponse(&status, &body, &error)) {
+      if (!client->ReadResponse(&status, &body, &error)) {
         ++stats->errors;
         if (stats->first_error.empty()) {
           stats->first_error = "read: " + error;
@@ -216,64 +193,50 @@ class IngestStream {
       : client_id_("lg-" + std::to_string(thread_index)),
         courier_id_(1000 + thread_index) {}
 
-  /// The next protocol line, advancing the trip state machine.
+  /// The next protocol line; trips span POST batches freely.
   std::string NextLine() {
-    using dlinf::stream::FormatIngestLine;
-    using dlinf::stream::IngestRecord;
-    IngestRecord record;
-    record.client_id = client_id_;
-    record.seq = ++seq_;
-    if (point_index_ == 0) {
-      record.kind = IngestRecord::Kind::kStartTrip;
-      record.courier_id = courier_id_;
-      record.start_time = static_cast<double>(trip_index_) * 3600.0;
-      record.end_time = record.start_time + 3600.0;
-      ++point_index_;
-    } else if (point_index_ <= points_per_trip()) {
-      record.kind = IngestRecord::Kind::kPoint;
-      // A deterministic drifting walk; values only need to be stable.
-      const double k = static_cast<double>(point_index_);
-      record.x = 100.0 * courier_id_ + 10.0 * trip_index_ + k * 0.5;
-      record.y = 50.0 * courier_id_ + 5.0 * trip_index_ + k * 0.25;
-      record.t = static_cast<double>(trip_index_) * 3600.0 + k * 15.0;
-      ++point_index_;
-    } else {
-      record.kind = IngestRecord::Kind::kFinishTrip;
-      point_index_ = 0;
-      ++trip_index_;
+    if (next_line_ == lines_.size()) {
+      lines_ = dlinf::stream::TripLines(client_id_, NextTrip(), &seq_);
+      next_line_ = 0;
     }
-    return FormatIngestLine(record);
+    return lines_[next_line_++];
   }
 
  private:
-  int64_t points_per_trip() const { return 6 + trip_index_ % 5; }
+  /// A deterministic drifting walk of 6-10 points; values only need to be
+  /// stable.
+  dlinf::sim::DeliveryTrip NextTrip() {
+    dlinf::sim::DeliveryTrip trip;
+    trip.courier_id = courier_id_;
+    trip.start_time = static_cast<double>(trip_index_) * 3600.0;
+    trip.end_time = trip.start_time + 3600.0;
+    for (int64_t k = 1; k <= 6 + trip_index_ % 5; ++k) {
+      const double step = static_cast<double>(k);
+      trip.trajectory.points.push_back(
+          {100.0 * courier_id_ + 10.0 * trip_index_ + step * 0.5,
+           50.0 * courier_id_ + 5.0 * trip_index_ + step * 0.25,
+           trip.start_time + step * 15.0});
+    }
+    ++trip_index_;
+    return trip;
+  }
 
   std::string client_id_;
   int64_t courier_id_;
   uint64_t seq_ = 0;
   int64_t trip_index_ = 0;
-  int64_t point_index_ = 0;
+  std::vector<std::string> lines_;  ///< The current trip's lines.
+  size_t next_line_ = 0;
 };
 
 void RunIngestClient(const Options& options, int thread_index,
-                     ThreadStats* stats) {
-  HttpClient client;
+                     HttpClient* client, ThreadStats* stats) {
   std::string error;
-  if (!client.Connect(options.port, &error)) {
-    stats->errors = 1;
-    stats->first_error = "connect: " + error;
-    return;
-  }
+  const double begin = NowSeconds();
   IngestStream ingest_stream(thread_index);
-  const double deadline = NowSeconds() + options.seconds;
-  const int64_t per_thread_cap =
-      options.max_requests > 0
-          ? (options.max_requests + options.threads - 1) / options.threads
-          : 0;
   int64_t posts = 0;
 
-  while (NowSeconds() < deadline &&
-         (per_thread_cap == 0 || stats->requests < per_thread_cap)) {
+  while (InBudget(options, begin, stats->requests)) {
     std::string body;
     for (int i = 0; i < options.pipeline; ++i) {
       body += ingest_stream.NextLine();
@@ -287,7 +250,7 @@ void RunIngestClient(const Options& options, int thread_index,
     for (int attempt = 0; attempt < 1 + (duplicate ? 1 : 0); ++attempt) {
       for (;;) {
         const double start = NowSeconds();
-        if (!client.SendPost("/ingest", body)) {
+        if (!client->SendPost("/ingest", body)) {
           ++stats->errors;
           if (stats->first_error.empty()) stats->first_error = "send failed";
           return;
@@ -295,7 +258,7 @@ void RunIngestClient(const Options& options, int thread_index,
         int status = 0;
         std::vector<std::pair<std::string, std::string>> headers;
         std::string response;
-        if (!client.ReadResponse(&status, &headers, &response, &error)) {
+        if (!client->ReadResponse(&status, &headers, &response, &error)) {
           ++stats->errors;
           if (stats->first_error.empty()) stats->first_error = "read: " + error;
           return;
@@ -328,137 +291,155 @@ void RunIngestClient(const Options& options, int thread_index,
   }
 }
 
-double Percentile(std::vector<double>* sorted_in_place, double q) {
-  if (sorted_in_place->empty()) return 0.0;
-  const size_t rank = std::min(
-      sorted_in_place->size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted_in_place->size())));
-  return (*sorted_in_place)[rank];
+double Percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const size_t rank =
+      std::min(sorted.size() - 1,
+               static_cast<size_t>(q * static_cast<double>(sorted.size())));
+  return sorted[rank];
+}
+
+using ClientLoop = void (*)(const Options&, int, HttpClient*, ThreadStats*);
+
+/// Runs `loop` on --threads connected threads and returns their summed
+/// stats with merged, sorted latencies, printing each thread's first error.
+ThreadStats RunThreads(const Options& options, ClientLoop loop) {
+  std::vector<ThreadStats> stats(static_cast<size_t>(options.threads));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < options.threads; ++i) {
+    threads.emplace_back([&options, loop, i, thread_stats = &stats[i]] {
+      HttpClient client;
+      std::string error;
+      if (client.Connect(options.port, &error)) {
+        loop(options, i, &client, thread_stats);
+      } else {
+        thread_stats->errors = 1;
+        thread_stats->first_error = "connect: " + error;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ThreadStats sum;
+  for (const ThreadStats& thread_stats : stats) {
+    sum.requests += thread_stats.requests;
+    sum.shed += thread_stats.shed;
+    sum.errors += thread_stats.errors;
+    sum.acked += thread_stats.acked;
+    sum.deduped += thread_stats.deduped;
+    sum.latency_s.insert(sum.latency_s.end(), thread_stats.latency_s.begin(),
+                         thread_stats.latency_s.end());
+    if (!thread_stats.first_error.empty()) {
+      std::fprintf(stderr, "error: %s\n", thread_stats.first_error.c_str());
+    }
+  }
+  std::sort(sum.latency_s.begin(), sum.latency_s.end());
+  return sum;
+}
+
+/// Discovers the engine's address keyspace from /inventory; 0 (after
+/// printing why) when it is unreachable or empty.
+int64_t DiscoverAddressCount(int port) {
+  int status = 0;
+  std::string body;
+  if (!HttpGetOnce(port, "/inventory", &status, &body) || status != 200) {
+    std::fprintf(stderr, "error: /inventory on port %d failed (status %d)\n",
+                 port, status);
+    return 0;
+  }
+  const int64_t address_count = JsonInt(body, "count");
+  if (address_count <= 0) {
+    std::fprintf(stderr, "error: engine reports empty inventory: %s\n",
+                 body.c_str());
+  }
+  return std::max<int64_t>(address_count, 0);
 }
 
 }  // namespace
 
-int RunIngestMode(const Options& options) {
-  std::printf("load_gen: ingest mode, %d threads, %d records/post%s\n",
-              options.threads, options.pipeline,
-              options.dup_every > 0
-                  ? (", dup every " + std::to_string(options.dup_every))
-                        .c_str()
-                  : "");
-  std::vector<ThreadStats> stats(static_cast<size_t>(options.threads));
-  const double start = NowSeconds();
-  std::vector<std::thread> threads;
-  for (int i = 0; i < options.threads; ++i) {
-    threads.emplace_back(RunIngestClient, options, i,
-                         &stats[static_cast<size_t>(i)]);
+int main(int argc, char** argv) {
+  std::string error;
+  const std::optional<dlinf::Flags> flags = dlinf::Flags::Parse(
+      kFlags, std::span<char* const>(argv + 1, argc - 1), &error);
+  if (!flags) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
   }
-  for (std::thread& thread : threads) thread.join();
-  const double wall = NowSeconds() - start;
+  Options options;
+  options.port = flags->Int("--port", options.port);
+  options.threads = flags->Int("--threads", options.threads);
+  options.seconds = flags->Double("--seconds", options.seconds);
+  options.pipeline = flags->Int("--pipeline", options.pipeline);
+  options.batch = flags->Int("--batch", options.batch);
+  options.max_requests = flags->Int("--max-requests", options.max_requests);
+  options.ingest = flags->Has("--ingest");
+  options.dup_every = flags->Int("--dup-every", options.dup_every);
+  if (options.port <= 0 || options.threads < 1 || options.pipeline < 1) {
+    std::fprintf(stderr,
+                 "usage: load_gen --port P [--ingest] [--threads N] "
+                 "[--seconds S] [--pipeline D] [--batch B] "
+                 "[--dup-every M] [--max-requests M]\n");
+    return 2;
+  }
 
-  int64_t records = 0;
-  int64_t acked = 0;
-  int64_t deduped = 0;
-  int64_t shed = 0;
-  int64_t errors = 0;
-  std::vector<double> latency;
-  for (const ThreadStats& thread_stats : stats) {
-    records += thread_stats.requests;
-    acked += thread_stats.acked;
-    deduped += thread_stats.deduped;
-    shed += thread_stats.shed;
-    errors += thread_stats.errors;
-    latency.insert(latency.end(), thread_stats.latency_s.begin(),
-                   thread_stats.latency_s.end());
-    if (!thread_stats.first_error.empty()) {
-      std::fprintf(stderr, "error: %s\n", thread_stats.first_error.c_str());
-    }
+  if (options.ingest) {
+    std::printf("load_gen: ingest mode, %d threads, %d records/post%s\n",
+                options.threads, options.pipeline,
+                options.dup_every > 0
+                    ? (", dup every " + std::to_string(options.dup_every))
+                          .c_str()
+                    : "");
+  } else {
+    options.address_count = DiscoverAddressCount(options.port);
+    if (options.address_count == 0) return 2;
+    std::printf("load_gen: %lld addresses, %d threads, pipeline %d%s\n",
+                static_cast<long long>(options.address_count), options.threads,
+                options.pipeline,
+                options.batch > 0
+                    ? (", batch " + std::to_string(options.batch)).c_str()
+                    : "");
   }
+
+  const double start = NowSeconds();
+  const ThreadStats sum =
+      RunThreads(options, options.ingest ? RunIngestClient : RunClient);
+  const double wall = NowSeconds() - start;
+  int64_t errors = sum.errors;
   // Every record sent must have been accounted for by the server — a
   // mismatch means an ack was lost or double-applied.
-  if (acked + deduped != records) {
+  if (options.ingest && sum.acked + sum.deduped != sum.requests) {
     std::fprintf(stderr,
                  "error: ack accounting mismatch: sent %lld, acked %lld + "
                  "deduped %lld\n",
-                 static_cast<long long>(records),
-                 static_cast<long long>(acked),
-                 static_cast<long long>(deduped));
+                 static_cast<long long>(sum.requests),
+                 static_cast<long long>(sum.acked),
+                 static_cast<long long>(sum.deduped));
     ++errors;
   }
-  std::sort(latency.begin(), latency.end());
-  const double rps = wall > 0.0 ? static_cast<double>(records) / wall : 0.0;
-  std::printf(
-      "load_gen: ingest records=%lld acked=%lld deduped=%lld rps=%.0f "
-      "p50_ms=%.3f p99_ms=%.3f shed=%lld errors=%lld\n",
-      static_cast<long long>(records), static_cast<long long>(acked),
-      static_cast<long long>(deduped), rps, Percentile(&latency, 0.50) * 1e3,
-      Percentile(&latency, 0.99) * 1e3, static_cast<long long>(shed),
-      static_cast<long long>(errors));
-  return errors == 0 ? 0 : 1;
-}
-
-int main(int argc, char** argv) {
-  Options options;
-  if (!ParseArgs(argc, argv, &options)) return 2;
-  if (options.ingest) return RunIngestMode(options);
-
-  // Keyspace discovery.
-  int status = 0;
-  std::string body;
-  if (!HttpGetOnce(options.port, "/inventory", &status, &body) ||
-      status != 200) {
-    std::fprintf(stderr, "error: /inventory on port %d failed (status %d)\n",
-                 options.port, status);
-    return 2;
+  // A run that completed nothing measured nothing; never pass it.
+  if (sum.requests == 0) {
+    std::fprintf(stderr, "error: no request completed in %.3g s\n",
+                 options.seconds);
+    ++errors;
   }
-  const size_t count_pos = body.find("\"count\":");
-  const int64_t address_count =
-      count_pos == std::string::npos
-          ? 0
-          : std::atoll(body.c_str() + count_pos + std::strlen("\"count\":"));
-  if (address_count <= 0) {
-    std::fprintf(stderr, "error: engine reports empty inventory: %s\n",
-                 body.c_str());
-    return 2;
+  const double rate =
+      wall > 0.0 ? static_cast<double>(sum.requests) / wall : 0.0;
+  const std::vector<double>& latency = sum.latency_s;
+  if (options.ingest) {
+    std::printf(
+        "load_gen: ingest records=%lld acked=%lld deduped=%lld rps=%.0f "
+        "p50_ms=%.3f p99_ms=%.3f shed=%lld errors=%lld\n",
+        static_cast<long long>(sum.requests),
+        static_cast<long long>(sum.acked), static_cast<long long>(sum.deduped),
+        rate, Percentile(latency, 0.50) * 1e3, Percentile(latency, 0.99) * 1e3,
+        static_cast<long long>(sum.shed), static_cast<long long>(errors));
+  } else {
+    std::printf(
+        "load_gen: requests=%lld qps=%.0f p50_ms=%.3f p99_ms=%.3f "
+        "p999_ms=%.3f shed=%lld errors=%lld\n",
+        static_cast<long long>(sum.requests), rate,
+        Percentile(latency, 0.50) * 1e3, Percentile(latency, 0.99) * 1e3,
+        Percentile(latency, 0.999) * 1e3, static_cast<long long>(sum.shed),
+        static_cast<long long>(errors));
   }
-  std::printf("load_gen: %lld addresses, %d threads, pipeline %d%s\n",
-              static_cast<long long>(address_count), options.threads,
-              options.pipeline,
-              options.batch > 0 ? (", batch " + std::to_string(options.batch))
-                                      .c_str()
-                                : "");
-
-  std::vector<ThreadStats> stats(static_cast<size_t>(options.threads));
-  const double start = NowSeconds();
-  std::vector<std::thread> threads;
-  for (int i = 0; i < options.threads; ++i) {
-    threads.emplace_back(RunClient, options, i, address_count,
-                         &stats[static_cast<size_t>(i)]);
-  }
-  for (std::thread& thread : threads) thread.join();
-  const double wall = NowSeconds() - start;
-
-  int64_t requests = 0;
-  int64_t shed = 0;
-  int64_t errors = 0;
-  std::vector<double> latency;
-  for (const ThreadStats& thread_stats : stats) {
-    requests += thread_stats.requests;
-    shed += thread_stats.shed;
-    errors += thread_stats.errors;
-    latency.insert(latency.end(), thread_stats.latency_s.begin(),
-                   thread_stats.latency_s.end());
-    if (!thread_stats.first_error.empty()) {
-      std::fprintf(stderr, "error: %s\n", thread_stats.first_error.c_str());
-    }
-  }
-  std::sort(latency.begin(), latency.end());
-  const double qps = wall > 0.0 ? static_cast<double>(requests) / wall : 0.0;
-  std::printf(
-      "load_gen: requests=%lld qps=%.0f p50_ms=%.3f p99_ms=%.3f "
-      "p999_ms=%.3f shed=%lld errors=%lld\n",
-      static_cast<long long>(requests), qps,
-      Percentile(&latency, 0.50) * 1e3, Percentile(&latency, 0.99) * 1e3,
-      Percentile(&latency, 0.999) * 1e3, static_cast<long long>(shed),
-      static_cast<long long>(errors));
   return errors == 0 ? 0 : 1;
 }
