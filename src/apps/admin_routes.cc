@@ -1,9 +1,10 @@
 #include "apps/admin_routes.h"
 
-#include <cstdlib>
+#include <cmath>
 #include <string_view>
 #include <utility>
 
+#include "common/string_util.h"
 #include "obs/json_escape.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -29,11 +30,18 @@ void ServeProfilez(const HttpRequest& request,
   int hz = 99;
   bool chrome = false;
   std::string value;
-  if (request.QueryParam("seconds", &value) && !value.empty()) {
-    seconds = std::strtod(value.c_str(), nullptr);
+  // Absent (or empty) parameters keep their defaults; a malformed one is
+  // refused rather than silently replaced. The capture clamps valid values
+  // to its own range.
+  if (request.QueryParam("seconds", &value) && !value.empty() &&
+      !(ParseNumber(value, &seconds) && std::isfinite(seconds))) {
+    handle.Respond(400, "text/plain", "malformed seconds parameter\n");
+    return;
   }
-  if (request.QueryParam("hz", &value) && !value.empty()) {
-    hz = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+  if (request.QueryParam("hz", &value) && !value.empty() &&
+      !ParseNumber(value, &hz)) {
+    handle.Respond(400, "text/plain", "malformed hz parameter\n");
+    return;
   }
   if (request.QueryParam("format", &value)) chrome = value == "chrome";
   // The capture runs on its own thread and answers through the handle when

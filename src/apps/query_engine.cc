@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/string_util.h"
 #include "fault/fault.h"
 #include "obs/profiler.h"
 #include "obs/trace_log.h"
@@ -405,9 +406,8 @@ void QueryEngine::HandleQuery(const HttpRequest& request,
     handle.Respond(400, "text/plain", "missing address_id parameter\n");
     return;
   }
-  char* end = nullptr;
-  const int64_t id = std::strtoll(raw.c_str(), &end, 10);
-  if (end != raw.c_str() + raw.size()) {
+  int64_t id = 0;
+  if (!ParseNumber(raw, &id)) {
     handle.Respond(400, "text/plain", "malformed address_id\n");
     return;
   }

@@ -1,29 +1,13 @@
 #include "common/flags.h"
 
-#include <charconv>
 #include <cmath>
 #include <type_traits>
 
 #include "common/check.h"
+#include "common/string_util.h"
 
 namespace dlinf {
 namespace {
-
-/// Parses all of `text` as a T; false when it is malformed, with
-/// *out_of_range set when it is a well-formed number that does not fit.
-template <typename T>
-bool ParseNumber(std::string_view text, T* out, bool* out_of_range) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  *out_of_range = ec == std::errc::result_out_of_range;
-  if (ec != std::errc() || stop != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;  // from_chars reads inf, nan.
-  }
-  *out = value;
-  return true;
-}
 
 /// Empty when `value` parses as a T, else the one-line reason.
 template <typename T>
@@ -31,7 +15,11 @@ std::string CheckNumber(std::string_view name, const std::string& value,
                         const char* wants) {
   T parsed{};
   bool out_of_range = false;
-  if (ParseNumber(value, &parsed, &out_of_range)) return "";
+  bool ok = ParseNumber(value, &parsed, &out_of_range);
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(parsed);  // Flags take finite numbers only.
+  }
+  if (ok) return "";
   const std::string flag(name);
   if (out_of_range) return flag + " value '" + value + "' is out of range";
   return flag + " wants " + wants + ", got '" + value + "'";
@@ -59,8 +47,7 @@ T ReadNumber(const Flags& flags, std::string_view name, T fallback) {
   const std::string text = flags.Str(name);
   if (text.empty()) return fallback;  // Absent, or given without a value.
   T value = fallback;
-  bool out_of_range = false;
-  CHECK(ParseNumber(text, &value, &out_of_range)) << name;
+  CHECK(ParseNumber(text, &value)) << name;
   return value;
 }
 

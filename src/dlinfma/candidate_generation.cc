@@ -138,23 +138,56 @@ CandidateGeneration CandidateGeneration::Build(const sim::World& world,
                                                const Options& options,
                                                ThreadPool* pool) {
   obs::Span span("candidate_generation");
-  CandidateGeneration gen;
-  gen.num_trips_ = static_cast<int64_t>(world.trips.size());
+  std::vector<StayPoint> stay_points;
   {
     obs::Span stage("stay_point_extraction");
-    gen.stay_points_ = ExtractStayPoints(world, options, pool);
+    stay_points = ExtractStayPoints(world, options, pool);
   }
   obs::MetricsRegistry::Global()
       .GetCounter("pipeline.stay_points_extracted")
-      ->Add(static_cast<int64_t>(gen.stay_points_.size()));
+      ->Add(static_cast<int64_t>(stay_points.size()));
 
   std::vector<PointCluster> clusters;
   {
     obs::Span stage("clustering");
-    clusters = ClusterStayPoints(gen.stay_points_, options);
+    clusters = ClusterStayPoints(stay_points, options);
   }
 
   obs::Span stage("candidate_index");
+  WaybillIndex waybills;
+  for (const sim::DeliveryTrip& trip : world.trips) {
+    waybills.AddTrip(world, trip);
+  }
+  CandidateGeneration gen =
+      Assemble(std::move(stay_points), clusters,
+               static_cast<int64_t>(world.trips.size()), std::move(waybills));
+  obs::MetricsRegistry::Global()
+      .GetCounter("pipeline.candidates_generated")
+      ->Add(static_cast<int64_t>(gen.candidates_.size()));
+  return gen;
+}
+
+void CandidateGeneration::WaybillIndex::AddTrip(const sim::World& city,
+                                                const sim::DeliveryTrip& trip) {
+  std::unordered_set<int64_t> trip_buildings;
+  for (const sim::Waybill& waybill : trip.waybills) {
+    address_trips[waybill.address_id].push_back(
+        AddressTripRecord{trip.id, waybill.recorded_delivery_time});
+    trip_buildings.insert(city.address(waybill.address_id).building_id);
+  }
+  for (int64_t building_id : trip_buildings) {
+    building_trips[building_id].push_back(trip.id);
+  }
+}
+
+CandidateGeneration CandidateGeneration::Assemble(
+    std::vector<StayPoint> stay_points,
+    const std::vector<PointCluster>& clusters, int64_t num_trips,
+    WaybillIndex waybills) {
+  CandidateGeneration gen;
+  gen.num_trips_ = num_trips;
+  gen.stay_points_ = std::move(stay_points);
+
   // Candidates + the stay->candidate assignment.
   std::vector<int64_t> candidate_of_stay(gen.stay_points_.size(), -1);
   gen.candidates_.reserve(clusters.size());
@@ -169,12 +202,9 @@ CandidateGeneration CandidateGeneration::Build(const sim::World& world,
     }
     gen.candidates_.push_back(std::move(candidate));
   }
-  obs::MetricsRegistry::Global()
-      .GetCounter("pipeline.candidates_generated")
-      ->Add(static_cast<int64_t>(gen.candidates_.size()));
 
   // Per-trip chronological candidate visits.
-  gen.trip_visits_.assign(world.trips.size(), {});
+  gen.trip_visits_.assign(static_cast<size_t>(num_trips), {});
   for (size_t i = 0; i < gen.stay_points_.size(); ++i) {
     const StayPoint& sp = gen.stay_points_[i];
     CHECK_GE(candidate_of_stay[i], 0);
@@ -189,7 +219,7 @@ CandidateGeneration CandidateGeneration::Build(const sim::World& world,
   }
 
   // Candidate -> trips passing through (deduplicated).
-  for (int64_t trip_id = 0; trip_id < gen.num_trips_; ++trip_id) {
+  for (int64_t trip_id = 0; trip_id < num_trips; ++trip_id) {
     std::unordered_set<int64_t> seen;
     for (const TripCandidateVisit& visit : gen.trip_visits_[trip_id]) {
       if (seen.insert(visit.candidate_id).second) {
@@ -198,18 +228,8 @@ CandidateGeneration CandidateGeneration::Build(const sim::World& world,
     }
   }
 
-  // Address -> trips with recorded delivery times; building -> trips.
-  for (const sim::DeliveryTrip& trip : world.trips) {
-    std::unordered_set<int64_t> trip_buildings;
-    for (const sim::Waybill& waybill : trip.waybills) {
-      gen.address_trips_[waybill.address_id].push_back(
-          AddressTripRecord{trip.id, waybill.recorded_delivery_time});
-      trip_buildings.insert(world.address(waybill.address_id).building_id);
-    }
-    for (int64_t building_id : trip_buildings) {
-      gen.building_trips_[building_id].push_back(trip.id);
-    }
-  }
+  gen.address_trips_ = std::move(waybills.address_trips);
+  gen.building_trips_ = std::move(waybills.building_trips);
   return gen;
 }
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/hierarchical.h"
 #include "common/thread_pool.h"
 #include "geo/point.h"
 #include "sim/world.h"
@@ -63,11 +64,13 @@ struct AddressTripRecord {
 ///     is supplied, as in the paper's deployment).
 ///  2. Candidate-pool construction: stay points are clustered bi-weekly with
 ///     threshold-D hierarchical clustering, then batch results are merged by
-///     the same procedure; cluster centroids become candidates, and cluster
-///     members yield the profiles.
-///  3. Retrieval support: per-trip candidate visits and per-address trip
+///     the same procedure.
+///  3. Assembly: cluster centroids become candidates and cluster members
+///     yield the profiles; per-trip candidate visits and per-address trip
 ///     records back Retrieve(), which applies the recorded-delivery-time
 ///     upper bound of Section III-C.
+/// The streaming stream::CandidateIndexUpdater swaps in its own clusterer
+/// for step 2 and shares step 3.
 class CandidateGeneration {
  public:
   struct Options {
@@ -127,10 +130,30 @@ class CandidateGeneration {
   /// serving never re-runs the mining pass.
   friend class dlinf::io::CandidateGenerationCodec;
 
-  /// The streaming ingestion layer (src/stream) maintains the same state
-  /// incrementally (insert/merge per stay point) and materializes snapshots
-  /// without re-running the mining pass.
+  /// The streaming ingestion layer (src/stream) clusters stay points
+  /// incrementally and materializes snapshots through Assemble without
+  /// re-running the mining pass.
   friend class dlinf::stream::CandidateIndexUpdater;
+
+  /// The waybill side of the retrieval indexes: address -> trips (with the
+  /// recorded delivery times) and building -> trips, grown one trip at a
+  /// time.
+  struct WaybillIndex {
+    std::unordered_map<int64_t, std::vector<AddressTripRecord>> address_trips;
+    std::unordered_map<int64_t, std::vector<int64_t>> building_trips;
+
+    /// Indexes `trip`'s waybills; `city` resolves addresses to buildings.
+    void AddTrip(const sim::World& city, const sim::DeliveryTrip& trip);
+  };
+
+  /// The assembly step shared by Build and the streaming snapshot.
+  /// `clusters` partition `stay_points` (members are indexes into it; trip
+  /// ids are dense in [0, num_trips)). Each cluster becomes one candidate,
+  /// in order, with its BuildProfile profile; the trips' chronological
+  /// visits and candidate -> trips index follow from the membership.
+  static CandidateGeneration Assemble(std::vector<StayPoint> stay_points,
+                                      const std::vector<PointCluster>& clusters,
+                                      int64_t num_trips, WaybillIndex waybills);
 
   std::vector<StayPoint> stay_points_;
   std::vector<LocationCandidate> candidates_;

@@ -9,14 +9,10 @@
 namespace dlinf {
 namespace dlinfma {
 
-Dataset BuildDataset(const sim::World& world,
-                     const CandidateGeneration::Options& options,
-                     ThreadPool* pool) {
-  obs::Span span("build_dataset");
+Dataset MakeDataset(const sim::World& world, CandidateGeneration gen) {
   Dataset data;
   data.world = &world;
-  data.gen = std::make_unique<CandidateGeneration>(
-      CandidateGeneration::Build(world, options, pool));
+  data.gen = std::make_unique<CandidateGeneration>(std::move(gen));
   for (int64_t id : world.DeliveredAddressIds()) {
     switch (world.address(id).split) {
       case sim::Split::kTrain:
@@ -31,6 +27,13 @@ Dataset BuildDataset(const sim::World& world,
     }
   }
   return data;
+}
+
+Dataset BuildDataset(const sim::World& world,
+                     const CandidateGeneration::Options& options,
+                     ThreadPool* pool) {
+  obs::Span span("build_dataset");
+  return MakeDataset(world, CandidateGeneration::Build(world, options, pool));
 }
 
 SampleSet ExtractSamples(const Dataset& data, const FeatureConfig& config) {

@@ -23,8 +23,13 @@ struct Dataset {
   std::vector<int64_t> test_ids;
 };
 
-/// Runs the candidate-generation pipeline and splits delivered addresses by
-/// their (spatially disjoint) community split tags.
+/// Wraps a mined candidate pool in a Dataset, splitting the delivered
+/// addresses of `world` by their (spatially disjoint) community split tags.
+/// BuildDataset, io::LoadBundle and the online trainer all split through it.
+Dataset MakeDataset(const sim::World& world, CandidateGeneration gen);
+
+/// Runs the candidate-generation pipeline and splits delivered addresses
+/// with MakeDataset.
 Dataset BuildDataset(const sim::World& world,
                      const CandidateGeneration::Options& options,
                      ThreadPool* pool = nullptr);

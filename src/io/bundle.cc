@@ -127,8 +127,8 @@ std::optional<WarmBundle> LoadBundle(const std::string& dir,
   {
     auto gen = LoadCandidatesArtifact(PathJoin(dir, kCandidatesFile), error);
     if (!gen) return std::nullopt;
-    bundle.data.gen =
-        std::make_unique<dlinfma::CandidateGeneration>(std::move(*gen));
+    // Same split rule as BuildDataset, minus the mining.
+    bundle.data = dlinfma::MakeDataset(*bundle.world, std::move(*gen));
   }
   {
     auto samples = LoadSamplesArtifact(PathJoin(dir, kSamplesFile), error);
@@ -137,23 +137,6 @@ std::optional<WarmBundle> LoadBundle(const std::string& dir,
   }
   bundle.method = LoadModelArtifact(PathJoin(dir, kModelFile), error);
   if (bundle.method == nullptr) return std::nullopt;
-
-  // Rebuild the split ids from the world's tags — the same rule
-  // dlinfma::BuildDataset applies, minus the mining.
-  bundle.data.world = bundle.world.get();
-  for (int64_t id : bundle.world->DeliveredAddressIds()) {
-    switch (bundle.world->address(id).split) {
-      case sim::Split::kTrain:
-        bundle.data.train_ids.push_back(id);
-        break;
-      case sim::Split::kVal:
-        bundle.data.val_ids.push_back(id);
-        break;
-      case sim::Split::kTest:
-        bundle.data.test_ids.push_back(id);
-        break;
-    }
-  }
 
   const bool consistent =
       manifest.world_name == bundle.world->name &&

@@ -1,8 +1,5 @@
 #include "stream/candidate_updater.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -14,20 +11,10 @@ CandidateIndexUpdater::CandidateIndexUpdater(const Options& options)
   CHECK_GT(options_.cluster_distance_m, 0.0);
 }
 
-void CandidateIndexUpdater::AbsorbProfile(Cluster* cluster,
-                                          const StayPoint& sp) {
-  cluster->duration_sum += sp.Duration();
-  cluster->couriers.insert(sp.courier_id);
-  const double seconds_in_day = std::fmod(sp.Time(), 86400.0);
-  const int hour =
-      std::clamp(static_cast<int>(seconds_in_day / 3600.0), 0, 23);
-  cluster->hour_counts[hour] += 1.0;
-}
-
 void CandidateIndexUpdater::MergeInto(int64_t dst, int64_t src) {
-  Cluster& a = clusters_[static_cast<size_t>(dst)];
-  Cluster& b = clusters_[static_cast<size_t>(src)];
-  CHECK(a.alive && b.alive && dst != src);
+  PointCluster& a = clusters_[static_cast<size_t>(dst)];
+  PointCluster& b = clusters_[static_cast<size_t>(src)];
+  CHECK(!a.members.empty() && !b.members.empty() && dst != src);
   grid_.Remove(dst, a.centroid);
   grid_.Remove(src, b.centroid);
   // Weighted union keeps the centroid the exact mean of all members, the
@@ -37,14 +24,7 @@ void CandidateIndexUpdater::MergeInto(int64_t dst, int64_t src) {
   a.centroid.y = (a.centroid.y * a.weight + b.centroid.y * b.weight) / total;
   a.weight = total;
   a.members.insert(a.members.end(), b.members.begin(), b.members.end());
-  a.couriers.insert(b.couriers.begin(), b.couriers.end());
-  a.duration_sum += b.duration_sum;
-  for (size_t h = 0; h < a.hour_counts.size(); ++h) {
-    a.hour_counts[h] += b.hour_counts[h];
-  }
-  b.alive = false;
   b.members.clear();
-  b.couriers.clear();
   --live_clusters_;
   grid_.Insert(dst, a.centroid);
   obs::MetricsRegistry::Global().GetCounter("stream.cluster.merges")->Add(1);
@@ -72,18 +52,13 @@ void CandidateIndexUpdater::AssignStay(int64_t stay_index) {
   const int64_t nearest = grid_.Nearest(p, options_.cluster_distance_m);
   if (nearest < 0) {
     const int64_t cid = static_cast<int64_t>(clusters_.size());
-    Cluster cluster;
-    cluster.centroid = p;
-    cluster.weight = 1.0;
-    cluster.members = {stay_index};
-    AbsorbProfile(&cluster, stay_points_[static_cast<size_t>(stay_index)]);
-    clusters_.push_back(std::move(cluster));
+    clusters_.push_back(PointCluster{p, 1.0, {stay_index}});
     ++live_clusters_;
     grid_.Insert(cid, p);
     obs::MetricsRegistry::Global().GetCounter("stream.cluster.spawns")->Add(1);
     return;
   }
-  Cluster& cluster = clusters_[static_cast<size_t>(nearest)];
+  PointCluster& cluster = clusters_[static_cast<size_t>(nearest)];
   grid_.Remove(nearest, cluster.centroid);
   cluster.centroid.x = (cluster.centroid.x * cluster.weight + p.x) /
                        (cluster.weight + 1.0);
@@ -91,7 +66,6 @@ void CandidateIndexUpdater::AssignStay(int64_t stay_index) {
                        (cluster.weight + 1.0);
   cluster.weight += 1.0;
   cluster.members.push_back(stay_index);
-  AbsorbProfile(&cluster, stay_points_[static_cast<size_t>(stay_index)]);
   grid_.Insert(nearest, cluster.centroid);
   CascadeMerges(nearest);
 }
@@ -107,89 +81,32 @@ void CandidateIndexUpdater::AddTrip(const sim::World& city,
     stay_points_.push_back(sp);
     AssignStay(index);
   }
-  std::unordered_set<int64_t> trip_buildings;
-  for (const sim::Waybill& waybill : trip.waybills) {
-    address_trips_[waybill.address_id].push_back(
-        dlinfma::AddressTripRecord{trip.id, waybill.recorded_delivery_time});
-    trip_buildings.insert(city.address(waybill.address_id).building_id);
-  }
-  for (int64_t building_id : trip_buildings) {
-    building_trips_[building_id].push_back(trip.id);
-  }
+  waybills_.AddTrip(city, trip);
   ++num_trips_;
 }
 
 dlinfma::CandidateGeneration CandidateIndexUpdater::Snapshot() const {
-  dlinfma::CandidateGeneration gen;
-  gen.num_trips_ = num_trips_;
-  gen.stay_points_ = stay_points_;
-
-  // Candidates from live clusters, in stable (spawn-order) iteration order.
-  std::vector<int64_t> candidate_of_stay(stay_points_.size(), -1);
-  gen.candidates_.reserve(live_clusters_);
-  for (const Cluster& cluster : clusters_) {
-    if (!cluster.alive) continue;
-    dlinfma::LocationCandidate candidate;
-    candidate.id = static_cast<int64_t>(gen.candidates_.size());
-    candidate.location = cluster.centroid;
-    candidate.num_stay_points = static_cast<int>(cluster.members.size());
-    const double n = static_cast<double>(cluster.members.size());
-    candidate.profile.avg_duration_s = n > 0 ? cluster.duration_sum / n : 0.0;
-    candidate.profile.num_couriers = static_cast<int>(cluster.couriers.size());
-    if (n > 0) {
-      for (size_t h = 0; h < cluster.hour_counts.size(); ++h) {
-        candidate.profile.time_distribution[h] = cluster.hour_counts[h] / n;
-      }
-    }
-    for (int64_t member : cluster.members) {
-      candidate_of_stay[static_cast<size_t>(member)] = candidate.id;
-    }
-    gen.candidates_.push_back(std::move(candidate));
+  std::vector<PointCluster> live;
+  live.reserve(live_clusters_);
+  for (const PointCluster& cluster : clusters_) {
+    if (!cluster.members.empty()) live.push_back(cluster);
   }
-
-  // Per-trip chronological candidate visits (same assembly as the batch
-  // indexing stage).
-  gen.trip_visits_.assign(static_cast<size_t>(num_trips_), {});
-  for (size_t i = 0; i < gen.stay_points_.size(); ++i) {
-    const StayPoint& sp = gen.stay_points_[i];
-    CHECK_GE(candidate_of_stay[i], 0);
-    gen.trip_visits_[static_cast<size_t>(sp.trip_id)].push_back(
-        dlinfma::TripCandidateVisit{candidate_of_stay[i], sp.Time(),
-                                    sp.Duration()});
-  }
-  for (auto& visits : gen.trip_visits_) {
-    std::sort(visits.begin(), visits.end(),
-              [](const dlinfma::TripCandidateVisit& a,
-                 const dlinfma::TripCandidateVisit& b) {
-                return a.time < b.time;
-              });
-  }
-  for (int64_t trip_id = 0; trip_id < gen.num_trips_; ++trip_id) {
-    std::unordered_set<int64_t> seen;
-    for (const dlinfma::TripCandidateVisit& visit :
-         gen.trip_visits_[static_cast<size_t>(trip_id)]) {
-      if (seen.insert(visit.candidate_id).second) {
-        gen.candidate_trips_[visit.candidate_id].push_back(trip_id);
-      }
-    }
-  }
-  gen.address_trips_ = address_trips_;
-  gen.building_trips_ = building_trips_;
-  return gen;
+  return dlinfma::CandidateGeneration::Assemble(stay_points_, live,
+                                                num_trips_, waybills_);
 }
 
 std::vector<Point> CandidateIndexUpdater::LiveCentroids() const {
   std::vector<Point> centroids;
-  for (const Cluster& cluster : clusters_) {
-    if (cluster.alive) centroids.push_back(cluster.centroid);
+  for (const PointCluster& cluster : clusters_) {
+    if (!cluster.members.empty()) centroids.push_back(cluster.centroid);
   }
   return centroids;
 }
 
 std::vector<Point> CandidateIndexUpdater::LiveMemberMeans() const {
   std::vector<Point> means;
-  for (const Cluster& cluster : clusters_) {
-    if (!cluster.alive) continue;
+  for (const PointCluster& cluster : clusters_) {
+    if (cluster.members.empty()) continue;
     Point mean{0.0, 0.0};
     for (int64_t member : cluster.members) {
       mean.x += stay_points_[static_cast<size_t>(member)].location.x;

@@ -1,12 +1,10 @@
 #ifndef DLINF_STREAM_CANDIDATE_UPDATER_H_
 #define DLINF_STREAM_CANDIDATE_UPDATER_H_
 
-#include <array>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cluster/hierarchical.h"
 #include "dlinfma/candidate_generation.h"
 #include "geo/grid_index.h"
 #include "geo/point.h"
@@ -16,9 +14,9 @@
 namespace dlinf {
 namespace stream {
 
-/// Incremental maintenance of the candidate pool and its retrieval indexes
-/// (DESIGN.md §13): the streaming counterpart of the batch
-/// dlinfma::CandidateGeneration::Build clustering + indexing stages.
+/// Incremental clustering of the candidate pool (DESIGN.md §13): the
+/// streaming counterpart of the clustering stage of
+/// dlinfma::CandidateGeneration::Build.
 ///
 /// Each finalized stay point is inserted online: it joins the nearest live
 /// cluster within the clustering threshold D (weighted-mean centroid update,
@@ -26,22 +24,21 @@ namespace stream {
 /// PointCluster arithmetic), or spawns a new cluster; any insertion that
 /// pulls two centroids within D of each other triggers cascading merges.
 /// The invariant the batch agglomerative pass guarantees — no two final
-/// centroids within D — therefore holds after every AddTrip. Per-cluster
-/// profile state (distinct couriers, duration sum, hour histogram) and the
-/// address/building retrieval maps are maintained incrementally too.
+/// centroids within D — therefore holds after every AddTrip. AddTrip also
+/// indexes the trip's waybills through the same WaybillIndex Build uses.
 ///
-/// Snapshot() materializes a batch-compatible dlinfma::CandidateGeneration
-/// in O(stay points + clusters) — assembling candidate ids, per-trip visit
-/// lists and the retrieval maps from the live state — without re-running
-/// detection or clustering. The online trainer feeds these snapshots to
-/// feature extraction and retraining rounds.
+/// Snapshot() hands the live clusters, the stay points and the waybill index
+/// to the assembly step Build uses (CandidateGeneration::Assemble), so
+/// candidates, profiles, per-trip visits and retrieval maps come from one
+/// piece of code, without re-running detection. The online trainer feeds
+/// these snapshots to feature extraction and retraining rounds.
 ///
+/// The clusterer is therefore the only difference from a batch rebuild.
 /// Cluster *identity* is insertion-order greedy rather than the batch
-/// closest-pair order, so cluster compositions can differ from a batch
-/// rebuild on the same data; the equivalence contract at this layer is the
-/// separation invariant + exact-mean centroids (tests/stream_test.cc), with
-/// end-to-end served-answer agreement enforced within golden tolerance by
-/// tests/online_trainer_test.cc.
+/// closest-pair order, so cluster compositions can differ on the same data;
+/// where both clusterers find the same partition the snapshots agree
+/// (tests/stream_test.cc), and end-to-end served-answer agreement is
+/// enforced within golden tolerance by tests/online_trainer_test.cc.
 class CandidateIndexUpdater {
  public:
   using Options = dlinfma::CandidateGeneration::Options;
@@ -70,24 +67,10 @@ class CandidateIndexUpdater {
   std::vector<Point> LiveMemberMeans() const;
 
  private:
-  struct Cluster {
-    Point centroid;
-    double weight = 0.0;
-    std::vector<int64_t> members;  ///< Indexes into stay_points_.
-    bool alive = true;
-    // Incremental profile state (batch BuildProfile equivalents).
-    std::unordered_set<int64_t> couriers;
-    double duration_sum = 0.0;
-    std::array<double, 24> hour_counts{};
-  };
-
   /// Routes stay_points_[stay_index] into the pool (join / spawn + merges).
   void AssignStay(int64_t stay_index);
 
-  /// Folds one stay point into a cluster's profile accumulators.
-  static void AbsorbProfile(Cluster* cluster, const StayPoint& sp);
-
-  /// Merges `src` into `dst` (weighted centroid union) and kills `src`.
+  /// Merges `src` into `dst` (weighted centroid union) and empties `src`.
   void MergeInto(int64_t dst, int64_t src);
 
   /// Re-merges until no other live centroid lies within D of `cid`'s.
@@ -95,13 +78,13 @@ class CandidateIndexUpdater {
 
   Options options_;
   GridIndex grid_;  ///< Live cluster centroids, payload = cluster index.
-  std::vector<Cluster> clusters_;
+  /// Spawn order; a cluster is live while it has members (merging one away
+  /// empties it).
+  std::vector<PointCluster> clusters_;
   size_t live_clusters_ = 0;
 
   std::vector<StayPoint> stay_points_;
-  std::unordered_map<int64_t, std::vector<dlinfma::AddressTripRecord>>
-      address_trips_;
-  std::unordered_map<int64_t, std::vector<int64_t>> building_trips_;
+  dlinfma::CandidateGeneration::WaybillIndex waybills_;
   int64_t num_trips_ = 0;
 };
 

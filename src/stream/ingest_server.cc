@@ -1,10 +1,8 @@
 #include "stream/ingest_server.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <cmath>
 #include <filesystem>
 #include <utility>
 
@@ -26,35 +24,9 @@ double MonotonicSeconds() {
       .count();
 }
 
-/// Strict numeric parsers: whole-token consumption, no exceptions.
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size() || s[0] == '-') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseI64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
-
-bool ParseF64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
+/// Trip and waybill times must be finite.
+bool ParseTime(const std::string& s, double* out) {
+  return ParseNumber(s, out) && std::isfinite(*out);
 }
 
 std::vector<std::string> SplitTokens(const std::string& line, char sep) {
@@ -145,16 +117,16 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
   }
   if (tokens.size() < 3) return fail("missing client/seq in '" + verb + "'");
   record->client_id = tokens[1];
-  if (!ParseU64(tokens[2], &record->seq) || record->seq == 0) {
+  if (!ParseNumber(tokens[2], &record->seq) || record->seq == 0) {
     return fail("bad seq '" + tokens[2] + "' (expect integer >= 1)");
   }
 
   switch (record->kind) {
     case IngestRecord::Kind::kStartTrip: {
       if (tokens.size() < 6) return fail("start_trip needs courier t0 t1");
-      if (!ParseI64(tokens[3], &record->courier_id) ||
-          !ParseF64(tokens[4], &record->start_time) ||
-          !ParseF64(tokens[5], &record->end_time)) {
+      if (!ParseNumber(tokens[3], &record->courier_id) ||
+          !ParseTime(tokens[4], &record->start_time) ||
+          !ParseTime(tokens[5], &record->end_time)) {
         return fail("bad start_trip numeric field");
       }
       for (size_t i = 6; i < tokens.size(); ++i) {
@@ -167,10 +139,11 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
           return fail("waybill needs id:addr:recv:recorded:actual");
         }
         sim::Waybill wb;
-        if (!ParseI64(parts[0], &wb.id) || !ParseI64(parts[1], &wb.address_id) ||
-            !ParseF64(parts[2], &wb.receive_time) ||
-            !ParseF64(parts[3], &wb.recorded_delivery_time) ||
-            !ParseF64(parts[4], &wb.actual_delivery_time)) {
+        if (!ParseNumber(parts[0], &wb.id) ||
+            !ParseNumber(parts[1], &wb.address_id) ||
+            !ParseTime(parts[2], &wb.receive_time) ||
+            !ParseTime(parts[3], &wb.recorded_delivery_time) ||
+            !ParseTime(parts[4], &wb.actual_delivery_time)) {
           return fail("bad waybill field in '" + tokens[i] + "'");
         }
         record->waybills.push_back(wb);
@@ -179,8 +152,11 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
     }
     case IngestRecord::Kind::kPoint: {
       if (tokens.size() != 6) return fail("point needs x y t");
-      if (!ParseF64(tokens[3], &record->x) || !ParseF64(tokens[4], &record->y) ||
-          !ParseF64(tokens[5], &record->t)) {
+      // Non-finite x/y/t are accepted: a NaN fix is the modelled
+      // traj.gps.nan fault, which NoiseFilter drops downstream.
+      if (!ParseNumber(tokens[3], &record->x) ||
+          !ParseNumber(tokens[4], &record->y) ||
+          !ParseNumber(tokens[5], &record->t)) {
         return fail("bad point numeric field");
       }
       return true;

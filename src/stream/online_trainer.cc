@@ -81,25 +81,9 @@ OnlineTrainer::RoundResult OnlineTrainer::Retrain(
   RoundResult result;
   result.round = rounds_ + 1;
 
-  // Wrap the snapshot in a Dataset: same split rule as BuildDataset, no
-  // re-mining.
-  dlinfma::Dataset data;
-  data.world = &world;
-  data.gen = std::make_unique<dlinfma::CandidateGeneration>(
-      std::move(generation));
-  for (int64_t id : world.DeliveredAddressIds()) {
-    switch (world.address(id).split) {
-      case sim::Split::kTrain:
-        data.train_ids.push_back(id);
-        break;
-      case sim::Split::kVal:
-        data.val_ids.push_back(id);
-        break;
-      case sim::Split::kTest:
-        data.test_ids.push_back(id);
-        break;
-    }
-  }
+  // Wrap the snapshot in a Dataset: no re-mining.
+  const dlinfma::Dataset data =
+      dlinfma::MakeDataset(world, std::move(generation));
   const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
   result.train_samples = samples.train.size();
   result.val_samples = samples.val.size();

@@ -286,6 +286,27 @@ TEST_P(AdminContractTest, ProfilezCapturesAndRefusesAConcurrentCapture) {
   spinner.join();
 }
 
+TEST_P(AdminContractTest, ProfilezRejectsMalformedParameters) {
+  // Each row is refused up front with a 400 naming the parameter; none
+  // starts a capture.
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"/profilez?seconds=abc&hz=zz", "seconds"},
+      {"/profilez?seconds=nan", "seconds"},
+      {"/profilez?seconds=inf", "seconds"},
+      {"/profilez?seconds=1s", "seconds"},
+      {"/profilez?seconds=0.1&hz=zz", "hz"},
+      {"/profilez?hz=1.5", "hz"},
+      {"/profilez?hz=99999999999", "hz"},
+  };
+  for (const auto& [path, parameter] : rows) {
+    std::string body;
+    EXPECT_EQ(Get(path, &body), 400) << path;
+    EXPECT_NE(body.find("malformed " + parameter), std::string::npos)
+        << path << ": " << body;
+  }
+  EXPECT_FALSE(obs::prof::ProfilingArmed());
+}
+
 TEST_P(AdminContractTest, HealthzFollowsItsChecks) {
   std::string body;
   ASSERT_EQ(Get("/healthz", &body), 200);

@@ -99,6 +99,41 @@ TEST(StringUtilTest, SplitJoinTrim) {
   EXPECT_EQ(StrPrintf("%d-%s", 5, "ok"), "5-ok");
 }
 
+TEST(StringUtilTest, ParseNumberTakesWholeInRangeTokensOnly) {
+  int64_t i = 7;
+  EXPECT_TRUE(ParseNumber("-42", &i));
+  EXPECT_EQ(i, -42);
+  bool out_of_range = false;
+  for (const char* bad : {"", " 1", "1 ", "+1", "1x", "0x10", "1.0"}) {
+    i = 7;
+    EXPECT_FALSE(ParseNumber(bad, &i, &out_of_range)) << bad;
+    EXPECT_FALSE(out_of_range) << bad;
+    EXPECT_EQ(i, 7) << bad;  // Untouched on failure.
+  }
+  EXPECT_FALSE(ParseNumber("9223372036854775808", &i, &out_of_range));
+  EXPECT_TRUE(out_of_range);
+
+  uint64_t u = 0;
+  EXPECT_FALSE(ParseNumber("-1", &u));
+  int small = 0;
+  EXPECT_FALSE(ParseNumber("4294967296", &small, &out_of_range));
+  EXPECT_TRUE(out_of_range);
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("-1.5e3", &d));
+  EXPECT_EQ(d, -1500.0);
+  EXPECT_TRUE(ParseNumber("0.1", &d));
+  EXPECT_EQ(d, 0.1);
+  EXPECT_FALSE(ParseNumber("1e999", &d, &out_of_range));
+  EXPECT_TRUE(out_of_range);
+  EXPECT_FALSE(ParseNumber("1.5.2", &d));
+  // Non-finite spellings parse; callers that need finite values check.
+  EXPECT_TRUE(ParseNumber("nan", &d));
+  EXPECT_TRUE(std::isnan(d));
+  EXPECT_TRUE(ParseNumber("-inf", &d));
+  EXPECT_TRUE(std::isinf(d));
+}
+
 TEST(CsvTest, RoundTrip) {
   const std::string path = testing::TempDir() + "/t.csv";
   CsvTable table;

@@ -164,6 +164,13 @@ TEST(IngestProtocolTest, MalformedLinesAreTypedNeverAborting) {
       "start_trip c 1 7 a b",     // bad numerics
       "start_trip c 1 7 0 1 wb=1:2:3",  // short waybill
       "start_trip c 1 7 0 1 zz=1",      // unknown token
+      "start_trip c 1 7 nan 1",         // non-finite trip start
+      "start_trip c 1 7 0 inf",         // non-finite trip end
+      "start_trip c 1 7 0 1 wb=1:2:nan:3:4",   // non-finite receive time
+      "start_trip c 1 7 0 1 wb=1:2:3:-inf:4",  // non-finite recorded time
+      "start_trip c 1 7 0 1 wb=1:2:3:4:nan",   // non-finite actual time
+      "start_trip c 1 7 +0 1",          // sign the strict parser refuses
+      "start_trip c 1 7 0 1e999",       // out of double range
       "finish_trip c 1 extra",
       "finish_trip c",
   };
@@ -303,6 +310,46 @@ TEST(IngestServerTest, MalformedBatchRejectsEveryRecordInIt) {
   EXPECT_EQ(stats.rejected, 3);
   EXPECT_EQ(stats.acked, 0);
   server.Stop();
+}
+
+TEST(IngestServerTest, NonFiniteTripTimesNeverReachTheWal) {
+  const std::string dir = ScratchDir("nonfinite");
+  const std::vector<std::string> bad = {
+      "start_trip n 1 1 nan 100\n",
+      "start_trip n 1 1 0 inf\n",
+      "start_trip n 1 1 0 100 wb=1:2:nan:50:60\n",
+      "start_trip n 1 1 0 100 wb=1:2:40:inf:60\n",
+      "start_trip n 1 1 0 100 wb=1:2:40:50:-nan\n",
+  };
+  {
+    IngestServer server(BaseOptions(dir));
+    ASSERT_TRUE(server.Start());
+    HttpClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    for (const std::string& body : bad) {
+      EXPECT_EQ(PostIngest(&client, body), 400) << body;
+    }
+    ASSERT_TRUE(server.WaitIdle(10.0));
+    EXPECT_EQ(server.stats().acked, 0);
+    EXPECT_EQ(server.stats().rejected, static_cast<int64_t>(bad.size()));
+
+    // GPS fixes keep accepting non-finite values: a NaN fix is the modelled
+    // traj.gps.nan fault, which the noise filter drops downstream.
+    ASSERT_EQ(PostIngest(&client,
+                         "start_trip ok 1 1 0 100\n"
+                         "point ok 2 nan nan 5\n"
+                         "finish_trip ok 3\n"),
+              200);
+    ASSERT_TRUE(server.WaitIdle(10.0));
+    EXPECT_EQ(server.stats().acked, 3);
+    server.Stop();
+  }
+
+  // Only the three good records are in the WAL.
+  IngestServer restarted(BaseOptions(dir));
+  ASSERT_TRUE(restarted.Start());
+  EXPECT_EQ(restarted.stats().recovered, 3);
+  restarted.Stop();
 }
 
 TEST(IngestServerTest, ErrorBodiesEscapeControlCharacters) {

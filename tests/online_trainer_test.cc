@@ -78,29 +78,6 @@ std::unique_ptr<stream::StreamIngestor> IngestAll(const sim::World& world) {
   return ingestor;
 }
 
-// Wraps a candidate snapshot in a Dataset using the same community-split
-// rule as BuildDataset / OnlineTrainer::Retrain.
-dlinfma::Dataset MakeDataset(const sim::World& world,
-                             dlinfma::CandidateGeneration gen) {
-  dlinfma::Dataset data;
-  data.world = &world;
-  data.gen = std::make_unique<dlinfma::CandidateGeneration>(std::move(gen));
-  for (int64_t id : world.DeliveredAddressIds()) {
-    switch (world.address(id).split) {
-      case sim::Split::kTrain:
-        data.train_ids.push_back(id);
-        break;
-      case sim::Split::kVal:
-        data.val_ids.push_back(id);
-        break;
-      case sim::Split::kTest:
-        data.test_ids.push_back(id);
-        break;
-    }
-  }
-  return data;
-}
-
 double MeanError(const std::vector<Point>& predicted,
                  const std::vector<Point>& truth) {
   EXPECT_EQ(predicted.size(), truth.size());
@@ -146,7 +123,7 @@ TEST(OnlineTrainerTest, StreamedRetrainMatchesBatchWithinGoldenTolerance) {
   EXPECT_GT(round.val_samples, 0u);
 
   dlinfma::Dataset stream_data =
-      MakeDataset(ingestor->world(), ingestor->Snapshot());
+      dlinfma::MakeDataset(ingestor->world(), ingestor->Snapshot());
   const dlinfma::SampleSet stream_samples =
       dlinfma::ExtractSamples(stream_data, {});
   ASSERT_EQ(stream_samples.test.size(), batch_samples.test.size());

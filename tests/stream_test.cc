@@ -486,6 +486,137 @@ TEST(StreamIngestorTest, SnapshotConsistentWithBatchRebuild) {
   }
 }
 
+// A city of well-separated delivery sites: site k sits at (500k, 0) with one
+// building holding two addresses. Every stay at a site lies within 3 m of
+// it, so each site's stays are far less than D wide and far more than D from
+// any other site's: both clusterers find the one-cluster-per-site partition.
+// GPS fixes fall on whole seconds, so stay durations are whole numbers and
+// their sums do not depend on summation order.
+sim::World MakeSeparatedSitesWorld() {
+  constexpr int kSites = 6;
+  constexpr double kSpacing = 500.0;
+  sim::World world;
+  world.name = "separated_sites";
+  sim::Community community;
+  community.id = 0;
+  world.communities.push_back(community);
+  for (int k = 0; k < kSites; ++k) {
+    sim::Building building;
+    building.id = k;
+    building.community_id = 0;
+    building.position = {kSpacing * k, 0.0};
+    building.reception = building.position;
+    world.buildings.push_back(building);
+    for (int unit = 0; unit < 2; ++unit) {
+      sim::Address address;
+      address.id = static_cast<int64_t>(world.addresses.size());
+      address.building_id = k;
+      address.community_id = 0;
+      address.true_delivery_location = building.position;
+      address.geocoded_location = building.position;
+      world.addresses.push_back(address);
+    }
+  }
+
+  // 30 trips over 30 days (three bi-weekly batches), three couriers, each
+  // trip dwelling at three to five sites at varying hours of the day.
+  Rng rng(2024);
+  int64_t next_waybill_id = 0;
+  for (int64_t trip_id = 0; trip_id < 30; ++trip_id) {
+    sim::DeliveryTrip trip;
+    trip.id = trip_id;
+    trip.courier_id = trip_id % 3;
+    trip.trajectory.courier_id = trip.courier_id;
+    double t = 86400.0 * trip_id + 3600.0 * rng.UniformInt(7, 19);
+    trip.start_time = t;
+    std::vector<int> sites(kSites);
+    for (int k = 0; k < kSites; ++k) sites[k] = k;
+    rng.Shuffle(&sites);
+    sites.resize(static_cast<size_t>(rng.UniformInt(3, 5)));
+    Point here{-kSpacing, 0.0};
+    for (int site : sites) {
+      const Point stop{kSpacing * site + rng.UniformInt(-3, 3),
+                       static_cast<double>(rng.UniformInt(-3, 3))};
+      // Travel at ~10 m/s with 10 s fixes: every step is far more than the
+      // stay-point distance threshold, so no stay forms en route.
+      const int steps = static_cast<int>(Distance(here, stop) / 100.0) + 1;
+      for (int i = 1; i < steps; ++i) {
+        const double f = static_cast<double>(i) / steps;
+        t += 10.0;
+        trip.trajectory.points.push_back(TrajPoint{
+            here.x + f * (stop.x - here.x), here.y + f * (stop.y - here.y), t});
+      }
+      const double dwell_end = t + 10.0 * rng.UniformInt(6, 24);
+      for (t += 10.0; t <= dwell_end; t += 10.0) {
+        trip.trajectory.points.push_back(TrajPoint{stop.x, stop.y, t});
+      }
+      t = dwell_end;
+      // Confirmations are sometimes delayed past later stays.
+      sim::Waybill waybill;
+      waybill.id = next_waybill_id++;
+      waybill.address_id = 2 * site + rng.UniformInt(0, 1);
+      waybill.actual_delivery_time = dwell_end;
+      waybill.recorded_delivery_time = dwell_end + 600.0 * rng.UniformInt(0, 2);
+      trip.waybills.push_back(waybill);
+      here = stop;
+    }
+    trip.end_time = t;
+    world.trips.push_back(std::move(trip));
+  }
+  return world;
+}
+
+// Where both clusterers find the same partition, the streamed snapshot and
+// the batch build come out of the same assembly: per candidate (matched by
+// centroid) the same stay count, a bit-equal profile and the same trips;
+// per address the same retrieved candidates.
+TEST(StreamIngestorTest, SnapshotMatchesBatchBuildOnSeparatedSites) {
+  const sim::World world = MakeSeparatedSitesWorld();
+  sim::World city = world;
+  city.trips.clear();
+  stream::StreamIngestor ingestor(city, {});
+  for (const sim::DeliveryTrip& trip : world.trips) ingestor.ReplayTrip(trip);
+
+  const dlinfma::CandidateGeneration streamed = ingestor.Snapshot();
+  const dlinfma::CandidateGeneration batch =
+      dlinfma::CandidateGeneration::Build(ingestor.world(), {});
+  ASSERT_TRUE(StaysBitIdentical(batch.stay_points(), streamed.stay_points()));
+  ASSERT_EQ(batch.candidates().size(), 6u);
+  ASSERT_EQ(streamed.candidates().size(), batch.candidates().size());
+
+  // Batch candidate id -> streamed candidate id, by nearest centroid.
+  std::vector<int64_t> to_streamed;
+  for (const dlinfma::LocationCandidate& b : batch.candidates()) {
+    int64_t match = -1;
+    for (const dlinfma::LocationCandidate& s : streamed.candidates()) {
+      if (Distance(b.location, s.location) < 1e-6) match = s.id;
+    }
+    ASSERT_GE(match, 0) << "no streamed candidate at batch candidate " << b.id;
+    to_streamed.push_back(match);
+
+    const dlinfma::LocationCandidate& s = streamed.candidate(match);
+    EXPECT_EQ(b.num_stay_points, s.num_stay_points);
+    EXPECT_TRUE(BitEqual(b.profile.avg_duration_s, s.profile.avg_duration_s));
+    EXPECT_EQ(b.profile.num_couriers, s.profile.num_couriers);
+    for (size_t h = 0; h < b.profile.time_distribution.size(); ++h) {
+      EXPECT_TRUE(BitEqual(b.profile.time_distribution[h],
+                           s.profile.time_distribution[h]))
+          << "candidate " << b.id << " hour " << h;
+    }
+    EXPECT_EQ(batch.trips_through(b.id), streamed.trips_through(match));
+  }
+
+  for (const sim::Address& address : world.addresses) {
+    std::vector<int64_t> expected;
+    for (int64_t id : batch.Retrieve(address.id)) {
+      expected.push_back(to_streamed[static_cast<size_t>(id)]);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(expected, streamed.Retrieve(address.id))
+        << "address " << address.id;
+  }
+}
+
 // Streamed replay under armed ingest faults must still leave a replayable
 // world: a batch rebuild over the ingested (post-fault) trajectories
 // reproduces the streamed stay points exactly, because the ingested world
