@@ -1,7 +1,8 @@
 #include "cluster/hierarchical.h"
 
 #include <algorithm>
-#include <queue>
+#include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -10,16 +11,24 @@
 namespace dlinf {
 namespace {
 
-/// Candidate merge between two live clusters, ordered by distance.
+/// Candidate merge between two clusters `a < b` at squared centroid
+/// distance `d2`, queued on behalf of `owner` (a or b): the cluster whose
+/// closest pair it was when queued.
 struct MergePair {
-  double distance;
+  double d2;
   int64_t a;
   int64_t b;
-
-  bool operator>(const MergePair& other) const {
-    return distance > other.distance;
-  }
+  int64_t owner;
 };
+
+/// (d2, a, b) order: equal distances put lower ids first, so every pair
+/// has its own rank and the merge sequence is a total order.
+bool Before(const MergePair& x, const MergePair& y) {
+  return std::tie(x.d2, x.a, x.b) < std::tie(y.d2, y.a, y.b);
+}
+
+/// Heap comparator putting the first pair in Before order on top.
+bool PopsAfter(const MergePair& x, const MergePair& y) { return Before(y, x); }
 
 }  // namespace
 
@@ -42,49 +51,71 @@ std::vector<PointCluster> AgglomerateByDistance(
   CHECK_GT(distance_threshold, 0.0);
   const double d2_threshold = distance_threshold * distance_threshold;
 
-  // Clusters are append-only; merged inputs are tombstoned. Ids index `pool`.
+  // Clusters are append-only; merged inputs are tombstoned. Ids index `pool`,
+  // which n inputs grow to at most 2n - 1 entries.
   std::vector<PointCluster> pool = std::move(clusters);
-  std::vector<bool> alive(pool.size(), true);
+  const size_t num_inputs = pool.size();
+  pool.reserve(2 * num_inputs);
+  std::vector<bool> alive(num_inputs, true);
   GridIndex index(distance_threshold);
-  for (size_t i = 0; i < pool.size(); ++i) {
+  for (size_t i = 0; i < num_inputs; ++i) {
     index.Insert(static_cast<int64_t>(i), pool[i].centroid);
   }
 
-  std::priority_queue<MergePair, std::vector<MergePair>, std::greater<>> heap;
-  auto push_neighbors = [&](int64_t id) {
-    const std::vector<int64_t> neighbors =
-        index.RadiusQuery(pool[id].centroid, distance_threshold);
+  // The heap holds at most one pair per cluster: its closest live pair
+  // when queued. A cluster's pairs only disappear when a partner merges
+  // away, so a popped pair with a dead partner is re-queued as its owner's
+  // new closest pair, and a new cluster queues its own. Every live pair thus
+  // keeps a queued pair of one of its clusters ranked no later than itself,
+  // so the first live pair popped is the first live pair in Before order.
+  std::vector<int64_t> neighbors;
+  auto closest_pair = [&](int64_t id) -> std::optional<MergePair> {
+    index.RadiusQuery(pool[id].centroid, distance_threshold, &neighbors);
+    std::optional<MergePair> best;
     for (int64_t other : neighbors) {
       if (other == id) continue;
       const double d2 =
           SquaredDistance(pool[id].centroid, pool[other].centroid);
-      if (d2 <= d2_threshold) {
-        heap.push(MergePair{std::sqrt(d2), std::min(id, other),
-                            std::max(id, other)});
-      }
+      if (d2 > d2_threshold) continue;
+      const MergePair pair{d2, std::min(id, other), std::max(id, other), id};
+      if (!best || Before(pair, *best)) best = pair;
+    }
+    return best;
+  };
+  std::vector<MergePair> heap;
+  auto enqueue = [&](int64_t id) {
+    if (const std::optional<MergePair> pair = closest_pair(id)) {
+      heap.push_back(*pair);
+      std::push_heap(heap.begin(), heap.end(), PopsAfter);
     }
   };
-  for (size_t i = 0; i < pool.size(); ++i) {
-    push_neighbors(static_cast<int64_t>(i));
+  for (size_t i = 0; i < num_inputs; ++i) {
+    if (const auto pair = closest_pair(static_cast<int64_t>(i))) {
+      heap.push_back(*pair);
+    }
   }
+  std::make_heap(heap.begin(), heap.end(), PopsAfter);
 
   while (!heap.empty()) {
-    const MergePair top = heap.top();
-    heap.pop();
-    if (!alive[top.a] || !alive[top.b]) continue;
+    std::pop_heap(heap.begin(), heap.end(), PopsAfter);
+    const MergePair top = heap.back();
+    heap.pop_back();
+    if (!alive[top.owner]) continue;
+    if (!alive[top.a] || !alive[top.b]) {
+      enqueue(top.owner);
+      continue;
+    }
     // Centroids never move after creation, so a popped pair of live clusters
-    // is exactly the current closest pair; merge it.
-    PointCluster merged;
-    const PointCluster& ca = pool[top.a];
+    // is the current first pair in Before order; merge it.
+    PointCluster& ca = pool[top.a];
     const PointCluster& cb = pool[top.b];
+    PointCluster merged;
     const double w = ca.weight + cb.weight;
     merged.centroid =
         Point{(ca.centroid.x * ca.weight + cb.centroid.x * cb.weight) / w,
               (ca.centroid.y * ca.weight + cb.centroid.y * cb.weight) / w};
     merged.weight = w;
-    merged.members.reserve(ca.members.size() + cb.members.size());
-    merged.members.insert(merged.members.end(), ca.members.begin(),
-                          ca.members.end());
+    merged.members = std::move(ca.members);
     merged.members.insert(merged.members.end(), cb.members.begin(),
                           cb.members.end());
 
@@ -97,7 +128,7 @@ std::vector<PointCluster> AgglomerateByDistance(
     pool.push_back(std::move(merged));
     alive.push_back(true);
     index.Insert(new_id, pool[new_id].centroid);
-    push_neighbors(new_id);
+    enqueue(new_id);
   }
 
   std::vector<PointCluster> result;

@@ -35,6 +35,14 @@ std::vector<PointCluster> MakeSingletonClusters(
 /// procedure. The closest-pair search is grid-accelerated: only pairs at most
 /// `distance_threshold` apart are ever materialized, so the run time is
 /// near-linear for the dispersed point sets stay points form in practice.
+///
+/// Merges pop in the total order (squared centroid distance, lower id,
+/// higher id), where ids are input indexes and each merged cluster takes the
+/// next id in creation order. So equal distances merge the lowest ids first
+/// and the output depends on nothing but the input. The merge heap holds one
+/// pair per cluster, its closest live pair (seeded in one heapify); a popped
+/// pair whose partner already merged away is replaced by its cluster's next
+/// closest pair, which keeps the pop order exact without queueing every pair.
 std::vector<PointCluster> AgglomerateByDistance(
     std::vector<PointCluster> clusters, double distance_threshold);
 

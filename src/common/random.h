@@ -54,6 +54,35 @@ class Rng {
     return Canonical() < p;
   }
 
+  /// The uniform double in [0, 1) that Uniform() and Bernoulli() derive
+  /// from one raw engine draw (see Canonical()). Monotone in `draw`.
+  static double CanonicalOf(uint64_t draw) {
+    double c = static_cast<double>(draw) * 0x1p-64;
+    if (c >= 1.0) c = std::nextafter(1.0, 0.0);
+    return c;
+  }
+
+  /// The engine-draw threshold of Bernoulli(p) for p in [0, 1): the T with
+  /// `(engine()() < T) == Bernoulli(p)` for every draw. Both consume one
+  /// engine value, so a hot loop can compare raw draws against T and leave
+  /// the engine, and every outcome, exactly as Bernoulli(p) would.
+  static uint64_t BernoulliThreshold(double p) {
+    CHECK(p >= 0.0 && p < 1.0);
+    // CanonicalOf is monotone in the draw and reaches 1 - 2^-53 >= p at the
+    // top, so the draws it maps below p are a prefix [0, T); find its end.
+    uint64_t lo = 0;
+    uint64_t hi = UINT64_MAX;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (CanonicalOf(mid) < p) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
   /// Poisson with the given mean.
   int Poisson(double mean) {
     DCHECK(mean > 0);
@@ -95,11 +124,7 @@ class Rng {
   /// it therefore consume the engine identically to their previous
   /// std::uniform_real_distribution / std::bernoulli_distribution forms, so
   /// seeded sequences (and pinned golden metrics) are unchanged.
-  double Canonical() {
-    double c = static_cast<double>(engine_()) * 0x1p-64;
-    if (c >= 1.0) c = std::nextafter(1.0, 0.0);
-    return c;
-  }
+  double Canonical() { return CanonicalOf(engine_()); }
 
   std::mt19937_64 engine_;
 };

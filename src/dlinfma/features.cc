@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -20,10 +20,19 @@ FeatureExtractor::FeatureExtractor(const sim::World* world,
 
 AddressSample FeatureExtractor::Extract(int64_t address_id,
                                         bool with_label) const {
+  std::vector<uint8_t> trip_marks(static_cast<size_t>(gen_->num_trips()), 0);
+  return Extract(address_id, gen_->Retrieve(address_id), with_label,
+                 &trip_marks);
+}
+
+AddressSample FeatureExtractor::Extract(int64_t address_id,
+                                        std::vector<int64_t> candidate_ids,
+                                        bool with_label,
+                                        std::vector<uint8_t>* trip_marks) const {
   const sim::Address& addr = world_->address(address_id);
   AddressSample sample;
   sample.address_id = address_id;
-  sample.candidate_ids = gen_->Retrieve(address_id);
+  sample.candidate_ids = std::move(candidate_ids);
   CHECK(!sample.candidate_ids.empty())
       << "address" << address_id << "has no location candidates";
 
@@ -31,22 +40,33 @@ AddressSample FeatureExtractor::Extract(int64_t address_id,
       gen_->address_trips(address_id);
   const double num_trips_j = static_cast<double>(records.size());
 
-  // Trips "excluded" for the LC denominator: the building's trips by
-  // default, or the address's own trips for the LC_addr ablation.
-  std::unordered_set<int64_t> excluded_trips;
-  if (config_.lc_address_based) {
-    for (const AddressTripRecord& r : records) excluded_trips.insert(r.trip_id);
-  } else {
-    for (int64_t trip_id : gen_->trips_of_building(addr.building_id)) {
-      excluded_trips.insert(trip_id);
+  // Per-trip marks over the dense trip ids: the address's own trips (TC),
+  // and the trips "excluded" from the LC denominator — the building's trips
+  // by default, or the address's own trips for the LC_addr ablation. Every
+  // mark set here is cleared before returning, so the buffer stays zero.
+  constexpr uint8_t kOwn = 1;
+  constexpr uint8_t kExcluded = 2;
+  std::vector<uint8_t>& marks = *trip_marks;
+  auto mark = [&marks](int64_t trip_id, uint8_t bit) {
+    CHECK(trip_id >= 0 && trip_id < static_cast<int64_t>(marks.size()));
+    const bool fresh = (marks[trip_id] & bit) == 0;
+    marks[trip_id] |= bit;
+    return fresh;
+  };
+  const std::vector<int64_t>& building_trips =
+      gen_->trips_of_building(addr.building_id);
+  int64_t num_excluded = 0;
+  for (const AddressTripRecord& r : records) {
+    mark(r.trip_id, kOwn);
+    if (config_.lc_address_based) num_excluded += mark(r.trip_id, kExcluded);
+  }
+  if (!config_.lc_address_based) {
+    for (int64_t trip_id : building_trips) {
+      num_excluded += mark(trip_id, kExcluded);
     }
   }
-  const double lc_denominator =
-      static_cast<double>(gen_->num_trips()) -
-      static_cast<double>(excluded_trips.size());
-
-  std::unordered_set<int64_t> own_trips;
-  for (const AddressTripRecord& r : records) own_trips.insert(r.trip_id);
+  const double lc_denominator = static_cast<double>(gen_->num_trips()) -
+                                static_cast<double>(num_excluded);
 
   sample.features.reserve(sample.candidate_ids.size());
   for (int64_t candidate_id : sample.candidate_ids) {
@@ -55,18 +75,16 @@ AddressSample FeatureExtractor::Extract(int64_t address_id,
 
     CandidateFeatureVector f;
     if (config_.use_trip_coverage && num_trips_j > 0) {
-      double covered = 0.0;
-      for (int64_t trip_id : through) {
-        if (own_trips.count(trip_id) > 0) covered += 1.0;
-      }
-      f.trip_coverage = covered / num_trips_j;
+      int64_t covered = 0;
+      for (int64_t trip_id : through) covered += (marks[trip_id] & kOwn) != 0;
+      f.trip_coverage = static_cast<double>(covered) / num_trips_j;
     }
     if (config_.use_location_commonality && lc_denominator > 0) {
-      double outside = 0.0;
+      int64_t outside = 0;
       for (int64_t trip_id : through) {
-        if (excluded_trips.count(trip_id) == 0) outside += 1.0;
+        outside += (marks[trip_id] & kExcluded) == 0;
       }
-      f.location_commonality = outside / lc_denominator;
+      f.location_commonality = static_cast<double>(outside) / lc_denominator;
     }
     if (config_.use_distance) {
       // Log-compressed distance: stabilizes the heavy right tail (wrong
@@ -82,6 +100,9 @@ AddressSample FeatureExtractor::Extract(int64_t address_id,
     }
     sample.features.push_back(f);
   }
+
+  for (const AddressTripRecord& r : records) marks[r.trip_id] = 0;
+  for (int64_t trip_id : building_trips) marks[trip_id] = 0;
 
   sample.address.log_num_deliveries = std::log1p(num_trips_j);
   sample.address.poi_category = addr.poi_category;
@@ -111,17 +132,20 @@ std::vector<AddressSample> FeatureExtractor::ExtractAll(
     const std::vector<int64_t>& ids, bool with_labels) const {
   std::vector<AddressSample> samples;
   samples.reserve(ids.size());
+  std::vector<uint8_t> trip_marks(static_cast<size_t>(gen_->num_trips()), 0);
   int64_t skipped = 0;
   for (int64_t id : ids) {
     // A delivered address can end up with zero candidates when its
     // trajectory evidence was lost upstream (GPS dropouts, dropped trips —
     // see fault/fault.h); there is nothing to extract features over, so
     // the address is dropped from the sample set rather than aborting.
-    if (gen_->Retrieve(id).empty()) {
+    std::vector<int64_t> candidate_ids = gen_->Retrieve(id);
+    if (candidate_ids.empty()) {
       ++skipped;
       continue;
     }
-    samples.push_back(Extract(id, with_labels));
+    samples.push_back(
+        Extract(id, std::move(candidate_ids), with_labels, &trip_marks));
   }
   if (skipped > 0) {
     obs::MetricsRegistry::Global()

@@ -80,6 +80,11 @@ class FeatureExtractor {
   const FeatureConfig& config() const { return config_; }
 
  private:
+  /// Extract over already-retrieved `candidate_ids`. `trip_marks` is an
+  /// all-zero scratch buffer of num_trips() entries, left all-zero.
+  AddressSample Extract(int64_t address_id, std::vector<int64_t> candidate_ids,
+                        bool with_label, std::vector<uint8_t>* trip_marks) const;
+
   const sim::World* world_;
   const CandidateGeneration* gen_;
   FeatureConfig config_;

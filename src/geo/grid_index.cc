@@ -41,8 +41,15 @@ bool GridIndex::Remove(int64_t id, const Point& p) {
 
 std::vector<int64_t> GridIndex::RadiusQuery(const Point& center,
                                             double radius) const {
-  CHECK_GE(radius, 0.0);
   std::vector<int64_t> result;
+  RadiusQuery(center, radius, &result);
+  return result;
+}
+
+void GridIndex::RadiusQuery(const Point& center, double radius,
+                            std::vector<int64_t>* out) const {
+  CHECK_GE(radius, 0.0);
+  out->clear();
   const double r2 = radius * radius;
   const int64_t cx_lo =
       static_cast<int64_t>(std::floor((center.x - radius) / cell_size_));
@@ -58,11 +65,10 @@ std::vector<int64_t> GridIndex::RadiusQuery(const Point& center,
       auto it = cells_.find(key);
       if (it == cells_.end()) continue;
       for (const Entry& e : it->second) {
-        if (SquaredDistance(e.p, center) <= r2) result.push_back(e.id);
+        if (SquaredDistance(e.p, center) <= r2) out->push_back(e.id);
       }
     }
   }
-  return result;
 }
 
 int64_t GridIndex::Nearest(const Point& center, double max_radius,

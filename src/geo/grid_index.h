@@ -31,6 +31,11 @@ class GridIndex {
   /// Ids of all points within `radius` of `center` (inclusive).
   std::vector<int64_t> RadiusQuery(const Point& center, double radius) const;
 
+  /// Same, into `*out` (cleared first), so a caller issuing many queries
+  /// reuses one buffer.
+  void RadiusQuery(const Point& center, double radius,
+                   std::vector<int64_t>* out) const;
+
   /// Id of the nearest point within `max_radius`, or -1 when none exists.
   /// On success `*out_distance` (if non-null) receives the distance.
   int64_t Nearest(const Point& center, double max_radius,

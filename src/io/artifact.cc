@@ -23,16 +23,33 @@ bool HostIsLittleEndian() {
   return byte0 == 1;
 }
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the bytewise CRC-32 table, and
+/// tables[k][b] is the CRC of byte b followed by k zero bytes, so one step
+/// folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+/// Little-endian 32-bit load, independent of host byte order.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 struct Header {
@@ -69,11 +86,18 @@ const char* ArtifactKindName(ArtifactKind kind) {
 }
 
 uint32_t Crc32Update(uint32_t seed, const void* data, size_t size) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   uint32_t crc = seed ^ 0xFFFFFFFFu;
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -188,6 +212,18 @@ std::optional<ArtifactReader> ArtifactReader::Open(const std::string& path,
         path.c_str(),
         ArtifactKindName(static_cast<ArtifactKind>(header.kind)),
         ArtifactKindName(expected)));
+  }
+
+  // Bound the declared size by the bytes actually left in the file before
+  // allocating: a corrupt size field must be a typed error, not a huge
+  // allocation.
+  const std::streamoff payload_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(payload_start);
+  if (!in || payload_start < 0 || file_end < payload_start ||
+      header.payload_size > static_cast<uint64_t>(file_end - payload_start)) {
+    return fail("truncated payload in " + path);
   }
 
   ArtifactReader reader;

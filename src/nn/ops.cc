@@ -185,6 +185,22 @@ Tensor ElementwiseUnary(const Tensor& x, FwdFn fwd, DFn dfn) {
   return out;
 }
 
+/// Inverted-dropout keep/scale mask over `n` elements: 0 where an element
+/// drops (probability p), 1 / (1 - p) where it stays. One engine draw per
+/// element in flat order, compared against Bernoulli(p)'s exact threshold,
+/// so the mask and the engine's end state are those of a per-element
+/// `rng->Bernoulli(p)` loop.
+kernel::PooledBuffer DropoutMask(size_t n, float p, Rng* rng) {
+  CHECK(rng != nullptr);
+  const uint64_t threshold = Rng::BernoulliThreshold(p);
+  const float keep = 1.0f / (1.0f - p);
+  std::mt19937_64& engine = rng->engine();
+  kernel::PooledBuffer mask(n);
+  float* m = mask.data();
+  for (size_t i = 0; i < n; ++i) m[i] = engine() < threshold ? 0.0f : keep;
+  return mask;
+}
+
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -584,21 +600,20 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& indices) {
 Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   CHECK(p >= 0.0f && p < 1.0f);
   if (!training || p == 0.0f) return x;
-  CHECK(rng != nullptr);
   Tensor out = MakeResult(x.shape(), {x});
-  const float scale = 1.0f / (1.0f - p);
-  std::vector<float> mask(x.numel());
-  for (float& m : mask) m = rng->Bernoulli(p) ? 0.0f : scale;
+  kernel::PooledBuffer mask = DropoutMask(x.numel(), p, rng);
   const std::vector<float>& xv = x.data();
   std::vector<float>& ov = out.data();
-  for (size_t i = 0; i < xv.size(); ++i) ov[i] = xv[i] * mask[i];
+  const float* m = mask.data();
+  for (size_t i = 0; i < xv.size(); ++i) ov[i] = xv[i] * m[i];
   if (out.requires_grad()) {
     auto out_impl = out.impl();
     auto x_impl = x.impl();
     internal::TensorImpl* const self = out_impl.get();
     out_impl->backward_fn = [self, x_impl, mask = std::move(mask)]() {
+      const float* m = mask.data();
       for (size_t i = 0; i < mask.size(); ++i) {
-        x_impl->grad[i] += self->grad[i] * mask[i];
+        x_impl->grad[i] += self->grad[i] * m[i];
       }
     };
   }
@@ -790,15 +805,8 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
   // exact RNG order of the Dropout op this fuses.
   kernel::PooledBuffer dmask;
   if (training && dropout_p > 0.0f) {
-    CHECK(rng != nullptr);
     CHECK_LT(dropout_p, 1.0f);
-    dmask = kernel::PooledBuffer(static_cast<size_t>(B) * H * nn);
-    const float keep = 1.0f / (1.0f - dropout_p);
-    float* dm = dmask.data();
-    const int64_t total = static_cast<int64_t>(B) * H * nn;
-    for (int64_t i = 0; i < total; ++i) {
-      dm[i] = rng->Bernoulli(dropout_p) ? 0.0f : keep;
-    }
+    dmask = DropoutMask(static_cast<size_t>(B) * H * nn, dropout_p, rng);
   }
 
   // Context: concat_heads(Pd @ V) written straight into a [R, D] panel via

@@ -1,4 +1,8 @@
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <queue>
 #include <set>
 
 #include "cluster/dbscan.h"
@@ -6,6 +10,7 @@
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
 #include "common/random.h"
+#include "geo/grid_index.h"
 #include "gtest/gtest.h"
 
 namespace dlinf {
@@ -108,6 +113,143 @@ TEST(HierarchicalTest, MemberIdsArePreservedThroughMerges) {
   std::vector<int64_t> members = merged[0].members;
   std::sort(members.begin(), members.end());
   EXPECT_EQ(members, (std::vector<int64_t>{100, 101, 200}));
+}
+
+TEST(HierarchicalTest, EqualDistancesMergeLowestIdsFirst) {
+  // An equal-gap chain: every neighbouring pair is exactly 10 apart, so
+  // only the (distance, lower id, higher id) order decides. (0,1) merges
+  // first into 6 at x=5, which is 20 from 3 and so stays apart from the
+  // 15-away (2,3) merge; likewise (4,5). Popping (1,2) first would instead
+  // give {1,2,0} and leave 3 out.
+  const std::vector<Point> points = {{0, 0},  {10, 0}, {20, 0},
+                                     {30, 0}, {40, 0}, {50, 0}};
+  const std::vector<PointCluster> clusters = AgglomerateByDistance(points, 15);
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters[0].members, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(clusters[1].members, (std::vector<int64_t>{2, 3}));
+  EXPECT_EQ(clusters[2].members, (std::vector<int64_t>{4, 5}));
+  EXPECT_EQ(clusters[0].centroid.x, 5.0);
+  EXPECT_EQ(clusters[1].centroid.x, 25.0);
+  EXPECT_EQ(clusters[2].centroid.x, 45.0);
+}
+
+/// The previous clusterer, kept verbatim as the oracle: a binary-heap
+/// priority queue fed every within-threshold pair from both ends, ordered by
+/// distance alone. Without exact distance ties its merge sequence is unique,
+/// so the closest-pair heap must reproduce it bit for bit.
+std::vector<PointCluster> PriorityQueueAgglomerate(
+    std::vector<PointCluster> clusters, double distance_threshold) {
+  struct MergePair {
+    double distance;
+    int64_t a;
+    int64_t b;
+    bool operator>(const MergePair& other) const {
+      return distance > other.distance;
+    }
+  };
+  const double d2_threshold = distance_threshold * distance_threshold;
+  std::vector<PointCluster> pool = std::move(clusters);
+  std::vector<bool> alive(pool.size(), true);
+  GridIndex index(distance_threshold);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    index.Insert(static_cast<int64_t>(i), pool[i].centroid);
+  }
+  std::priority_queue<MergePair, std::vector<MergePair>, std::greater<>> heap;
+  auto push_neighbors = [&](int64_t id) {
+    const std::vector<int64_t> neighbors =
+        index.RadiusQuery(pool[id].centroid, distance_threshold);
+    for (int64_t other : neighbors) {
+      if (other == id) continue;
+      const double d2 =
+          SquaredDistance(pool[id].centroid, pool[other].centroid);
+      if (d2 <= d2_threshold) {
+        heap.push(MergePair{std::sqrt(d2), std::min(id, other),
+                            std::max(id, other)});
+      }
+    }
+  };
+  for (size_t i = 0; i < pool.size(); ++i) {
+    push_neighbors(static_cast<int64_t>(i));
+  }
+  while (!heap.empty()) {
+    const MergePair top = heap.top();
+    heap.pop();
+    if (!alive[top.a] || !alive[top.b]) continue;
+    PointCluster merged;
+    const PointCluster& ca = pool[top.a];
+    const PointCluster& cb = pool[top.b];
+    const double w = ca.weight + cb.weight;
+    merged.centroid =
+        Point{(ca.centroid.x * ca.weight + cb.centroid.x * cb.weight) / w,
+              (ca.centroid.y * ca.weight + cb.centroid.y * cb.weight) / w};
+    merged.weight = w;
+    merged.members.insert(merged.members.end(), ca.members.begin(),
+                          ca.members.end());
+    merged.members.insert(merged.members.end(), cb.members.begin(),
+                          cb.members.end());
+    alive[top.a] = false;
+    alive[top.b] = false;
+    index.Remove(top.a, ca.centroid);
+    index.Remove(top.b, cb.centroid);
+    const int64_t new_id = static_cast<int64_t>(pool.size());
+    pool.push_back(std::move(merged));
+    alive.push_back(true);
+    index.Insert(new_id, pool[new_id].centroid);
+    push_neighbors(new_id);
+  }
+  std::vector<PointCluster> result;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (alive[i]) result.push_back(std::move(pool[i]));
+  }
+  return result;
+}
+
+void ExpectClustersBitEqual(const std::vector<PointCluster>& got,
+                            const std::vector<PointCluster>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got[i].centroid, &want[i].centroid, sizeof(Point)),
+              0)
+        << "cluster " << i;
+    EXPECT_EQ(got[i].weight, want[i].weight) << "cluster " << i;
+    EXPECT_EQ(got[i].members, want[i].members) << "cluster " << i;
+  }
+}
+
+TEST(HierarchicalTest, ClosestPairHeapMatchesPriorityQueueOracle) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    // Jittered blobs (continuous coordinates: no exact distance ties) at
+    // spacings around D, so blobs both merge and stay apart.
+    Rng rng(seed);
+    std::vector<Point> points;
+    const int num_blobs = 25;
+    for (int b = 0; b < num_blobs; ++b) {
+      const Point center{rng.Uniform(0, 600), rng.Uniform(0, 600)};
+      const int size = static_cast<int>(rng.UniformInt(1, 40));
+      for (int i = 0; i < size; ++i) {
+        points.push_back(
+            {center.x + rng.Normal(0, 12), center.y + rng.Normal(0, 12)});
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                    << points.size() << " points");
+    const double d = 40.0;
+    ExpectClustersBitEqual(AgglomerateByDistance(points, d),
+                           PriorityQueueAgglomerate(
+                               MakeSingletonClusters(points), d));
+
+    // Weighted inputs: the bi-weekly merge of two batches' clusters.
+    const size_t half = points.size() / 2;
+    const std::vector<Point> first(points.begin(), points.begin() + half);
+    const std::vector<Point> second(points.begin() + half, points.end());
+    std::vector<PointCluster> combined =
+        AgglomerateByDistance(MakeSingletonClusters(first, 0), d);
+    const std::vector<PointCluster> c2 = AgglomerateByDistance(
+        MakeSingletonClusters(second, static_cast<int64_t>(half)), d);
+    combined.insert(combined.end(), c2.begin(), c2.end());
+    ExpectClustersBitEqual(AgglomerateByDistance(combined, d),
+                           PriorityQueueAgglomerate(combined, d));
+  }
 }
 
 TEST(DbscanTest, FindsTwoBlobsAndNoise) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,29 @@ TEST(RandomTest, BernoulliFrequency) {
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
+}
+
+TEST(RandomTest, BernoulliThresholdDrawsExactlyAsBernoulli) {
+  const double probs[] = {1e-9, static_cast<double>(0.1f), 0.3, 0.5, 0.9,
+                          std::nextafter(1.0, 0.0)};
+  for (const double p : probs) {
+    const uint64_t threshold = Rng::BernoulliThreshold(p);
+    // The threshold is the exact edge of Bernoulli's acceptance region.
+    ASSERT_GT(threshold, 0u) << p;
+    EXPECT_LT(Rng::CanonicalOf(threshold - 1), p) << p;
+    EXPECT_GE(Rng::CanonicalOf(threshold), p) << p;
+    // Twin engines agree draw for draw and end in the same state.
+    Rng by_threshold(42), by_bernoulli(42);
+    for (int i = 0; i < 200000; ++i) {
+      ASSERT_EQ(by_threshold.engine()() < threshold, by_bernoulli.Bernoulli(p))
+          << "p " << p << " draw " << i;
+    }
+    std::ostringstream a, b;
+    a << by_threshold.engine();
+    b << by_bernoulli.engine();
+    EXPECT_EQ(a.str(), b.str()) << p;
+  }
+  EXPECT_EQ(Rng::BernoulliThreshold(0.0), 0u);
 }
 
 TEST(RandomTest, WeightedIndexRespectsWeights) {

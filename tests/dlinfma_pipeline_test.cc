@@ -2,11 +2,16 @@
 // hand-crafted world with known stays, trips and waybills.
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <unordered_set>
 
 #include "dlinfma/candidate_generation.h"
 #include "dlinfma/features.h"
+#include "dlinfma/inferrer.h"
 #include "dlinfma/metrics.h"
 #include "gtest/gtest.h"
+#include "sim/generator.h"
 #include "sim/world.h"
 
 namespace dlinf {
@@ -337,6 +342,151 @@ TEST_F(PipelineTest, GridMergeVariantProducesCandidates) {
   const CandidateGeneration grid_gen =
       CandidateGeneration::Build(world_, options);
   EXPECT_GE(grid_gen.candidates().size(), 3u);
+}
+
+/// The previous hash-set feature extraction, kept verbatim as the oracle:
+/// TC and LC probe `unordered_set`s of the address's own and excluded
+/// trips, and ExtractAll retrieves every address's candidates twice.
+AddressSample OracleExtract(const sim::World& world,
+                            const CandidateGeneration& gen,
+                            const FeatureConfig& config, int64_t address_id) {
+  const sim::Address& addr = world.address(address_id);
+  AddressSample sample;
+  sample.address_id = address_id;
+  sample.candidate_ids = gen.Retrieve(address_id);
+  const std::vector<AddressTripRecord>& records =
+      gen.address_trips(address_id);
+  const double num_trips_j = static_cast<double>(records.size());
+  std::unordered_set<int64_t> excluded_trips;
+  if (config.lc_address_based) {
+    for (const AddressTripRecord& r : records) excluded_trips.insert(r.trip_id);
+  } else {
+    for (int64_t trip_id : gen.trips_of_building(addr.building_id)) {
+      excluded_trips.insert(trip_id);
+    }
+  }
+  const double lc_denominator = static_cast<double>(gen.num_trips()) -
+                                static_cast<double>(excluded_trips.size());
+  std::unordered_set<int64_t> own_trips;
+  for (const AddressTripRecord& r : records) own_trips.insert(r.trip_id);
+  for (int64_t candidate_id : sample.candidate_ids) {
+    const LocationCandidate& candidate = gen.candidate(candidate_id);
+    const std::vector<int64_t>& through = gen.trips_through(candidate_id);
+    CandidateFeatureVector f;
+    if (config.use_trip_coverage && num_trips_j > 0) {
+      double covered = 0.0;
+      for (int64_t trip_id : through) {
+        if (own_trips.count(trip_id) > 0) covered += 1.0;
+      }
+      f.trip_coverage = covered / num_trips_j;
+    }
+    if (config.use_location_commonality && lc_denominator > 0) {
+      double outside = 0.0;
+      for (int64_t trip_id : through) {
+        if (excluded_trips.count(trip_id) == 0) outside += 1.0;
+      }
+      f.location_commonality = outside / lc_denominator;
+    }
+    if (config.use_distance) {
+      f.distance = std::log1p(
+          Distance(candidate.location, addr.geocoded_location) / 10.0);
+    }
+    if (config.use_profile) {
+      f.avg_duration = candidate.profile.avg_duration_s / 60.0;
+      f.num_couriers = static_cast<double>(candidate.profile.num_couriers);
+      f.time_distribution = candidate.profile.time_distribution;
+    }
+    sample.features.push_back(f);
+  }
+  sample.address.log_num_deliveries = std::log1p(num_trips_j);
+  sample.address.poi_category = addr.poi_category;
+  int best = 0;
+  double best_d = Distance(gen.candidate(sample.candidate_ids[0]).location,
+                           addr.true_delivery_location);
+  for (size_t i = 1; i < sample.candidate_ids.size(); ++i) {
+    const double d = Distance(gen.candidate(sample.candidate_ids[i]).location,
+                              addr.true_delivery_location);
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<int>(i);
+    }
+  }
+  sample.label = best;
+  return sample;
+}
+
+std::vector<AddressSample> OracleExtractAll(const sim::World& world,
+                                            const CandidateGeneration& gen,
+                                            const FeatureConfig& config,
+                                            const std::vector<int64_t>& ids) {
+  std::vector<AddressSample> samples;
+  for (int64_t id : ids) {
+    if (gen.Retrieve(id).empty()) continue;
+    samples.push_back(OracleExtract(world, gen, config, id));
+  }
+  return samples;
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSamplesBitEqual(const std::vector<AddressSample>& got,
+                           const std::vector<AddressSample>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "address " << want[i].address_id);
+    ASSERT_EQ(got[i].address_id, want[i].address_id);
+    EXPECT_EQ(got[i].candidate_ids, want[i].candidate_ids);
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_TRUE(BitEqual(got[i].address.log_num_deliveries,
+                         want[i].address.log_num_deliveries));
+    EXPECT_EQ(got[i].address.poi_category, want[i].address.poi_category);
+    ASSERT_EQ(got[i].features.size(), want[i].features.size());
+    for (size_t j = 0; j < got[i].features.size(); ++j) {
+      const CandidateFeatureVector& g = got[i].features[j];
+      const CandidateFeatureVector& w = want[i].features[j];
+      EXPECT_TRUE(BitEqual(g.trip_coverage, w.trip_coverage)) << j;
+      EXPECT_TRUE(BitEqual(g.location_commonality, w.location_commonality))
+          << j;
+      EXPECT_TRUE(BitEqual(g.distance, w.distance)) << j;
+      EXPECT_TRUE(BitEqual(g.avg_duration, w.avg_duration)) << j;
+      EXPECT_TRUE(BitEqual(g.num_couriers, w.num_couriers)) << j;
+      for (size_t h = 0; h < g.time_distribution.size(); ++h) {
+        EXPECT_TRUE(BitEqual(g.time_distribution[h], w.time_distribution[h]))
+            << j << " hour " << h;
+      }
+    }
+  }
+}
+
+TEST(FeatureOracleTest, ExtractSamplesMatchesHashSetOracle) {
+  sim::SimConfig sim_config = sim::SynDowBJConfig();
+  sim_config.num_days = 6;
+  sim_config.num_communities = 6;
+  const sim::World world = sim::GenerateWorld(sim_config);
+  const Dataset data = BuildDataset(world, {});
+  FeatureConfig lc_addr;
+  lc_addr.lc_address_based = true;
+  FeatureConfig no_tc;
+  no_tc.use_trip_coverage = false;
+  const struct {
+    const char* name;
+    FeatureConfig config;
+  } rows[] = {{"default", {}}, {"lc_address_based", lc_addr},
+              {"use_trip_coverage=false", no_tc}};
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const SampleSet got = ExtractSamples(data, row.config);
+    ASSERT_GT(got.train.size(), 20u);
+    ExpectSamplesBitEqual(
+        got.train, OracleExtractAll(world, *data.gen, row.config,
+                                    data.train_ids));
+    ExpectSamplesBitEqual(
+        got.val, OracleExtractAll(world, *data.gen, row.config, data.val_ids));
+    ExpectSamplesBitEqual(got.test, OracleExtractAll(world, *data.gen,
+                                                     row.config, data.test_ids));
+  }
 }
 
 TEST(MetricsTest, ComputesMaeP95Beta) {

@@ -4,6 +4,7 @@
 // corrupted / truncated / mismatched files fail with a clean error instead
 // of crashing or feeding garbage downstream.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -214,6 +215,75 @@ TEST(ArtifactEnvelopeTest, TruncatedFileRejected) {
         << "kept " << keep << " bytes";
     EXPECT_FALSE(error.empty());
   }
+}
+
+TEST(ArtifactEnvelopeTest, PayloadSizeBeyondFileIsTypedTruncation) {
+  // A header whose size field claims more bytes than the file holds must
+  // fail as a truncated payload before anything that large is allocated.
+  const std::string path = TestPath("payload_size.art");
+  ArtifactWriter writer(ArtifactKind::kManifest);
+  writer.WriteString("payload under test");
+  ASSERT_TRUE(writer.Finish(path));
+  const std::string valid = ReadFileBytes(path);
+  const std::string header = valid.substr(0, 12);  // magic, version, kind.
+  auto with_size = [](std::string bytes, uint64_t size) {
+    std::memcpy(bytes.data() + 12, &size, sizeof(size));
+    return bytes;
+  };
+  const uint64_t left_after_header = valid.size() - 20;
+  const struct {
+    const char* name;
+    std::string bytes;
+  } rows[] = {
+      {"2^62 in a 24-byte file",
+       with_size(header + std::string(12, '\0'), uint64_t{1} << 62)},
+      {"2^64 - 1", with_size(valid, ~uint64_t{0})},
+      {"one byte past the end", with_size(valid, left_after_header + 1)},
+  };
+  for (const auto& row : rows) {
+    WriteFileBytes(path, row.bytes);
+    std::string error;
+    EXPECT_FALSE(
+        ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value())
+        << row.name;
+    EXPECT_NE(error.find("truncated payload"), std::string::npos)
+        << row.name << ": " << error;
+  }
+}
+
+TEST(ArtifactEnvelopeTest, Crc32MatchesBytewiseReference) {
+  auto reference = [](uint32_t seed, const unsigned char* bytes, size_t size) {
+    uint32_t crc = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+      crc ^= bytes[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);  // The CRC-32 check value.
+  std::vector<unsigned char> buf(256);
+  uint32_t state = 12345;
+  for (unsigned char& b : buf) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 16);
+  }
+  // Every alignment and every tail length of the 8-byte stride.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; offset + size <= buf.size(); ++size) {
+      ASSERT_EQ(Crc32(buf.data() + offset, size),
+                reference(0, buf.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  // Incremental updates over uneven chunks equal the one-shot value.
+  uint32_t crc = 0;
+  for (size_t at = 0, chunk = 1; at < buf.size(); at += chunk, chunk += 3) {
+    const size_t n = std::min(chunk, buf.size() - at);
+    crc = Crc32Update(crc, buf.data() + at, n);
+  }
+  EXPECT_EQ(crc, reference(0, buf.data(), buf.size()));
 }
 
 TEST(ArtifactEnvelopeTest, MissingFileReportsError) {
