@@ -4,14 +4,20 @@
 //
 //   kernel.gemm.attn       the per-(batch, head) attention score panel
 //                          (N=24 candidates, head dim 8)
+//   kernel.gemm.attn_tail  the same panel at N=30: row and column tails
 //   kernel.gemm.proj       the flattened [B*N, D] QKV/output projection
 //   kernel.gemm.ff         the transformer feed-forward layer
+//   kernel.gemm.score      the n=1 additive-attention scorer (k=32)
+//   kernel.gemm.wgrad      a weight gradient dW += X^T dY (GemmAtB,
+//                          16x16 over k=480 rows)
 //   kernel.gemm.large      a cache-blocking stress shape (256^3)
+//   kernel.dropout_mask    dropout-mask draws (FillDropoutMask, 4096
+//                          elements per call)
 //
-// Each shape is also run with the scalar path forced
-// (kernel.gemm.<name>.scalar), so the bench history tracks the SIMD
-// speedup itself — a dispatch regression (e.g. the AVX2 TU silently
-// compiled out) shows up as the two curves collapsing together.
+// Each case is also run with the scalar path forced (<name>.scalar), so
+// the bench history tracks the SIMD speedup itself — a dispatch regression
+// (e.g. the AVX2 TU silently compiled out) shows up as the two curves
+// collapsing together.
 //
 // Flags: --json PATH (append results), --quick (fewer repetitions).
 
@@ -33,6 +39,7 @@ struct GemmCase {
   const char* name;
   int64_t m, n, k;
   int64_t iters;  // Inner repetitions per timed sample.
+  bool at_b;      // GemmAtB (A stored [k, m]) instead of Gemm.
 };
 
 volatile float g_sink = 0.0f;
@@ -49,12 +56,36 @@ double TimeGemm(const GemmCase& c, int reps) {
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch watch;
     for (int64_t i = 0; i < c.iters; ++i) {
-      nn::kernel::Gemm(c.m, c.n, c.k, a.data(), b.data(), out.data(),
-                       /*accumulate=*/false);
+      if (c.at_b) {
+        nn::kernel::GemmAtB(c.m, c.n, c.k, a.data(), c.m, b.data(), c.n,
+                            out.data(), c.n, /*accumulate=*/false);
+      } else {
+        nn::kernel::Gemm(c.m, c.n, c.k, a.data(), b.data(), out.data(),
+                         /*accumulate=*/false);
+      }
     }
     const double seconds = watch.ElapsedSeconds();
     if (seconds < best) best = seconds;
     g_sink = out.front() + out.back();
+  }
+  return best;
+}
+
+/// Best-of-`reps` seconds for `iters` dropout-mask fills of `n` elements.
+double TimeDropoutMask(int64_t n, int64_t iters, int reps) {
+  Rng rng(42);
+  const uint64_t threshold = Rng::BernoulliThreshold(0.1);
+  std::vector<float> mask(static_cast<size_t>(n));
+  double best = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch watch;
+    for (int64_t i = 0; i < iters; ++i) {
+      nn::kernel::FillDropoutMask(&rng.engine(), threshold, 1.0f / 0.9f,
+                                  mask.data(), n);
+    }
+    const double seconds = watch.ElapsedSeconds();
+    if (seconds < best) best = seconds;
+    g_sink = mask.front() + mask.back();
   }
   return best;
 }
@@ -69,15 +100,18 @@ int Main(int argc, char** argv) {
   BenchResults results;
 
   const GemmCase cases[] = {
-      {"attn", 24, 24, 8, 20000},
-      {"proj", 1536, 16, 16, 2000},
-      {"ff", 1536, 32, 16, 1000},
-      {"large", 256, 256, 256, 30},
+      {"attn", 24, 24, 8, 20000, false},
+      {"attn_tail", 30, 30, 8, 20000, false},
+      {"proj", 1536, 16, 16, 2000, false},
+      {"ff", 1536, 32, 16, 1000, false},
+      {"score", 480, 1, 32, 5000, false},
+      {"wgrad", 16, 16, 480, 5000, true},
+      {"large", 256, 256, 256, 30, false},
   };
 
   std::printf("== GEMM kernel microbench (path: %s) ==\n",
               nn::kernel::PathName());
-  std::printf("%-8s %14s %14s %8s\n", "shape", "simd/active(s)", "scalar(s)",
+  std::printf("%-9s %14s %14s %8s\n", "shape", "simd/active(s)", "scalar(s)",
               "speedup");
   for (const GemmCase& c : cases) {
     const double active = TimeGemm(c, reps);
@@ -88,10 +122,23 @@ int Main(int argc, char** argv) {
     nn::kernel::ForceScalar(false);
     results.Add(std::string("kernel.gemm.") + c.name + ".scalar", scalar);
 
-    std::printf("%-8s %14.6f %14.6f %7.2fx  (%lldx%lldx%lld)\n", c.name,
+    std::printf("%-9s %14.6f %14.6f %7.2fx  (%lldx%lldx%lld)\n", c.name,
                 active, scalar, scalar / active, static_cast<long long>(c.m),
                 static_cast<long long>(c.n), static_cast<long long>(c.k));
   }
+
+  constexpr int64_t kMaskElems = 4096;
+  constexpr int64_t kMaskIters = 500;
+  const double mask_active = TimeDropoutMask(kMaskElems, kMaskIters, reps);
+  results.Add("kernel.dropout_mask", mask_active);
+  nn::kernel::ForceScalar(true);
+  const double mask_scalar = TimeDropoutMask(kMaskElems, kMaskIters, reps);
+  nn::kernel::ForceScalar(false);
+  results.Add("kernel.dropout_mask.scalar", mask_scalar);
+  const double draws = static_cast<double>(kMaskElems * kMaskIters);
+  std::printf("%-9s %14.6f %14.6f %7.2fx  (%.2f vs %.2f ns/draw)\n",
+              "dropout", mask_active, mask_scalar, mask_scalar / mask_active,
+              mask_active / draws * 1e9, mask_scalar / draws * 1e9);
 
   results.WriteJson(json_path);
   DumpMetrics(metrics_path);

@@ -8,14 +8,18 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/mt19937_64.h"
 
 namespace dlinf {
 
 /// Deterministic random number generator used everywhere in the project.
 ///
-/// Wraps std::mt19937_64 behind a small, explicit API so that experiments are
+/// Wraps a 64-bit Mersenne Twister (Mt19937_64, bit-identical to
+/// std::mt19937_64) behind a small, explicit API so that experiments are
 /// reproducible from a single seed and so call sites read as intent
-/// ("rng.Bernoulli(p_delay)") rather than distribution plumbing.
+/// ("rng.Bernoulli(p_delay)") rather than distribution plumbing. The
+/// standard distributions below see the same engine outputs they would see
+/// from std::mt19937_64, so every seeded sequence is unchanged.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -113,7 +117,7 @@ class Rng {
   /// thread or each simulated entity its own deterministic stream.
   Rng Fork() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
   /// Bit-for-bit what libstdc++'s std::generate_canonical<double, 53> does
@@ -126,7 +130,7 @@ class Rng {
   /// seeded sequences (and pinned golden metrics) are unchanged.
   double Canonical() { return CanonicalOf(engine_()); }
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace dlinf

@@ -19,7 +19,7 @@ namespace dlinfma {
 ///
 ///  - the model parameters and the Adam first/second moments + step count,
 ///  - the HalvingSchedule epoch and the current learning rate,
-///  - the exact std::mt19937_64 engine state driving shuffles and dropout,
+///  - the exact Mt19937_64 engine state driving shuffles and dropout,
 ///  - the best-validation snapshot with its loss and early-stop counters.
 ///
 /// The struct itself is I/O-free; src/io/checkpoint.h persists it as a
@@ -32,8 +32,11 @@ struct TrainCheckpoint {
   float learning_rate = 0.0f;    ///< Current (possibly halved) rate.
   int32_t schedule_epoch = 0;    ///< HalvingSchedule::epoch().
   int64_t adam_step = 0;         ///< Adam t.
-  /// std::mt19937_64 state in the standard's operator<< text form: 312
-  /// space-separated integers; bit-exact restore via operator>>.
+  /// The Rng's Mt19937_64 state in std::mt19937_64's operator<< text form:
+  /// 312 state words then the position in [0, 312], space-separated, so
+  /// strings written by either engine load into the other. Restored
+  /// bit-exactly via operator>>; io::LoadCheckpointArtifact refuses any
+  /// string that does not parse as exactly one such state.
   std::string rng_state;
 
   double best_val_loss = 1e30;

@@ -1,9 +1,11 @@
 #include "io/checkpoint.h"
 
 #include <cstdint>
+#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/mt19937_64.h"
 #include "fault/fault.h"
 #include "io/artifact.h"
 
@@ -33,15 +35,42 @@ std::vector<std::vector<float>> DecodeFloatLists(ArtifactReader* r) {
   return lists;
 }
 
-/// Shape rules a decoded checkpoint must satisfy before anyone trusts it:
-/// one Adam moment pair per parameter tensor with matching element counts,
-/// and a best-params snapshot that is either absent or parameter-shaped.
+/// True when `text` is exactly one engine state in operator<< form: 312
+/// words, a position in [0, 312], and nothing after it.
+bool EngineStateSound(const std::string& text) {
+  std::istringstream in(text);
+  Mt19937_64 engine(0);
+  in >> engine;
+  if (in.fail()) return false;
+  in >> std::ws;
+  return in.eof();
+}
+
+/// True when `order` is a permutation of [0, order.size()).
+bool IsPermutation(const std::vector<int64_t>& order) {
+  std::vector<bool> seen(order.size(), false);
+  for (const int64_t index : order) {
+    if (index < 0 || static_cast<uint64_t>(index) >= order.size() ||
+        seen[static_cast<size_t>(index)]) {
+      return false;
+    }
+    seen[static_cast<size_t>(index)] = true;
+  }
+  return true;
+}
+
+/// Rules a decoded checkpoint must satisfy before anyone trusts it: a
+/// parseable RNG engine state, a sample order that is a permutation, one
+/// Adam moment pair per parameter tensor with matching element counts, and
+/// a best-params snapshot that is either absent or parameter-shaped. The
+/// trainer indexes and restores all of these unchecked.
 bool StructurallySound(const dlinfma::TrainCheckpoint& ck) {
   if (ck.next_epoch < 0 || ck.adam_step < 0 ||
       ck.epochs_without_improvement < 0) {
     return false;
   }
-  if (ck.rng_state.empty()) return false;
+  if (!EngineStateSound(ck.rng_state)) return false;
+  if (!IsPermutation(ck.sample_order)) return false;
   if (ck.adam_m.size() != ck.params.size() ||
       ck.adam_v.size() != ck.params.size()) {
     return false;

@@ -35,7 +35,8 @@ bool SaveCheckpointArtifact(const dlinfma::TrainCheckpoint& ckpt,
 /// Loads and validates a CKPT artifact. On any open/validation/decode
 /// failure returns nullopt with a human-readable reason in `error`. A
 /// successful load is structurally sound (per-tensor moment/parameter
-/// shapes consistent, counters non-negative); whether it matches a given
+/// shapes consistent, counters non-negative, `rng_state` a complete engine
+/// state, `sample_order` a permutation); whether it matches a given
 /// model/config is checked by the trainer at resume time.
 std::optional<dlinfma::TrainCheckpoint> LoadCheckpointArtifact(
     const std::string& path, std::string* error = nullptr);

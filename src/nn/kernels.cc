@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/mt19937_64.h"
 
 namespace dlinf {
 namespace nn {
@@ -25,6 +26,25 @@ void AddBiasRowsAvx2(float* y, const float* bias, int64_t rows, int64_t n);
 void AddBiasReluRowsAvx2(float* y, const float* bias, int64_t rows,
                          int64_t n);
 void ReluInPlaceAvx2(float* y, int64_t count);
+void GemmAtBAvx2(int64_t m, int64_t n, int64_t k, const float* a,
+                 int64_t lda, const float* b, int64_t ldb, float* c,
+                 int64_t ldc, bool accumulate);
+void ColumnSumRowsAvx2(const float* x, int64_t rows, int64_t n, float* out);
+void LayerNormApplyAvx2(const float* x, const float* gamma, const float* beta,
+                        const float* mean, const float* inv_std, int64_t rows,
+                        int64_t n, float* y);
+void LayerNormParamGradAvx2(const float* x, const float* gy,
+                            const float* mean, const float* inv_std,
+                            int64_t rows, int64_t n, float* ggamma,
+                            float* gbeta);
+void LayerNormInputGradAvx2(const float* x, const float* gamma,
+                            const float* gy, const float* mean,
+                            const float* inv_std, const float* mean_dxhat,
+                            const float* sum_dxhat_xhat, int64_t rows,
+                            int64_t n, float* gx);
+void FillDropoutMaskAvx2(uint64_t* words, size_t* position,
+                         uint64_t threshold, float keep, float* mask,
+                         int64_t n);
 
 }  // namespace detail
 
@@ -81,6 +101,30 @@ void GemmScalar(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   }
 }
 
+/// Scalar C = A^T @ B with A [k, m] read in place: k outermost, so every
+/// output element sees its products in the same serial order as GemmScalar
+/// over a transposed copy of A.
+void GemmAtBScalar(int64_t m, int64_t n, int64_t k, const float* a,
+                   int64_t lda, const float* b, int64_t ldb, float* c,
+                   int64_t ldc, bool accumulate) {
+  if (!accumulate) {
+    for (int64_t i = 0; i < m; ++i) {
+      std::memset(c + i * ldc, 0, static_cast<size_t>(n) * 4);
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* arow = a + p * lda;
+    const float* brow = b + p * ldb;
+    for (int64_t i = 0; i < m; ++i) {
+      const float api = arow[i];
+      float* crow = c + i * ldc;
+      for (int64_t j = 0; j < n; ++j) {
+        crow[j] = std::fmaf(api, brow[j], crow[j]);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 bool Avx2Enabled() {
@@ -101,6 +145,19 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     detail::GemmAvx2(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
   } else {
     GemmScalar(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+  }
+}
+
+void GemmAtB(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+             const float* b, int64_t ldb, float* c, int64_t ldc,
+             bool accumulate) {
+  CHECK(m >= 0 && n >= 0 && k >= 0);
+  if (m == 0 || n == 0) return;
+  CHECK(lda >= m && ldb >= n && ldc >= n);
+  if (Avx2Enabled()) {
+    detail::GemmAtBAvx2(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+  } else {
+    GemmAtBScalar(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
   }
 }
 
@@ -156,6 +213,10 @@ void ReluInPlace(float* y, int64_t count) {
 }
 
 void ColumnSumRows(const float* x, int64_t rows, int64_t n, float* out) {
+  if (Avx2Enabled()) {
+    detail::ColumnSumRowsAvx2(x, rows, n, out);
+    return;
+  }
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * n;
     for (int64_t j = 0; j < n; ++j) out[j] += row[j];
@@ -200,6 +261,7 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, int64_t rows, int64_t n, float* y, float* mean,
                    float* inv_std) {
   CHECK_GT(n, 0);
+  // Row statistics: serial double-precision sums on both paths.
   for (int64_t r = 0; r < rows; ++r) {
     const float* xr = x + r * n;
     double mu = 0.0;
@@ -210,6 +272,13 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
     var /= static_cast<double>(n);
     mean[r] = static_cast<float>(mu);
     inv_std[r] = static_cast<float>(1.0 / std::sqrt(var + eps));
+  }
+  if (Avx2Enabled()) {
+    detail::LayerNormApplyAvx2(x, gamma, beta, mean, inv_std, rows, n, y);
+    return;
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * n;
     float* yr = y + r * n;
     for (int64_t j = 0; j < n; ++j) {
       yr[j] = gamma[j] * (xr[j] - mean[r]) * inv_std[r] + beta[j];
@@ -221,38 +290,77 @@ void LayerNormBackwardRows(const float* x, const float* gamma,
                            const float* gy, const float* mean,
                            const float* inv_std, int64_t rows, int64_t n,
                            float* gx, float* ggamma, float* gbeta) {
+  const bool avx2 = Avx2Enabled();
+  if (ggamma != nullptr || gbeta != nullptr) {
+    if (avx2) {
+      detail::LayerNormParamGradAvx2(x, gy, mean, inv_std, rows, n, ggamma,
+                                     gbeta);
+    } else {
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * n;
+        const float* gyr = gy + r * n;
+        for (int64_t j = 0; j < n; ++j) {
+          const float xhat = (xr[j] - mean[r]) * inv_std[r];
+          if (ggamma != nullptr) ggamma[j] += gyr[j] * xhat;
+          if (gbeta != nullptr) gbeta[j] += gyr[j];
+        }
+      }
+    }
+  }
+  if (gx == nullptr) return;
+  // dL/dx = istd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
+  // dxhat_j = gy_j * gamma_j. The two row sums are serial doubles on both
+  // paths; only the per-element update below is vectorized.
+  const float nf = static_cast<float>(n);
+  PooledBuffer mean_dxhat(static_cast<size_t>(rows));
+  PooledBuffer sum_dxhat_xhat(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
     const float* xr = x + r * n;
     const float* gyr = gy + r * n;
-    const float mu = mean[r];
+    double sum_dxhat = 0.0;
+    double sum_dot = 0.0;
+    for (int64_t j = 0; j < n; ++j) {
+      const float dxhat = gyr[j] * gamma[j];
+      const float xhat = (xr[j] - mean[r]) * inv_std[r];
+      sum_dxhat += dxhat;
+      sum_dot += static_cast<double>(dxhat) * xhat;
+    }
+    mean_dxhat.data()[r] = static_cast<float>(sum_dxhat) / nf;
+    sum_dxhat_xhat.data()[r] = static_cast<float>(sum_dot);
+  }
+  if (avx2) {
+    detail::LayerNormInputGradAvx2(x, gamma, gy, mean, inv_std,
+                                   mean_dxhat.data(), sum_dxhat_xhat.data(),
+                                   rows, n, gx);
+    return;
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * n;
+    const float* gyr = gy + r * n;
+    float* gxr = gx + r * n;
     const float istd = inv_std[r];
-    if (ggamma != nullptr || gbeta != nullptr) {
-      for (int64_t j = 0; j < n; ++j) {
-        const float xhat = (xr[j] - mu) * istd;
-        if (ggamma != nullptr) ggamma[j] += gyr[j] * xhat;
-        if (gbeta != nullptr) gbeta[j] += gyr[j];
-      }
+    const float a = mean_dxhat.data()[r];
+    const float s = sum_dxhat_xhat.data()[r];
+    for (int64_t j = 0; j < n; ++j) {
+      const float dxhat = gyr[j] * gamma[j];
+      const float xhat = (xr[j] - mean[r]) * istd;
+      gxr[j] += istd * (dxhat - a - xhat * s / nf);
     }
-    if (gx != nullptr) {
-      // dL/dx = istd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
-      // dxhat_j = gy_j * gamma_j.
-      double sum_dxhat = 0.0;
-      double sum_dxhat_xhat = 0.0;
-      for (int64_t j = 0; j < n; ++j) {
-        const float dxhat = gyr[j] * gamma[j];
-        const float xhat = (xr[j] - mu) * istd;
-        sum_dxhat += dxhat;
-        sum_dxhat_xhat += static_cast<double>(dxhat) * xhat;
-      }
-      float* gxr = gx + r * n;
-      const float nf = static_cast<float>(n);
-      for (int64_t j = 0; j < n; ++j) {
-        const float dxhat = gyr[j] * gamma[j];
-        const float xhat = (xr[j] - mu) * istd;
-        gxr[j] += istd * (dxhat - static_cast<float>(sum_dxhat) / nf -
-                          xhat * static_cast<float>(sum_dxhat_xhat) / nf);
-      }
-    }
+  }
+}
+
+void FillDropoutMask(Mt19937_64* engine, uint64_t threshold, float keep,
+                     float* mask, int64_t n) {
+  CHECK(engine != nullptr);
+  if (Avx2Enabled()) {
+    size_t position = engine->position();
+    detail::FillDropoutMaskAvx2(engine->words(), &position, threshold, keep,
+                                mask, n);
+    engine->set_position(position);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    mask[i] = (*engine)() < threshold ? 0.0f : keep;
   }
 }
 

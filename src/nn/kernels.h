@@ -6,25 +6,29 @@
 #include <vector>
 
 namespace dlinf {
+
+class Mt19937_64;
+
 namespace nn {
 namespace kernel {
 
 /// \file
-/// The compute-kernel layer under nn/ (DESIGN.md §12): cache-aware GEMM with
-/// an AVX2/FMA microkernel behind runtime CPU dispatch, bias/activation
-/// epilogues, row-wise softmax / layer-norm primitives, and a free-list
-/// buffer pool for autograd temporaries. Everything above (nn/ops.cc,
+/// The compute-kernel layer under nn/ (DESIGN.md §12): cache-aware GEMM with an
+/// AVX2/FMA microkernel behind runtime CPU dispatch, bias/activation epilogues,
+/// row-wise softmax / layer-norm primitives, block dropout-mask draws, and a
+/// free-list buffer pool for autograd temporaries. Everything above (nn/ops.cc,
 /// nn/module.cc) routes its inner loops through these entry points; nothing
 /// here records autograd tape state.
 ///
 /// **Determinism contract.** The scalar and AVX2 paths produce bit-identical
-/// results: every output element accumulates its k-products in the same
-/// serial order, the scalar path uses the correctly rounded std::fmaf and
-/// the vector path the hardware vfmadd (the same single-rounding fused
-/// operation), and epilogues/softmax/layer-norm use only per-element ops
-/// whose rounding does not depend on lane width. tests/kernel_test.cc
-/// asserts the bit-identity on every shape it sweeps; the `simd-dispatch`
-/// CI job asserts it end to end on the golden pipeline.
+/// results: every output element accumulates its k-products in the same serial
+/// order, the scalar path uses the correctly rounded std::fmaf and the vector
+/// path the hardware vfmadd (the same single-rounding fused operation), and
+/// epilogues/softmax/layer-norm use only per-element ops whose rounding does
+/// not depend on lane width (explicit multiplies and adds, never contracted
+/// into a fused op); their reductions stay serial. tests/kernel_test.cc asserts
+/// the bit-identity on every shape it sweeps; the `simd-dispatch` CI job
+/// asserts it end to end on the golden pipeline.
 
 /// --- Dispatch -------------------------------------------------------------
 
@@ -58,6 +62,15 @@ inline void Gemm(int64_t m, int64_t n, int64_t k, const float* a,
                  const float* b, float* c, bool accumulate) {
   Gemm(m, n, k, a, k, b, n, c, n, accumulate);
 }
+
+/// C[m,n] = (accumulate ? C : 0) + A^T @ B, where A is stored [k, m] with
+/// leading dimension `lda` >= m and read in place (no transposed copy). Each
+/// output element accumulates its k-products in the same serial order as
+/// Gemm over an explicitly transposed A, so the two are bit-identical; this
+/// is the weight-gradient form dW += X^T @ dY.
+void GemmAtB(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+             const float* b, int64_t ldb, float* c, int64_t ldc,
+             bool accumulate);
 
 /// dst[cols, rows] = src[rows, cols]^T. `ld_src` is src's leading dimension;
 /// dst is written contiguously (leading dimension rows). Exact (copy only).
@@ -105,6 +118,15 @@ void LayerNormBackwardRows(const float* x, const float* gamma,
                            const float* gy, const float* mean,
                            const float* inv_std, int64_t rows, int64_t n,
                            float* gx, float* ggamma, float* gbeta);
+
+/// --- Dropout draws ---------------------------------------------------------
+
+/// mask[i] = (engine() < threshold) ? 0 : keep for i = 0..n-1, one engine
+/// draw per element in order. The AVX2 path twists and tempers whole blocks
+/// of the engine's state; both paths leave the same masks and the same
+/// engine state as that per-draw loop.
+void FillDropoutMask(Mt19937_64* engine, uint64_t threshold, float keep,
+                     float* mask, int64_t n);
 
 /// --- Buffer pool ----------------------------------------------------------
 

@@ -192,12 +192,10 @@ Tensor ElementwiseUnary(const Tensor& x, FwdFn fwd, DFn dfn) {
 /// `rng->Bernoulli(p)` loop.
 kernel::PooledBuffer DropoutMask(size_t n, float p, Rng* rng) {
   CHECK(rng != nullptr);
-  const uint64_t threshold = Rng::BernoulliThreshold(p);
-  const float keep = 1.0f / (1.0f - p);
-  std::mt19937_64& engine = rng->engine();
   kernel::PooledBuffer mask(n);
-  float* m = mask.data();
-  for (size_t i = 0; i < n; ++i) m[i] = engine() < threshold ? 0.0f : keep;
+  kernel::FillDropoutMask(&rng->engine(), Rng::BernoulliThreshold(p),
+                          1.0f / (1.0f - p), mask.data(),
+                          static_cast<int64_t>(n));
   return mask;
 }
 
@@ -514,11 +512,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         }
         if (b_impl->requires_grad) {
           // dB += A^T @ dC (one flattened GEMM when B is shared).
-          kernel::PooledBuffer at(static_cast<size_t>(rows) * k);
-          kernel::Transpose(ap, rows, k, k, at.data());
-          kernel::Gemm(k, n, rows, at.data(), rows, gp, n,
-                       b_impl->grad.data() + p * b_stride, n,
-                       /*accumulate=*/true);
+          kernel::GemmAtB(k, n, rows, ap, k, gp, n,
+                          b_impl->grad.data() + p * b_stride, n,
+                          /*accumulate=*/true);
         }
       }
     };
@@ -713,10 +709,8 @@ Tensor LinearEx(const Tensor& x, const Tensor& w, const Tensor& b,
       }
       if (w_impl->requires_grad) {
         // dW += x^T @ gy.
-        kernel::PooledBuffer xt(static_cast<size_t>(rows) * k);
-        kernel::Transpose(x_impl->data.data(), rows, k, k, xt.data());
-        kernel::Gemm(k, n, rows, xt.data(), rows, gy, n, w_impl->grad.data(),
-                     n, /*accumulate=*/true);
+        kernel::GemmAtB(k, n, rows, x_impl->data.data(), k, gy, n,
+                        w_impl->grad.data(), n, /*accumulate=*/true);
       }
       if (x_impl->requires_grad) {
         // dx += gy @ W^T.
@@ -855,10 +849,8 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
             kernel::ColumnSumRows(gy, R, D, bo_impl->grad.data());
           }
           if (wo_impl->requires_grad) {
-            kernel::PooledBuffer ctxt(static_cast<size_t>(R) * D);
-            kernel::Transpose(ctx.data(), R, D, D, ctxt.data());
-            kernel::Gemm(D, D, R, ctxt.data(), R, gy, D,
-                         wo_impl->grad.data(), D, true);
+            kernel::GemmAtB(D, D, R, ctx.data(), D, gy, D,
+                            wo_impl->grad.data(), D, true);
           }
           kernel::PooledBuffer dctx(static_cast<size_t>(R) * D);
           {
@@ -875,7 +867,6 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
           kernel::PooledBuffer pd(static_cast<size_t>(nn));
           kernel::PooledBuffer dpd(static_cast<size_t>(nn));
           kernel::PooledBuffer ds(static_cast<size_t>(nn));
-          kernel::PooledBuffer tmp_t(static_cast<size_t>(nn));
           for (int b = 0; b < B; ++b) {
             for (int h = 0; h < H; ++h) {
               const int64_t head_off =
@@ -896,9 +887,8 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
               kernel::Transpose(v.data() + head_off, N, dh, D, vt.data());
               kernel::Gemm(N, N, dh, dctx_bh, D, vt.data(), N, dpd.data(), N,
                            false);
-              kernel::Transpose(pd_bh, N, N, N, tmp_t.data());
-              kernel::Gemm(N, dh, N, tmp_t.data(), N, dctx_bh, D,
-                           dv.data() + head_off, D, true);
+              kernel::GemmAtB(N, dh, N, pd_bh, N, dctx_bh, D,
+                              dv.data() + head_off, D, true);
               // Through dropout and softmax, then the 1/sqrt(dh) scale.
               if (dmask.size() > 0) {
                 const float* dm = dmask.data() + p_off;
@@ -910,20 +900,11 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
               // dQ += dS @ K; dK += dS^T @ Q.
               kernel::Gemm(N, dh, N, ds.data(), N, kbuf.data() + head_off, D,
                            dq.data() + head_off, D, true);
-              kernel::Transpose(ds.data(), N, N, N, tmp_t.data());
-              kernel::Gemm(N, dh, N, tmp_t.data(), N, q.data() + head_off, D,
-                           dk.data() + head_off, D, true);
+              kernel::GemmAtB(N, dh, N, ds.data(), N, q.data() + head_off,
+                              D, dk.data() + head_off, D, true);
             }
           }
           // Input projections: dX += dP @ W^T, dW += X^T @ dP, db += colsum.
-          kernel::PooledBuffer xt;
-          const bool need_xt = wq_impl->requires_grad ||
-                               wk_impl->requires_grad ||
-                               wv_impl->requires_grad;
-          if (need_xt) {
-            xt = kernel::PooledBuffer(static_cast<size_t>(R) * D);
-            kernel::Transpose(x_impl->data.data(), R, D, D, xt.data());
-          }
           const struct {
             kernel::PooledBuffer* dproj;
             internal::TensorImpl* w;
@@ -938,8 +919,8 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
                                     br.bias->grad.data());
             }
             if (br.w->requires_grad) {
-              kernel::Gemm(D, D, R, xt.data(), R, br.dproj->data(), D,
-                           br.w->grad.data(), D, true);
+              kernel::GemmAtB(D, D, R, x_impl->data.data(), D,
+                              br.dproj->data(), D, br.w->grad.data(), D, true);
             }
             if (x_impl->requires_grad) {
               kernel::Transpose(br.w->data.data(), D, D, D, wt.data());

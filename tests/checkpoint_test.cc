@@ -5,9 +5,12 @@
 // boundary and resumed through the on-disk artifact finishes bit-identical
 // to an uninterrupted run.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <unistd.h>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -24,6 +27,7 @@
 #include "io/artifact.h"
 #include "io/checkpoint.h"
 #include "sim/generator.h"
+#include "sim/world_io.h"
 
 namespace dlinf {
 namespace io {
@@ -212,6 +216,60 @@ TEST(CheckpointCodecTest, RejectsStructurallyUnsoundPayload) {
   EXPECT_FALSE(error.empty());
 }
 
+/// Variants of `good` that pass the envelope's CRC but whose resume state
+/// the trainer would parse or index unchecked: each must be refused at load.
+std::vector<std::pair<std::string, dlinfma::TrainCheckpoint>>
+MalformedResumeStates(const dlinfma::TrainCheckpoint& good) {
+  const std::string words = good.rng_state.substr(0, good.rng_state.rfind(' '));
+  std::vector<std::pair<std::string, dlinfma::TrainCheckpoint>> out;
+  auto add = [&](const std::string& label, auto mutate) {
+    dlinfma::TrainCheckpoint ck = good;
+    mutate(&ck);
+    out.emplace_back(label, std::move(ck));
+  };
+  add("rng garbage", [](dlinfma::TrainCheckpoint* ck) {
+    ck->rng_state = "1 2 3 not-an-engine";
+  });
+  add("rng 311 words", [&](dlinfma::TrainCheckpoint* ck) {
+    ck->rng_state = words.substr(0, words.rfind(' ')) + " 5";
+  });
+  add("rng position 313",
+      [&](dlinfma::TrainCheckpoint* ck) { ck->rng_state = words + " 313"; });
+  add("rng trailing token", [&](dlinfma::TrainCheckpoint* ck) {
+    ck->rng_state = good.rng_state + " 7";
+  });
+  add("order out of range",
+      [](dlinfma::TrainCheckpoint* ck) { ck->sample_order[0] = 100000000; });
+  add("order negative",
+      [](dlinfma::TrainCheckpoint* ck) { ck->sample_order[2] = -1; });
+  add("order duplicate", [](dlinfma::TrainCheckpoint* ck) {
+    ck->sample_order[1] = ck->sample_order[0];
+  });
+  return out;
+}
+
+TEST(CheckpointCodecTest, RejectsMalformedResumeState) {
+  const std::string path = CkptPath("ckpt_bad_resume_state.art");
+  for (const auto& [label, bad] : MalformedResumeStates(MakeCheckpoint())) {
+    ASSERT_TRUE(SaveCheckpointArtifact(bad, path)) << label;
+    std::string error;
+    EXPECT_FALSE(LoadCheckpointArtifact(path, &error).has_value()) << label;
+    EXPECT_NE(error.find("malformed checkpoint payload"), std::string::npos)
+        << label << ": " << error;
+  }
+  // The boundary positions and a trailing newline are still sound.
+  const dlinfma::TrainCheckpoint good = MakeCheckpoint();
+  const std::string words = good.rng_state.substr(0, good.rng_state.rfind(' '));
+  for (const std::string& rng_state :
+       {words + " 0", words + " 312", good.rng_state + "\n"}) {
+    dlinfma::TrainCheckpoint ck = good;
+    ck.rng_state = rng_state;
+    ASSERT_TRUE(SaveCheckpointArtifact(ck, path));
+    std::string error;
+    EXPECT_TRUE(LoadCheckpointArtifact(path, &error).has_value()) << error;
+  }
+}
+
 TEST(CheckpointCodecTest, InjectedWriteFailureLeavesNoFile) {
   const std::string path = CkptPath("ckpt_write_fail.art");
   std::filesystem::remove(path);
@@ -372,6 +430,48 @@ TEST(CheckpointResumeTest, TerminalCheckpointResumesToSameModel) {
   ASSERT_EQ(resumed.size(), golden.size());
   for (size_t i = 0; i < golden.size(); ++i) {
     EXPECT_TRUE(BitEqual(resumed[i], golden[i])) << "tensor " << i;
+  }
+}
+
+/// Runs `dlinf_cli train` on `world_dir` with extra flags; the wait status.
+int RunCliTrain(const std::string& world_dir, const std::string& flags) {
+  const std::string command = std::string(DLINF_CLI_PATH) + " train --world " +
+                              world_dir + " --bundle " +
+                              CkptPath("cli_bundle") + " --quick " + flags +
+                              " > /dev/null 2>&1";
+  return std::system(command.c_str());
+}
+
+TEST(CheckpointCliTest, MalformedResumeStateExitsWithTypedError) {
+  // A real checkpoint of this world, so seed, shapes and training-set size
+  // all pass the CLI's own checks and only the corrupted field is wrong.
+  const std::string world_dir = CkptPath("cli_world");
+  ASSERT_TRUE(sim::SaveWorldCsv(Fixture().world, world_dir));
+  const std::string good_path = CkptPath("ckpt_cli_good.art");
+  const int trained =
+      RunCliTrain(world_dir, "--ckpt " + good_path + " --ckpt-every 1");
+  ASSERT_TRUE(WIFEXITED(trained) && WEXITSTATUS(trained) == 0);
+  std::string error;
+  std::optional<dlinfma::TrainCheckpoint> good =
+      LoadCheckpointArtifact(good_path, &error);
+  ASSERT_TRUE(good.has_value()) << error;
+  ASSERT_GE(good->sample_order.size(), 3u);
+  // Rewind the terminal checkpoint so the resumed run trains again and
+  // actually uses the engine state and the sample order.
+  good->next_epoch = 1;
+  good->epochs_without_improvement = 0;
+  ASSERT_TRUE(SaveCheckpointArtifact(*good, good_path));
+  const int resumed = RunCliTrain(world_dir, "--resume " + good_path);
+  ASSERT_TRUE(WIFEXITED(resumed) && WEXITSTATUS(resumed) == 0);
+
+  // Each malformed variant: a typed error and exit 1, never an abort (134)
+  // or a segfault (139).
+  const std::string path = CkptPath("ckpt_cli_bad.art");
+  for (const auto& [label, bad] : MalformedResumeStates(*good)) {
+    ASSERT_TRUE(SaveCheckpointArtifact(bad, path)) << label;
+    const int status = RunCliTrain(world_dir, "--resume " + path);
+    ASSERT_TRUE(WIFEXITED(status)) << label << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << label;
   }
 }
 

@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/flat_json.h"
+#include "common/mt19937_64.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
@@ -102,6 +105,101 @@ TEST(RandomTest, BernoulliThresholdDrawsExactlyAsBernoulli) {
     EXPECT_EQ(a.str(), b.str()) << p;
   }
   EXPECT_EQ(Rng::BernoulliThreshold(0.0), 0u);
+}
+
+template <typename Engine>
+std::string EngineText(const Engine& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+TEST(Mt19937Test, MatchesStdEngineDrawForDrawAndInText) {
+  const uint64_t seeds[] = {0, 1, 42, UINT64_MAX};
+  const int draws_before[] = {0, 311, 312, 313, 10000};
+  for (const uint64_t seed : seeds) {
+    for (const int draws : draws_before) {
+      Mt19937_64 ours(seed);
+      std::mt19937_64 theirs(seed);
+      for (int i = 0; i < draws; ++i) {
+        ASSERT_EQ(ours(), theirs()) << "seed " << seed << " draw " << i;
+      }
+      const std::string ours_text = EngineText(ours);
+      const std::string theirs_text = EngineText(theirs);
+      ASSERT_EQ(ours_text, theirs_text) << "seed " << seed << " @" << draws;
+
+      // Each engine loads the other's text and continues identically.
+      Mt19937_64 ours_loaded(7);
+      std::mt19937_64 theirs_loaded(7);
+      std::istringstream ours_in(theirs_text);
+      std::istringstream theirs_in(ours_text);
+      ours_in >> ours_loaded;
+      theirs_in >> theirs_loaded;
+      ASSERT_FALSE(ours_in.fail());
+      ASSERT_FALSE(theirs_in.fail());
+      EXPECT_TRUE(ours_loaded == ours);
+      for (int i = 0; i < 700; ++i) {
+        const uint64_t want = theirs();
+        ASSERT_EQ(ours_loaded(), want) << "seed " << seed << " @" << draws;
+        ASSERT_EQ(theirs_loaded(), want) << "seed " << seed << " @" << draws;
+      }
+    }
+  }
+}
+
+TEST(Mt19937Test, TextParseRejectsMalformedStates) {
+  const std::string good = EngineText(Mt19937_64(3));
+  const std::string words = good.substr(0, good.rfind(' '));
+  auto parses = [](const std::string& text) {
+    Mt19937_64 engine(9);
+    const Mt19937_64 before = engine;
+    std::istringstream in(text);
+    in >> engine;
+    // A failed parse leaves the engine untouched.
+    if (in.fail()) {
+      EXPECT_TRUE(engine == before) << text.substr(0, 40);
+    }
+    return !in.fail();
+  };
+  EXPECT_TRUE(parses(good));
+  EXPECT_TRUE(parses(words + " 0"));
+  EXPECT_TRUE(parses(words + " 312"));
+  EXPECT_FALSE(parses(words + " 313"));  // std accepts this; we must not.
+  EXPECT_FALSE(parses(words + " 99999"));
+  EXPECT_FALSE(parses(words));  // 312 words, no position.
+  EXPECT_FALSE(parses(words.substr(0, words.rfind(' ')) + " 312"));  // 311.
+  EXPECT_FALSE(parses("1 2 3 not-an-engine"));
+  EXPECT_FALSE(parses(""));
+}
+
+TEST(RandomTest, DistributionsMatchTheStdEngine) {
+  // Rng's distributions see the same engine outputs as over
+  // std::mt19937_64, so every seeded sequence is unchanged.
+  Rng rng(2024);
+  std::mt19937_64 std_engine(2024);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(rng.Normal(1.5, 2.0),
+              std::normal_distribution<double>(1.5, 2.0)(std_engine));
+    ASSERT_EQ(rng.Poisson(3.7),
+              std::poisson_distribution<int>(3.7)(std_engine));
+    ASSERT_EQ(rng.Poisson(60.0),
+              std::poisson_distribution<int>(60.0)(std_engine));
+    const std::vector<double> weights = {0.5, 2.0, 0.0, 1.25};
+    ASSERT_EQ(rng.WeightedIndex(weights),
+              std::discrete_distribution<size_t>(weights.begin(),
+                                                 weights.end())(std_engine));
+    ASSERT_EQ(rng.UniformInt(-5, 1 << 20),
+              std::uniform_int_distribution<int64_t>(-5, 1 << 20)(std_engine));
+  }
+  std::vector<int> ours(257);
+  for (size_t i = 0; i < ours.size(); ++i) ours[i] = static_cast<int>(i);
+  std::vector<int> theirs = ours;
+  for (int round = 0; round < 20; ++round) {
+    rng.Shuffle(&ours);
+    std::shuffle(theirs.begin(), theirs.end(), std_engine);
+    ASSERT_EQ(ours, theirs) << "round " << round;
+  }
+  EXPECT_EQ(EngineText(rng.engine()), EngineText(std_engine));
 }
 
 TEST(RandomTest, WeightedIndexRespectsWeights) {

@@ -8,8 +8,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/mt19937_64.h"
 #include "common/random.h"
 #include "grad_check.h"
 #include "gtest/gtest.h"
@@ -263,6 +265,187 @@ TEST(FusedOpGradTest, FusedSelfAttentionMatchesFiniteDifferences) {
                                       /*training=*/false, /*rng=*/nullptr));
       },
       {x, wq, bq, wk, bk, wv, bv, wo, bo});
+}
+
+/// Bitwise float-vector equality (NaN sentinels compare by bits).
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// The Gemm/GemmAtB definition: per element, k-products in serial order
+/// through the correctly rounded fused multiply-add. With `at_b`, A is
+/// stored [k, m] and element (i, p) is a[p * lda + i].
+void ReferenceGemmAny(bool at_b, int64_t m, int64_t n, int64_t k,
+                      const float* a, int64_t lda, const float* b,
+                      int64_t ldb, float* c, int64_t ldc, bool accumulate) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = accumulate ? c[i * ldc + j] : 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        const float aip = at_b ? a[p * lda + i] : a[i * lda + p];
+        acc = std::fmaf(aip, b[p * ldb + j], acc);
+      }
+      c[i * ldc + j] = acc;
+    }
+  }
+}
+
+TEST(KernelGemmTest, TiledSweepCoversTailsPaddingAndGuards) {
+  ScopedForceScalar probe(false);
+  const bool has_avx2 = probe.had_avx2();
+  Rng rng(31337);
+  // m covers every m % 4 tail and the 64-row block edge; n every n % 8 and
+  // n % 16 tail; k includes 0 and the long-k weight-gradient shape.
+  const int64_t ms[] = {1, 2, 3, 4, 5, 7, 17, 64, 66};
+  const int64_t ns[] = {1, 3, 7, 8, 9, 15, 16, 17, 24, 33};
+  const int64_t ks[] = {0, 1, 3, 30};
+  const float guard = std::nanf("0x5a5");
+  for (const bool at_b : {false, true}) {
+    for (const int64_t m : ms) {
+      for (const int64_t n : ns) {
+        for (const int64_t k : ks) {
+          const int64_t pad = (m + n + k) % 2 == 0 ? 0 : 3;
+          const int64_t a_rows = at_b ? k : m;
+          const int64_t lda = (at_b ? m : k) + pad;
+          const int64_t ldb = n + pad;
+          const int64_t ldc = n + 5;  // Guard columns past n on every row.
+          const std::vector<float> a = RandomVec(a_rows * lda, &rng);
+          const std::vector<float> b = RandomVec(k * ldb, &rng);
+          std::vector<float> c0 = RandomVec(m * ldc, &rng);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = n; j < ldc; ++j) c0[i * ldc + j] = guard;
+          }
+          for (const bool accumulate : {false, true}) {
+            std::vector<float> want = c0;
+            ReferenceGemmAny(at_b, m, n, k, a.data(), lda, b.data(), ldb,
+                             want.data(), ldc, accumulate);
+            for (const bool force_scalar : {true, false}) {
+              if (!force_scalar && !has_avx2) continue;
+              ScopedForceScalar force(force_scalar);
+              std::vector<float> got = c0;
+              if (at_b) {
+                kernel::GemmAtB(m, n, k, a.data(), lda, b.data(), ldb,
+                                got.data(), ldc, accumulate);
+              } else {
+                kernel::Gemm(m, n, k, a.data(), lda, b.data(), ldb,
+                             got.data(), ldc, accumulate);
+              }
+              ASSERT_TRUE(SameBits(got, want))
+                  << (at_b ? "GemmAtB" : "Gemm") << " m=" << m << " n=" << n
+                  << " k=" << k << " pad=" << pad << " acc=" << accumulate
+                  << " path=" << kernel::PathName();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelGemmTest, GemmAtBEqualsGemmOverTransposedCopy) {
+  // The contract the weight-gradient call sites rely on: reading A^T in
+  // place is bit-identical to the Transpose + Gemm pair it replaced.
+  Rng rng(480);
+  const int64_t rows = 480, k = 16, n = 16;
+  const std::vector<float> x = RandomVec(rows * k, &rng);
+  const std::vector<float> gy = RandomVec(rows * n, &rng);
+  const std::vector<float> w0 = RandomVec(k * n, &rng);
+  std::vector<float> xt(static_cast<size_t>(rows * k));
+  kernel::Transpose(x.data(), rows, k, k, xt.data());
+  std::vector<float> want = w0;
+  kernel::Gemm(k, n, rows, xt.data(), rows, gy.data(), n, want.data(), n,
+               true);
+  std::vector<float> got = w0;
+  kernel::GemmAtB(k, n, rows, x.data(), k, gy.data(), n, got.data(), n, true);
+  EXPECT_TRUE(SameBits(got, want));
+}
+
+TEST(KernelRowPrimitiveTest, LayerNormBackwardIsPathInvariant) {
+  ScopedForceScalar probe(false);
+  if (!probe.had_avx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  Rng rng(5);
+  for (const int64_t n : {1, 5, 8, 16, 37}) {
+    const int64_t rows = 23;
+    const std::vector<float> x = RandomVec(rows * n, &rng);
+    const std::vector<float> gy = RandomVec(rows * n, &rng);
+    const std::vector<float> gamma = RandomVec(n, &rng);
+    const std::vector<float> beta = RandomVec(n, &rng);
+    const std::vector<float> gx0 = RandomVec(rows * n, &rng);
+    const std::vector<float> gg0 = RandomVec(n, &rng);
+    const std::vector<float> gb0 = RandomVec(n, &rng);
+    struct Grads {
+      std::vector<float> gx, ggamma, gbeta, gx_only, gbeta_only;
+    };
+    auto run = [&](bool force_scalar) {
+      ScopedForceScalar force(force_scalar);
+      std::vector<float> y(x.size()), mean(rows), inv_std(rows);
+      kernel::LayerNormRows(x.data(), gamma.data(), beta.data(), 1e-5f, rows,
+                            n, y.data(), mean.data(), inv_std.data());
+      Grads g{gx0, gg0, gb0, gx0, gb0};
+      kernel::LayerNormBackwardRows(x.data(), gamma.data(), gy.data(),
+                                    mean.data(), inv_std.data(), rows, n,
+                                    g.gx.data(), g.ggamma.data(),
+                                    g.gbeta.data());
+      kernel::LayerNormBackwardRows(x.data(), gamma.data(), gy.data(),
+                                    mean.data(), inv_std.data(), rows, n,
+                                    g.gx_only.data(), nullptr, nullptr);
+      kernel::LayerNormBackwardRows(x.data(), gamma.data(), gy.data(),
+                                    mean.data(), inv_std.data(), rows, n,
+                                    nullptr, nullptr, g.gbeta_only.data());
+      return g;
+    };
+    const Grads scalar = run(true);
+    const Grads simd = run(false);
+    EXPECT_TRUE(SameBits(scalar.gx, simd.gx)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.ggamma, simd.ggamma)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.gbeta, simd.gbeta)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.gx_only, simd.gx_only)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.gbeta_only, simd.gbeta_only)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.gx, scalar.gx_only)) << "n=" << n;
+  }
+}
+
+TEST(DropoutMaskTest, BlockFillMatchesPerDrawLoop) {
+  ScopedForceScalar probe(false);
+  const bool has_avx2 = probe.had_avx2();
+  const int64_t sizes[] = {0, 1, 3, 311, 312, 313, 4096};
+  // Start positions: fresh (twist due), mid-state, one word before and at
+  // the twist boundary, and past a second twist.
+  const int starts[] = {0, 1, 5, 310, 311, 312, 313, 700};
+  const double probs[] = {0.1, 0.5, 0.9};
+  for (const double p : probs) {
+    const uint64_t threshold = Rng::BernoulliThreshold(p);
+    const float keep = 1.0f / (1.0f - static_cast<float>(p));
+    for (const int64_t n : sizes) {
+      for (const int start : starts) {
+        Mt19937_64 base(20260101 + start);
+        for (int i = 0; i < start; ++i) base();
+        Mt19937_64 ref_engine = base;
+        std::vector<float> want(static_cast<size_t>(n));
+        for (int64_t i = 0; i < n; ++i) {
+          want[i] = ref_engine() < threshold ? 0.0f : keep;
+        }
+        for (const bool force_scalar : {true, false}) {
+          if (!force_scalar && !has_avx2) continue;
+          ScopedForceScalar force(force_scalar);
+          Mt19937_64 engine = base;
+          std::vector<float> got(static_cast<size_t>(n), -1.0f);
+          kernel::FillDropoutMask(&engine, threshold, keep, got.data(), n);
+          ASSERT_TRUE(SameBits(got, want))
+              << "p=" << p << " n=" << n << " start=" << start
+              << " path=" << kernel::PathName();
+          ASSERT_TRUE(engine == ref_engine)
+              << "end state differs: p=" << p << " n=" << n
+              << " start=" << start << " path=" << kernel::PathName();
+          // And the engine keeps drawing in lockstep afterwards.
+          Mt19937_64 ref_after = ref_engine;
+          for (int i = 0; i < 400; ++i) ASSERT_EQ(engine(), ref_after());
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
