@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 
@@ -410,26 +411,44 @@ HttpParser::Status HttpParser::Next(HttpRequest* out) {
 
 // --- Response serialization -------------------------------------------------
 
-std::string BuildHttpResponse(
-    int status, const std::string& content_type, const std::string& body,
-    bool keep_alive, bool head_only,
-    const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  std::string out = "HTTP/1.1 " + std::to_string(status) + " " +
-                    ReasonPhrase(status) + "\r\n";
-  out += "Content-Type: " + content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  if (!keep_alive) out += "Connection: close\r\n";
+std::string BuildHttpResponse(int status, std::string_view content_type,
+                              std::string_view body, bool keep_alive,
+                              bool head_only,
+                              std::initializer_list<HttpHeader> extra_headers) {
+  char code[16];
+  char* code_end = std::to_chars(code, code + sizeof(code), status).ptr;
+  char length[24];
+  char* length_end =
+      std::to_chars(length, length + sizeof(length), body.size()).ptr;
+  const std::string_view reason = ReasonPhrase(status);
+  // One allocation: the head's fixed text is under 96 bytes.
+  size_t size = 96 + reason.size() + content_type.size() +
+                (head_only ? 0 : body.size());
   for (const auto& [name, value] : extra_headers) {
-    out += name + ": " + value + "\r\n";
+    size += name.size() + value.size() + 4;
   }
-  out += "\r\n";
-  if (!head_only) out += body;
+  std::string out;
+  out.reserve(size);
+  out.append("HTTP/1.1 ").append(code, code_end).append(" ").append(reason);
+  out.append("\r\nContent-Type: ").append(content_type);
+  out.append("\r\nContent-Length: ").append(length, length_end);
+  out.append("\r\n");
+  if (!keep_alive) out.append("Connection: close\r\n");
+  for (const auto& [name, value] : extra_headers) {
+    out.append(name).append(": ").append(value).append("\r\n");
+  }
+  out.append("\r\n");
+  if (!head_only) out.append(body);
   return out;
 }
 
 // --- HttpServer -------------------------------------------------------------
 
 namespace {
+
+/// The server whose event loop runs on this thread (nullptr elsewhere): a
+/// response completed here is already on the loop thread.
+thread_local const HttpServer* tls_loop_server = nullptr;
 
 struct ServerMetrics {
   obs::Counter* requests;
@@ -454,15 +473,14 @@ struct ServerMetrics {
 }  // namespace
 
 void HttpServer::ResponseHandle::Respond(int status,
-                                         const std::string& content_type,
-                                         const std::string& body) const {
+                                         std::string_view content_type,
+                                         std::string_view body) const {
   RespondWithHeaders(status, content_type, body, {});
 }
 
 void HttpServer::ResponseHandle::RespondWithHeaders(
-    int status, const std::string& content_type, const std::string& body,
-    const std::vector<std::pair<std::string, std::string>>& extra_headers)
-    const {
+    int status, std::string_view content_type, std::string_view body,
+    std::initializer_list<HttpHeader> extra_headers) const {
   if (server_ == nullptr) return;
   server_->Complete(conn_id_, seq_,
                     BuildHttpResponse(status, content_type, body, keep_alive_,
@@ -554,6 +572,15 @@ void HttpServer::Stop() {
 }
 
 void HttpServer::Complete(uint64_t conn_id, uint64_t seq, std::string bytes) {
+  if (tls_loop_server == this) {
+    // An inline answer: fill the slot in place. The dispatch that ran the
+    // handler flushes its own connection once, after the whole read.
+    auto it = conns_.find(conn_id);
+    if (it == conns_.end()) return;  // Connection died; drop the bytes.
+    FillPending(it->second.get(), seq, std::move(bytes));
+    if (conn_id != dispatching_conn_) FlushConn(it->second.get());
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(completions_mu_);
     completions_.push_back({conn_id, seq, std::move(bytes)});
@@ -566,6 +593,7 @@ void HttpServer::Loop() {
   if (!options_.thread_name.empty()) {
     obs::prof::RegisterCurrentThread(options_.thread_name);
   }
+  tls_loop_server = this;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   double last_sweep = NowSeconds();
@@ -575,14 +603,17 @@ void HttpServer::Loop() {
       if (errno == EINTR) continue;
       break;
     }
+    bool woken = false;
     for (int i = 0; i < n; ++i) {
       const uint64_t tag = events[i].data.u64;
       if (tag == 0) {
         AcceptNew();
       } else if (tag == 1) {
+        // One read returns (and resets) the whole eventfd counter.
         uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
+        [[maybe_unused]] const ssize_t r =
+            ::read(wake_fd_, &drained, sizeof(drained));
+        woken = true;
       } else {
         auto it = conns_.find(tag);
         if (it == conns_.end()) continue;
@@ -600,7 +631,9 @@ void HttpServer::Loop() {
         }
       }
     }
-    DrainCompletions();
+    // Other threads' completions are posted before the eventfd write that
+    // wakes us, so nothing is pending unless the wake fd fired.
+    if (woken) DrainCompletions();
     const double now = NowSeconds();
     if (now - last_sweep > 0.2) {
       SweepIdle(now);
@@ -658,6 +691,9 @@ void HttpServer::HandleReadable(Conn* conn) {
     if (n > 0) {
       conn->last_progress_s = NowSeconds();
       conn->parser.Feed(buffer, static_cast<size_t>(n));
+      // A short read took everything the socket held; level-triggered epoll
+      // reports whatever arrives next, so no EAGAIN probe is needed.
+      if (static_cast<size_t>(n) < sizeof(buffer)) break;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -676,11 +712,15 @@ void HttpServer::HandleReadable(Conn* conn) {
 }
 
 void HttpServer::DispatchRequests(Conn* conn) {
-  const uint64_t conn_id = conn->id;
+  // Every request this read completed is dispatched first; inline answers
+  // fill their slots without flushing, and one flush below sends them all.
+  // Nothing here can close `conn` before that flush.
+  dispatching_conn_ = conn->id;
+  int64_t dispatched = 0;
   HttpRequest request;
   for (;;) {
     const HttpParser::Status status = conn->parser.Next(&request);
-    if (status == HttpParser::Status::kNeedMore) return;
+    if (status == HttpParser::Status::kNeedMore) break;
     if (status == HttpParser::Status::kError) {
       ServerMetrics::Get().parse_errors->Add(1);
       // A typed reject, pipelined behind any in-flight responses; nothing
@@ -692,26 +732,20 @@ void HttpServer::DispatchRequests(Conn* conn) {
                              conn->parser.error_reason() + "\n",
                              /*keep_alive=*/false)});
       conn->close_after_flush = true;
-      FlushConn(conn);
-      return;
+      break;
     }
-    ServerMetrics::Get().requests->Add(1);
-    conn->last_progress_s = NowSeconds();
+    ++dispatched;
     const uint64_t seq = conn->next_seq++;
     conn->pending.push_back({seq, false, {}});
     if (!request.keep_alive) conn->close_after_flush = true;
     handler_(request,
-             ResponseHandle(this, conn_id, seq, request.keep_alive,
+             ResponseHandle(this, conn->id, seq, request.keep_alive,
                             request.method == "HEAD"));
-    // Synchronous handlers complete via the queue; drain so the response
-    // goes out in this iteration. The flush may close the connection, so
-    // re-resolve the pointer before touching it again.
-    DrainCompletions();
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;  // Closed while completing.
-    conn = it->second.get();
-    if (conn->close_after_flush) return;  // Ignore pipelined leftovers.
+    if (conn->close_after_flush) break;  // Ignore pipelined leftovers.
   }
+  dispatching_conn_ = 0;
+  if (dispatched > 0) ServerMetrics::Get().requests->Add(dispatched);
+  FlushConn(conn);
 }
 
 void HttpServer::DrainCompletions() {
@@ -724,16 +758,20 @@ void HttpServer::DrainCompletions() {
     auto it = conns_.find(completion.conn_id);
     if (it == conns_.end()) continue;  // Connection died; drop the bytes.
     Conn* conn = it->second.get();
-    for (Pending& pending : conn->pending) {
-      if (pending.seq == completion.seq) {
-        pending.ready = true;
-        pending.bytes = std::move(completion.bytes);
-        break;
-      }
-    }
+    FillPending(conn, completion.seq, std::move(completion.bytes));
     conn->last_progress_s = NowSeconds();
     FlushConn(conn);
   }
+}
+
+void HttpServer::FillPending(Conn* conn, uint64_t seq, std::string bytes) {
+  // Slots hold consecutive sequence numbers from the front's.
+  if (conn->pending.empty() || seq < conn->pending.front().seq) return;
+  const uint64_t index = seq - conn->pending.front().seq;
+  if (index >= conn->pending.size()) return;
+  Pending& pending = conn->pending[index];
+  pending.ready = true;
+  pending.bytes = std::move(bytes);
 }
 
 void HttpServer::FlushConn(Conn* conn) {

@@ -7,7 +7,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -26,11 +28,14 @@
 ///    it never CHECK-aborts, whatever the bytes (see
 ///    tests/http_parser_test.cc).
 ///  - `HttpServer` owns the listening socket, an epoll loop and every
-///    connection. All connection state is touched only by the loop thread;
-///    handlers may finish a response asynchronously from any thread through
-///    `ResponseHandle`, which posts the bytes back to the loop via an
-///    eventfd. Pipelined requests on one connection are answered strictly in
-///    request order regardless of the order handlers complete.
+///    connection. All connection state is touched only by the loop thread.
+///    A handler answers through `ResponseHandle`: on the loop thread the
+///    bytes go straight into the request's pending slot; from any other
+///    thread they are posted back to the loop via an eventfd. Every request
+///    one read produced is dispatched before the connection is flushed, so a
+///    pipelined burst answered inline costs one `send`. Pipelined requests on
+///    one connection are answered strictly in request order regardless of
+///    the order handlers complete.
 ///  - `HttpClient` is a deliberately simple blocking keep-alive client: it
 ///    exists so the deterministic concurrency tests and `tools/load_gen` can
 ///    drive the server with pipelined request batches without a dependency.
@@ -52,9 +57,9 @@ struct HttpRequest {
   /// First value of header `name` (lowercase), nullptr when absent.
   const std::string* FindHeader(const std::string& name) const;
 
-  /// Value of `key` in the query string ("k1=v1&k2=v2"), nullptr if absent.
-  /// Returned pointer is into an internal decoded cache; no %-decoding is
-  /// performed (the API uses only numeric parameters).
+  /// Copies the value of `key` in the query string ("k1=v1&k2=v2") into
+  /// `*value` and returns true; false when the key is absent. No %-decoding
+  /// is performed (the API uses only numeric parameters).
   bool QueryParam(const std::string& key, std::string* value) const;
 };
 
@@ -103,20 +108,22 @@ class HttpParser {
   std::string error_reason_;
 };
 
+/// One extra response header: name and value, emitted verbatim.
+using HttpHeader = std::pair<std::string_view, std::string_view>;
+
 /// Serializes a full response with Content-Length (and `Connection: close`
 /// when `keep_alive` is false). `head_only` omits the body bytes (HEAD).
 /// `extra_headers` are emitted verbatim after the standard ones (used for
 /// e.g. `Retry-After` on 429 backpressure responses).
 std::string BuildHttpResponse(
-    int status, const std::string& content_type, const std::string& body,
+    int status, std::string_view content_type, std::string_view body,
     bool keep_alive, bool head_only = false,
-    const std::vector<std::pair<std::string, std::string>>& extra_headers =
-        {});
+    std::initializer_list<HttpHeader> extra_headers = {});
 
 /// Non-blocking epoll HTTP server. One loop thread owns all I/O; request
-/// handlers run on the loop thread and either answer inline or hand the
-/// `ResponseHandle` to another thread which completes it later. See the
-/// file comment for the threading contract.
+/// handlers run on the loop thread and either answer inline (no lock, no
+/// wake-up) or hand the `ResponseHandle` to another thread which completes
+/// it later. See the file comment for the threading contract.
 class HttpServer {
  public:
   struct Options {
@@ -141,13 +148,13 @@ class HttpServer {
    public:
     ResponseHandle() = default;
 
-    void Respond(int status, const std::string& content_type,
-                 const std::string& body) const;
+    void Respond(int status, std::string_view content_type,
+                 std::string_view body) const;
 
     /// Respond with additional response headers (e.g. Retry-After).
-    void RespondWithHeaders(
-        int status, const std::string& content_type, const std::string& body,
-        const std::vector<std::pair<std::string, std::string>>& extra_headers)
+    void RespondWithHeaders(int status, std::string_view content_type,
+                            std::string_view body,
+                            std::initializer_list<HttpHeader> extra_headers)
         const;
 
    private:
@@ -213,6 +220,8 @@ class HttpServer {
   void HandleReadable(Conn* conn);
   void DispatchRequests(Conn* conn);
   void DrainCompletions();
+  /// Marks request `seq` of `conn` answered with `bytes`.
+  static void FillPending(Conn* conn, uint64_t seq, std::string bytes);
   void FlushConn(Conn* conn);
   void UpdateEpollOut(Conn* conn);
   void CloseConn(uint64_t conn_id);
@@ -231,6 +240,7 @@ class HttpServer {
   // Loop-thread-only state.
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   uint64_t next_conn_id_ = 1;
+  uint64_t dispatching_conn_ = 0;  ///< Conn whose requests run right now.
 
   // Cross-thread completion queue (any thread -> loop thread).
   std::mutex completions_mu_;

@@ -1,13 +1,13 @@
 #include "apps/query_engine.h"
 
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <utility>
 
 #include "common/string_util.h"
 #include "fault/fault.h"
-#include "obs/profiler.h"
 #include "obs/trace_log.h"
 
 namespace dlinf {
@@ -21,12 +21,22 @@ double NowSeconds() {
       .count();
 }
 
-/// %.17g — enough digits that a double round-trips exactly, so the engine's
-/// JSON and a test's locally-formatted expectation are bit-identical.
-std::string FormatDouble(double value) {
+/// printf's %.17g — std::to_chars with the general format and a precision
+/// is defined as exactly that conversion. 17 digits round-trip a double, so
+/// the engine's JSON and a test's locally-formatted expectation are
+/// bit-identical.
+void AppendDouble(std::string* out, double value) {
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                  std::chars_format::general, 17)
+                        .ptr;
+  out->append(buffer, end);
+}
+
+void AppendInt(std::string* out, int64_t value) {
+  char buffer[24];
+  out->append(buffer,
+              std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
 }
 
 const char* SourceName(DeliveryLocationService::Source source) {
@@ -36,6 +46,35 @@ const char* SourceName(DeliveryLocationService::Source source) {
     case DeliveryLocationService::Source::kGeocode: return "geocode";
   }
   return "geocode";
+}
+
+void AppendAnswerJson(std::string* out, int64_t address_id,
+                      const DeliveryLocationService::Answer& answer,
+                      int shard, bool shed) {
+  out->append("{\"address_id\":");
+  AppendInt(out, address_id);
+  out->append(",\"x\":");
+  AppendDouble(out, answer.location.x);
+  out->append(",\"y\":");
+  AppendDouble(out, answer.location.y);
+  out->append(",\"source\":\"").append(SourceName(answer.source));
+  out->append("\",\"degraded\":").append(answer.degraded ? "true" : "false");
+  out->append(",\"shed\":").append(shed ? "true" : "false");
+  out->append(",\"shard\":");
+  AppendInt(out, shard);
+  out->push_back('}');
+}
+
+/// The geocode tier is the terminal, infallible tier of DegradePolicy's
+/// fallback chain: shedding answers from it directly, without touching the
+/// service's tier counters.
+DeliveryLocationService::Answer ShedAnswer(
+    const BundleManager::ServingState& state, int64_t address_id) {
+  DeliveryLocationService::Answer answer;
+  answer.location = state.bundle.world->address(address_id).geocoded_location;
+  answer.source = DeliveryLocationService::Source::kGeocode;
+  answer.degraded = true;
+  return answer;
 }
 
 struct EngineMetrics {
@@ -80,127 +119,106 @@ uint64_t RequestIdToTraceId(const std::string& id) {
   return hash != 0 ? hash : 1;
 }
 
-/// The generated id when a request arrives without one: 16 hex digits of a
-/// splitmix64-whitened fresh trace id.
-std::string GenerateRequestId(uint64_t* trace_id) {
-  *trace_id = SplitMix64(obs::NextTraceId());
-  if (*trace_id == 0) *trace_id = 1;
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(*trace_id));
-  return buffer;
+bool IsJsonSpace(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r';
 }
 
 /// The echoed request id and its trace id: adopted from the X-Request-Id
-/// header when present, generated otherwise.
-std::string ExtractRequestId(const HttpRequest& request,
-                             uint64_t* trace_id) {
+/// header when present; otherwise 16 hex digits of a splitmix64-whitened
+/// fresh trace id, written into `generated`.
+std::string_view ExtractRequestId(const HttpRequest& request,
+                                  uint64_t* trace_id, char (&generated)[16]) {
   const std::string* header = request.FindHeader("x-request-id");
   if (header != nullptr && !header->empty()) {
     *trace_id = RequestIdToTraceId(*header);
     return *header;
   }
-  return GenerateRequestId(trace_id);
+  *trace_id = SplitMix64(obs::NextTraceId());
+  if (*trace_id == 0) *trace_id = 1;
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int i = 0; i < 16; ++i) {
+    generated[i] = kHex[(*trace_id >> (60 - 4 * i)) & 0xf];
+  }
+  return {generated, sizeof(generated)};
 }
 
-/// Minimal strict parse of {"address_ids":[1,2,3]}. False on anything that
-/// is not a flat array of base-10 integers under that key.
-bool ParseBatchBody(const std::string& body, std::vector<int64_t>* ids) {
-  const size_t key = body.find("\"address_ids\"");
-  if (key == std::string::npos) return false;
-  const size_t open = body.find('[', key);
-  if (open == std::string::npos) return false;
-  const size_t close = body.find(']', open);
-  if (close == std::string::npos) return false;
-  size_t pos = open + 1;
-  while (pos < close) {
-    while (pos < close &&
-           (body[pos] == ' ' || body[pos] == ',' || body[pos] == '\n' ||
-            body[pos] == '\t' || body[pos] == '\r')) {
-      ++pos;
-    }
-    if (pos >= close) break;
-    char* end = nullptr;
-    const long long value = std::strtoll(body.c_str() + pos, &end, 10);
-    if (end == body.c_str() + pos) return false;  // Not a number.
-    ids->push_back(value);
-    pos = static_cast<size_t>(end - body.c_str());
-    while (pos < close && (body[pos] == ' ' || body[pos] == '\n' ||
-                           body[pos] == '\t' || body[pos] == '\r')) {
-      ++pos;
-    }
-    if (pos < close && body[pos] != ',') return false;
+/// Strict parse of {"address_ids":[1,2,3]}, JSON whitespace allowed between
+/// tokens. False on anything else: another shape, an empty element, an
+/// element `ParseNumber` rejects (sign `+`, overflow, trailing bytes), or
+/// any byte after the closing brace.
+bool ParseBatchBody(std::string_view body, std::vector<int64_t>* ids) {
+  size_t pos = 0;
+  auto skip_space = [&] {
+    while (pos < body.size() && IsJsonSpace(body[pos])) ++pos;
+  };
+  auto expect = [&](std::string_view token) {
+    skip_space();
+    if (body.substr(pos, token.size()) != token) return false;
+    pos += token.size();
+    return true;
+  };
+  if (!expect("{") || !expect("\"address_ids\"") || !expect(":") ||
+      !expect("[")) {
+    return false;
   }
-  return true;
+  skip_space();
+  if (pos < body.size() && body[pos] == ']') {
+    ++pos;
+  } else {
+    for (;;) {
+      skip_space();
+      const size_t begin = pos;
+      while (pos < body.size() && body[pos] != ',' && body[pos] != ']' &&
+             !IsJsonSpace(body[pos])) {
+        ++pos;
+      }
+      int64_t id = 0;
+      if (!ParseNumber(body.substr(begin, pos - begin), &id)) return false;
+      ids->push_back(id);
+      skip_space();
+      if (pos >= body.size()) return false;
+      const char separator = body[pos++];
+      if (separator == ']') break;
+      if (separator != ',') return false;
+    }
+  }
+  if (!expect("}")) return false;
+  skip_space();
+  return pos == body.size();
 }
 
 }  // namespace
 
-/// Shared aggregation state of one /query_batch across its shard slices.
-/// `parts` slots are disjoint per shard, so only `remaining` synchronizes.
-struct QueryEngine::BatchState {
-  std::vector<int64_t> ids;
-  std::vector<std::string> parts;
-  std::atomic<int> remaining{0};
-  HttpServer::ResponseHandle handle;
-  double start_s = 0.0;
-  uint64_t trace_id = 0;
-  std::string request_id;
-
-  void FinishIfLast() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    std::string body = "{\"answers\":[";
-    for (size_t i = 0; i < parts.size(); ++i) {
-      if (i > 0) body += ',';
-      body += parts[i];
-    }
-    body += "]}";
-    EngineMetrics::Get().latency->Observe(NowSeconds() - start_s);
-    handle.RespondWithHeaders(200, "application/json", body,
-                              {{"X-Request-Id", request_id}});
-  }
-};
-
 std::string QueryEngine::FormatAnswerJson(
     int64_t address_id, const DeliveryLocationService::Answer& answer,
     int shard, bool shed) {
-  std::string out = "{\"address_id\":" + std::to_string(address_id);
-  out += ",\"x\":" + FormatDouble(answer.location.x);
-  out += ",\"y\":" + FormatDouble(answer.location.y);
-  out += ",\"source\":\"";
-  out += SourceName(answer.source);
-  out += "\",\"degraded\":";
-  out += answer.degraded ? "true" : "false";
-  out += ",\"shed\":";
-  out += shed ? "true" : "false";
-  out += ",\"shard\":" + std::to_string(shard);
-  out += "}";
+  std::string out;
+  AppendAnswerJson(&out, address_id, answer, shard, shed);
   return out;
 }
 
 std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
                                                  std::string* error) {
   auto engine = std::unique_ptr<QueryEngine>(new QueryEngine());
-  engine->options_ = options;
   engine->router_ = ShardRouter(options.num_shards);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
 
   for (int i = 0; i < options.num_shards; ++i) {
     BundleManager::Config config = options.bundle;
     config.dir = options.bundle_dir;
-    auto shard = std::make_unique<Shard>();
-    shard->manager = BundleManager::Create(config, error);
-    if (shard->manager == nullptr) return nullptr;
+    Shard shard;
+    shard.manager = BundleManager::Create(config, error);
+    if (shard.manager == nullptr) return nullptr;
     const std::string label = "#shard=" + std::to_string(i);
-    shard->hits = registry.GetCounter("service.shard.hits" + label);
-    shard->shed = registry.GetCounter("service.shard.shed" + label);
+    shard.hits = registry.GetCounter("service.shard.hits" + label);
+    shard.shed = registry.GetCounter("service.shard.shed" + label);
     engine->admin_.AddHealthProvider(BundleManagerHealth(
-        "shard." + std::to_string(i), shard->manager.get()));
+        "shard." + std::to_string(i), shard.manager.get()));
     engine->shards_.push_back(std::move(shard));
   }
   engine->address_count_.store(
       static_cast<int64_t>(engine->shards_[0]
-                               ->manager->state()
+                               .manager->state()
                                ->bundle.world->addresses.size()),
       std::memory_order_release);
 
@@ -213,43 +231,22 @@ std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
           server_options,
           [raw](const HttpRequest& request,
                 HttpServer::ResponseHandle handle) {
-            raw->Handle(request, std::move(handle));
+            raw->Handle(request, handle);
           },
           error)) {
     return nullptr;
-  }
-  for (int i = 0; i < options.num_shards; ++i) {
-    Shard* shard = engine->shards_[static_cast<size_t>(i)].get();
-    shard->worker =
-        std::thread(&QueryEngine::WorkerLoop, raw, shard, i);
   }
   return engine;
 }
 
 QueryEngine::~QueryEngine() { Stop(); }
 
-void QueryEngine::Stop() {
-  if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
-  // Drain the workers first: they finish every queued job (each completion
-  // posts through the still-open event loop), then the loop itself stops.
-  // The reverse order would let a worker complete into a closed eventfd.
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->stop = true;
-    }
-    shard->cv.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
-  StopAdminServer(&server_);
-}
+void QueryEngine::Stop() { StopAdminServer(&server_); }
 
 QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
   ReloadSummary summary;
   for (auto& shard : shards_) {
-    switch (shard->manager->Poll(error)) {
+    switch (shard.manager->Poll(error)) {
       case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
       case BundleManager::ReloadOutcome::kRolledBack:
         ++summary.rolled_back;
@@ -261,7 +258,7 @@ QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
   }
   address_count_.store(
       static_cast<int64_t>(
-          shards_[0]->manager->state()->bundle.world->addresses.size()),
+          shards_[0].manager->state()->bundle.world->addresses.size()),
       std::memory_order_release);
   return summary;
 }
@@ -269,7 +266,7 @@ QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
 QueryEngine::ReloadSummary QueryEngine::ReloadShardsNow(std::string* error) {
   ReloadSummary summary;
   for (auto& shard : shards_) {
-    switch (shard->manager->ReloadNow(error)) {
+    switch (shard.manager->ReloadNow(error)) {
       case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
       case BundleManager::ReloadOutcome::kRolledBack:
         ++summary.rolled_back;
@@ -281,126 +278,20 @@ QueryEngine::ReloadSummary QueryEngine::ReloadShardsNow(std::string* error) {
   }
   address_count_.store(
       static_cast<int64_t>(
-          shards_[0]->manager->state()->bundle.world->addresses.size()),
+          shards_[0].manager->state()->bundle.world->addresses.size()),
       std::memory_order_release);
   return summary;
 }
 
 bool QueryEngine::AnyShardDegraded() const {
   for (const auto& shard : shards_) {
-    if (shard->manager->reload_degraded()) return true;
+    if (shard.manager->reload_degraded()) return true;
   }
   return false;
-}
-
-DeliveryLocationService::Answer QueryEngine::ShedAnswer(
-    const Shard& shard, int64_t address_id) const {
-  // The geocode tier is the terminal, infallible tier of DegradePolicy's
-  // fallback chain — shedding answers from it directly without touching the
-  // shard's queue or the service's tier counters.
-  const std::shared_ptr<const BundleManager::ServingState> state =
-      shard.manager->state();
-  DeliveryLocationService::Answer answer;
-  answer.location = state->bundle.world->address(address_id).geocoded_location;
-  answer.source = DeliveryLocationService::Source::kGeocode;
-  answer.degraded = true;
-  return answer;
-}
-
-bool QueryEngine::AdmitOrShed(int shard_index, Job job) {
-  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
-  bool overloaded = false;
-  {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    overloaded = static_cast<int>(shard->queue.size()) >=
-                 options_.max_queue_per_shard;
-  }
-  if (fault::Hit("service.shard.overload")) overloaded = true;
-  if (overloaded) {
-    const int count =
-        job.batch ? static_cast<int>(job.indices.size()) : 1;
-    EngineMetrics::Get().shed_total->Add(count);
-    shard->shed->Add(count);
-    if (job.batch) {
-      for (const size_t index : job.indices) {
-        const int64_t id = job.batch->ids[index];
-        job.batch->parts[index] =
-            FormatAnswerJson(id, ShedAnswer(*shard, id), shard_index,
-                             /*shed=*/true);
-      }
-      job.batch->FinishIfLast();
-    } else {
-      job.handle.RespondWithHeaders(
-          200, "application/json",
-          FormatAnswerJson(job.address_id,
-                           ShedAnswer(*shard, job.address_id), shard_index,
-                           /*shed=*/true),
-          {{"X-Request-Id", job.request_id}});
-      EngineMetrics::Get().latency->Observe(NowSeconds() - job.enqueue_s);
-    }
-    return true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->queue.push_back(std::move(job));
-  }
-  shard->cv.notify_one();
-  return false;
-}
-
-void QueryEngine::WorkerLoop(Shard* shard, int shard_index) {
-  obs::prof::RegisterCurrentThread("qe.shard." + std::to_string(shard_index));
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(shard->mu);
-      shard->cv.wait(lock,
-                     [shard] { return shard->stop || !shard->queue.empty(); });
-      if (shard->queue.empty()) {
-        if (shard->stop) return;
-        continue;
-      }
-      job = std::move(shard->queue.front());
-      shard->queue.pop_front();
-    }
-    if (const auto fire = fault::Hit("service.shard.latency")) {
-      fault::SleepForMs(fire->latency_ms);
-    }
-    // Pin this shard's serving state once per job: a concurrent swap cannot
-    // invalidate it, and every answer in a batch slice comes from one
-    // generation.
-    const std::shared_ptr<const BundleManager::ServingState> state =
-        shard->manager->state();
-    // The request's trace context lives for the whole shard-side handling:
-    // spans recorded below and any structured log line carry the id from
-    // the request's X-Request-Id header.
-    const obs::TraceScope trace_scope(
-        job.batch ? job.batch->trace_id : job.trace_id);
-    if (job.batch) {
-      EngineMetrics::Get().hits_total->Add(
-          static_cast<int64_t>(job.indices.size()));
-      shard->hits->Add(static_cast<int64_t>(job.indices.size()));
-      for (const size_t index : job.indices) {
-        const int64_t id = job.batch->ids[index];
-        job.batch->parts[index] = FormatAnswerJson(
-            id, state->service->Query(id), shard_index, /*shed=*/false);
-      }
-      job.batch->FinishIfLast();
-    } else {
-      EngineMetrics::Get().hits_total->Add(1);
-      shard->hits->Add(1);
-      const std::string body = FormatAnswerJson(
-          job.address_id, state->service->Query(job.address_id), shard_index,
-          /*shed=*/false);
-      EngineMetrics::Get().latency->Observe(NowSeconds() - job.enqueue_s);
-      job.handle.RespondWithHeaders(200, "application/json", body,
-                                    {{"X-Request-Id", job.request_id}});
-    }
-  }
 }
 
 void QueryEngine::HandleQuery(const HttpRequest& request,
-                              HttpServer::ResponseHandle handle) {
+                              const HttpServer::ResponseHandle& handle) {
   std::string raw;
   if (!request.QueryParam("address_id", &raw) || raw.empty()) {
     handle.Respond(400, "text/plain", "missing address_id parameter\n");
@@ -417,16 +308,35 @@ void QueryEngine::HandleQuery(const HttpRequest& request,
                    "{\"error\":\"unknown address_id\"}");
     return;
   }
-  Job job;
-  job.address_id = id;
-  job.handle = handle;
-  job.enqueue_s = NowSeconds();
-  job.request_id = ExtractRequestId(request, &job.trace_id);
-  AdmitOrShed(router_.ShardOf(id), std::move(job));
+  const double start_s = NowSeconds();
+  uint64_t trace_id = 0;
+  char generated[16];
+  const std::string_view request_id =
+      ExtractRequestId(request, &trace_id, generated);
+  // The request's trace context covers its whole handling: spans recorded
+  // below and any structured log line carry the id from X-Request-Id.
+  const obs::TraceScope trace_scope(trace_id);
+  const int shard_index = router_.ShardOf(id);
+  const Shard& shard = shards_[static_cast<size_t>(shard_index)];
+  const bool shed = fault::Hit("service.shard.overload").has_value();
+  // Pinned once: a concurrent swap cannot invalidate it mid-answer.
+  const std::shared_ptr<const BundleManager::ServingState> state =
+      shard.manager->state();
+  std::string body;
+  body.reserve(160);
+  AppendAnswerJson(&body, id,
+                   shed ? ShedAnswer(*state, id) : state->service->Query(id),
+                   shard_index, shed);
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  (shed ? metrics.shed_total : metrics.hits_total)->Add(1);
+  (shed ? shard.shed : shard.hits)->Add(1);
+  metrics.latency->Observe(NowSeconds() - start_s);
+  handle.RespondWithHeaders(200, "application/json", body,
+                            {{"X-Request-Id", request_id}});
 }
 
 void QueryEngine::HandleQueryBatch(const HttpRequest& request,
-                                   HttpServer::ResponseHandle handle) {
+                                   const HttpServer::ResponseHandle& handle) {
   if (request.method != "POST") {
     handle.Respond(405, "text/plain", "POST required\n");
     return;
@@ -451,40 +361,57 @@ void QueryEngine::HandleQueryBatch(const HttpRequest& request,
     handle.Respond(200, "application/json", "{\"answers\":[]}");
     return;
   }
-  auto batch = std::make_shared<BatchState>();
-  batch->ids = std::move(ids);
-  batch->parts.resize(batch->ids.size());
-  batch->handle = handle;
-  batch->start_s = NowSeconds();
-  batch->request_id = ExtractRequestId(request, &batch->trace_id);
+  const double start_s = NowSeconds();
+  uint64_t trace_id = 0;
+  char generated[16];
+  const std::string_view request_id =
+      ExtractRequestId(request, &trace_id, generated);
+  const obs::TraceScope trace_scope(trace_id);
 
-  // Slice by shard; `remaining` must be final before any slice can finish.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < batch->ids.size(); ++i) {
-    by_shard[static_cast<size_t>(router_.ShardOf(batch->ids[i]))].push_back(
-        i);
+  // Each shard's slice is admitted or shed whole (one overload check per
+  // slice, in shard order) and answered from one pinned generation.
+  struct Slice {
+    std::shared_ptr<const BundleManager::ServingState> state;
+    int64_t count = 0;
+    bool shed = false;
+  };
+  std::vector<Slice> slices(shards_.size());
+  std::vector<int> shard_of(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    shard_of[i] = router_.ShardOf(ids[i]);
+    ++slices[static_cast<size_t>(shard_of[i])].count;
   }
-  int slices = 0;
-  for (const auto& indices : by_shard) {
-    if (!indices.empty()) ++slices;
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  for (size_t i = 0; i < slices.size(); ++i) {
+    Slice& slice = slices[i];
+    if (slice.count == 0) continue;
+    slice.shed = fault::Hit("service.shard.overload").has_value();
+    slice.state = shards_[i].manager->state();
+    (slice.shed ? metrics.shed_total : metrics.hits_total)->Add(slice.count);
+    (slice.shed ? shards_[i].shed : shards_[i].hits)->Add(slice.count);
   }
-  batch->remaining.store(slices, std::memory_order_release);
-  for (size_t shard = 0; shard < by_shard.size(); ++shard) {
-    if (by_shard[shard].empty()) continue;
-    Job job;
-    job.batch = batch;
-    job.indices = std::move(by_shard[shard]);
-    job.enqueue_s = batch->start_s;
-    AdmitOrShed(static_cast<int>(shard), std::move(job));
+  std::string body = "{\"answers\":[";
+  body.reserve(ids.size() * 160);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) body += ',';
+    const Slice& slice = slices[static_cast<size_t>(shard_of[i])];
+    AppendAnswerJson(&body, ids[i],
+                     slice.shed ? ShedAnswer(*slice.state, ids[i])
+                                : slice.state->service->Query(ids[i]),
+                     shard_of[i], slice.shed);
   }
+  body += "]}";
+  metrics.latency->Observe(NowSeconds() - start_s);
+  handle.RespondWithHeaders(200, "application/json", body,
+                            {{"X-Request-Id", request_id}});
 }
 
 void QueryEngine::Handle(const HttpRequest& request,
-                         HttpServer::ResponseHandle handle) {
+                         const HttpServer::ResponseHandle& handle) {
   if (request.path == "/query") {
-    HandleQuery(request, std::move(handle));
+    HandleQuery(request, handle);
   } else if (request.path == "/query_batch") {
-    HandleQueryBatch(request, std::move(handle));
+    HandleQueryBatch(request, handle);
   } else if (request.path == "/inventory") {
     handle.Respond(
         200, "application/json",

@@ -2,13 +2,9 @@
 #define DLINF_APPS_QUERY_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/admin_routes.h"
@@ -21,24 +17,28 @@
 /// \file
 /// The sharded high-QPS query front end (DESIGN.md §11).
 ///
-/// One epoll event loop (`HttpServer`) accepts keep-alive/pipelined HTTP and
-/// routes `/query` + `/query_batch` by consistent hash (`ShardRouter`) to N
-/// shard worker threads. Each shard owns its own `BundleManager` over the
-/// same bundle directory, so hot-reload (stage → validate → swap/rollback)
-/// happens per shard without ever blocking another shard's queries.
+/// One epoll event loop (`HttpServer`, thread `qe.loop`) accepts
+/// keep-alive/pipelined HTTP and answers `/query` + `/query_batch` to
+/// completion inside the handler: route by consistent hash (`ShardRouter`),
+/// look up, format, respond — no queue and no thread hop. A shard is what
+/// clients and operators see: its slice of the key space, its own
+/// `BundleManager` over the same bundle directory (so hot-reload — stage →
+/// validate → swap/rollback — happens per shard, and `state()` is an atomic
+/// load that a reload never blocks), its `service.shard.{hits,shed}`
+/// counters, its `/healthz` check and the `"shard"` field of each answer.
 ///
 /// **Request correlation**: `/query` and `/query_batch` accept an
 /// `X-Request-Id` header (any string; numeric values are adopted as the
 /// trace id directly, other strings are hashed, and a fresh splitmix64 id
 /// is generated when the header is absent). The id is echoed back in the
-/// response's `X-Request-Id` header and installed as the worker's
+/// response's `X-Request-Id` header and installed as the handler's
 /// `TraceScope`, so a slow request joins across /tracez spans, structured
 /// log `trace_id` fields and a captured CPU profile.
 ///
-/// **Shedding contract**: admission control runs on the loop thread. When a
-/// shard's queue is at capacity (or the `service.shard.overload` fault point
-/// fires), the request is *not* dropped and the connection is *not* closed —
-/// the loop thread answers inline with the geocode-tier degraded answer, the
+/// **Shedding contract**: when the `service.shard.overload` fault point
+/// fires for a shard (once per `/query`, once per shard slice of a
+/// `/query_batch`), the request is *not* dropped and the connection is
+/// *not* closed — it is answered with the geocode-tier degraded answer, the
 /// same lowest tier `DegradePolicy` falls back to when upper tiers fail.
 /// Every query is always answered; shedding only changes which tier answers
 /// and is visible in `"shed": true` and the `service.shard.shed` counters.
@@ -53,16 +53,14 @@
 namespace dlinf {
 namespace apps {
 
-/// Sharded query engine: event loop + N shard workers + per-shard reload.
+/// Sharded query engine: one event loop answering for N shards, each with
+/// its own hot-reloading bundle.
 class QueryEngine {
  public:
   struct Options {
     std::string bundle_dir;
     int num_shards = 4;
     int port = 0;  ///< 0 picks an ephemeral port.
-    /// Admission bound: queries queued per shard beyond which new arrivals
-    /// are shed to the inline degraded tier.
-    int max_queue_per_shard = 512;
     double idle_timeout_s = 30.0;
     /// Per-shard BundleManager tuning (`dir` is overridden by bundle_dir).
     BundleManager::Config bundle;
@@ -85,7 +83,7 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Stops accepting, drains the shard queues, joins every thread.
+  /// Stops accepting and joins the event loop. Idempotent.
   void Stop();
 
   int port() const { return server_.port(); }
@@ -104,65 +102,39 @@ class QueryEngine {
 
   /// Shard `i`'s reload manager (tests and the serve loop).
   BundleManager* shard_manager(int shard) {
-    return shards_[static_cast<size_t>(shard)]->manager.get();
+    return shards_[static_cast<size_t>(shard)].manager.get();
   }
 
   /// The exact JSON body `/query` serves for `address_id` answered by
   /// `shard`. Exposed so tests can derive the expected bytes from a direct
   /// `DeliveryLocationService::Query` answer and assert bit-identical
-  /// engine output (doubles are %.17g — lossless round-trip).
+  /// engine output (doubles are printf's %.17g, written by std::to_chars —
+  /// a lossless round-trip).
   static std::string FormatAnswerJson(
       int64_t address_id, const DeliveryLocationService::Answer& answer,
       int shard, bool shed);
 
  private:
-  /// One enqueued unit of work: either a single /query or one shard's slice
-  /// of a /query_batch.
-  struct BatchState;
-  struct Job {
-    int64_t address_id = -1;
-    HttpServer::ResponseHandle handle;  ///< Single-query only.
-    double enqueue_s = 0.0;
-    uint64_t trace_id = 0;       ///< From X-Request-Id (or generated).
-    std::string request_id;      ///< Echoed back verbatim in X-Request-Id.
-    std::shared_ptr<BatchState> batch;  ///< Batch slice only.
-    std::vector<size_t> indices;        ///< Batch positions for this shard.
-  };
-
   struct Shard {
     std::unique_ptr<BundleManager> manager;
-    std::thread worker;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Job> queue;
-    bool stop = false;
     obs::Counter* hits = nullptr;  ///< service.shard.hits#shard=i
     obs::Counter* shed = nullptr;  ///< service.shard.shed#shard=i
   };
 
   QueryEngine() = default;
 
-  void Handle(const HttpRequest& request, HttpServer::ResponseHandle handle);
+  void Handle(const HttpRequest& request,
+              const HttpServer::ResponseHandle& handle);
   void HandleQuery(const HttpRequest& request,
-                   HttpServer::ResponseHandle handle);
+                   const HttpServer::ResponseHandle& handle);
   void HandleQueryBatch(const HttpRequest& request,
-                        HttpServer::ResponseHandle handle);
-  void WorkerLoop(Shard* shard, int shard_index);
+                        const HttpServer::ResponseHandle& handle);
 
-  /// The inline geocode-tier degraded answer used when shedding.
-  DeliveryLocationService::Answer ShedAnswer(const Shard& shard,
-                                             int64_t address_id) const;
-
-  /// True when the request was shed (handled inline); false when enqueued.
-  bool AdmitOrShed(int shard_index, Job job);
-
-  Options options_;
   ShardRouter router_{1};
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   AdminRoutes admin_;
   HttpServer server_;
-  std::atomic<int64_t> address_count_{0};  ///< Bounds check on admission.
-  std::atomic<bool> stopped_{false};
+  std::atomic<int64_t> address_count_{0};  ///< Bounds check on every id.
 };
 
 }  // namespace apps

@@ -7,7 +7,7 @@
 /// \file
 /// Consistent-hash sharding of the address keyspace (DESIGN.md §11).
 ///
-/// The query engine partitions addresses across N shard workers. The map
+/// The query engine partitions addresses across N shards. The map
 /// must be (a) a pure function of (key, num_shards) — the same address hits
 /// the same shard across process restarts, so per-shard caches and reload
 /// generations stay meaningful — and (b) stable under resharding: growing

@@ -4,9 +4,19 @@
 // framing, garbage bytes. The contract under test: the parser either yields
 // a request, asks for more bytes, or fails with a typed HTTP status; it
 // never CHECK-aborts and never buffers past its limits.
+//
+// The HttpServer cases at the end check response ordering on one
+// pipelined connection when some answers are written inline on the loop
+// thread and others arrive later from another thread.
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/http_conn.h"
@@ -392,6 +402,136 @@ TEST(HttpParserTest, BuildHttpResponseShapes) {
                         /*head_only=*/true);
   EXPECT_NE(head.find("Content-Length: 10\r\n"), std::string::npos);
   EXPECT_EQ(head.find("body-bytes"), std::string::npos);
+}
+
+/// Answers `/r?i=K` with body "rK": even K inline on the loop thread, odd K
+/// from a helper thread that waits for `odd_expected` of them, then answers
+/// in reverse arrival order — so every odd answer completes after the even
+/// answers queued behind it.
+class SplitResponder {
+ public:
+  explicit SplitResponder(int odd_expected)
+      : odd_expected_(odd_expected), helper_([this] { AnswerDeferred(); }) {}
+  ~SplitResponder() { helper_.join(); }
+
+  void Handle(const HttpRequest& request, HttpServer::ResponseHandle handle) {
+    std::string k;
+    EXPECT_TRUE(request.QueryParam("i", &k));
+    std::lock_guard<std::mutex> lock(mu_);
+    ++handled_;
+    if (std::stoi(k) % 2 == 0) {
+      handle.Respond(200, "text/plain", "r" + k);
+      return;
+    }
+    deferred_.emplace_back(std::move(handle), "r" + k);
+    cv_.notify_one();
+  }
+
+  int handled() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return handled_;
+  }
+
+ private:
+  void AnswerDeferred() {
+    std::vector<std::pair<HttpServer::ResponseHandle, std::string>> batch;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] {
+        return static_cast<int>(deferred_.size()) >= odd_expected_;
+      });
+      batch.swap(deferred_);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::reverse(batch.begin(), batch.end());
+    for (const auto& [handle, body] : batch) {
+      handle.Respond(200, "text/plain", body);
+    }
+  }
+
+  const int odd_expected_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int handled_ = 0;
+  std::vector<std::pair<HttpServer::ResponseHandle, std::string>> deferred_;
+  std::thread helper_;
+};
+
+std::string Burst(int from, int to, int close_at = -1) {
+  std::string bytes;
+  for (int i = from; i < to; ++i) {
+    bytes += "GET /r?i=" + std::to_string(i) + " HTTP/1.1\r\nHost: h\r\n";
+    if (i == close_at) bytes += "Connection: close\r\n";
+    bytes += "\r\n";
+  }
+  return bytes;
+}
+
+bool HasConnectionClose(
+    const std::vector<std::pair<std::string, std::string>>& headers) {
+  for (const auto& [name, value] : headers) {
+    if (name == "connection" && value == "close") return true;
+  }
+  return false;
+}
+
+TEST(HttpServerTest, InlineAndCrossThreadAnswersKeepRequestOrder) {
+  constexpr int kBurst = 16;
+  SplitResponder responder(kBurst / 2);
+  HttpServer server;
+  ASSERT_TRUE(server.Start({}, [&](const HttpRequest& request,
+                                   HttpServer::ResponseHandle handle) {
+    responder.Handle(request, std::move(handle));
+  }));
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.SendRaw(Burst(0, kBurst)));
+  for (int i = 0; i < kBurst; ++i) {
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(client.ReadResponse(&status, &body)) << i;
+    EXPECT_EQ(status, 200);
+    EXPECT_EQ(body, "r" + std::to_string(i));
+  }
+  // Exactly once: the next answer on the connection is the next request's,
+  // not a duplicate of an earlier one.
+  ASSERT_TRUE(client.SendRaw(Burst(kBurst, kBurst + 1)));
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(body, "r" + std::to_string(kBurst));
+  EXPECT_EQ(responder.handled(), kBurst + 1);
+  server.Stop();
+}
+
+TEST(HttpServerTest, ConnectionCloseMidBurstEndsTheBurst) {
+  constexpr int kCloseAt = 5;  // Odd: answered from the helper thread.
+  SplitResponder responder(/*odd_expected=*/3);
+  HttpServer server;
+  ASSERT_TRUE(server.Start({}, [&](const HttpRequest& request,
+                                   HttpServer::ResponseHandle handle) {
+    responder.Handle(request, std::move(handle));
+  }));
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.SendRaw(Burst(0, 8, kCloseAt)));
+  for (int i = 0; i <= kCloseAt; ++i) {
+    int status = 0;
+    std::vector<std::pair<std::string, std::string>> headers;
+    std::string body;
+    ASSERT_TRUE(client.ReadResponse(&status, &headers, &body)) << i;
+    EXPECT_EQ(body, "r" + std::to_string(i));
+    EXPECT_EQ(HasConnectionClose(headers), i == kCloseAt) << i;
+  }
+  // The requests pipelined after the close are never dispatched, and the
+  // server closes the connection once the last answer is out.
+  int status = 0;
+  std::string body;
+  EXPECT_FALSE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(responder.handled(), kCloseAt + 1);
+  server.Stop();
 }
 
 }  // namespace

@@ -10,14 +10,22 @@
 //    issued, per-shard hits == keys routed there);
 //  - the shedding contract (overload answers degraded, never drops);
 //  - per-shard rollback → /healthz degradation → recovery;
-//  - the slow-loris fix: a stalled connection cannot delay /healthz.
+//  - the slow-loris fix: a stalled connection cannot delay /healthz;
+//  - /query_batch rejects every id /query rejects;
+//  - one pipelined burst mixing routes answers in order;
+//  - answer doubles are byte-equal to printf's %.17g.
 // The whole file runs under TSan in CI.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,12 +94,10 @@ EngineFixture& Fixture() {
   return *fixture;
 }
 
-std::unique_ptr<QueryEngine> MakeEngine(int num_shards = 4,
-                                        int max_queue = 512) {
+std::unique_ptr<QueryEngine> MakeEngine(int num_shards = 4) {
   QueryEngine::Options options;
   options.bundle_dir = Fixture().dir;
   options.num_shards = num_shards;
-  options.max_queue_per_shard = max_queue;
   std::string error;
   std::unique_ptr<QueryEngine> engine = QueryEngine::Create(options, &error);
   EXPECT_NE(engine, nullptr) << error;
@@ -635,6 +641,208 @@ TEST(QueryEngineTest, RequestIdIsEchoedAndGenerated) {
       std::to_string(batch_body.size()) + "\r\n\r\n" + batch_body));
   EXPECT_EQ(ReadRequestIdEcho(&client, &status, &body), "batch-7");
   EXPECT_EQ(status, 200);
+}
+
+TEST(QueryEngineTest, BatchRejectsWhatSingleQueryRejects) {
+  std::unique_ptr<QueryEngine> engine = MakeEngine();
+  ASSERT_NE(engine, nullptr);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(engine->port()));
+  int status = 0;
+  std::string body;
+
+  // /query answers 400 for an id that overflows int64; so does the batch.
+  ASSERT_TRUE(client.SendGet("/query?address_id=99999999999999999999"));
+  ASSERT_TRUE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(status, 400);
+
+  for (const std::string bad : {
+           "{\"address_ids\":[99999999999999999999]}",
+           "{\"address_ids\":[1,,2]}",
+           "{\"address_ids\":[,3]}",
+           "{\"address_ids\":[+5]}",
+           "{\"address_ids\":[1,]}",
+           "{\"address_ids\":[1 2]}",
+           "{\"address_ids\":[1]}x",
+           "{\"address_ids\":[1]} }",
+           "{\"address_ids\":[1]",
+           "{\"other\":0,\"address_ids\":[1]}",
+       }) {
+    ASSERT_TRUE(client.SendPost("/query_batch", bad));
+    ASSERT_TRUE(client.ReadResponse(&status, &body));
+    EXPECT_EQ(status, 400) << bad;
+  }
+
+  // A negative id is well-formed but unknown, as on /query.
+  ASSERT_TRUE(client.SendPost("/query_batch", "{\"address_ids\":[-1]}"));
+  ASSERT_TRUE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(status, 404);
+
+  // JSON whitespace between tokens is well-formed and answers the same.
+  ASSERT_TRUE(client.SendPost("/query_batch",
+                              " {\n\"address_ids\" : [ 1 ,\t2 ]\r\n} "));
+  ASSERT_TRUE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "{\"answers\":[" + ExpectedBody(*engine, 1) + "," +
+                      ExpectedBody(*engine, 2) + "]}");
+}
+
+TEST(QueryEngineTest, MixedPipelinedBurstAnswersInOrder) {
+  std::unique_ptr<QueryEngine> engine = MakeEngine();
+  ASSERT_NE(engine, nullptr);
+  const int shards = engine->num_shards();
+  const int64_t address_count =
+      static_cast<int64_t>(Fixture().world.addresses.size());
+
+  // A batch with ids on every shard.
+  std::vector<int64_t> batch_ids;
+  std::vector<bool> covered(static_cast<size_t>(shards), false);
+  for (int64_t id = 0; id < address_count; ++id) {
+    batch_ids.push_back(id);
+    covered[static_cast<size_t>(engine->router().ShardOf(id))] = true;
+    if (batch_ids.size() >= 8 &&
+        std::count(covered.begin(), covered.end(), true) == shards) {
+      break;
+    }
+  }
+  ASSERT_EQ(std::count(covered.begin(), covered.end(), true), shards);
+  std::string batch_body = "{\"address_ids\":[";
+  std::string batch_answer = "{\"answers\":[";
+  for (size_t i = 0; i < batch_ids.size(); ++i) {
+    if (i > 0) {
+      batch_body += ',';
+      batch_answer += ',';
+    }
+    batch_body += std::to_string(batch_ids[i]);
+    batch_answer += ExpectedBody(*engine, batch_ids[i]);
+  }
+  batch_body += "]}";
+  batch_answer += "]}";
+
+  const int64_t first = 5 % address_count;
+  const int64_t shed = 7 % address_count;
+  const int64_t last = 11 % address_count;
+  auto get = [](const std::string& target) {
+    return "GET " + target + " HTTP/1.1\r\nHost: h\r\n\r\n";
+  };
+  const std::string burst =
+      get("/query?address_id=" + std::to_string(first)) +
+      "POST /query_batch HTTP/1.1\r\nHost: h\r\nContent-Length: " +
+      std::to_string(batch_body.size()) + "\r\n\r\n" + batch_body +
+      get("/healthz") + get("/query?address_id=" + std::to_string(shed)) +
+      get("/query?address_id=" + std::to_string(last));
+
+  DeliveryLocationService::Answer shed_answer;
+  shed_answer.location = Fixture().world.address(shed).geocoded_location;
+  shed_answer.source = DeliveryLocationService::Source::kGeocode;
+  shed_answer.degraded = true;
+  const std::vector<std::string> expected = {
+      ExpectedBody(*engine, first),
+      batch_answer,
+      "",  // /healthz: checked by status and shape below.
+      QueryEngine::FormatAnswerJson(shed, shed_answer,
+                                    engine->router().ShardOf(shed),
+                                    /*shed=*/true),
+      ExpectedBody(*engine, last),
+  };
+
+  std::vector<int64_t> hits_want(static_cast<size_t>(shards), 0);
+  std::vector<int64_t> shed_want(static_cast<size_t>(shards), 0);
+  for (const int64_t id : batch_ids) {
+    ++hits_want[static_cast<size_t>(engine->router().ShardOf(id))];
+  }
+  ++hits_want[static_cast<size_t>(engine->router().ShardOf(first))];
+  ++hits_want[static_cast<size_t>(engine->router().ShardOf(last))];
+  ++shed_want[static_cast<size_t>(engine->router().ShardOf(shed))];
+  auto per_shard = [&](const std::string& name) {
+    std::vector<int64_t> values;
+    for (int s = 0; s < shards; ++s) {
+      values.push_back(CounterValue(name + "#shard=" + std::to_string(s)));
+    }
+    return values;
+  };
+  const std::vector<int64_t> hits_before = per_shard("service.shard.hits");
+  const std::vector<int64_t> shed_before = per_shard("service.shard.shed");
+
+  // The overload point is hit once per /query and once per shard slice of
+  // the batch; skip those ahead of the fourth request so only it sheds.
+  fault::FaultPlan plan;
+  plan.Inject({.point = "service.shard.overload",
+               .skip_first = 1 + shards,
+               .max_fires = 1});
+  fault::ScopedFaultPlan armed(plan, 20240809);
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(engine->port()));
+  ASSERT_TRUE(client.SendRaw(burst));
+  for (size_t i = 0; i < expected.size(); ++i) {
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(client.ReadResponse(&status, &body)) << i;
+    EXPECT_EQ(status, 200) << i;
+    if (i == 2) {
+      EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
+    } else {
+      EXPECT_EQ(body, expected[i]) << i;
+    }
+  }
+  EXPECT_EQ(fault::FireCount("service.shard.overload"), 1);
+  EXPECT_EQ(fault::HitCount("service.shard.overload"), 3 + shards);
+  const std::vector<int64_t> hits_after = per_shard("service.shard.hits");
+  const std::vector<int64_t> shed_after = per_shard("service.shard.shed");
+  for (int s = 0; s < shards; ++s) {
+    const size_t i = static_cast<size_t>(s);
+    EXPECT_EQ(hits_after[i] - hits_before[i], hits_want[i]) << "shard " << s;
+    EXPECT_EQ(shed_after[i] - shed_before[i], shed_want[i]) << "shard " << s;
+  }
+}
+
+/// The answer JSON with both doubles written by printf's %.17g.
+std::string PrintfAnswerJson(int64_t id, double x, double y, int shard) {
+  char xs[40];
+  char ys[40];
+  std::snprintf(xs, sizeof(xs), "%.17g", x);
+  std::snprintf(ys, sizeof(ys), "%.17g", y);
+  return "{\"address_id\":" + std::to_string(id) + ",\"x\":" + xs +
+         ",\"y\":" + ys +
+         ",\"source\":\"building\",\"degraded\":true,\"shed\":false,"
+         "\"shard\":" +
+         std::to_string(shard) + "}";
+}
+
+TEST(QueryEngineFormatTest, DoublesMatchPrintfPercent17g) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, Limits::denorm_min(), -Limits::denorm_min(),
+      std::nextafter(Limits::min(), 0.0),  // Largest subnormal.
+      Limits::min(), 1e300, -1e300, Limits::max(), Limits::lowest(),
+      9007199254740992.0,   // 2^53.
+      9007199254740994.0,   // 2^53 + 2.
+      -9007199254740996.0,  // -(2^53 + 4).
+      1152921504606846976.0,  // 2^60.
+      1e17, 123456789012345678.0, 1e22, 0.1, 1.5, -2.5, 100.0, 1e-5,
+      440000.12345678901};
+  std::mt19937_64 rng(20241018);
+  std::uniform_real_distribution<double> coordinate(-5e4, 5e4);
+  while (values.size() < 100000) {
+    // Half raw bit patterns (every exponent), half map coordinates.
+    const double raw = std::bit_cast<double>(rng());
+    if (std::isfinite(raw)) values.push_back(raw);
+    values.push_back(coordinate(rng));
+  }
+  DeliveryLocationService::Answer answer;
+  answer.source = DeliveryLocationService::Source::kBuilding;
+  answer.degraded = true;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double x = values[i];
+    const double y = values[values.size() - 1 - i];
+    answer.location.x = x;
+    answer.location.y = y;
+    const int64_t id = static_cast<int64_t>(i) * 7919;
+    ASSERT_EQ(QueryEngine::FormatAnswerJson(id, answer, 3, /*shed=*/false),
+              PrintfAnswerJson(id, x, y, 3))
+        << i;
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@
 //       0.01), and keeps the process (and the endpoint) alive S extra
 //       seconds after the query load finishes so external scrapers can read
 //       the final state. With --shards N the command instead boots the
-//       sharded HTTP query engine (DESIGN.md §11): N shard workers behind
+//       sharded HTTP query engine (DESIGN.md §11): N shards answered by
 //       one epoll event loop on --port P (default 0 = ephemeral), serving
 //       /query, /query_batch, /inventory and the admin routes until
 //       --serve-seconds S elapses (default 0 = until SIGINT/SIGTERM),
