@@ -244,29 +244,19 @@ QueryEngine::~QueryEngine() { Stop(); }
 void QueryEngine::Stop() { StopAdminServer(&server_); }
 
 QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
-  ReloadSummary summary;
-  for (auto& shard : shards_) {
-    switch (shard.manager->Poll(error)) {
-      case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
-      case BundleManager::ReloadOutcome::kRolledBack:
-        ++summary.rolled_back;
-        break;
-      case BundleManager::ReloadOutcome::kUnchanged:
-        ++summary.unchanged;
-        break;
-    }
-  }
-  address_count_.store(
-      static_cast<int64_t>(
-          shards_[0].manager->state()->bundle.world->addresses.size()),
-      std::memory_order_release);
-  return summary;
+  return ReloadShards(&BundleManager::Poll, error);
 }
 
 QueryEngine::ReloadSummary QueryEngine::ReloadShardsNow(std::string* error) {
+  return ReloadShards(&BundleManager::ReloadNow, error);
+}
+
+QueryEngine::ReloadSummary QueryEngine::ReloadShards(
+    BundleManager::ReloadOutcome (BundleManager::*reload)(std::string*),
+    std::string* error) {
   ReloadSummary summary;
   for (auto& shard : shards_) {
-    switch (shard.manager->ReloadNow(error)) {
+    switch ((shard.manager.get()->*reload)(error)) {
       case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
       case BundleManager::ReloadOutcome::kRolledBack:
         ++summary.rolled_back;
@@ -292,27 +282,30 @@ bool QueryEngine::AnyShardDegraded() const {
 
 void QueryEngine::HandleQuery(const HttpRequest& request,
                               const HttpServer::ResponseHandle& handle) {
+  // Every answer, error or not, echoes the request id.
+  uint64_t trace_id = 0;
+  char generated[16];
+  const HttpHeader echo{"X-Request-Id",
+                        ExtractRequestId(request, &trace_id, generated)};
   std::string raw;
   if (!request.QueryParam("address_id", &raw) || raw.empty()) {
-    handle.Respond(400, "text/plain", "missing address_id parameter\n");
+    handle.RespondWithHeaders(400, "text/plain",
+                              "missing address_id parameter\n", {echo});
     return;
   }
   int64_t id = 0;
   if (!ParseNumber(raw, &id)) {
-    handle.Respond(400, "text/plain", "malformed address_id\n");
+    handle.RespondWithHeaders(400, "text/plain", "malformed address_id\n",
+                              {echo});
     return;
   }
   if (id < 0 || id >= address_count_.load(std::memory_order_acquire)) {
     EngineMetrics::Get().rejected->Add(1);
-    handle.Respond(404, "application/json",
-                   "{\"error\":\"unknown address_id\"}");
+    handle.RespondWithHeaders(404, "application/json",
+                              "{\"error\":\"unknown address_id\"}", {echo});
     return;
   }
   const double start_s = NowSeconds();
-  uint64_t trace_id = 0;
-  char generated[16];
-  const std::string_view request_id =
-      ExtractRequestId(request, &trace_id, generated);
   // The request's trace context covers its whole handling: spans recorded
   // below and any structured log line carry the id from X-Request-Id.
   const obs::TraceScope trace_scope(trace_id);
@@ -331,41 +324,43 @@ void QueryEngine::HandleQuery(const HttpRequest& request,
   (shed ? metrics.shed_total : metrics.hits_total)->Add(1);
   (shed ? shard.shed : shard.hits)->Add(1);
   metrics.latency->Observe(NowSeconds() - start_s);
-  handle.RespondWithHeaders(200, "application/json", body,
-                            {{"X-Request-Id", request_id}});
+  handle.RespondWithHeaders(200, "application/json", body, {echo});
 }
 
 void QueryEngine::HandleQueryBatch(const HttpRequest& request,
                                    const HttpServer::ResponseHandle& handle) {
+  uint64_t trace_id = 0;
+  char generated[16];
+  const HttpHeader echo{"X-Request-Id",
+                        ExtractRequestId(request, &trace_id, generated)};
   if (request.method != "POST") {
-    handle.Respond(405, "text/plain", "POST required\n");
+    handle.RespondWithHeaders(405, "text/plain", "POST required\n", {echo});
     return;
   }
   std::vector<int64_t> ids;
   if (!ParseBatchBody(request.body, &ids)) {
-    handle.Respond(400, "text/plain",
-                   "body must be {\"address_ids\":[...]}\n");
+    handle.RespondWithHeaders(400, "text/plain",
+                              "body must be {\"address_ids\":[...]}\n",
+                              {echo});
     return;
   }
   const int64_t count = address_count_.load(std::memory_order_acquire);
   for (const int64_t id : ids) {
     if (id < 0 || id >= count) {
       EngineMetrics::Get().rejected->Add(1);
-      handle.Respond(404, "application/json",
-                     "{\"error\":\"unknown address_id\"}");
+      handle.RespondWithHeaders(404, "application/json",
+                                "{\"error\":\"unknown address_id\"}",
+                                {echo});
       return;
     }
   }
   EngineMetrics::Get().batch_requests->Add(1);
   if (ids.empty()) {
-    handle.Respond(200, "application/json", "{\"answers\":[]}");
+    handle.RespondWithHeaders(200, "application/json", "{\"answers\":[]}",
+                              {echo});
     return;
   }
   const double start_s = NowSeconds();
-  uint64_t trace_id = 0;
-  char generated[16];
-  const std::string_view request_id =
-      ExtractRequestId(request, &trace_id, generated);
   const obs::TraceScope trace_scope(trace_id);
 
   // Each shard's slice is admitted or shed whole (one overload check per
@@ -402,8 +397,7 @@ void QueryEngine::HandleQueryBatch(const HttpRequest& request,
   }
   body += "]}";
   metrics.latency->Observe(NowSeconds() - start_s);
-  handle.RespondWithHeaders(200, "application/json", body,
-                            {{"X-Request-Id", request_id}});
+  handle.RespondWithHeaders(200, "application/json", body, {echo});
 }
 
 void QueryEngine::Handle(const HttpRequest& request,

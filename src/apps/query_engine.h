@@ -123,6 +123,12 @@ class QueryEngine {
 
   QueryEngine() = default;
 
+  /// PollShards and ReloadShardsNow: runs `reload` on every shard, tallies
+  /// the outcomes and republishes the address count.
+  ReloadSummary ReloadShards(
+      BundleManager::ReloadOutcome (BundleManager::*reload)(std::string*),
+      std::string* error);
+
   void Handle(const HttpRequest& request,
               const HttpServer::ResponseHandle& handle);
   void HandleQuery(const HttpRequest& request,

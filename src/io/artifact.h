@@ -46,10 +46,13 @@ inline constexpr uint32_t kArtifactMagic = 0x42414c44u;
 inline constexpr uint32_t kArtifactVersion = 1;
 
 /// What an artifact file contains. The kind is part of the envelope so that
-/// passing, say, a stay-point file where a model is expected fails fast.
+/// passing, say, a world file where a model is expected fails fast.
 enum class ArtifactKind : uint32_t {
   kWorld = 1,        ///< A full sim::World (codecs.h).
-  kStayPoints = 2,   ///< std::vector<StayPoint>.
+  /// Retired: standalone stay-point files are no longer written or read
+  /// (stay points travel inside kCandidates). The value stays reserved so
+  /// an old file still fails with the typed kind-mismatch error.
+  kStayPoints = 2,
   kCandidates = 3,   ///< dlinfma::CandidateGeneration state + grid indexes.
   kSamples = 4,      ///< dlinfma::SampleSet feature tensors.
   kModel = 5,        ///< Model config + nn parameter blob.

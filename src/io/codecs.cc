@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <utility>
 
+#include "traj/stay_point.h"
+
 namespace dlinf {
 namespace io {
 namespace {
@@ -271,32 +273,6 @@ std::optional<sim::World> LoadWorldArtifact(const std::string& path,
     return std::nullopt;
   }
   return world;
-}
-
-/// --- Stay points ----------------------------------------------------------
-
-bool SaveStayPointsArtifact(const std::vector<StayPoint>& stay_points,
-                            const std::string& path) {
-  ArtifactWriter writer(ArtifactKind::kStayPoints);
-  writer.WriteU64(stay_points.size());
-  for (const StayPoint& sp : stay_points) WriteStayPoint(&writer, sp);
-  return writer.Finish(path);
-}
-
-std::optional<std::vector<StayPoint>> LoadStayPointsArtifact(
-    const std::string& path, std::string* error) {
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kStayPoints, error);
-  if (!reader) return std::nullopt;
-  std::vector<StayPoint> stay_points;
-  const uint64_t count = reader->ReadU64();
-  for (uint64_t i = 0; reader->ok() && i < count; ++i) {
-    stay_points.push_back(ReadStayPoint(&*reader));
-  }
-  if (!reader->AtEnd()) {
-    if (error != nullptr) *error = "malformed stay-point payload in " + path;
-    return std::nullopt;
-  }
-  return stay_points;
 }
 
 /// --- Candidate generation -------------------------------------------------

@@ -11,7 +11,6 @@
 #include "dlinfma/inferrer.h"
 #include "io/artifact.h"
 #include "sim/world.h"
-#include "traj/stay_point.h"
 
 /// \file
 /// Save/Load of every pipeline artifact in the checksummed binary envelope
@@ -33,13 +32,6 @@ std::optional<sim::World> LoadWorldArtifact(const std::string& path,
 /// leaves failure signalling to the reader's sticky ok() flag.
 void EncodeWorldPayload(const sim::World& world, ArtifactWriter* writer);
 sim::World DecodeWorldPayload(ArtifactReader* reader);
-
-/// --- Extracted stay points (kStayPoints) ----------------------------------
-
-bool SaveStayPointsArtifact(const std::vector<StayPoint>& stay_points,
-                            const std::string& path);
-std::optional<std::vector<StayPoint>> LoadStayPointsArtifact(
-    const std::string& path, std::string* error = nullptr);
 
 /// --- Candidate pool + retrieval indexes (kCandidates) ---------------------
 

@@ -3,7 +3,9 @@
 // failures for every corruption class, the injected write-fail fault, and
 // the golden resume contract — a training run killed at a checkpoint
 // boundary and resumed through the on-disk artifact finishes bit-identical
-// to an uninterrupted run.
+// to an uninterrupted run. The CLI cases also pin `dlinf_cli`'s world path:
+// `generate` writes exactly the world artifact, and an unloadable --world
+// exits 1 with the codec's typed reason.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -17,6 +19,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -26,8 +29,8 @@
 #include "gtest/gtest.h"
 #include "io/artifact.h"
 #include "io/checkpoint.h"
+#include "io/codecs.h"
 #include "sim/generator.h"
-#include "sim/world_io.h"
 
 namespace dlinf {
 namespace io {
@@ -433,23 +436,83 @@ TEST(CheckpointResumeTest, TerminalCheckpointResumesToSameModel) {
   }
 }
 
-/// Runs `dlinf_cli train` on `world_dir` with extra flags; the wait status.
-int RunCliTrain(const std::string& world_dir, const std::string& flags) {
-  const std::string command = std::string(DLINF_CLI_PATH) + " train --world " +
-                              world_dir + " --bundle " +
-                              CkptPath("cli_bundle") + " --quick " + flags +
-                              " > /dev/null 2>&1";
-  return std::system(command.c_str());
+/// Runs `dlinf_cli` with `args`; the wait status. The child's stderr goes
+/// to `stderr_text` when given, else to /dev/null with its stdout.
+int RunCli(const std::string& args, std::string* stderr_text = nullptr) {
+  const std::string stderr_path = CkptPath("cli_stderr.txt");
+  const std::string command =
+      std::string(DLINF_CLI_PATH) + " " + args + " > /dev/null 2> " +
+      (stderr_text != nullptr ? stderr_path : std::string("/dev/null"));
+  const int status = std::system(command.c_str());
+  if (stderr_text != nullptr) *stderr_text = ReadFileBytes(stderr_path);
+  return status;
+}
+
+/// Runs `dlinf_cli train` on `world_path` with extra flags; the wait status.
+int RunCliTrain(const std::string& world_path, const std::string& flags,
+                std::string* stderr_text = nullptr) {
+  return RunCli("train --world " + world_path + " --bundle " +
+                    CkptPath("cli_bundle") + " --quick " + flags,
+                stderr_text);
+}
+
+TEST(CheckpointCliTest, GenerateWritesTheWorldArtifact) {
+  const std::string path = CkptPath("cli_generated.art");
+  const int status =
+      RunCli("generate --preset dowbj --days 2 --seed 3 --out " + path);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  sim::SimConfig config = sim::SynDowBJConfig();
+  config.num_days = 2;
+  config.seed = 3;
+  const std::string expected = CkptPath("cli_expected.art");
+  ASSERT_TRUE(SaveWorldArtifact(sim::GenerateWorld(config), expected));
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(expected));
+}
+
+TEST(CheckpointCliTest, UnloadableWorldExitsWithTypedError) {
+  // The old CSV world layout: a directory, not an artifact file.
+  const std::string dir = CkptPath("cli_csv_world");
+  std::filesystem::create_directories(dir);
+  WriteFileBytes(dir + "/meta.csv", "key,value\nname,SynDowBJ\n");
+
+  const std::string world_path = CkptPath("cli_whole.art");
+  ASSERT_TRUE(SaveWorldArtifact(Fixture().world, world_path));
+  const std::string truncated = CkptPath("cli_truncated.art");
+  const std::string bytes = ReadFileBytes(world_path);
+  WriteFileBytes(truncated, bytes.substr(0, bytes.size() / 2));
+
+  // A bundle's model.art: a sound artifact of the wrong kind.
+  dlinfma::TrainConfig train_config;
+  train_config.max_epochs = 1;
+  dlinfma::DlInfMaMethod method("DLInfMA", dlinfma::LocMatcherConfig{},
+                                train_config);
+  method.Fit(Fixture().data, Fixture().samples);
+  const std::string model_path = CkptPath("cli_model.art");
+  ASSERT_TRUE(SaveModelArtifact(method, model_path));
+
+  for (const auto& [path, reason] :
+       std::vector<std::pair<std::string, std::string>>{
+           {dir, "is a directory"},
+           {truncated, "truncated payload"},
+           {model_path, "artifact kind mismatch"}}) {
+    std::string stderr_text;
+    const int status = RunCliTrain(path, "", &stderr_text);
+    ASSERT_TRUE(WIFEXITED(status)) << path << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << path;
+    EXPECT_NE(stderr_text.find(reason), std::string::npos)
+        << path << ": " << stderr_text;
+  }
 }
 
 TEST(CheckpointCliTest, MalformedResumeStateExitsWithTypedError) {
   // A real checkpoint of this world, so seed, shapes and training-set size
   // all pass the CLI's own checks and only the corrupted field is wrong.
-  const std::string world_dir = CkptPath("cli_world");
-  ASSERT_TRUE(sim::SaveWorldCsv(Fixture().world, world_dir));
+  const std::string world_path = CkptPath("cli_world.art");
+  ASSERT_TRUE(SaveWorldArtifact(Fixture().world, world_path));
   const std::string good_path = CkptPath("ckpt_cli_good.art");
   const int trained =
-      RunCliTrain(world_dir, "--ckpt " + good_path + " --ckpt-every 1");
+      RunCliTrain(world_path, "--ckpt " + good_path + " --ckpt-every 1");
   ASSERT_TRUE(WIFEXITED(trained) && WEXITSTATUS(trained) == 0);
   std::string error;
   std::optional<dlinfma::TrainCheckpoint> good =
@@ -461,7 +524,7 @@ TEST(CheckpointCliTest, MalformedResumeStateExitsWithTypedError) {
   good->next_epoch = 1;
   good->epochs_without_improvement = 0;
   ASSERT_TRUE(SaveCheckpointArtifact(*good, good_path));
-  const int resumed = RunCliTrain(world_dir, "--resume " + good_path);
+  const int resumed = RunCliTrain(world_path, "--resume " + good_path);
   ASSERT_TRUE(WIFEXITED(resumed) && WEXITSTATUS(resumed) == 0);
 
   // Each malformed variant: a typed error and exit 1, never an abort (134)
@@ -469,7 +532,7 @@ TEST(CheckpointCliTest, MalformedResumeStateExitsWithTypedError) {
   const std::string path = CkptPath("ckpt_cli_bad.art");
   for (const auto& [label, bad] : MalformedResumeStates(*good)) {
     ASSERT_TRUE(SaveCheckpointArtifact(bad, path)) << label;
-    const int status = RunCliTrain(world_dir, "--resume " + path);
+    const int status = RunCliTrain(world_path, "--resume " + path);
     ASSERT_TRUE(WIFEXITED(status)) << label << ": killed by a signal";
     EXPECT_EQ(WEXITSTATUS(status), 1) << label;
   }

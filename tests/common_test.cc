@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <random>
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv.h"
 #include "common/flags.h"
 #include "common/flat_json.h"
 #include "common/mt19937_64.h"
@@ -256,25 +254,6 @@ TEST(StringUtilTest, ParseNumberTakesWholeInRangeTokensOnly) {
   EXPECT_TRUE(std::isinf(d));
 }
 
-TEST(CsvTest, RoundTrip) {
-  const std::string path = testing::TempDir() + "/t.csv";
-  CsvTable table;
-  table.header = {"a", "b"};
-  table.rows = {{"1", "x"}, {"2", "y"}};
-  ASSERT_TRUE(WriteCsv(path, table));
-  auto read = ReadCsv(path);
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->header, table.header);
-  EXPECT_EQ(read->rows, table.rows);
-  EXPECT_EQ(read->ColumnIndex("b"), 1);
-  EXPECT_EQ(read->ColumnIndex("zz"), -1);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(ReadCsv("/nonexistent/definitely/not.csv").has_value());
-}
-
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
@@ -504,38 +483,6 @@ TEST(FlatJsonFuzzTest, DeeplyNestedInputRejectedWithoutStackOverflow) {
   bomb += "1";
   for (int i = 0; i < 50000; ++i) bomb += "}";
   EXPECT_FALSE(FlatJsonParse(bomb).has_value());
-}
-
-TEST(CsvFuzzTest, RandomFilesNeverCrashAndKeepWidthsConsistent) {
-  Rng rng(0xc5f1);
-  const std::string path = testing::TempDir() + "/fuzz.csv";
-  for (int i = 0; i < 500; ++i) {
-    {
-      std::string bytes = RandomBytes(rng, 256);
-      FILE* f = std::fopen(path.c_str(), "wb");
-      ASSERT_NE(f, nullptr);
-      std::fwrite(bytes.data(), 1, bytes.size(), f);
-      std::fclose(f);
-    }
-    const auto table = ReadCsv(path);  // Must not crash.
-    if (table.has_value()) {
-      // The documented invariant: every row has exactly header width.
-      for (const auto& row : table->rows) {
-        ASSERT_EQ(row.size(), table->header.size());
-      }
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CsvFuzzTest, InconsistentRowWidthsRejected) {
-  const std::string path = testing::TempDir() + "/ragged.csv";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("a,b\n1,2\n1,2,3\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(ReadCsv(path).has_value());
-  std::remove(path.c_str());
 }
 
 }  // namespace

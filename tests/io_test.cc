@@ -440,27 +440,6 @@ TEST(IoCodecsTest, WorldArtifactRoundTripsByteIdentically) {
   EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
 }
 
-TEST(IoCodecsTest, StayPointsArtifactRoundTrips) {
-  const PipelineFixture& fixture = Fixture();
-  const std::vector<StayPoint>& stay_points =
-      fixture.data.gen->stay_points();
-  ASSERT_FALSE(stay_points.empty());
-  const std::string path = TestPath("staypoints.art");
-  ASSERT_TRUE(SaveStayPointsArtifact(stay_points, path));
-
-  std::string error;
-  auto loaded = LoadStayPointsArtifact(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ASSERT_EQ(loaded->size(), stay_points.size());
-  for (size_t i = 0; i < stay_points.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].location, stay_points[i].location);
-    EXPECT_EQ((*loaded)[i].start_time, stay_points[i].start_time);
-    EXPECT_EQ((*loaded)[i].end_time, stay_points[i].end_time);
-    EXPECT_EQ((*loaded)[i].courier_id, stay_points[i].courier_id);
-    EXPECT_EQ((*loaded)[i].trip_id, stay_points[i].trip_id);
-  }
-}
-
 TEST(IoCodecsTest, CandidatesArtifactRoundTripsByteIdentically) {
   const PipelineFixture& fixture = Fixture();
   const std::string path = TestPath("candidates.art");

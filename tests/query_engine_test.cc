@@ -12,6 +12,7 @@
 //  - per-shard rollback → /healthz degradation → recovery;
 //  - the slow-loris fix: a stalled connection cannot delay /healthz;
 //  - /query_batch rejects every id /query rejects;
+//  - every answer, error paths included, echoes X-Request-Id;
 //  - one pipelined burst mixing routes answers in order;
 //  - answer doubles are byte-equal to printf's %.17g.
 // The whole file runs under TSan in CI.
@@ -23,6 +24,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
@@ -641,6 +643,54 @@ TEST(QueryEngineTest, RequestIdIsEchoedAndGenerated) {
       std::to_string(batch_body.size()) + "\r\n\r\n" + batch_body));
   EXPECT_EQ(ReadRequestIdEcho(&client, &status, &body), "batch-7");
   EXPECT_EQ(status, 200);
+}
+
+TEST(QueryEngineTest, RequestIdIsEchoedOnEveryAnswerPath) {
+  std::unique_ptr<QueryEngine> engine = MakeEngine();
+  ASSERT_NE(engine, nullptr);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(engine->port()));
+
+  struct Row {
+    const char* method;
+    const char* target;
+    const char* body;
+    int status;
+  };
+  const Row rows[] = {
+      {"GET", "/query", "", 400},                     // missing address_id
+      {"GET", "/query?address_id=x1", "", 400},       // malformed
+      {"GET", "/query?address_id=-1", "", 404},       // unknown
+      {"GET", "/query_batch", "", 405},               // not POST
+      {"POST", "/query_batch", "{\"ids\":[1]}", 400},  // wrong shape
+      {"POST", "/query_batch", "{\"address_ids\":[-1]}", 404},
+      {"POST", "/query_batch", "{\"address_ids\":[]}", 200},  // empty
+  };
+  for (const Row& row : rows) {
+    const std::string label = std::string(row.method) + " " + row.target +
+                              " " + row.body;
+    const std::string head = std::string(row.method) + " " + row.target +
+                             " HTTP/1.1\r\nHost: localhost\r\n"
+                             "Content-Length: " +
+                             std::to_string(std::strlen(row.body)) + "\r\n";
+    int status = 0;
+    std::string body;
+
+    // A caller-supplied id echoes back verbatim.
+    ASSERT_TRUE(client.SendRaw(head + "X-Request-Id: err-row\r\n\r\n" +
+                               row.body));
+    EXPECT_EQ(ReadRequestIdEcho(&client, &status, &body), "err-row") << label;
+    EXPECT_EQ(status, row.status) << label;
+
+    // No id supplied: a generated 16-hex one.
+    ASSERT_TRUE(client.SendRaw(head + "\r\n" + row.body));
+    const std::string generated = ReadRequestIdEcho(&client, &status, &body);
+    EXPECT_EQ(status, row.status) << label;
+    EXPECT_EQ(generated.size(), 16u) << label << ": " << generated;
+    EXPECT_EQ(generated.find_first_not_of("0123456789abcdef"),
+              std::string::npos)
+        << label << ": " << generated;
+  }
 }
 
 TEST(QueryEngineTest, BatchRejectsWhatSingleQueryRejects) {

@@ -1,13 +1,15 @@
 // dlinf_cli — command-line driver for the DLInfMA pipeline.
 //
-//   dlinf_cli generate --preset dowbj|subbj [--days N] [--seed S] --out DIR
-//       Synthesize a dataset and save it as CSV (see sim/world_io.h; the
-//       same files are the interchange format for real waybill/GPS data).
+//   dlinf_cli generate --preset dowbj|subbj [--days N] [--seed S] --out FILE
+//       Synthesize a dataset and save it as one checksummed world artifact
+//       (io::SaveWorldArtifact; by convention world.art). Every --world and
+//       --city flag below reads this file; real trips enter through
+//       `stream --listen`'s POST /ingest instead.
 //
-//   dlinf_cli stats --world DIR
+//   dlinf_cli stats --world FILE
 //       Print dataset statistics (Table I style).
 //
-//   dlinf_cli train --world DIR --bundle DIR [--quick]
+//   dlinf_cli train --world FILE --bundle DIR [--quick]
 //              [--ckpt FILE [--ckpt-every N] [--resume [FILE]]]
 //       The offline pipeline: candidate generation + feature extraction,
 //       train LocMatcher on the train/val splits, report test metrics, then
@@ -50,7 +52,7 @@
 //       CSV (address_id,x,y); the whole pipeline state is warm-started from
 //       the bundle's artifacts.
 //
-//   dlinf_cli stream --world DIR --publish-dir DIR [--retrain-every N]
+//   dlinf_cli stream --world FILE --publish-dir DIR [--retrain-every N]
 //              [--max-trips M] [--rate R] [--quick] [--epochs E]
 //              [--watch [--agree-frac F]] [--ckpt FILE [--ckpt-every K]]
 //              [--telemetry-port P [--linger-seconds S]]
@@ -76,7 +78,7 @@
 //       up front, so scrapers watch stream.ingest.* counters live, and
 //       keeps it up S extra seconds after the feed drains.
 //
-//   dlinf_cli stream --listen PORT --wal-dir DIR [--city DIR]
+//   dlinf_cli stream --listen PORT --wal-dir DIR [--city FILE]
 //              [--serve-seconds S] [--fsync-every N] [--fsync-interval S]
 //              [--segment-bytes B] [--snapshot-every K] [--max-queue Q]
 //       Durable network ingestion (DESIGN.md §14): instead of replaying a
@@ -86,13 +88,14 @@
 //       WAL-committed under --wal-dir before it is acked; on startup the
 //       WAL (plus the newest state snapshot, written every K segment
 //       rotations) is replayed, so a kill -9'd listener resumes with zero
-//       acked-record loss — drive it with `load_gen --ingest`. --city seeds the static world (station,
-//       buildings, addresses) from a world dir; the default is the
-//       built-in synthetic city. Mutually exclusive with --world. Serves
-//       until S elapses (0 = until SIGINT/SIGTERM), then drains and
-//       prints the final counters.
+//       acked-record loss — drive it with `load_gen --ingest`. --city
+//       seeds the static world (station, buildings, addresses) from a
+//       world artifact, its trips dropped; the default is the built-in
+//       synthetic city. Mutually exclusive with --world. Serves until S
+//       elapses (0 = until SIGINT/SIGTERM), then drains and prints the
+//       final counters.
 //
-//   dlinf_cli evaluate --world DIR [--quick]
+//   dlinf_cli evaluate --world FILE [--quick]
 //       Compare DLInfMA against the heuristic baselines on the test split.
 //
 //   Any command additionally accepts --metrics [FILE]: after the command
@@ -135,23 +138,21 @@
 #include "apps/query_engine.h"
 #include "baselines/evaluation.h"
 #include "baselines/simple_baselines.h"
-#include "common/csv.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/inferrer.h"
 #include "io/bundle.h"
 #include "io/checkpoint.h"
+#include "io/codecs.h"
 #include "nn/kernels.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/structured_log.h"
 #include "obs/trace_log.h"
 #include "sim/generator.h"
-#include "sim/world_io.h"
 #include "sim/config.h"
 #include "stream/ingest_server.h"
 #include "stream/online_trainer.h"
@@ -204,7 +205,7 @@ int CmdGenerate(const Flags& flags) {
   config.seed = flags.Uint64("--seed", config.seed);
   const std::string out = flags.Str("--out");
   const sim::World world = sim::GenerateWorld(config);
-  if (!sim::SaveWorldCsv(world, out)) {
+  if (!io::SaveWorldArtifact(world, out)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
     return 1;
   }
@@ -214,14 +215,17 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-/// Loads the world named by --world, which the caller checked is given.
-/// Returns nullopt (after printing the reason) on failure.
-std::optional<sim::World> LoadWorldFlag(const Flags& flags) {
-  const std::string dir = flags.Str("--world");
-  if (!PathUsable("--world", dir, /*want_dir=*/true)) return std::nullopt;
-  std::optional<sim::World> world = sim::LoadWorldCsv(dir);
+/// Loads the world artifact named by `flag` (--world or --city), which the
+/// caller checked is given. Returns nullopt after printing the codec's typed
+/// reason (bad magic, kind mismatch, truncated payload, CRC) on failure.
+std::optional<sim::World> LoadWorldFlag(const Flags& flags,
+                                        const char* flag = "--world") {
+  const std::string path = flags.Str(flag);
+  if (!PathUsable(flag, path, /*want_dir=*/false)) return std::nullopt;
+  std::string error;
+  std::optional<sim::World> world = io::LoadWorldArtifact(path, &error);
   if (!world) {
-    std::fprintf(stderr, "error: cannot load world from %s\n", dir.c_str());
+    std::fprintf(stderr, "error: cannot load world: %s\n", error.c_str());
   }
   return world;
 }
@@ -368,14 +372,16 @@ int CmdInfer(const Flags& flags) {
       io::AllSamples(bundle->samples);
   const std::vector<Point> locations =
       bundle->method->InferAll(bundle->data, samples);
-  CsvTable table;
-  table.header = {"address_id", "x", "y"};
-  for (size_t i = 0; i < samples.size(); ++i) {
-    table.rows.push_back({std::to_string(samples[i].address_id),
-                          StrPrintf("%.2f", locations[i].x),
-                          StrPrintf("%.2f", locations[i].y)});
+  std::FILE* file = std::fopen(out.c_str(), "w");
+  bool written = file != nullptr &&
+                 std::fputs("address_id,x,y\n", file) >= 0;
+  for (size_t i = 0; written && i < samples.size(); ++i) {
+    written = std::fprintf(file, "%lld,%.2f,%.2f\n",
+                           static_cast<long long>(samples[i].address_id),
+                           locations[i].x, locations[i].y) >= 0;
   }
-  if (!WriteCsv(out, table)) {
+  if (file != nullptr && std::fclose(file) != 0) written = false;
+  if (!written) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
     return 1;
   }
@@ -653,13 +659,8 @@ int CmdStreamListen(const Flags& flags) {
   std::filesystem::create_directories(options.wal.dir, ec);
 
   if (flags.Has("--city")) {
-    const std::string city = flags.Str("--city");
-    std::optional<sim::World> world = sim::LoadWorldCsv(city);
-    if (!world) {
-      std::fprintf(stderr, "error: cannot load city world from %s\n",
-                   city.c_str());
-      return 1;
-    }
+    std::optional<sim::World> world = LoadWorldFlag(flags, "--city");
+    if (!world) return 1;
     world->trips.clear();  // Trips arrive over the wire, not from disk.
     options.city = std::move(*world);
   } else {
