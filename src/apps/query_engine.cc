@@ -1,6 +1,5 @@
 #include "apps/query_engine.h"
 
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <string_view>
@@ -19,24 +18,6 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// printf's %.17g — std::to_chars with the general format and a precision
-/// is defined as exactly that conversion. 17 digits round-trip a double, so
-/// the engine's JSON and a test's locally-formatted expectation are
-/// bit-identical.
-void AppendDouble(std::string* out, double value) {
-  char buffer[32];
-  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value,
-                                  std::chars_format::general, 17)
-                        .ptr;
-  out->append(buffer, end);
-}
-
-void AppendInt(std::string* out, int64_t value) {
-  char buffer[24];
-  out->append(buffer,
-              std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
 }
 
 const char* SourceName(DeliveryLocationService::Source source) {

@@ -43,6 +43,24 @@ bool ParseNumber(std::string_view text, T* out, bool* out_of_range = nullptr) {
 std::string StrPrintf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Appends printf's %.17g of `value`: std::to_chars with the general format
+/// and a precision is defined as exactly that conversion (nan, inf and -0
+/// included). 17 digits round-trip every double.
+inline void AppendDouble(std::string* out, double value) {
+  char buffer[32];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17)
+                          .ptr);
+}
+
+/// Appends the base-10 form of an integer (printf's %lld / %llu).
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buffer[24];
+  out->append(buffer,
+              std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
 }  // namespace dlinf
 
 #endif  // DLINF_COMMON_STRING_UTIL_H_

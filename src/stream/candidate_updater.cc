@@ -27,7 +27,9 @@ void CandidateIndexUpdater::MergeInto(int64_t dst, int64_t src) {
   b.members.clear();
   --live_clusters_;
   grid_.Insert(dst, a.centroid);
-  obs::MetricsRegistry::Global().GetCounter("stream.cluster.merges")->Add(1);
+  static obs::Counter* const merges =
+      obs::MetricsRegistry::Global().GetCounter("stream.cluster.merges");
+  merges->Add(1);
 }
 
 void CandidateIndexUpdater::CascadeMerges(int64_t cid) {
@@ -55,7 +57,9 @@ void CandidateIndexUpdater::AssignStay(int64_t stay_index) {
     clusters_.push_back(PointCluster{p, 1.0, {stay_index}});
     ++live_clusters_;
     grid_.Insert(cid, p);
-    obs::MetricsRegistry::Global().GetCounter("stream.cluster.spawns")->Add(1);
+    static obs::Counter* const spawns =
+        obs::MetricsRegistry::Global().GetCounter("stream.cluster.spawns");
+    spawns->Add(1);
     return;
   }
   PointCluster& cluster = clusters_[static_cast<size_t>(nearest)];

@@ -1,9 +1,11 @@
 #include "stream/ingest_server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "common/string_util.h"
@@ -12,7 +14,6 @@
 #include "io/codecs.h"
 #include "obs/json_escape.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 
 namespace dlinf {
 namespace stream {
@@ -25,27 +26,44 @@ double MonotonicSeconds() {
 }
 
 /// Trip and waybill times must be finite.
-bool ParseTime(const std::string& s, double* out) {
+bool ParseTime(std::string_view s, double* out) {
   return ParseNumber(s, out) && std::isfinite(*out);
 }
 
-std::vector<std::string> SplitTokens(const std::string& line, char sep) {
-  std::vector<std::string> tokens;
-  size_t begin = 0;
-  while (begin <= line.size()) {
-    size_t end = line.find(sep, begin);
-    if (end == std::string::npos) end = line.size();
-    if (end > begin) tokens.push_back(line.substr(begin, end - begin));
-    begin = end + 1;
+/// Walks the pieces of `text` between runs of `sep`: empty pieces are
+/// skipped, so repeated separators collapse.
+class Tokens {
+ public:
+  Tokens(std::string_view text, char sep) : text_(text), sep_(sep) {}
+
+  /// Number of pieces in the whole text.
+  size_t Count() const {
+    Tokens all(text_, sep_);
+    size_t count = 0;
+    std::string_view piece;
+    while (all.Next(&piece)) ++count;
+    return count;
   }
-  return tokens;
-}
+
+  bool Next(std::string_view* piece) {
+    while (pos_ < text_.size() && text_[pos_] == sep_) ++pos_;
+    if (pos_ == text_.size()) return false;
+    const size_t end = std::min(text_.find(sep_, pos_), text_.size());
+    *piece = text_.substr(pos_, end - pos_);
+    pos_ = end;
+    return true;
+  }
+
+ private:
+  std::string_view text_;
+  char sep_;
+  size_t pos_ = 0;
+};
 
 struct IngestMetrics {
   obs::Counter* received;
   obs::Counter* acked;
   obs::Counter* deduped;
-  obs::Counter* shed;
   obs::Counter* recovered;
   obs::Counter* batches;
   obs::Counter* trips;
@@ -66,7 +84,6 @@ struct IngestMetrics {
           r.GetCounter("stream.ingest.received"),
           r.GetCounter("stream.ingest.acked"),
           r.GetCounter("stream.ingest.deduped"),
-          r.GetCounter("stream.ingest.shed"),
           r.GetCounter("stream.ingest.recovered"),
           r.GetCounter("stream.ingest.batches"),
           r.GetCounter("stream.ingest.trips_completed"),
@@ -95,17 +112,31 @@ std::string ErrorJson(const std::string& message) {
 
 }  // namespace
 
-bool ParseIngestLine(const std::string& line, IngestRecord* record,
+std::vector<std::string_view> IngestBodyLines(std::string_view body) {
+  std::vector<std::string_view> lines;
+  size_t begin = 0;
+  while (begin < body.size()) {
+    const size_t end = std::min(body.find('\n', begin), body.size());
+    std::string_view line = body.substr(begin, end - begin);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) lines.push_back(line);
+    begin = end + 1;
+  }
+  return lines;
+}
+
+bool ParseIngestLine(std::string_view line, IngestRecord* record,
                      std::string* error) {
   auto fail = [&](const std::string& reason) {
     if (error != nullptr) *error = reason;
     return false;
   };
-  const std::vector<std::string> tokens = SplitTokens(line, ' ');
-  if (tokens.empty()) return fail("empty record");
+  Tokens tokens(line, ' ');
+  const size_t count = tokens.Count();
+  std::string_view verb;
+  if (!tokens.Next(&verb)) return fail("empty record");
 
   *record = IngestRecord();
-  const std::string& verb = tokens[0];
   if (verb == "start_trip") {
     record->kind = IngestRecord::Kind::kStartTrip;
   } else if (verb == "point") {
@@ -113,56 +144,72 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
   } else if (verb == "finish_trip") {
     record->kind = IngestRecord::Kind::kFinishTrip;
   } else {
-    return fail("unknown record type '" + verb + "'");
+    return fail("unknown record type '" + std::string(verb) + "'");
   }
-  if (tokens.size() < 3) return fail("missing client/seq in '" + verb + "'");
-  record->client_id = tokens[1];
-  if (!ParseNumber(tokens[2], &record->seq) || record->seq == 0) {
-    return fail("bad seq '" + tokens[2] + "' (expect integer >= 1)");
+  if (count < 3) {
+    return fail("missing client/seq in '" + std::string(verb) + "'");
+  }
+  std::string_view client;
+  std::string_view seq;
+  tokens.Next(&client);
+  tokens.Next(&seq);
+  record->client_id = client;
+  if (!ParseNumber(seq, &record->seq) || record->seq == 0) {
+    return fail("bad seq '" + std::string(seq) + "' (expect integer >= 1)");
   }
 
+  std::string_view a;
+  std::string_view b;
+  std::string_view c;
   switch (record->kind) {
     case IngestRecord::Kind::kStartTrip: {
-      if (tokens.size() < 6) return fail("start_trip needs courier t0 t1");
-      if (!ParseNumber(tokens[3], &record->courier_id) ||
-          !ParseTime(tokens[4], &record->start_time) ||
-          !ParseTime(tokens[5], &record->end_time)) {
+      if (count < 6) return fail("start_trip needs courier t0 t1");
+      tokens.Next(&a);
+      tokens.Next(&b);
+      tokens.Next(&c);
+      if (!ParseNumber(a, &record->courier_id) ||
+          !ParseTime(b, &record->start_time) ||
+          !ParseTime(c, &record->end_time)) {
         return fail("bad start_trip numeric field");
       }
-      for (size_t i = 6; i < tokens.size(); ++i) {
-        if (tokens[i].compare(0, 3, "wb=") != 0) {
-          return fail("unexpected start_trip token '" + tokens[i] + "'");
+      std::string_view token;
+      while (tokens.Next(&token)) {
+        if (!token.starts_with("wb=")) {
+          return fail("unexpected start_trip token '" + std::string(token) +
+                      "'");
         }
-        const std::vector<std::string> parts =
-            SplitTokens(tokens[i].substr(3), ':');
-        if (parts.size() != 5) {
+        Tokens parts(token.substr(3), ':');
+        if (parts.Count() != 5) {
           return fail("waybill needs id:addr:recv:recorded:actual");
         }
+        std::array<std::string_view, 5> f;
+        for (std::string_view& part : f) parts.Next(&part);
         sim::Waybill wb;
-        if (!ParseNumber(parts[0], &wb.id) ||
-            !ParseNumber(parts[1], &wb.address_id) ||
-            !ParseTime(parts[2], &wb.receive_time) ||
-            !ParseTime(parts[3], &wb.recorded_delivery_time) ||
-            !ParseTime(parts[4], &wb.actual_delivery_time)) {
-          return fail("bad waybill field in '" + tokens[i] + "'");
+        if (!ParseNumber(f[0], &wb.id) || !ParseNumber(f[1], &wb.address_id) ||
+            !ParseTime(f[2], &wb.receive_time) ||
+            !ParseTime(f[3], &wb.recorded_delivery_time) ||
+            !ParseTime(f[4], &wb.actual_delivery_time)) {
+          return fail("bad waybill field in '" + std::string(token) + "'");
         }
         record->waybills.push_back(wb);
       }
       return true;
     }
     case IngestRecord::Kind::kPoint: {
-      if (tokens.size() != 6) return fail("point needs x y t");
+      if (count != 6) return fail("point needs x y t");
+      tokens.Next(&a);
+      tokens.Next(&b);
+      tokens.Next(&c);
       // Non-finite x/y/t are accepted: a NaN fix is the modelled
       // traj.gps.nan fault, which NoiseFilter drops downstream.
-      if (!ParseNumber(tokens[3], &record->x) ||
-          !ParseNumber(tokens[4], &record->y) ||
-          !ParseNumber(tokens[5], &record->t)) {
+      if (!ParseNumber(a, &record->x) || !ParseNumber(b, &record->y) ||
+          !ParseNumber(c, &record->t)) {
         return fail("bad point numeric field");
       }
       return true;
     }
     case IngestRecord::Kind::kFinishTrip: {
-      if (tokens.size() != 3) return fail("finish_trip takes no extra fields");
+      if (count != 3) return fail("finish_trip takes no extra fields");
       return true;
     }
   }
@@ -170,32 +217,46 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
 }
 
 std::string FormatIngestLine(const IngestRecord& record) {
+  std::string line;
+  auto head = [&](std::string_view verb) {
+    line.append(verb).append(" ").append(record.client_id).append(" ");
+    AppendInt(&line, record.seq);
+  };
+  auto number = [&](double value) {
+    line.push_back(' ');
+    AppendDouble(&line, value);
+  };
   switch (record.kind) {
-    case IngestRecord::Kind::kStartTrip: {
-      std::string line = StrPrintf(
-          "start_trip %s %llu %lld %.17g %.17g", record.client_id.c_str(),
-          static_cast<unsigned long long>(record.seq),
-          static_cast<long long>(record.courier_id), record.start_time,
-          record.end_time);
+    case IngestRecord::Kind::kStartTrip:
+      head("start_trip");
+      line.push_back(' ');
+      AppendInt(&line, record.courier_id);
+      number(record.start_time);
+      number(record.end_time);
       for (const sim::Waybill& wb : record.waybills) {
-        line += StrPrintf(" wb=%lld:%lld:%.17g:%.17g:%.17g",
-                          static_cast<long long>(wb.id),
-                          static_cast<long long>(wb.address_id),
-                          wb.receive_time, wb.recorded_delivery_time,
-                          wb.actual_delivery_time);
+        line.append(" wb=");
+        AppendInt(&line, wb.id);
+        line.push_back(':');
+        AppendInt(&line, wb.address_id);
+        line.push_back(':');
+        AppendDouble(&line, wb.receive_time);
+        line.push_back(':');
+        AppendDouble(&line, wb.recorded_delivery_time);
+        line.push_back(':');
+        AppendDouble(&line, wb.actual_delivery_time);
       }
-      return line;
-    }
+      break;
     case IngestRecord::Kind::kPoint:
-      return StrPrintf("point %s %llu %.17g %.17g %.17g",
-                       record.client_id.c_str(),
-                       static_cast<unsigned long long>(record.seq), record.x,
-                       record.y, record.t);
+      head("point");
+      number(record.x);
+      number(record.y);
+      number(record.t);
+      break;
     case IngestRecord::Kind::kFinishTrip:
-      return StrPrintf("finish_trip %s %llu", record.client_id.c_str(),
-                       static_cast<unsigned long long>(record.seq));
+      head("finish_trip");
+      break;
   }
-  return "";
+  return line;
 }
 
 std::vector<std::string> TripLines(const std::string& client,
@@ -252,11 +313,7 @@ bool IngestServer::Start(std::string* error) {
   auto wal = WalWriter::Open(options_.wal, error);
   if (!wal) return false;
   wal_ = std::move(*wal);
-
-  writer_stop_ = false;
-  writer_crashed_ = false;
-  wal_failing_.store(false, std::memory_order_relaxed);
-  writer_ = std::thread([this] { WriterLoop(); });
+  wal_error_.reset();
 
   apps::HttpServer::Options http_options;
   http_options.port = options_.port;
@@ -268,12 +325,6 @@ bool IngestServer::Start(std::string* error) {
                      HandleRequest(request, std::move(handle));
                    },
                    error)) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      writer_stop_ = true;
-    }
-    queue_cv_.notify_all();
-    writer_.join();
     wal_->Close();
     return false;
   }
@@ -284,12 +335,6 @@ bool IngestServer::Start(std::string* error) {
 void IngestServer::Stop() {
   if (!running_) return;
   apps::StopAdminServer(&http_);
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    writer_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  writer_.join();
   if (wal_) wal_->Close();
   running_ = false;
 }
@@ -297,12 +342,6 @@ void IngestServer::Stop() {
 void IngestServer::CrashForTest() {
   if (!running_) return;
   apps::StopAdminServer(&http_);
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    writer_crashed_ = true;
-  }
-  queue_cv_.notify_all();
-  writer_.join();
   if (wal_) wal_->AbandonForCrashTest();
   running_ = false;
 }
@@ -312,7 +351,6 @@ IngestServer::Stats IngestServer::stats() const {
   s.received = received_.load(std::memory_order_relaxed);
   s.acked = acked_.load(std::memory_order_relaxed);
   s.deduped = deduped_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.recovered = recovered_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
@@ -320,39 +358,30 @@ IngestServer::Stats IngestServer::stats() const {
   return s;
 }
 
-bool IngestServer::WaitIdle(double timeout_s) {
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  return idle_cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                           [this] {
-                             return queue_.empty() && !writer_busy_;
-                           });
-}
-
 std::string IngestServer::StatsJson() const {
   const Stats s = stats();
+  // Nothing queues, so nothing is shed: "shed" and "queue_records" read 0
+  // and stay in the key set for the accounting identity of DESIGN.md §14.
   return StrPrintf(
-      "{\"received\":%lld,\"acked\":%lld,\"deduped\":%lld,\"shed\":%lld,"
+      "{\"received\":%lld,\"acked\":%lld,\"deduped\":%lld,\"shed\":0,"
       "\"rejected\":%lld,\"recovered\":%lld,\"batches\":%lld,"
-      "\"trips\":%lld,\"queue_records\":%lld,\"tracked_clients\":%lld}\n",
+      "\"trips\":%lld,\"queue_records\":0,\"tracked_clients\":%zu}\n",
       static_cast<long long>(s.received), static_cast<long long>(s.acked),
-      static_cast<long long>(s.deduped), static_cast<long long>(s.shed),
+      static_cast<long long>(s.deduped),
       static_cast<long long>(s.rejected), static_cast<long long>(s.recovered),
       static_cast<long long>(s.batches), static_cast<long long>(s.trips),
-      static_cast<long long>(queue_records_.load(std::memory_order_relaxed)),
-      static_cast<long long>(
-          tracked_clients_.load(std::memory_order_relaxed)));
+      clients_.size());
 }
 
 apps::HealthCheck IngestServer::WalHealth() const {
   apps::HealthCheck check;
   check.name = "ingest.wal";
-  if (!wal_failing_.load(std::memory_order_acquire)) {
+  if (!wal_error_) {
     check.detail = "appending";
     return check;
   }
   check.ok = false;
-  std::lock_guard<std::mutex> lock(wal_error_mu_);
-  check.detail = "wal append failed: " + wal_error_;
+  check.detail = "wal append failed: " + *wal_error_;
   return check;
 }
 
@@ -371,39 +400,26 @@ void IngestServer::HandleRequest(const apps::HttpRequest& request,
     return;
   }
 
+  const double start_s = MonotonicSeconds();
   const IngestMetrics& metrics = IngestMetrics::Get();
-  Batch batch;
-  batch.enqueue_monotonic_s = MonotonicSeconds();
-
-  std::vector<std::string> lines;
-  size_t begin = 0;
-  const std::string& body = request.body;
-  while (begin < body.size()) {
-    size_t end = body.find('\n', begin);
-    if (end == std::string::npos) end = body.size();
-    std::string line = body.substr(begin, end - begin);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    begin = end + 1;
-    if (!line.empty()) lines.push_back(std::move(line));
-  }
-  // A 400 rejects the whole batch, so the rejected counters carry every
-  // record in it (the Stats contract), not just the lines parsed so far.
-  const int64_t total_lines = static_cast<int64_t>(lines.size());
-  for (const std::string& line : lines) {
-    IngestRecord record;
+  const std::vector<std::string_view> lines = IngestBodyLines(request.body);
+  std::vector<IngestRecord> records(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
     std::string parse_error;
-    if (!ParseIngestLine(line, &record, &parse_error)) {
-      metrics.rejected_malformed->Add(total_lines);
+    if (!ParseIngestLine(lines[i], &records[i], &parse_error)) {
+      // A 400 rejects the whole batch, so the rejected counters carry every
+      // record in it (the Stats contract), not just the lines parsed so far.
+      const int64_t n = static_cast<int64_t>(lines.size());
+      metrics.rejected_malformed->Add(n);
       metrics.batches->Add(1);
-      rejected_.fetch_add(total_lines, std::memory_order_relaxed);
+      rejected_.fetch_add(n, std::memory_order_relaxed);
       batches_.fetch_add(1, std::memory_order_relaxed);
       handle.Respond(400, kJsonType,
                      ErrorJson("malformed record: " + parse_error));
       return;
     }
-    batch.records.push_back(std::move(record));
   }
-  if (batch.records.empty()) {
+  if (records.empty()) {
     metrics.batches->Add(1);
     batches_.fetch_add(1, std::memory_order_relaxed);
     handle.Respond(400, kJsonType, ErrorJson("empty ingest body"));
@@ -413,68 +429,23 @@ void IngestServer::HandleRequest(const apps::HttpRequest& request,
   // `ingest.reorder` models a producer whose records arrive out of order;
   // classification then sees a sequence gap and the batch takes the typed
   // 409 branch.
-  if (batch.records.size() > 1 && fault::Hit("ingest.reorder")) {
-    std::reverse(batch.records.begin(), batch.records.end());
+  if (records.size() > 1 && fault::Hit("ingest.reorder")) {
+    std::reverse(records.begin(), records.end());
   }
-
-  const int64_t n = static_cast<int64_t>(batch.records.size());
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    const int64_t depth = queue_records_.load(std::memory_order_relaxed);
-    if (depth + n > static_cast<int64_t>(options_.max_queue_records)) {
-      metrics.shed->Add(n);
-      metrics.batches->Add(1);
-      shed_.fetch_add(n, std::memory_order_relaxed);
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      handle.RespondWithHeaders(
-          429, kJsonType, ErrorJson("ingest queue full"),
-          {{"Retry-After", std::to_string(options_.retry_after_s)}});
-      return;
-    }
-    batch.handle = std::move(handle);
-    queue_records_.fetch_add(n, std::memory_order_relaxed);
-    queue_.push_back(std::move(batch));
-  }
-  metrics.received->Add(n);
-  received_.fetch_add(n, std::memory_order_relaxed);
-  queue_cv_.notify_one();
+  metrics.received->Add(static_cast<int64_t>(records.size()));
+  received_.fetch_add(static_cast<int64_t>(records.size()),
+                      std::memory_order_relaxed);
+  HandleIngest(&records, handle, start_s);
 }
 
-void IngestServer::WriterLoop() {
-  obs::prof::RegisterCurrentThread("ingest.writer");
-  for (;;) {
-    Batch batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return !queue_.empty() || writer_stop_ || writer_crashed_;
-      });
-      if (writer_crashed_) return;
-      if (queue_.empty()) {
-        if (writer_stop_) return;
-        continue;
-      }
-      batch = std::move(queue_.front());
-      queue_.pop_front();
-      writer_busy_ = true;
-    }
-    ProcessBatch(&batch);
-    queue_records_.fetch_sub(static_cast<int64_t>(batch.records.size()),
-                             std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      writer_busy_ = false;
-    }
-    idle_cv_.notify_all();
-  }
-}
-
-void IngestServer::ProcessBatch(Batch* batch) {
+void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
+                                const apps::HttpServer::ResponseHandle& handle,
+                                double start_s) {
   const IngestMetrics& metrics = IngestMetrics::Get();
-  const int64_t n = static_cast<int64_t>(batch->records.size());
+  const int64_t n = static_cast<int64_t>(records->size());
 
-  // A slow consumer (injected): lets tests fill the bounded queue and
-  // exercise the 429 shed branch without real load.
+  // A slow consumer (injected): every POST on the port waits behind it,
+  // which is how overload reaches producers — as TCP backpressure.
   if (auto fire = fault::Hit("ingest.slow_client")) {
     fault::SleepForMs(fire->latency_ms > 0 ? fire->latency_ms : 20.0);
   }
@@ -486,27 +457,27 @@ void IngestServer::ProcessBatch(Batch* batch) {
     rejected_.fetch_add(n, std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
     if (status == 429) {
-      batch->handle.RespondWithHeaders(
+      handle.RespondWithHeaders(
           status, kJsonType, ErrorJson(message),
           {{"Retry-After", std::to_string(options_.retry_after_s)}});
     } else {
-      batch->handle.Respond(status, kJsonType, ErrorJson(message));
+      handle.Respond(status, kJsonType, ErrorJson(message));
     }
   };
 
   // Classify against an overlay of the authoritative per-client state so a
-  // failed batch leaves no trace (the transaction contract).
+  // failed batch leaves no trace (the transaction contract). Fresh records
+  // are framed as they are classified.
   struct Overlay {
     uint64_t last_seq = 0;
     bool trip_open = false;
-    bool is_new = false;  ///< client_id not yet in the tracked table.
   };
-  std::unordered_map<std::string, Overlay> overlay;
-  std::vector<const IngestRecord*> fresh;
-  std::vector<std::string> fresh_lines;
+  std::unordered_map<std::string_view, Overlay> overlay;
+  std::vector<IngestRecord*> fresh;
+  std::string frames;
   int64_t dups = 0;
   size_t new_clients = 0;
-  for (const IngestRecord& record : batch->records) {
+  for (IngestRecord& record : *records) {
     auto [it, inserted] = overlay.try_emplace(record.client_id);
     if (inserted) {
       auto found = clients_.find(record.client_id);
@@ -514,8 +485,7 @@ void IngestServer::ProcessBatch(Batch* batch) {
         it->second.last_seq = found->second.last_seq;
         it->second.trip_open = found->second.trip_open;
       } else {
-        it->second.is_new = true;
-        ++new_clients;
+        ++new_clients;  // client_id not yet in the tracked table.
       }
     }
     Overlay& state = it->second;
@@ -539,7 +509,7 @@ void IngestServer::ProcessBatch(Batch* batch) {
                        static_cast<unsigned long long>(record.seq)));
       return;
     }
-    std::string line = FormatIngestLine(record);
+    const std::string line = FormatIngestLine(record);
     // The WAL stores exactly this line; a payload past max_record_bytes
     // must bounce here, before the append, or AppendFrames would refuse
     // the whole batch as a 503 (and a hypothetical ack of it would be
@@ -557,8 +527,8 @@ void IngestServer::ProcessBatch(Batch* batch) {
     }
     state.last_seq = record.seq;
     state.trip_open = record.kind != IngestRecord::Kind::kFinishTrip;
+    io::AppendWalFrame(static_cast<uint32_t>(record.kind), line, &frames);
     fresh.push_back(&record);
-    fresh_lines.push_back(std::move(line));
   }
 
   // Bound the dedup table before admitting new client_ids: evict the
@@ -588,30 +558,17 @@ void IngestServer::ProcessBatch(Batch* batch) {
       clients_.erase(victim);
       metrics.clients_evicted->Add(1);
     }
-    tracked_clients_.store(static_cast<int64_t>(clients_.size()),
-                           std::memory_order_relaxed);
   }
 
   if (!fresh.empty()) {
-    std::string frames;
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      io::AppendWalFrame(static_cast<uint32_t>(fresh[i]->kind),
-                         fresh_lines[i], &frames);
-    }
     std::string wal_error;
     if (!wal_->AppendFrames(frames, fresh.size(), &wal_error)) {
-      {
-        std::lock_guard<std::mutex> lock(wal_error_mu_);
-        wal_error_ = wal_error;
-      }
-      wal_failing_.store(true, std::memory_order_release);
+      wal_error_ = wal_error;
       reject(503, metrics.rejected_wal, "wal append failed: " + wal_error);
       return;
     }
-    wal_failing_.store(false, std::memory_order_release);
-    for (const IngestRecord* record : fresh) ApplyRecord(*record);
-    tracked_clients_.store(static_cast<int64_t>(clients_.size()),
-                           std::memory_order_relaxed);
+    wal_error_.reset();
+    for (IngestRecord* record : fresh) ApplyRecord(record);
     MaybeSnapshot();
   }
 
@@ -622,44 +579,41 @@ void IngestServer::ProcessBatch(Batch* batch) {
                    std::memory_order_relaxed);
   deduped_.fetch_add(dups, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
-  metrics.ack_seconds->Observe(MonotonicSeconds() -
-                               batch->enqueue_monotonic_s);
-  batch->handle.Respond(
-      200, kJsonType,
-      StrPrintf("{\"acked\":%lld,\"deduped\":%lld}\n",
-                static_cast<long long>(fresh.size()),
-                static_cast<long long>(dups)));
+  metrics.ack_seconds->Observe(MonotonicSeconds() - start_s);
+  handle.Respond(200, kJsonType,
+                 StrPrintf("{\"acked\":%zu,\"deduped\":%lld}\n",
+                           fresh.size(), static_cast<long long>(dups)));
 }
 
-void IngestServer::ApplyRecord(const IngestRecord& record) {
-  ClientState& state = clients_[record.client_id];
-  state.last_seq = record.seq;
+void IngestServer::ApplyRecord(IngestRecord* record) {
+  ClientState& state = clients_[record->client_id];
+  state.last_seq = record->seq;
   state.last_active = ++activity_clock_;
-  switch (record.kind) {
+  switch (record->kind) {
     case IngestRecord::Kind::kStartTrip: {
       state.trip_open = true;
       state.pending = sim::DeliveryTrip();
-      state.pending.courier_id = record.courier_id;
-      state.pending.start_time = record.start_time;
-      state.pending.end_time = record.end_time;
-      state.pending.waybills = record.waybills;
-      state.pending.trajectory.courier_id = record.courier_id;
+      state.pending.courier_id = record->courier_id;
+      state.pending.start_time = record->start_time;
+      state.pending.end_time = record->end_time;
+      state.pending.waybills = std::move(record->waybills);
+      state.pending.trajectory.courier_id = record->courier_id;
       state.points.clear();
       return;
     }
     case IngestRecord::Kind::kPoint: {
-      state.points.push_back(TrajPoint{record.x, record.y, record.t});
+      state.points.push_back(TrajPoint{record->x, record->y, record->t});
       return;
     }
     case IngestRecord::Kind::kFinishTrip: {
-      sim::DeliveryTrip trip = state.pending;
-      trip.trajectory.points = state.points;
+      // Hand the buffered trip over: the ingestor copies each fix as it
+      // streams it, so nothing here copies the trip again.
+      sim::DeliveryTrip trip = std::exchange(state.pending, {});
+      trip.trajectory.points = std::exchange(state.points, {});
       ingestor_->ReplayTrip(trip);
       IngestMetrics::Get().trips->Add(1);
       trips_.fetch_add(1, std::memory_order_relaxed);
       state.trip_open = false;
-      state.pending = sim::DeliveryTrip();
-      state.points.clear();
       return;
     }
   }
@@ -749,15 +703,13 @@ bool IngestServer::RecoverState(std::string* error) {
           metrics.rejected_malformed->Add(1);
           return;
         }
-        ApplyRecord(record);
+        ApplyRecord(&record);
         ++replayed;
       },
       &stats, error);
   if (!ok) return false;
   metrics.recovered->Add(replayed);
   recovered_.fetch_add(replayed, std::memory_order_relaxed);
-  tracked_clients_.store(static_cast<int64_t>(clients_.size()),
-                         std::memory_order_relaxed);
   return true;
 }
 

@@ -2,14 +2,11 @@
 #define DLINF_STREAM_INGEST_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,10 +46,8 @@
 ///   409  sequence gap (seq beyond last+1) or trip-lifecycle violation —
 ///        nothing applied. Gaps are rejected, not buffered: the producer
 ///        owns ordering (`ingest.reorder` injects this branch).
-///   429  bounded ingest queue full (shed *before* any work), or the
-///        tracked-client cap is reached with every client mid-trip
-///        (rejected, reason=client_cap). Both carry a Retry-After header.
-///        Never blocks the event loop, never silent.
+///   429  the tracked-client cap is reached with every client mid-trip
+///        (rejected, reason=client_cap), with a Retry-After header.
 ///   503  WAL append failed (wal.{write_fail,disk_full,torn_write,
 ///        fsync_fail}) — dedup state unchanged, the retry is safe.
 ///
@@ -83,19 +78,20 @@
 /// falls through to the shared admin routes (apps/admin_routes.h), then
 /// 404s. The `/healthz` check `ingest.wal` is not-ok from a failed WAL
 /// append until the next successful one, with the WAL error as its detail,
-/// so the health check answers 503 exactly while POSTs do. A full queue
-/// stays out of health: it is already a typed 429 with Retry-After, and
-/// flipping health on it would make the check flap.
+/// so the health check answers 503 exactly while POSTs do.
 ///
 /// ## Threading
 ///
-/// The epoll loop thread only parses, sheds, or enqueues; a single writer
-/// thread owns the WAL, the StreamIngestor and the dedup table, applies
-/// batches in arrival order (= WAL order, = recovery replay order — the
-/// bit-identical anchor), and completes responses through ResponseHandle.
+/// Everything runs on the one `ingest.loop` event-loop thread: each POST is
+/// parsed, classified, WAL-committed, applied and answered inside its
+/// handler, so arrival order = WAL order = apply order = recovery replay
+/// order (the bit-identical anchor) without a queue. There is no ingest
+/// queue to shed from: a producer that outruns the loop is slowed by TCP
+/// backpressure, and an fsync (`WalOptions::fsync_every_n`/`_interval_s`)
+/// delays every connection on the port while it runs.
 ///
-/// Counters: `stream.ingest.{received,acked,deduped,shed,recovered,
-/// batches,trips_completed,clients_evicted}`, `stream.ingest.rejected#
+/// Counters: `stream.ingest.{received,acked,deduped,recovered,batches,
+/// trips_completed,clients_evicted}`, `stream.ingest.rejected#
 /// reason=<malformed|gap|protocol|oversized|client_cap|wal>`, histogram
 /// `stream.ingest.ack_seconds`, plus the `wal.*` family from wal.h.
 
@@ -126,13 +122,19 @@ struct IngestRecord {
   double t = 0.0;
 };
 
-/// Parses one protocol line. False (reason in *error) on any syntax
+/// The record lines of a POST /ingest body: split on '\n', one trailing
+/// '\r' stripped from each, empty lines skipped. Views into `body`.
+std::vector<std::string_view> IngestBodyLines(std::string_view body);
+
+/// Parses one protocol line. Tokens are separated by runs of spaces, and a
+/// waybill's fields by runs of ':'. False (reason in *error) on any syntax
 /// problem; never throws, never aborts.
-bool ParseIngestLine(const std::string& line, IngestRecord* record,
+bool ParseIngestLine(std::string_view line, IngestRecord* record,
                      std::string* error);
 
-/// Canonical wire form of a record. Doubles are printed with %.17g so
-/// Format → Parse round-trips bit-exactly (the WAL stores these lines).
+/// Canonical wire form of a record. Doubles are printed as printf's %.17g
+/// (AppendDouble) so Format → Parse round-trips bit-exactly (the WAL stores
+/// these lines).
 std::string FormatIngestLine(const IngestRecord& record);
 
 /// The protocol lines that stream one recorded trip from producer
@@ -154,8 +156,6 @@ class IngestServer {
     /// addresses, couriers); streamed trips land on top of it.
     sim::World city;
     dlinfma::CandidateGeneration::Options candidates;
-    /// Records admitted to the ingest queue before POSTs shed with 429.
-    uint64_t max_queue_records = 4096;
     int retry_after_s = 1;  ///< Retry-After header value on 429.
     /// Client_ids tracked for dedup before idle clients are evicted (and,
     /// when none is evictable, new-client batches rejected with 429).
@@ -169,10 +169,9 @@ class IngestServer {
 
   /// Monotonic server totals, all in records unless noted.
   struct Stats {
-    int64_t received = 0;   ///< Parsed records admitted to the queue.
+    int64_t received = 0;   ///< Records of well-formed, non-empty POSTs.
     int64_t acked = 0;      ///< Fresh records WAL-committed and applied.
     int64_t deduped = 0;    ///< Retried records acked as no-ops.
-    int64_t shed = 0;       ///< Records turned away with 429 (queue full).
     int64_t rejected = 0;   ///< Records in 400/409/429-cap/503 batches.
     int64_t recovered = 0;  ///< Records replayed from snapshot+WAL at Start.
     int64_t batches = 0;    ///< POSTs fully processed (any status).
@@ -189,24 +188,21 @@ class IngestServer {
   /// (unreadable WAL dir, corrupt snapshot, port in use).
   bool Start(std::string* error = nullptr);
 
-  /// Graceful: stops accepting, drains the queue, fsyncs + closes the WAL.
+  /// Graceful: stops serving (a POST in its handler finishes first), then
+  /// fsyncs + closes the WAL.
   void Stop();
 
-  /// Simulates SIGKILL: serving and the writer halt immediately, queued
-  /// batches are dropped unacked, the WAL fd is abandoned without fsync or
-  /// truncation (bytes already written survive, a torn tail may remain).
+  /// Simulates SIGKILL: serving halts, unanswered requests get no answer,
+  /// and the WAL fd is abandoned without fsync or truncation (bytes already
+  /// written survive, a torn tail may remain).
   void CrashForTest();
 
   int port() const { return http_.port(); }
   bool running() const { return running_; }
   Stats stats() const;
 
-  /// Blocks until the ingest queue is empty and the writer is idle (test
-  /// sync point). False on timeout.
-  bool WaitIdle(double timeout_s);
-
-  /// The ingested state. Only valid while no writer thread runs (before
-  /// Start or after Stop/CrashForTest) — the writer owns it otherwise.
+  /// The ingested state. Only valid while the loop does not run (before
+  /// Start or after Stop/CrashForTest) — the loop owns it otherwise.
   const StreamIngestor& ingestor() const { return *ingestor_; }
 
   /// Path of the state snapshot artifact inside the WAL dir.
@@ -221,20 +217,16 @@ class IngestServer {
     std::vector<TrajPoint> points;   ///< Buffered fixes of the open trip.
   };
 
-  struct Batch {
-    std::vector<IngestRecord> records;
-    apps::HttpServer::ResponseHandle handle;
-    double enqueue_monotonic_s = 0.0;
-  };
-
   void HandleRequest(const apps::HttpRequest& request,
                      apps::HttpServer::ResponseHandle handle);
-  void WriterLoop();
-  void ProcessBatch(Batch* batch);
+  /// Classifies, WAL-commits, applies and answers one parsed POST.
+  void HandleIngest(std::vector<IngestRecord>* records,
+                    const apps::HttpServer::ResponseHandle& handle,
+                    double start_s);
   /// Applies one WAL-committed record to the dedup table, pending-trip
-  /// buffers and (on finish_trip) the ingestor. Shared by the live path
-  /// and recovery replay.
-  void ApplyRecord(const IngestRecord& record);
+  /// buffers and (on finish_trip) the ingestor, moving its waybills out.
+  /// Shared by the live path and recovery replay.
+  void ApplyRecord(IngestRecord* record);
   bool RecoverState(std::string* error);
   bool WriteSnapshot(uint64_t covered_segment, std::string* error);
   void MaybeSnapshot();
@@ -248,36 +240,21 @@ class IngestServer {
   std::unique_ptr<StreamIngestor> ingestor_;
   std::optional<WalWriter> wal_;
   std::unordered_map<std::string, ClientState> clients_;
-  uint64_t activity_clock_ = 0;  ///< Writer-thread LRU tick for eviction.
+  uint64_t activity_clock_ = 0;  ///< Loop-thread LRU tick for eviction.
   int64_t last_covered_segment_ = -1;  ///< Newest segment a snapshot covers.
   bool running_ = false;
+  /// Set by a failed WAL append, cleared by the next successful one, read
+  /// by the /healthz check (loop thread only).
+  std::optional<std::string> wal_error_;
 
-  std::thread writer_;
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::condition_variable idle_cv_;
-  std::deque<Batch> queue_;
-  bool writer_stop_ = false;       ///< Drain, then exit (Stop).
-  bool writer_crashed_ = false;    ///< Exit now, drop the queue (crash).
-  bool writer_busy_ = false;
-  std::atomic<int64_t> queue_records_{0};
-
-  // Stats mirrors (writer/loop threads write, any thread reads).
+  // Stats mirrors (the loop writes, any thread reads).
   std::atomic<int64_t> received_{0};
   std::atomic<int64_t> acked_{0};
   std::atomic<int64_t> deduped_{0};
-  std::atomic<int64_t> shed_{0};
   std::atomic<int64_t> rejected_{0};
   std::atomic<int64_t> recovered_{0};
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> trips_{0};
-  std::atomic<int64_t> tracked_clients_{0};
-
-  // WAL health: set by the writer when an append fails, cleared by the
-  // next successful append, read by the /healthz check.
-  std::atomic<bool> wal_failing_{false};
-  mutable std::mutex wal_error_mu_;
-  std::string wal_error_;  ///< Guarded by wal_error_mu_.
 };
 
 }  // namespace stream

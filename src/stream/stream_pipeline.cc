@@ -10,6 +10,35 @@
 
 namespace dlinf {
 namespace stream {
+namespace {
+
+/// Registry handles, looked up once: the per-point path must not take the
+/// registry mutex.
+struct PipelineMetrics {
+  obs::Counter* points;
+  obs::Counter* dropped_points;
+  obs::Counter* duplicated_points;
+  obs::Counter* trips;
+  obs::Counter* stay_points;
+  obs::Gauge* clusters;
+
+  static const PipelineMetrics& Get() {
+    static const PipelineMetrics metrics = [] {
+      obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
+      return PipelineMetrics{
+          r.GetCounter("stream.ingest.points"),
+          r.GetCounter("stream.ingest.dropped_points"),
+          r.GetCounter("stream.ingest.duplicated_points"),
+          r.GetCounter("stream.ingest.trips"),
+          r.GetCounter("stream.ingest.stay_points"),
+          r.GetGauge("stream.clusters"),
+      };
+    }();
+    return metrics;
+  }
+};
+
+}  // namespace
 
 StreamIngestor::StreamIngestor(
     const sim::World& city,
@@ -44,7 +73,7 @@ void StreamIngestor::StartTrip(const sim::DeliveryTrip& trip) {
 
 size_t StreamIngestor::Ingest(const TrajPoint& point) {
   current_.trajectory.points.push_back(point);
-  obs::MetricsRegistry::Global().GetCounter("stream.ingest.points")->Add(1);
+  PipelineMetrics::Get().points->Add(1);
   if (!filter_.Push(point)) return 0;
   return detector_.Push(point, &current_stays_);
 }
@@ -55,16 +84,12 @@ size_t StreamIngestor::PushPoint(const TrajPoint& point) {
     fault::SleepForMs(fire->latency_ms);
   }
   if (fault::Hit("stream.ingest.drop_point")) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("stream.ingest.dropped_points")
-        ->Add(1);
+    PipelineMetrics::Get().dropped_points->Add(1);
     return 0;
   }
   size_t emitted = Ingest(point);
   if (fault::Hit("stream.ingest.duplicate_point")) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("stream.ingest.duplicated_points")
-        ->Add(1);
+    PipelineMetrics::Get().duplicated_points->Add(1);
     emitted += Ingest(point);
   }
   return emitted;
@@ -81,12 +106,10 @@ size_t StreamIngestor::FinishTrip() {
   world_.trips.push_back(std::move(current_));
   trip_open_ = false;
 
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("stream.ingest.trips")->Add(1);
-  metrics.GetCounter("stream.ingest.stay_points")
-      ->Add(static_cast<int64_t>(stays));
-  metrics.GetGauge("stream.clusters")
-      ->Set(static_cast<double>(updater_.num_clusters()));
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  metrics.trips->Add(1);
+  metrics.stay_points->Add(static_cast<int64_t>(stays));
+  metrics.clusters->Set(static_cast<double>(updater_.num_clusters()));
   obs::LogLine(obs::LogSeverity::kInfo, "stream.trip")
       .Int("trip", world_.trips.back().id)
       .Int("points",

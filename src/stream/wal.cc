@@ -384,10 +384,12 @@ bool WalWriter::AppendFrames(const std::string& encoded, uint64_t frame_count,
   segment_size_ += encoded.size();
   appends_ += static_cast<int64_t>(frame_count);
   appends_since_fsync_ += static_cast<int64_t>(frame_count);
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("wal.appends")->Add(static_cast<int64_t>(frame_count));
-  metrics.GetCounter("wal.append_bytes")
-      ->Add(static_cast<int64_t>(encoded.size()));
+  static obs::Counter* const appends =
+      obs::MetricsRegistry::Global().GetCounter("wal.appends");
+  static obs::Counter* const append_bytes =
+      obs::MetricsRegistry::Global().GetCounter("wal.append_bytes");
+  appends->Add(static_cast<int64_t>(frame_count));
+  append_bytes->Add(static_cast<int64_t>(encoded.size()));
   return MaybeFsync(error);
 }
 

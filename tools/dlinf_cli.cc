@@ -80,19 +80,21 @@
 //
 //   dlinf_cli stream --listen PORT --wal-dir DIR [--city FILE]
 //              [--serve-seconds S] [--fsync-every N] [--fsync-interval S]
-//              [--segment-bytes B] [--snapshot-every K] [--max-queue Q]
+//              [--segment-bytes B] [--snapshot-every K]
 //       Durable network ingestion (DESIGN.md §14): instead of replaying a
 //       recorded world, serve POST /ingest, /ingest/stats and the admin
 //       routes on PORT (0 = ephemeral) and stream whatever producers send
-//       through the same incremental pipeline. Every accepted record is
-//       WAL-committed under --wal-dir before it is acked; on startup the
+//       through the same incremental pipeline. Each POST is parsed,
+//       WAL-committed under --wal-dir, applied and acked on the one
+//       ingest.loop thread (no queue: a producer that outruns it meets TCP
+//       backpressure, and an fsync holds up every connection); on startup the
 //       WAL (plus the newest state snapshot, written every K segment
 //       rotations) is replayed, so a kill -9'd listener resumes with zero
 //       acked-record loss — drive it with `load_gen --ingest`. --city
 //       seeds the static world (station, buildings, addresses) from a
 //       world artifact, its trips dropped; the default is the built-in
 //       synthetic city. Mutually exclusive with --world. Serves until S
-//       elapses (0 = until SIGINT/SIGTERM), then drains and prints the
+//       elapses (0 = until SIGINT/SIGTERM), then stops and prints the
 //       final counters.
 //
 //   dlinf_cli evaluate --world FILE [--quick]
@@ -676,8 +678,6 @@ int CmdStreamListen(const Flags& flags) {
       static_cast<uint64_t>(flags.Int("--segment-bytes", 4 << 20));
   options.snapshot_every_segments =
       static_cast<uint64_t>(flags.Int("--snapshot-every", 0));
-  options.max_queue_records =
-      static_cast<uint64_t>(flags.Int("--max-queue", 4096));
 
   stream::IngestServer server(std::move(options));
   std::string error;
@@ -699,16 +699,15 @@ int CmdStreamListen(const Flags& flags) {
 
   Stopwatch serve_time;
   ServeUntilStopped(flags, nullptr);
-  server.Stop();  // Drains the queue and fsyncs the WAL.
+  server.Stop();  // Finishes the POST in hand, then fsyncs the WAL.
 
   const stream::IngestServer::Stats stats = server.stats();
   std::printf(
       "ingest done in %.1f s: received=%lld acked=%lld deduped=%lld "
-      "shed=%lld rejected=%lld recovered=%lld trips=%lld\n",
+      "rejected=%lld recovered=%lld trips=%lld\n",
       serve_time.ElapsedSeconds(), static_cast<long long>(stats.received),
       static_cast<long long>(stats.acked),
       static_cast<long long>(stats.deduped),
-      static_cast<long long>(stats.shed),
       static_cast<long long>(stats.rejected),
       static_cast<long long>(stats.recovered),
       static_cast<long long>(stats.trips));
@@ -926,8 +925,7 @@ constexpr FlagSpec kStreamFlags[] = {
     {"--fsync-every", FlagType::kInt},
     {"--fsync-interval", FlagType::kDouble},
     {"--segment-bytes", FlagType::kInt},
-    {"--snapshot-every", FlagType::kInt},
-    {"--max-queue", FlagType::kInt}};
+    {"--snapshot-every", FlagType::kInt}};
 constexpr FlagSpec kEvaluateFlags[] = {{"--world", FlagType::kString},
                                        {"--quick", FlagType::kBool}};
 /// Accepted by every command (see the header comment).
