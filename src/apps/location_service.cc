@@ -172,23 +172,18 @@ DeliveryLocationService::Answer DeliveryLocationService::Query(
 }
 
 std::vector<DeliveryLocationService::Answer>
-DeliveryLocationService::QueryBatch(const std::vector<int64_t>& address_ids,
-                                    ThreadPool* pool) const {
+DeliveryLocationService::QueryBatch(
+    const std::vector<int64_t>& address_ids) const {
   // One trace per batch (per-item scopes would swamp the ring at large
-  // batch sizes); pool workers run outside the scope's thread and record
-  // as always-sampled events on their own timelines.
+  // batch sizes).
   obs::TraceScope trace;
   obs::TraceSpan span("service.query_batch");
   const bool timed = obs::MetricsEnabled();
   Stopwatch watch;
-  std::vector<Answer> answers(address_ids.size());
-  auto answer_one = [&](int64_t i) { answers[i] = Lookup(address_ids[i]); };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(address_ids.size()), answer_one);
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(address_ids.size()); ++i) {
-      answer_one(i);
-    }
+  std::vector<Answer> answers;
+  answers.reserve(address_ids.size());
+  for (const int64_t address_id : address_ids) {
+    answers.push_back(Lookup(address_id));
   }
 
   // One counter update per tier per batch (not per query) keeps the hot

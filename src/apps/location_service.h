@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dlinfma/inferrer.h"
 #include "geo/point.h"
 #include "sim/world.h"
@@ -80,12 +79,12 @@ class DeliveryLocationService {
 
   /// Answers N waybill queries in one call — the online API's batched
   /// entry point. Answers are positionally aligned with `address_ids` and
-  /// exactly equal to N sequential Query calls; with a pool the lookups are
-  /// parallelized in contiguous blocks. Each batch records one observation
-  /// in `service.query.batch_latency_seconds` and `service.query.batch_size`
-  /// and counts every per-answer tier hit (DESIGN.md §5).
-  std::vector<Answer> QueryBatch(const std::vector<int64_t>& address_ids,
-                                 ThreadPool* pool = nullptr) const;
+  /// exactly equal to N sequential Query calls. Each batch records one
+  /// observation in `service.query.batch_latency_seconds` and
+  /// `service.query.batch_size` and counts every per-answer tier hit
+  /// (DESIGN.md §5).
+  std::vector<Answer> QueryBatch(
+      const std::vector<int64_t>& address_ids) const;
 
   /// Answers a query for a *new* address known only by building (the
   /// real-time case of Section VI-A where the address never appeared).

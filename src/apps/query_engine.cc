@@ -180,6 +180,13 @@ std::string QueryEngine::FormatAnswerJson(
 
 std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
                                                  std::string* error) {
+  if (options.num_shards < 1) {
+    if (error != nullptr) {
+      *error = "num_shards must be at least 1, got " +
+               std::to_string(options.num_shards);
+    }
+    return nullptr;
+  }
   auto engine = std::unique_ptr<QueryEngine>(new QueryEngine());
   engine->router_ = ShardRouter(options.num_shards);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

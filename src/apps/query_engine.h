@@ -75,7 +75,8 @@ class QueryEngine {
 
   /// Boots one BundleManager per shard from `options.bundle_dir`, builds
   /// the shard ring, binds the port and starts serving. nullptr (reason in
-  /// `error`) when the bundle fails to load or the socket setup fails.
+  /// `error`) when `num_shards` < 1, the bundle fails to load or the socket
+  /// setup fails.
   static std::unique_ptr<QueryEngine> Create(const Options& options,
                                              std::string* error = nullptr);
 

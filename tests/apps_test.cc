@@ -217,27 +217,24 @@ TEST(LocationServiceTest, BuildingTierBeyondToleranceSplitsTheMode) {
 
 TEST(LocationServiceTest, QueryBatchMatchesSequentialQueries) {
   // Batched answers must be exactly N sequential Query() calls, for empty,
-  // single, and large batches, serial or pool-backed.
+  // single, and large batches.
   const sim::World world = TinyWorld({2, 1, 3});
   const std::unordered_map<int64_t, Point> inferred = {{0, {7, 7}},
                                                        {3, {21, 4}}};
   const auto service = DeliveryLocationService::Build(world, inferred);
-  ThreadPool pool(4);
 
   for (const size_t batch_size : {size_t{0}, size_t{1}, size_t{1000}}) {
     std::vector<int64_t> ids;
     for (size_t i = 0; i < batch_size; ++i) {
       ids.push_back(static_cast<int64_t>(i % world.addresses.size()));
     }
-    for (ThreadPool* maybe_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const std::vector<DeliveryLocationService::Answer> batched =
-          service.QueryBatch(ids, maybe_pool);
-      ASSERT_EQ(batched.size(), ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const auto sequential = service.Query(ids[i]);
-        EXPECT_EQ(batched[i].source, sequential.source) << "i=" << i;
-        EXPECT_EQ(batched[i].location, sequential.location) << "i=" << i;
-      }
+    const std::vector<DeliveryLocationService::Answer> batched =
+        service.QueryBatch(ids);
+    ASSERT_EQ(batched.size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const auto sequential = service.Query(ids[i]);
+      EXPECT_EQ(batched[i].source, sequential.source) << "i=" << i;
+      EXPECT_EQ(batched[i].location, sequential.location) << "i=" << i;
     }
   }
 }

@@ -11,6 +11,7 @@
 //  - the shedding contract (overload answers degraded, never drops);
 //  - per-shard rollback → /healthz degradation → recovery;
 //  - the slow-loris fix: a stalled connection cannot delay /healthz;
+//  - a shard count below 1 is a typed error, never an abort;
 //  - /query_batch rejects every id /query rejects;
 //  - every answer, error paths included, echoes X-Request-Id;
 //  - one pipelined burst mixing routes answers in order;
@@ -548,6 +549,18 @@ TEST(QueryEngineTest, IdleSweepEvictsStalledConnectionWith408) {
   std::string body;
   ASSERT_TRUE(loris.ReadResponse(&status, &body));
   EXPECT_EQ(status, 408);
+}
+
+TEST(QueryEngineTest, RejectsNonPositiveShardCountWithTypedError) {
+  for (const int num_shards : {0, -1}) {
+    QueryEngine::Options options;
+    options.bundle_dir = Fixture().dir;
+    options.num_shards = num_shards;
+    std::string error;
+    EXPECT_EQ(QueryEngine::Create(options, &error), nullptr) << num_shards;
+    EXPECT_NE(error.find("num_shards"), std::string::npos)
+        << num_shards << ": " << error;
+  }
 }
 
 TEST(QueryEngineTest, MetricsExposePerShardLabeledSeries) {

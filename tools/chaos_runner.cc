@@ -38,7 +38,6 @@
 #include "apps/query_engine.h"
 #include "common/flags.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/trainer.h"
 #include "fault/fault.h"
@@ -155,7 +154,7 @@ Fixture& GetFixture() {
 
 /// Continuous QueryBatch load on a background thread over the first 64
 /// addresses `manager` serves. Each batch pins one generation (state()),
-/// exactly like the serve loop, so every answer must be present and finite
+/// as each engine request does, so every answer must be present and finite
 /// no matter what the control thread does to the bundle.
 class BackgroundQueryLoad {
  public:
@@ -185,7 +184,7 @@ class BackgroundQueryLoad {
       const std::shared_ptr<const apps::BundleManager::ServingState> pinned =
           manager_->state();
       const std::vector<apps::DeliveryLocationService::Answer> answers =
-          pinned->service->QueryBatch(ids_, &pool_);
+          pinned->service->QueryBatch(ids_);
       if (answers.size() != ids_.size()) {
         bad_answers_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -206,7 +205,6 @@ class BackgroundQueryLoad {
 
   const apps::BundleManager* manager_;
   std::vector<int64_t> ids_;
-  ThreadPool pool_{2};
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> answered_{0};
   std::atomic<int64_t> bad_answers_{0};

@@ -20,32 +20,21 @@
 //       epochs (default 5); --resume restores it first, so a killed run
 //       finishes bit-identical to an uninterrupted one.
 //
-//   dlinf_cli serve --bundle DIR [--queries N] [--batch B] [--threads T]
-//              [--poll-every K]
-//              [--telemetry-port P [--trace-sample R] [--linger-seconds S]]
-//              [--shards N [--port P] [--serve-seconds S] [--poll-every K]]
+//   dlinf_cli serve --bundle DIR [--shards N] [--port P] [--serve-seconds S]
+//              [--poll-every K] [--trace-sample R]
 //       The online service: warm-start from the bundle (milliseconds, no
-//       retraining) through the hot-reload BundleManager
-//       (apps/bundle_manager.h), build the 3-tier delivery-location
-//       service, then answer N address queries (default 10000) in batches
-//       of B (default 256) on T pool threads (default 4) through the
-//       QueryBatch API, reporting per-batch latency. Every K batches
-//       (default 8) the bundle directory is polled: a fresh push is staged,
-//       shadow-validated and swapped in with zero downtime, and a bad push
-//       rolls back to the live bundle. --telemetry-port starts the
-//       standalone telemetry endpoint (port 0 picks a free port) serving
-//       the shared admin routes (apps/admin_routes.h; the startup line
-//       lists them), arms trace recording at sampling rate R (default
-//       0.01), and keeps the process (and the endpoint) alive S extra
-//       seconds after the query load finishes so external scrapers can read
-//       the final state. With --shards N the command instead boots the
-//       sharded HTTP query engine (DESIGN.md §11): N shards answered by
-//       one epoll event loop on --port P (default 0 = ephemeral), serving
-//       /query, /query_batch, /inventory and the admin routes until
-//       --serve-seconds S elapses (default 0 = until SIGINT/SIGTERM),
-//       polling for bundle pushes every --poll-every K seconds, then stops
-//       the engine and prints its final counters; drive it with
-//       tools/load_gen.
+//       retraining) and boot the sharded HTTP query engine (DESIGN.md §11):
+//       N shards (default 4), each with its own hot-reload BundleManager
+//       (apps/bundle_manager.h), answered by one epoll event loop on --port
+//       P (default 0 = ephemeral), serving /query, /query_batch, /inventory
+//       and the admin routes (apps/admin_routes.h; the startup line lists
+//       them) until --serve-seconds S elapses (default 0 = until
+//       SIGINT/SIGTERM). Every K seconds (default 5) each shard polls the
+//       bundle directory: a fresh push is staged, shadow-validated and
+//       swapped in with zero downtime, and a bad push rolls back to the
+//       live bundle. --trace-sample R arms per-request trace sampling at
+//       rate R in [0, 1] for /tracez. On exit the engine stops and prints
+//       its final counters; drive it with tools/load_gen.
 //
 //   dlinf_cli infer --bundle DIR --out FILE.csv
 //       Write the inferred delivery location of every delivered address as
@@ -143,7 +132,6 @@
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/inferrer.h"
 #include "io/bundle.h"
@@ -392,17 +380,16 @@ int CmdInfer(const Flags& flags) {
   return 0;
 }
 
-/// The standalone telemetry endpoint behind --telemetry-port: a bare
-/// HttpServer mounting the shared admin routes.
+/// The standalone telemetry endpoint behind `stream --telemetry-port`: a
+/// bare HttpServer mounting the shared admin routes.
 struct TelemetryEndpoint {
   apps::AdminRoutes admin;
   apps::HttpServer server;
   ~TelemetryEndpoint() { apps::StopAdminServer(&server); }
 };
 
-/// Starts `telemetry` when --telemetry-port is given (add health providers
-/// first); true when the flag is absent. False, with the error printed,
-/// when the port cannot be bound.
+/// Starts `telemetry` when --telemetry-port is given; true when the flag is
+/// absent. False, with the error printed, when the port cannot be bound.
 bool StartTelemetry(const Flags& flags, TelemetryEndpoint* telemetry) {
   if (!flags.Has("--telemetry-port")) return true;
   apps::HttpServer::Options options;
@@ -474,18 +461,42 @@ void ServeUntilStopped(const Flags& flags,
   }
 }
 
-/// `serve --shards N`: the sharded HTTP query engine (DESIGN.md §11).
-/// Boots a QueryEngine over the bundle, prints the bound port, then serves
-/// until ServeUntilStopped returns, polling every shard's bundle directory
-/// for pushes every --poll-every seconds.
-int CmdServeEngine(const Flags& flags) {
-  const std::string dir = flags.Str("--bundle");
-  if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
-
+/// `serve`: the sharded HTTP query engine (DESIGN.md §11). Boots a
+/// QueryEngine over the bundle, prints the bound port, then serves until
+/// ServeUntilStopped returns, polling every shard's bundle directory for
+/// pushes every --poll-every seconds.
+int CmdServe(const Flags& flags) {
+  if (!flags.Has("--bundle")) return Usage();
   apps::QueryEngine::Options options;
-  options.bundle_dir = dir;
-  options.num_shards = std::max(1, flags.Int("--shards", 4));
+  options.num_shards = flags.Int("--shards", 4);
+  if (options.num_shards < 1) {
+    std::fprintf(stderr, "error: --shards wants at least 1 shard, got %d\n",
+                 options.num_shards);
+    return 2;
+  }
+  const int poll_every_s = flags.Int("--poll-every", 5);
+  if (poll_every_s < 1) {
+    std::fprintf(stderr,
+                 "error: --poll-every wants at least 1 second, got %d\n",
+                 poll_every_s);
+    return 2;
+  }
+  const double trace_sample = flags.Double("--trace-sample", 0.0);
+  if (!(trace_sample >= 0.0 && trace_sample <= 1.0)) {
+    std::fprintf(stderr,
+                 "error: --trace-sample wants a rate in [0, 1], got %g\n",
+                 trace_sample);
+    return 2;
+  }
+  options.bundle_dir = flags.Str("--bundle");
+  if (!PathUsable("--bundle", options.bundle_dir, /*want_dir=*/true)) return 1;
   options.port = flags.Int("--port", 0);
+  // Arm per-request trace sampling unless --trace-out already armed a
+  // record-everything session in main().
+  if (flags.Has("--trace-sample") && !obs::TracingArmed()) {
+    obs::TraceLog::Global().Start(trace_sample);
+  }
+
   Stopwatch watch;
   std::string error;
   std::unique_ptr<apps::QueryEngine> engine =
@@ -502,7 +513,6 @@ int CmdServeEngine(const Flags& flags) {
       apps::AdminRoutes::PathList().c_str());
   std::fflush(stdout);
 
-  const int poll_every_s = std::max(1, flags.Int("--poll-every", 5));
   double last_poll = 0.0;
   ServeUntilStopped(flags, [&](double elapsed) {
     if (elapsed - last_poll < poll_every_s) return;
@@ -529,117 +539,6 @@ int CmdServeEngine(const Flags& flags) {
   }
   std::printf("query engine done: %lld shard hits, %lld shed\n",
               static_cast<long long>(hits), static_cast<long long>(shed));
-  return 0;
-}
-
-int CmdServe(const Flags& flags) {
-  if (!flags.Has("--bundle")) return Usage();
-  if (flags.Has("--shards")) return CmdServeEngine(flags);
-  const std::string dir = flags.Str("--bundle");
-  if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
-  const int poll_every = std::max(1, flags.Int("--poll-every", 8));
-
-  // Serve through the hot-reload BundleManager: every batch re-resolves the
-  // live generation, and the directory is polled for pushes.
-  Stopwatch watch;
-  apps::BundleManager::Config config;
-  config.dir = dir;
-  std::string error;
-  std::unique_ptr<apps::BundleManager> manager =
-      apps::BundleManager::Create(config, &error);
-  if (manager == nullptr) {
-    std::fprintf(stderr, "error: cannot load bundle: %s\n", error.c_str());
-    return 1;
-  }
-  {
-    const auto state = manager->state();
-    std::printf(
-        "service up in %.2f s (generation %llu, watching %s): %zu address "
-        "entries, %zu building entries\n",
-        watch.ElapsedSeconds(),
-        static_cast<unsigned long long>(state->generation), dir.c_str(),
-        state->service->address_entries(), state->service->building_entries());
-  }
-
-  // Embedded telemetry endpoint: scrapeable while the query load runs (and
-  // for --linger-seconds after it, so CI / operators can read final state).
-  TelemetryEndpoint telemetry;
-  telemetry.admin.AddHealthProvider(
-      apps::BundleManagerHealth("bundle", manager.get()));
-  if (!StartTelemetry(flags, &telemetry)) return 1;
-  // Arm per-query trace sampling unless --trace-out already armed a
-  // record-everything session in main().
-  if (telemetry.server.running() && !obs::TracingArmed()) {
-    obs::TraceLog::Global().Start(flags.Double("--trace-sample", 0.01));
-  }
-
-  // Drive a batched query load through the pool-backed QueryBatch API.
-  const int num_queries = flags.Int("--queries", 10000);
-  const int batch_size = std::max(1, flags.Int("--batch", 256));
-  const int num_threads = flags.Int("--threads", 4);
-  ThreadPool pool(num_threads);
-
-  watch.Reset();
-  int64_t answered = 0;
-  int64_t tier_hits[3] = {0, 0, 0};
-  std::vector<int64_t> batch;
-  batch.reserve(batch_size);
-  for (int q = 0, batch_index = 0; q < num_queries; ++batch_index) {
-    if (batch_index % poll_every == 0) {
-      PrintReload(manager->Poll(&error), *manager, error);
-    }
-    // Pin one generation per batch: in-flight answers always come from a
-    // single consistent bundle even if a swap lands mid-run.
-    const std::shared_ptr<const apps::BundleManager::ServingState> pinned =
-        manager->state();
-    const std::vector<sim::Address>& addresses =
-        pinned->bundle.world->addresses;
-    if (addresses.empty()) {
-      std::fprintf(stderr, "error: bundle world has no addresses\n");
-      return 1;
-    }
-    batch.clear();
-    for (; q < num_queries && static_cast<int>(batch.size()) < batch_size;
-         ++q) {
-      batch.push_back(addresses[q % addresses.size()].id);
-    }
-    for (const auto& answer : pinned->service->QueryBatch(batch, &pool)) {
-      ++tier_hits[static_cast<int>(answer.source)];
-      ++answered;
-    }
-  }
-  const double elapsed = watch.ElapsedSeconds();
-  std::printf(
-      "answered %lld queries in %.3f s (%.0f queries/s, batch=%d, "
-      "threads=%d)\n",
-      static_cast<long long>(answered), elapsed,
-      elapsed > 0 ? static_cast<double>(answered) / elapsed : 0.0, batch_size,
-      num_threads);
-  std::printf("tier hits: address %lld, building %lld, geocode %lld\n",
-              static_cast<long long>(tier_hits[0]),
-              static_cast<long long>(tier_hits[1]),
-              static_cast<long long>(tier_hits[2]));
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const obs::Histogram* batch_latency =
-      registry.GetHistogram("service.query.batch_latency_seconds");
-  if (batch_latency->count() > 0) {
-    std::printf("batch latency: p50 %.0f us, p95 %.0f us, max %.0f us\n",
-                batch_latency->Quantile(0.5) * 1e6,
-                batch_latency->Quantile(0.95) * 1e6,
-                batch_latency->max() * 1e6);
-  }
-  std::printf(
-      "hot-reload: generation %llu, %lld attempts, %lld swapped, "
-      "%lld rolled back%s\n",
-      static_cast<unsigned long long>(manager->generation()),
-      static_cast<long long>(
-          registry.GetCounter("service.reload.attempts")->value()),
-      static_cast<long long>(
-          registry.GetCounter("service.reload.success")->value()),
-      static_cast<long long>(
-          registry.GetCounter("service.reload.rollbacks")->value()),
-      manager->reload_degraded() ? " [degraded: last push rejected]" : "");
-  LingerAndStopTelemetry(flags, &telemetry);
   return 0;
 }
 
@@ -890,18 +789,12 @@ constexpr FlagSpec kTrainFlags[] = {{"--world", FlagType::kString},
                                     {"--ckpt", FlagType::kString},
                                     {"--ckpt-every", FlagType::kInt},
                                     {"--resume", FlagType::kString, true}};
-constexpr FlagSpec kServeFlags[] = {
-    {"--bundle", FlagType::kString},
-    {"--queries", FlagType::kInt},
-    {"--batch", FlagType::kInt},
-    {"--threads", FlagType::kInt},
-    {"--poll-every", FlagType::kInt},
-    {"--telemetry-port", FlagType::kInt, true},
-    {"--trace-sample", FlagType::kDouble},
-    {"--linger-seconds", FlagType::kInt},
-    {"--shards", FlagType::kInt},
-    {"--port", FlagType::kInt},
-    {"--serve-seconds", FlagType::kDouble}};
+constexpr FlagSpec kServeFlags[] = {{"--bundle", FlagType::kString},
+                                    {"--shards", FlagType::kInt},
+                                    {"--port", FlagType::kInt},
+                                    {"--serve-seconds", FlagType::kDouble},
+                                    {"--poll-every", FlagType::kInt},
+                                    {"--trace-sample", FlagType::kDouble}};
 constexpr FlagSpec kInferFlags[] = {{"--bundle", FlagType::kString},
                                     {"--out", FlagType::kString}};
 constexpr FlagSpec kStreamFlags[] = {
