@@ -18,8 +18,8 @@
 /// \file
 /// The serving substrate of the sharded query engine (DESIGN.md §11): an
 /// incremental HTTP/1.1 request parser, a non-blocking epoll event loop with
-/// keep-alive and pipelining, and a small blocking client for tests, the
-/// load generator and the chaos runner.
+/// keep-alive and pipelining, and a small blocking client for tests and the
+/// load generator.
 ///
 /// Split of responsibilities:
 ///  - `HttpParser` turns an arbitrary byte stream into complete requests. It
@@ -247,8 +247,8 @@ class HttpServer {
   std::vector<Completion> completions_;
 };
 
-/// Blocking keep-alive client against 127.0.0.1 (tests / load_gen / chaos
-/// only — the serving path never uses it). Supports sending several
+/// Blocking keep-alive client against 127.0.0.1 (tests / load_gen only —
+/// the serving path never uses it). Supports sending several
 /// pipelined requests before reading the responses back in order.
 class HttpClient {
  public:
@@ -292,7 +292,7 @@ class HttpClient {
 };
 
 /// Minimal one-shot GET helper (connect, request, read, close). Used by the
-/// admin-route tests, the chaos healthz scenarios and the benchmark.
+/// tests, load_gen and the benchmark.
 bool HttpGetOnce(int port, const std::string& path, int* status,
                  std::string* body);
 

@@ -15,10 +15,10 @@
 /// identifiers like `io.artifact.bit_flip` or `service.tier.address.fail` —
 /// by calling `fault::Hit("point.name")` at the spot where the fault would
 /// originate in production (a short read from disk, a slow or failing
-/// backend tier, a corrupt GPS sample). A test, the chaos runner, or an
-/// operator then *arms* a `FaultPlan` that maps point names to firing rules;
-/// every hit on an armed point consults its rule and either passes (returns
-/// nullopt) or fires (returns the fault's parameters).
+/// backend tier, a corrupt GPS sample). A test then *arms* a `FaultPlan`
+/// that maps point names to firing rules; every hit on an armed point
+/// consults its rule and either passes (returns nullopt) or fires (returns
+/// the fault's parameters). Nothing outside tests arms a plan.
 ///
 /// Guarantees:
 ///  - **Zero-cost when disarmed.** `Hit()` is a single relaxed atomic load
@@ -34,7 +34,7 @@
 ///    per-point state is lock-free atomics, so hot paths never contend on a
 ///    mutex even while armed.
 ///  - **Observable.** Every fire increments the global obs counters
-///    `fault.fires` and `fault.fires.<point>` so chaos scenarios can
+///    `fault.fires` and `fault.fires.<point>` so fault-injection tests can
 ///    cross-check injected fault counts against the metrics dump.
 ///
 /// Naming convention: `<layer>.<component>.<event>`, lowercase, with the

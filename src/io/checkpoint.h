@@ -21,7 +21,7 @@
 ///
 /// The fault point `train.checkpoint.write_fail` (DESIGN.md §8) makes Save
 /// report failure without touching the filesystem — the "disk full at epoch
-/// boundary" drill the chaos runner and tests replay deterministically.
+/// boundary" drill the tests replay deterministically.
 
 namespace dlinf {
 namespace io {

@@ -1,9 +1,13 @@
+#include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "apps/availability.h"
 #include "apps/location_service.h"
 #include "apps/route_planner.h"
 #include "common/random.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
@@ -259,6 +263,123 @@ TEST(LocationServiceTest, QueryBatchCountsTierHitsOncePerQuery) {
   EXPECT_EQ(address_hits->value() - address_before, 2);
   EXPECT_EQ(building_hits->value() - building_before, 1);
   EXPECT_EQ(geocode_hits->value() - geocode_before, 3);
+}
+
+// The counters every degradation row checks, in `DegradeCase::deltas` order.
+constexpr std::array<const char*, 5> kDegradeCounters = {
+    "service.tier.failures.address", "service.tier.failures.building",
+    "service.tier.retries", "service.query.fallbacks",
+    "service.query.degraded"};
+
+/// One row of the degradation contract (DESIGN.md §8): `plan` is armed
+/// while the first `queries` addresses are looked up under `policy`.
+/// Queries [0, degraded_first) must answer degraded from `degraded_source`,
+/// the rest healthy from the address tier.
+struct DegradeCase {
+  const char* name;
+  fault::FaultPlan plan;
+  DeliveryLocationService::DegradePolicy policy;
+  int64_t queries;
+  int64_t degraded_first;
+  DeliveryLocationService::Source degraded_source;
+  std::vector<std::pair<const char*, int64_t>> fires;  ///< FireCount per point.
+  std::array<int64_t, kDegradeCounters.size()> deltas;
+};
+
+TEST(LocationServiceTest, DegradationTableMatchesInjectedFaultsExactly) {
+  using Source = DeliveryLocationService::Source;
+  sim::SimConfig config = sim::SynDowBJConfig();
+  config.num_days = 3;
+  config.num_communities = 6;
+  const sim::World world = sim::GenerateWorld(config);
+  std::unordered_map<int64_t, Point> inferred;
+  for (const sim::Address& address : world.addresses) {
+    inferred[address.id] = address.true_delivery_location;
+  }
+
+  const std::vector<DegradeCase> cases = {
+      {"address tier fails 25 times, no retries",
+       fault::FaultPlan().FailFirst("service.tier.address.fail", 25),
+       {.tier_deadline_ms = 1000.0, .max_retries = 0},
+       100, 25, Source::kBuilding,
+       {{"service.tier.address.fail", 25}},
+       {25, 0, 0, 25, 25}},
+      {"both KV tiers down: geocode answers everything",
+       fault::FaultPlan()
+           .FailAlways("service.tier.address.fail")
+           .FailAlways("service.tier.building.fail"),
+       {.tier_deadline_ms = 1000.0, .max_retries = 0},
+       20, 20, Source::kGeocode,
+       {{"service.tier.address.fail", 20},
+        {"service.tier.building.fail", 20}},
+       {20, 20, 0, 40, 20}},
+      {"slow address tier blows its deadline on attempt and retry",
+       fault::FaultPlan().AddLatencyMs("service.tier.address.latency", 50.0),
+       {.tier_deadline_ms = 5.0, .max_retries = 1, .backoff_ms = 0.5},
+       6, 6, Source::kBuilding,
+       {{"service.tier.address.latency", 12}},
+       {12, 0, 6, 6, 6}},
+      {"one retry absorbs a transient failure",
+       fault::FaultPlan().FailFirst("service.tier.address.fail", 1),
+       {.tier_deadline_ms = 1000.0, .max_retries = 1, .backoff_ms = 0.1},
+       5, 0, Source::kAddress,
+       {{"service.tier.address.fail", 1}},
+       {1, 0, 1, 0, 0}},
+  };
+
+  for (const DegradeCase& row : cases) {
+    SCOPED_TRACE(row.name);
+    ASSERT_LE(row.queries, static_cast<int64_t>(world.addresses.size()));
+    DeliveryLocationService service =
+        DeliveryLocationService::Build(world, inferred);
+    service.set_degrade_policy(row.policy);
+    // Expected locations come from the healthy chain, read before arming.
+    std::vector<Point> degraded_location;
+    for (int64_t i = 0; i < row.degraded_first; ++i) {
+      const sim::Address& address = world.addresses[i];
+      degraded_location.push_back(
+          row.degraded_source == Source::kGeocode
+              ? address.geocoded_location
+              : service.QueryByBuilding(address.building_id,
+                                        address.geocoded_location)
+                    .location);
+    }
+    std::array<int64_t, kDegradeCounters.size()> before;
+    for (size_t c = 0; c < kDegradeCounters.size(); ++c) {
+      before[c] = obs::MetricsRegistry::Global()
+                      .GetCounter(kDegradeCounters[c])
+                      ->value();
+    }
+
+    {
+      fault::ScopedFaultPlan armed(row.plan, /*seed=*/20240807);
+      for (int64_t i = 0; i < row.queries; ++i) {
+        const int64_t id = world.addresses[i].id;
+        const DeliveryLocationService::Answer answer = service.Query(id);
+        if (i < row.degraded_first) {
+          EXPECT_TRUE(answer.degraded) << "query " << i;
+          EXPECT_EQ(answer.source, row.degraded_source) << "query " << i;
+          EXPECT_EQ(answer.location, degraded_location[i]) << "query " << i;
+        } else {
+          EXPECT_FALSE(answer.degraded) << "query " << i;
+          EXPECT_EQ(answer.source, Source::kAddress) << "query " << i;
+          EXPECT_EQ(answer.location, inferred.at(id)) << "query " << i;
+        }
+      }
+    }
+
+    for (const auto& [point, fires] : row.fires) {
+      EXPECT_EQ(fault::FireCount(point), fires) << point;
+    }
+    for (size_t c = 0; c < kDegradeCounters.size(); ++c) {
+      EXPECT_EQ(obs::MetricsRegistry::Global()
+                        .GetCounter(kDegradeCounters[c])
+                        ->value() -
+                    before[c],
+                row.deltas[c])
+          << kDegradeCounters[c];
+    }
+  }
 }
 
 TEST(AvailabilityTest, ProfileHistogramNormalizes) {

@@ -2,17 +2,22 @@
 // boot, the watch->stage->validate->swap state machine, every rollback
 // trigger (injected corruption, real on-disk corruption, shadow-validation
 // veto, agreement threshold), RCU semantics for pinned generations, and the
-// reload counters + degraded-health flag.
+// reload counters + degraded-health flag. Two drills churn reloads (offline
+// pushes, then online publications) while a thread runs QueryBatch on the
+// pinned state, so a TSan build checks the swap for races.
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/bundle_manager.h"
@@ -23,6 +28,8 @@
 #include "io/bundle.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
+#include "stream/online_trainer.h"
+#include "stream/stream_pipeline.h"
 
 namespace dlinf {
 namespace apps {
@@ -48,6 +55,21 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
+/// Flips one byte in the middle of `path`: a push whose CRC fails to load.
+void FlipMiddleByte(const std::string& path) {
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), 64u) << path;
+  bytes[bytes.size() / 2] ^= 0x01;
+  WriteFileBytes(path, bytes);
+}
+
+/// A pid-suffixed scratch path: under `ctest -j` each test case is a
+/// separate process, and several of them mutate or corrupt bundle files —
+/// a shared fixed path makes concurrent cases clobber each other's bundles.
+std::string ScratchPath(const std::string& name) {
+  return TempDir() + name + "." + std::to_string(::getpid());
+}
+
 /// One small trained pipeline saved as an on-disk bundle, shared by every
 /// test; tests that mutate bundle files restore them afterwards.
 struct BundleFixture {
@@ -64,10 +86,7 @@ struct BundleFixture {
     method = std::make_unique<dlinfma::DlInfMaMethod>(
         "DLInfMA", dlinfma::LocMatcherConfig{}, train_config);
     method->Fit(data, samples);
-    // Suffix with the pid: under `ctest -j` each test case is a separate
-    // process, and several of them mutate or corrupt bundle files — a shared
-    // fixed path makes concurrent cases clobber each other's bundles.
-    dir = TempDir() + "manager_bundle." + std::to_string(::getpid());
+    dir = ScratchPath("manager_bundle");
     std::string error;
     CHECK(io::SaveBundle(dir, world, data, samples, *method, &error)) << error;
   }
@@ -92,6 +111,50 @@ std::unique_ptr<BundleManager> MakeManager(BundleManager::Config config = {}) {
   EXPECT_NE(manager, nullptr) << error;
   return manager;
 }
+
+/// Continuous QueryBatch load on a background thread over the first 64
+/// addresses `manager` serves. Each batch pins one generation (state()), as
+/// each engine request does, so every answer must be present and finite
+/// whatever the control thread does to the bundle.
+class QueryBatchLoad {
+ public:
+  explicit QueryBatchLoad(const BundleManager* manager) {
+    std::vector<int64_t> ids;
+    for (const dlinfma::AddressSample& sample : manager->state()->samples) {
+      ids.push_back(sample.address_id);
+      if (ids.size() >= 64) break;
+    }
+    thread_ = std::jthread([this, manager, ids](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+        const std::shared_ptr<const BundleManager::ServingState> pinned =
+            manager->state();
+        const std::vector<DeliveryLocationService::Answer> answers =
+            pinned->service->QueryBatch(ids);
+        if (answers.size() != ids.size()) bad_answers_.fetch_add(1);
+        for (const DeliveryLocationService::Answer& answer : answers) {
+          if (!std::isfinite(answer.location.x) ||
+              !std::isfinite(answer.location.y)) {
+            bad_answers_.fetch_add(1);
+          }
+          answered_.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  /// Stops the load and checks that it answered, and never badly.
+  void StopAndExpectClean() {
+    thread_.request_stop();
+    thread_.join();
+    EXPECT_GT(answered_.load(), 0);
+    EXPECT_EQ(bad_answers_.load(), 0) << "dropped or non-finite answers";
+  }
+
+ private:
+  std::atomic<int64_t> answered_{0};
+  std::atomic<int64_t> bad_answers_{0};
+  std::jthread thread_;  ///< Declared last: joined before the counters go.
+};
 
 TEST(BundleManagerTest, BootsAndServes) {
   std::unique_ptr<BundleManager> manager = MakeManager();
@@ -186,10 +249,7 @@ TEST(BundleManagerTest, RealOnDiskCorruptionRollsBack) {
   ASSERT_NE(manager, nullptr);
   const std::string model_path = Fixture().dir + "/model.art";
   const std::string valid = ReadFileBytes(model_path);
-  ASSERT_GT(valid.size(), 64u);
-  std::string mutated = valid;
-  mutated[mutated.size() / 2] ^= 0x01;
-  WriteFileBytes(model_path, mutated);
+  FlipMiddleByte(model_path);
 
   std::string error;
   EXPECT_EQ(manager->ReloadNow(&error),
@@ -262,6 +322,144 @@ TEST(BundleManagerTest, PinnedGenerationSurvivesSwap) {
       pinned->service->Query(probe_id);
   EXPECT_EQ(after.location.x, before.location.x);
   EXPECT_EQ(after.location.y, before.location.y);
+}
+
+// Four pushes while QueryBatch runs on pinned state: an injected torn push,
+// a validation veto and real on-disk corruption each roll back and keep
+// the degraded flag up; a healthy push then swaps and clears it. No query
+// is dropped and every counter moves by exactly its push count.
+TEST(BundleManagerTest, PushSequenceUnderQueryBatchLoadDropsNothing) {
+  std::unique_ptr<BundleManager> manager = MakeManager();
+  ASSERT_NE(manager, nullptr);
+  const int64_t attempts_before = CounterValue("service.reload.attempts");
+  const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
+  const int64_t success_before = CounterValue("service.reload.success");
+  QueryBatchLoad load(manager.get());
+
+  std::string error;
+  for (const char* point :
+       {"service.reload.corrupt", "service.reload.validation_fail"}) {
+    fault::ScopedFaultPlan armed(fault::FaultPlan().FailAlways(point),
+                                 /*seed=*/20240807);
+    EXPECT_EQ(manager->ReloadNow(&error),
+              BundleManager::ReloadOutcome::kRolledBack)
+        << point;
+    EXPECT_FALSE(error.empty()) << point;
+    EXPECT_EQ(manager->generation(), 0u) << point;
+    EXPECT_TRUE(manager->reload_degraded()) << point;
+  }
+
+  const std::string model_path = Fixture().dir + "/model.art";
+  const std::string model_bytes = ReadFileBytes(model_path);
+  FlipMiddleByte(model_path);
+  error.clear();
+  EXPECT_EQ(manager->ReloadNow(&error),
+            BundleManager::ReloadOutcome::kRolledBack);
+  EXPECT_FALSE(error.empty());
+  EXPECT_TRUE(manager->reload_degraded());
+  WriteFileBytes(model_path, model_bytes);
+
+  EXPECT_EQ(manager->ReloadNow(&error),
+            BundleManager::ReloadOutcome::kSwapped)
+      << error;
+  EXPECT_EQ(manager->generation(), 1u);
+  EXPECT_FALSE(manager->reload_degraded());
+
+  load.StopAndExpectClean();
+  EXPECT_EQ(CounterValue("service.reload.attempts") - attempts_before, 4);
+  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before, 3);
+  EXPECT_EQ(CounterValue("service.reload.success") - success_before, 1);
+}
+
+// The online publication path into the hot-reload watcher honours the same
+// contract under QueryBatch load: a healthy round swaps, a corrupt
+// publication rolls back and fails the health check, an injected
+// `stream.publish.fail` is a counted typed error that leaves the bad push
+// in place, and healing the push swaps and restores health.
+TEST(BundleManagerTest, OnlinePublicationsRollBackUnderQueryBatchLoad) {
+  const BundleFixture& fx = Fixture();
+  const std::string dir = ScratchPath("stream_publish");
+  std::filesystem::remove_all(dir);
+  stream::StreamIngestor ingestor(fx.world, {});
+  for (const sim::DeliveryTrip& trip : fx.world.trips) {
+    ingestor.ReplayTrip(trip);
+  }
+  stream::OnlineTrainer::Options trainer_options;
+  trainer_options.train.max_epochs = 2;
+  trainer_options.train.early_stop_patience = 2;
+  trainer_options.publish_dir = dir;
+  stream::OnlineTrainer trainer(trainer_options);
+  auto retrain = [&] {
+    return trainer.Retrain(ingestor.world(), ingestor.Snapshot());
+  };
+  {
+    const stream::OnlineTrainer::RoundResult boot = retrain();
+    ASSERT_TRUE(boot.trained) << boot.skip_reason;
+    ASSERT_TRUE(boot.published) << boot.publish_error;
+  }
+
+  // Online rounds legitimately drift from the boot generation, so the
+  // shadow probes gate only on sanity (finite, in bounds), not agreement.
+  BundleManager::Config config;
+  config.dir = dir;
+  config.min_agree_fraction = 0.0;
+  std::string error;
+  std::unique_ptr<BundleManager> manager =
+      BundleManager::Create(config, &error);
+  ASSERT_NE(manager, nullptr) << error;
+  const HealthProvider health = BundleManagerHealth("bundle", manager.get());
+  EXPECT_TRUE(health().ok);
+
+  const int64_t attempts_before = CounterValue("service.reload.attempts");
+  const int64_t success_before = CounterValue("service.reload.success");
+  const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
+  const int64_t publish_failures_before =
+      CounterValue("stream.publish.failures");
+  QueryBatchLoad load(manager.get());
+
+  {
+    const stream::OnlineTrainer::RoundResult round = retrain();
+    EXPECT_TRUE(round.trained && round.published)
+        << round.skip_reason << round.publish_error;
+  }
+  EXPECT_EQ(manager->ReloadNow(&error),
+            BundleManager::ReloadOutcome::kSwapped)
+      << error;
+  EXPECT_EQ(manager->generation(), 1u);
+  EXPECT_TRUE(health().ok);
+
+  const std::string model_path = dir + "/model.art";
+  const std::string model_bytes = ReadFileBytes(model_path);
+  FlipMiddleByte(model_path);
+  EXPECT_EQ(manager->ReloadNow(&error),
+            BundleManager::ReloadOutcome::kRolledBack);
+  EXPECT_TRUE(manager->reload_degraded());
+  EXPECT_FALSE(health().ok);
+
+  {
+    fault::ScopedFaultPlan armed(
+        fault::FaultPlan().FailAlways("stream.publish.fail"),
+        /*seed=*/20240807);
+    const stream::OnlineTrainer::RoundResult round = retrain();
+    EXPECT_TRUE(round.trained) << round.skip_reason;
+    EXPECT_FALSE(round.published);
+    EXPECT_FALSE(round.publish_error.empty());
+  }
+  EXPECT_EQ(CounterValue("stream.publish.failures") - publish_failures_before,
+            1);
+  EXPECT_FALSE(health().ok) << "the last push is still the corrupt one";
+
+  WriteFileBytes(model_path, model_bytes);
+  EXPECT_EQ(manager->ReloadNow(&error),
+            BundleManager::ReloadOutcome::kSwapped)
+      << error;
+  EXPECT_FALSE(manager->reload_degraded());
+  EXPECT_TRUE(health().ok);
+
+  load.StopAndExpectClean();
+  EXPECT_EQ(CounterValue("service.reload.attempts") - attempts_before, 3);
+  EXPECT_EQ(CounterValue("service.reload.success") - success_before, 2);
+  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before, 1);
 }
 
 }  // namespace

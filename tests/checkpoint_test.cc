@@ -3,10 +3,11 @@
 // failures for every corruption class, the injected write-fail fault, and
 // the golden resume contract — a training run killed at a checkpoint
 // boundary and resumed through the on-disk artifact finishes bit-identical
-// to an uninterrupted run. The CLI cases also pin `dlinf_cli`'s world path
-// (`generate` writes exactly the world artifact, and an unloadable --world
-// exits 1 with the codec's typed reason) and its one serve path (`serve`
-// boots the query engine; a removed or out-of-range flag exits 2).
+// to an uninterrupted run, and so does a run whose every checkpoint write
+// fails. The CLI cases also pin `dlinf_cli`'s world path (`generate` writes
+// exactly the world artifact, and an unloadable --world exits 1 with the
+// codec's typed reason) and its one serve path (`serve` boots the query
+// engine; a removed or out-of-range flag exits 2).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -33,6 +34,7 @@
 #include "io/bundle.h"
 #include "io/checkpoint.h"
 #include "io/codecs.h"
+#include "obs/metrics.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -51,6 +53,10 @@ std::string CkptPath(const std::string& name) {
     return d;
   }();
   return dir + "/" + name;
+}
+
+int64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -378,12 +384,14 @@ TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalToUninterrupted) {
       LoadCheckpointArtifact(path, &error);
   ASSERT_TRUE(restored.has_value()) << error;
 
+  const int64_t resumes_before = CounterValue("train.resumes");
   dlinfma::TrainConfig config = base;
   config.resume = &*restored;
   auto model = fresh_model();
   const dlinfma::TrainResult result = dlinfma::TrainLocMatcher(
       model.get(), fx.samples.train, fx.samples.val, config);
   EXPECT_EQ(result.epochs_run, base.max_epochs);
+  EXPECT_EQ(CounterValue("train.resumes") - resumes_before, 1);
 
   const std::vector<std::vector<float>> resumed = Snapshot(*model);
   ASSERT_EQ(resumed.size(), golden.size());
@@ -391,6 +399,36 @@ TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalToUninterrupted) {
     EXPECT_TRUE(BitEqual(resumed[i], golden[i]))
         << "parameter tensor " << i << " diverged after resume";
   }
+
+  // Every checkpoint write fails: training carries on to the same model,
+  // counts both lost emissions (epoch 3 and the terminal epoch 6) and
+  // leaves no file behind.
+  const int64_t failures_before = CounterValue("train.checkpoint.failures");
+  const int64_t writes_before = CounterValue("train.checkpoint.writes");
+  const std::string lost_path = CkptPath("ckpt_every_write_fails.art");
+  std::filesystem::remove(lost_path);
+  {
+    fault::ScopedFaultPlan armed(
+        fault::FaultPlan().FailAlways("train.checkpoint.write_fail"),
+        /*seed=*/20240807);
+    dlinfma::TrainConfig failing = base;
+    failing.checkpoint_every_epochs = 3;
+    failing.checkpoint_sink = [&](const dlinfma::TrainCheckpoint& ck) {
+      return SaveCheckpointArtifact(ck, lost_path);
+    };
+    auto unlucky = fresh_model();
+    dlinfma::TrainLocMatcher(unlucky.get(), fx.samples.train, fx.samples.val,
+                             failing);
+    const std::vector<std::vector<float>> params = Snapshot(*unlucky);
+    ASSERT_EQ(params.size(), golden.size());
+    for (size_t i = 0; i < golden.size(); ++i) {
+      EXPECT_TRUE(BitEqual(params[i], golden[i]))
+          << "parameter tensor " << i << " changed by failed checkpoints";
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(lost_path));
+  EXPECT_EQ(CounterValue("train.checkpoint.failures") - failures_before, 2);
+  EXPECT_EQ(CounterValue("train.checkpoint.writes") - writes_before, 0);
 }
 
 TEST(CheckpointResumeTest, TerminalCheckpointResumesToSameModel) {

@@ -1,15 +1,19 @@
 // Exact-semantics tests of candidate generation and feature extraction on a
-// hand-crafted world with known stays, trips and waybills.
+// hand-crafted world with known stays, trips and waybills, plus the whole
+// train -> infer -> serve path under GPS-level fault injection.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <unordered_set>
 
+#include "apps/location_service.h"
 #include "dlinfma/candidate_generation.h"
+#include "dlinfma/dlinfma_method.h"
 #include "dlinfma/features.h"
 #include "dlinfma/inferrer.h"
 #include "dlinfma/metrics.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "sim/generator.h"
 #include "sim/world.h"
@@ -486,6 +490,66 @@ TEST(FeatureOracleTest, ExtractSamplesMatchesHashSetOracle) {
         got.val, OracleExtractAll(world, *data.gen, row.config, data.val_ids));
     ExpectSamplesBitEqual(got.test, OracleExtractAll(world, *data.gen,
                                                      row.config, data.test_ids));
+  }
+}
+
+// Train -> infer -> serve with every GPS-level fault armed (dropouts,
+// duplicates, out-of-order points, NaN coordinates, clock skew, whole
+// trajectories dropped): inference stays finite and the healthy service
+// answers every query undegraded.
+TEST(DirtyGpsPipelineTest, TrainInferServeStayFiniteUnderGpsFaults) {
+  constexpr const char* kPoints[] = {"traj.gps.dropout",
+                                     "traj.gps.duplicate",
+                                     "traj.gps.out_of_order",
+                                     "traj.gps.nan",
+                                     "traj.gps.clock_skew",
+                                     "sim.trip.drop_trajectory"};
+  fault::FaultPlan plan;
+  plan.FailWithProbability("traj.gps.dropout", 0.05)
+      .FailWithProbability("traj.gps.duplicate", 0.02)
+      .FailWithProbability("traj.gps.out_of_order", 0.02)
+      .FailWithProbability("traj.gps.nan", 0.01)
+      .Inject({.point = "traj.gps.clock_skew",
+               .probability = 0.005,
+               .param = 600})
+      .FailWithProbability("sim.trip.drop_trajectory", 0.05);
+  fault::ScopedFaultPlan armed(plan, /*seed=*/20240807);
+
+  sim::SimConfig config = sim::SynDowBJConfig();
+  config.num_days = 3;
+  config.num_communities = 6;
+  const sim::World world = sim::GenerateWorld(config);
+  const Dataset data = BuildDataset(world, {});
+  const SampleSet samples = ExtractSamples(data, {});
+  TrainConfig train_config;
+  train_config.max_epochs = 2;
+  train_config.early_stop_patience = 2;
+  DlInfMaMethod method("DLInfMA", LocMatcherConfig{}, train_config);
+  method.Fit(data, samples);
+
+  const std::vector<Point> inferred = method.InferAll(data, samples.test);
+  ASSERT_EQ(inferred.size(), samples.test.size());
+  for (const Point& p : inferred) {
+    ASSERT_TRUE(std::isfinite(p.x) && std::isfinite(p.y));
+  }
+  for (const char* point : kPoints) {
+    EXPECT_GT(fault::HitCount(point), 0) << point;
+  }
+  EXPECT_GT(fault::TotalFires(), 0);
+
+  std::vector<AddressSample> all = samples.train;
+  all.insert(all.end(), samples.test.begin(), samples.test.end());
+  ASSERT_FALSE(all.empty());
+  const apps::DeliveryLocationService service =
+      apps::DeliveryLocationService::BuildFromInferrer(world, data, all,
+                                                       &method);
+  for (size_t i = 0; i < std::min<size_t>(50, all.size()); ++i) {
+    const apps::DeliveryLocationService::Answer answer =
+        service.Query(all[i].address_id);
+    EXPECT_TRUE(std::isfinite(answer.location.x) &&
+                std::isfinite(answer.location.y))
+        << "address " << all[i].address_id;
+    EXPECT_FALSE(answer.degraded) << "address " << all[i].address_id;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <filesystem>
@@ -105,6 +106,10 @@ void ExpectBitIdentical(const StreamIngestor& a, const StreamIngestor& b) {
     EXPECT_EQ(std::memcmp(&centroids_a[i], &centroids_b[i], sizeof(Point)),
               0);
   }
+}
+
+int64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
 }
 
 IngestServer::Options BaseOptions(const std::string& dir) {
@@ -431,9 +436,7 @@ TEST(IngestServerTest, OneTripMovesEveryCounterByItsExactDelta) {
       "stream.ingest.trips_completed"};
   auto snapshot = [&] {
     std::vector<int64_t> values;
-    for (const std::string& name : names) {
-      values.push_back(obs::MetricsRegistry::Global().GetCounter(name)->value());
-    }
+    for (const std::string& name : names) values.push_back(CounterValue(name));
     return values;
   };
   auto deltas = [&](const std::vector<int64_t>& before) {
@@ -833,6 +836,7 @@ TEST(IngestServerTest, CrashMidIngestRecoversEveryAckedRecord) {
   }
   const size_t crash_after = all_bodies.size() / 2;
 
+  const int64_t acked_counter_before = CounterValue("stream.ingest.acked");
   int64_t acked_before_crash = 0;
   {
     IngestServer server(BaseOptions(dir));
@@ -847,18 +851,30 @@ TEST(IngestServerTest, CrashMidIngestRecoversEveryAckedRecord) {
   }
 
   // Restart on the same WAL dir: every acked record is back.
+  const int64_t recovered_before = CounterValue("stream.ingest.recovered");
   IngestServer server(BaseOptions(dir));
   ASSERT_TRUE(server.Start());
   EXPECT_EQ(server.stats().recovered, acked_before_crash);
+  EXPECT_EQ(CounterValue("stream.ingest.recovered") - recovered_before,
+            acked_before_crash);
 
-  // The client retries its last unacked batch (exact no-op if it actually
-  // committed) and streams the remainder.
+  // The client never saw the crash, so it retries its last acked batch (an
+  // exact no-op: every record deduplicated) and streams the remainder.
+  const std::string& retried = all_bodies[crash_after - 1];
+  const int64_t deduped_before = CounterValue("stream.ingest.deduped");
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_EQ(PostIngest(&client, retried), 200);
+  EXPECT_EQ(CounterValue("stream.ingest.deduped") - deduped_before,
+            std::count(retried.begin(), retried.end(), '\n'));
   for (size_t i = crash_after; i < all_bodies.size(); ++i) {
     ASSERT_EQ(PostIngest(&client, all_bodies[i]), 200);
   }
   server.Stop();
+  EXPECT_EQ(acked_before_crash + server.stats().acked,
+            static_cast<int64_t>(seq));
+  EXPECT_EQ(CounterValue("stream.ingest.acked") - acked_counter_before,
+            static_cast<int64_t>(seq));
 
   // End state must be bit-identical to a run that was never killed.
   StreamIngestor reference(City(), {});

@@ -372,6 +372,7 @@ TEST(ArtifactFaultTest, InjectedBitFlipFailsChecksum) {
   EXPECT_FALSE(
       ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value());
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+  EXPECT_EQ(fault::FireCount("io.artifact.bit_flip"), 1);
 }
 
 TEST(ArtifactFaultTest, InjectedStaleVersionRejected) {
@@ -382,6 +383,7 @@ TEST(ArtifactFaultTest, InjectedStaleVersionRejected) {
   EXPECT_FALSE(
       ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+  EXPECT_EQ(fault::FireCount("io.artifact.stale_version"), 1);
 }
 
 TEST(ArtifactFaultTest, InjectedWriteFailReported) {

@@ -9,7 +9,8 @@
 //  - exact service.shard.* counter cross-checks (hits + shed == queries
 //    issued, per-shard hits == keys routed there);
 //  - the shedding contract (overload answers degraded, never drops);
-//  - per-shard rollback → /healthz degradation → recovery;
+//  - per-shard rollback → /healthz degradation → recovery, under live
+//    /query load and a /healthz prober;
 //  - the slow-loris fix: a stalled connection cannot delay /healthz;
 //  - a shard count below 1 is a typed error, never an abort;
 //  - /query_batch rejects every id /query rejects;
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -29,6 +31,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -448,13 +451,79 @@ TEST(QueryEngineTest, OverloadShedsToDegradedTierNeverDrops) {
   EXPECT_EQ(fault::FireCount("service.shard.overload"), kQueries);
 }
 
+// A corrupt push rolls every shard back and a clean one recovers them,
+// while a pipelined /query client and a /healthz prober run throughout: a
+// reload never surfaces as a non-200 answer or a transport error, every
+// probe gets a verdict (200 or 503), and /healthz and /metrics tell the
+// truth inside the degraded window.
 TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
-  std::unique_ptr<QueryEngine> engine = MakeEngine(2);
+  constexpr int kShards = 2;
+  std::unique_ptr<QueryEngine> engine = MakeEngine(kShards);
   ASSERT_NE(engine, nullptr);
+  const int port = engine->port();
+  const int64_t address_count =
+      static_cast<int64_t>(Fixture().world.addresses.size());
+
+  std::atomic<int64_t> answered{0};
+  std::atomic<int64_t> non_200{0};
+  std::atomic<int64_t> transport_errors{0};
+  std::atomic<int64_t> probes{0};
+  std::atomic<int64_t> bad_probes{0};
+  std::jthread load([&](std::stop_token stop) {
+    HttpClient client;
+    if (!client.Connect(port)) {
+      transport_errors.fetch_add(1);
+      return;
+    }
+    constexpr int kPipeline = 8;
+    int64_t cursor = 0;
+    while (!stop.stop_requested()) {
+      std::string burst;
+      for (int i = 0; i < kPipeline; ++i) {
+        burst += "GET /query?address_id=" + std::to_string(cursor) +
+                 " HTTP/1.1\r\nHost: h\r\n\r\n";
+        cursor = (cursor + 13) % address_count;
+      }
+      if (!client.SendRaw(burst)) {
+        transport_errors.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kPipeline; ++i) {
+        int status = 0;
+        std::string body;
+        if (!client.ReadResponse(&status, &body)) {
+          transport_errors.fetch_add(1);
+          return;
+        }
+        if (status != 200) non_200.fetch_add(1);
+        answered.fetch_add(1);
+      }
+    }
+  });
+  std::jthread prober([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      int status = 0;
+      std::string body;
+      if (!HttpGetOnce(port, "/healthz", &status, &body) ||
+          (status != 200 && status != 503)) {
+        bad_probes.fetch_add(1);
+      }
+      probes.fetch_add(1);
+    }
+  });
+  // Bounded wait for `more` answers, so each phase runs under live load.
+  auto expect_load_flows = [&](int64_t more) {
+    const int64_t target = answered.load() + more;
+    for (int spin = 0; spin < 5000 && answered.load() < target; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(answered.load(), target) << "query load stalled";
+  };
+  expect_load_flows(32);
 
   int status = 0;
   std::string body;
-  ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(port, "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
   EXPECT_NE(
@@ -463,18 +532,20 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
       << body;
 
   const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
+  const int64_t success_before = CounterValue("service.reload.success");
   {
     fault::FaultPlan plan;
     plan.FailAlways("service.reload.corrupt");
     fault::ScopedFaultPlan armed(plan, 20240809);
     const QueryEngine::ReloadSummary summary = engine->ReloadShardsNow();
-    EXPECT_EQ(summary.rolled_back, 2);
+    EXPECT_EQ(summary.rolled_back, kShards);
     EXPECT_EQ(summary.swapped, 0);
   }
   EXPECT_TRUE(engine->AnyShardDegraded());
-  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before, 2);
+  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before,
+            kShards);
 
-  ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(port, "/healthz", &status, &body));
   EXPECT_EQ(status, 503);
   EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos)
       << body;
@@ -482,11 +553,23 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
       body.find("{\"name\":\"shard.1\",\"ok\":false,\"generation\":0"),
       std::string::npos)
       << body;
+  ASSERT_TRUE(HttpGetOnce(port, "/metrics", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("# TYPE service_reload_rollbacks counter\n"
+                      "service_reload_rollbacks " +
+                      std::to_string(
+                          CounterValue("service.reload.rollbacks")) +
+                      "\n"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\nservice_reload_degraded 1\n"), std::string::npos)
+      << body;
 
   // Queries keep answering correctly from the previous generation while
   // health is degraded.
+  expect_load_flows(32);
   HttpClient client;
-  ASSERT_TRUE(client.Connect(engine->port()));
+  ASSERT_TRUE(client.Connect(port));
   ASSERT_TRUE(client.SendGet("/query?address_id=3"));
   ASSERT_TRUE(client.ReadResponse(&status, &body));
   EXPECT_EQ(status, 200);
@@ -494,14 +577,26 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
 
   // A clean push (same healthy bundle, no fault) recovers every shard.
   const QueryEngine::ReloadSummary recovered = engine->ReloadShardsNow();
-  EXPECT_EQ(recovered.swapped, 2);
+  EXPECT_EQ(recovered.swapped, kShards);
+  EXPECT_EQ(recovered.rolled_back, 0);
   EXPECT_FALSE(engine->AnyShardDegraded());
-  ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
+  EXPECT_EQ(CounterValue("service.reload.success") - success_before, kShards);
+  ASSERT_TRUE(HttpGetOnce(port, "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(
       body.find("{\"name\":\"shard.1\",\"ok\":true,\"generation\":1"),
       std::string::npos)
       << body;
+  expect_load_flows(32);
+
+  load.request_stop();
+  prober.request_stop();
+  load.join();
+  prober.join();
+  EXPECT_EQ(transport_errors.load(), 0);
+  EXPECT_EQ(non_200.load(), 0);
+  EXPECT_GT(probes.load(), 0);
+  EXPECT_EQ(bad_probes.load(), 0);
 }
 
 TEST(QueryEngineTest, SlowLorisCannotDelayHealthz) {

@@ -15,6 +15,7 @@
 #include "dlinfma/candidate_generation.h"
 #include "fault/fault.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "random_trajectory.h"
 #include "sim/generator.h"
 #include "stream/candidate_updater.h"
@@ -620,7 +621,8 @@ TEST(StreamIngestorTest, SnapshotMatchesBatchBuildOnSeparatedSites) {
 // Streamed replay under armed ingest faults must still leave a replayable
 // world: a batch rebuild over the ingested (post-fault) trajectories
 // reproduces the streamed stay points exactly, because the ingested world
-// records what was actually delivered.
+// records what was actually delivered. Every trip is ingested, and the
+// point counters account for every drop and duplicate exactly.
 TEST(StreamIngestorTest, FaultedIngestStillMatchesBatchOverIngestedWorld) {
   sim::SimConfig config = sim::SynDowBJConfig();
   config.num_days = 2;
@@ -628,20 +630,42 @@ TEST(StreamIngestorTest, FaultedIngestStillMatchesBatchOverIngestedWorld) {
   const sim::World world = sim::GenerateWorld(config);
 
   stream::StreamIngestor ingestor(world, {});
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* points = registry.GetCounter("stream.ingest.points");
+  obs::Counter* dropped = registry.GetCounter("stream.ingest.dropped_points");
+  obs::Counter* duplicated =
+      registry.GetCounter("stream.ingest.duplicated_points");
+  const int64_t points_before = points->value();
+  const int64_t dropped_before = dropped->value();
+  const int64_t duplicated_before = duplicated->value();
+  int64_t raw_points = 0;
   {
     fault::FaultPlan plan;
     plan.FailWithProbability("stream.ingest.drop_point", 0.1)
-        .FailWithProbability("stream.ingest.duplicate_point", 0.05);
+        .FailWithProbability("stream.ingest.duplicate_point", 0.05)
+        .Inject({.point = "stream.ingest.latency",
+                 .probability = 0.005,
+                 .latency_ms = 1.0});
     fault::ScopedFaultPlan armed(plan, 4242);
     for (const sim::DeliveryTrip& trip : world.trips) {
+      raw_points += static_cast<int64_t>(trip.trajectory.size());
       ingestor.ReplayTrip(trip);
     }
-    EXPECT_GT(fault::FireCount("stream.ingest.drop_point"), 0);
   }
+  const int64_t drops = fault::FireCount("stream.ingest.drop_point");
+  const int64_t dups = fault::FireCount("stream.ingest.duplicate_point");
+  EXPECT_GT(drops, 0);
+  EXPECT_GT(dups, 0);
+  EXPECT_GT(fault::FireCount("stream.ingest.latency"), 0);
+  EXPECT_EQ(ingestor.num_trips(), static_cast<int64_t>(world.trips.size()));
+  EXPECT_EQ(dropped->value() - dropped_before, drops);
+  EXPECT_EQ(duplicated->value() - duplicated_before, dups);
+  EXPECT_EQ(points->value() - points_before, raw_points - drops + dups);
 
   const dlinfma::CandidateGeneration streamed = ingestor.Snapshot();
   const dlinfma::CandidateGeneration batch =
       dlinfma::CandidateGeneration::Build(ingestor.world(), {});
+  EXPECT_FALSE(streamed.stay_points().empty());
   EXPECT_TRUE(StaysBitIdentical(batch.stay_points(), streamed.stay_points()));
 }
 

@@ -12,6 +12,7 @@
 
 #include "fault/fault.h"
 #include "io/wal_frame.h"
+#include "obs/metrics.h"
 
 namespace dlinf {
 namespace {
@@ -389,10 +390,17 @@ TEST(WalWriterTest, CorruptMidLogStopsReplayAtFirstBadFrame) {
   EXPECT_EQ(got, (std::vector<std::string>{"rec-0", "rec-1"}));
   EXPECT_EQ(stats.tail_status, WalStatus::kBadCrc);
 
-  // Reopen resumes at the truncate point; the tail records are gone (they
-  // were never replayable) but appends work again.
+  // Reopen resumes at the truncate point and counts the discarded tail; the
+  // tail records are gone (they were never replayable) but appends work
+  // again.
+  obs::Counter* truncated =
+      obs::MetricsRegistry::Global().GetCounter("wal.truncated_bytes");
+  const int64_t truncated_before = truncated->value();
   auto writer = WalWriter::Open(options);
   ASSERT_TRUE(writer.has_value());
+  EXPECT_EQ(truncated->value() - truncated_before,
+            static_cast<int64_t>(stats.truncated_bytes));
+  EXPECT_GT(stats.truncated_bytes, 0u);
   ASSERT_TRUE(writer->Append(1, "fresh"));
   writer->Close();
   got.clear();

@@ -28,7 +28,12 @@
 //
 // and exits nonzero on any transport failure or unexpected status, or when
 // no request completes at all, so CI smoke steps can gate on it directly.
-// A malformed command line prints one line naming the flag and exits 2.
+// A malformed command line, or a value no run can honour (`--seconds 0`, a
+// negative count), prints one line naming the flag and exits 2.
+// `--max-requests N` sends exactly N requests (ids in batch mode, records
+// in ingest mode) unless --seconds runs out first: thread i sends
+// N/threads, plus one when i < N%threads, and trims its last burst or POST
+// to what is left.
 // Latency per request is measured as its burst's round-trip time — an upper
 // bound for every request in the burst; in ingest mode it is the per-POST
 // ack latency.
@@ -37,8 +42,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/http_conn.h"
@@ -88,13 +95,24 @@ constexpr dlinf::FlagSpec kFlags[] = {
     {"--ingest", dlinf::FlagType::kBool},
     {"--dup-every", dlinf::FlagType::kInt}};
 
-/// Whether a thread that began at `begin` and completed `done` requests
-/// has --seconds and its share of --max-requests left.
-bool InBudget(const Options& options, double begin, int64_t done) {
-  const int64_t cap =
-      (int64_t{options.max_requests} + options.threads - 1) / options.threads;
-  return NowSeconds() < begin + options.seconds &&
-         (options.max_requests <= 0 || done < cap);
+/// How many requests thread `thread_index` may still send after `done`:
+/// its exact share of --max-requests, unbounded without one.
+int64_t RemainingShare(const Options& options, int thread_index,
+                       int64_t done) {
+  if (options.max_requests == 0) return std::numeric_limits<int64_t>::max();
+  const int64_t share = options.max_requests / options.threads +
+                        (thread_index < options.max_requests % options.threads
+                             ? 1
+                             : 0);
+  return share - done;
+}
+
+/// The size of this thread's next burst or POST of up to `want` requests;
+/// 0 once --seconds since `begin` or its share of --max-requests is spent.
+int64_t NextBurst(const Options& options, int thread_index, double begin,
+                  int64_t done, int64_t want) {
+  if (NowSeconds() >= begin + options.seconds) return 0;
+  return std::min(want, RemainingShare(options, thread_index, done));
 }
 
 void RunClient(const Options& options, int thread_index, HttpClient* client,
@@ -107,14 +125,17 @@ void RunClient(const Options& options, int thread_index, HttpClient* client,
   int64_t cursor = (thread_index * 7919) % address_count;
   const int64_t stride = 13;
 
-  while (InBudget(options, begin, stats->requests)) {
+  for (;;) {
+    const int64_t size =
+        NextBurst(options, thread_index, begin, stats->requests,
+                  options.batch > 0 ? options.batch : options.pipeline);
+    if (size <= 0) break;
     const double start = NowSeconds();
-    int in_flight = 0;
+    int64_t in_flight = 0;
     std::string burst;
-    std::vector<int> expect_answers;
     if (options.batch > 0) {
       std::string payload = "{\"address_ids\":[";
-      for (int i = 0; i < options.batch; ++i) {
+      for (int64_t i = 0; i < size; ++i) {
         if (i > 0) payload += ",";
         payload += std::to_string(cursor);
         cursor = (cursor + stride) % address_count;
@@ -125,12 +146,12 @@ void RunClient(const Options& options, int thread_index, HttpClient* client,
               std::to_string(payload.size()) + "\r\n\r\n" + payload;
       in_flight = 1;
     } else {
-      for (int i = 0; i < options.pipeline; ++i) {
+      for (int64_t i = 0; i < size; ++i) {
         burst += "GET /query?address_id=" + std::to_string(cursor) +
                  " HTTP/1.1\r\nHost: h\r\n\r\n";
         cursor = (cursor + stride) % address_count;
       }
-      in_flight = options.pipeline;
+      in_flight = size;
     }
     if (!client->SendRaw(burst)) {
       ++stats->errors;
@@ -139,7 +160,7 @@ void RunClient(const Options& options, int thread_index, HttpClient* client,
     }
     bool burst_ok = true;
     int64_t burst_shed = 0;
-    for (int i = 0; i < in_flight; ++i) {
+    for (int64_t i = 0; i < in_flight; ++i) {
       int status = 0;
       std::string body;
       if (!client->ReadResponse(&status, &body, &error)) {
@@ -164,14 +185,10 @@ void RunClient(const Options& options, int thread_index, HttpClient* client,
       }
     }
     const double elapsed = NowSeconds() - start;
-    const int answered =
-        options.batch > 0 ? options.batch : options.pipeline;
-    stats->requests += answered;
+    stats->requests += size;
     stats->shed += burst_shed;
     if (burst_ok) {
-      for (int i = 0; i < answered; ++i) {
-        stats->latency_s.push_back(elapsed);
-      }
+      stats->latency_s.insert(stats->latency_s.end(), size, elapsed);
     }
   }
 }
@@ -236,15 +253,20 @@ void RunIngestClient(const Options& options, int thread_index,
   IngestStream ingest_stream(thread_index);
   int64_t posts = 0;
 
-  while (InBudget(options, begin, stats->requests)) {
+  for (;;) {
+    const int64_t size = NextBurst(options, thread_index, begin,
+                                   stats->requests, options.pipeline);
+    if (size <= 0) break;
     std::string body;
-    for (int i = 0; i < options.pipeline; ++i) {
+    for (int64_t i = 0; i < size; ++i) {
       body += ingest_stream.NextLine();
       body += '\n';
     }
     ++posts;
+    // The verbatim retry is skipped when it would overrun --max-requests.
     const bool duplicate =
-        options.dup_every > 0 && posts % options.dup_every == 0;
+        options.dup_every > 0 && posts % options.dup_every == 0 &&
+        2 * size <= RemainingShare(options, thread_index, stats->requests);
     // Each batch (and its optional verbatim duplicate) is retried through
     // 429 backpressure until the server commits it.
     for (int attempt = 0; attempt < 1 + (duplicate ? 1 : 0); ++attempt) {
@@ -281,7 +303,7 @@ void RunIngestClient(const Options& options, int thread_index,
           }
           return;
         }
-        stats->requests += options.pipeline;
+        stats->requests += size;
         stats->acked += std::max<int64_t>(0, JsonInt(response, "acked"));
         stats->deduped += std::max<int64_t>(0, JsonInt(response, "deduped"));
         stats->latency_s.push_back(NowSeconds() - start);
@@ -373,12 +395,19 @@ int main(int argc, char** argv) {
   options.max_requests = flags->Int("--max-requests", options.max_requests);
   options.ingest = flags->Has("--ingest");
   options.dup_every = flags->Int("--dup-every", options.dup_every);
-  if (options.port <= 0 || options.threads < 1 || options.pipeline < 1) {
-    std::fprintf(stderr,
-                 "usage: load_gen --port P [--ingest] [--threads N] "
-                 "[--seconds S] [--pipeline D] [--batch B] "
-                 "[--dup-every M] [--max-requests M]\n");
-    return 2;
+  const std::pair<bool, const char*> checks[] = {
+      {options.port > 0, "--port P is required and must be > 0"},
+      {options.threads >= 1, "--threads must be >= 1"},
+      {options.seconds > 0.0, "--seconds must be > 0"},
+      {options.pipeline >= 1, "--pipeline must be >= 1"},
+      {options.batch >= 0, "--batch must be >= 0"},
+      {options.max_requests >= 0, "--max-requests must be >= 0"},
+      {options.dup_every >= 0, "--dup-every must be >= 0"}};
+  for (const auto& [ok, what] : checks) {
+    if (!ok) {
+      std::fprintf(stderr, "error: %s\n", what);
+      return 2;
+    }
   }
 
   if (options.ingest) {
