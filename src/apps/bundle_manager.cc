@@ -223,7 +223,7 @@ bool BundleManager::Validate(const ServingState& live,
   size_t agreeing = 0;
   for (const int64_t id : probes) {
     const DeliveryLocationService::Answer fresh =
-        candidate.service->Query(id);
+        candidate.service->Lookup(id);
     if (!std::isfinite(fresh.location.x) || !std::isfinite(fresh.location.y)) {
       SetError(error, "probe address " + std::to_string(id) +
                           " answered a non-finite location");
@@ -234,7 +234,7 @@ bool BundleManager::Validate(const ServingState& live,
                           " answered outside the world bounds");
       return false;
     }
-    const DeliveryLocationService::Answer current = live.service->Query(id);
+    const DeliveryLocationService::Answer current = live.service->Lookup(id);
     if (Distance(fresh.location, current.location) <=
         config_.agree_tolerance_m) {
       ++agreeing;

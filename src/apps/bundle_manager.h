@@ -126,9 +126,10 @@ class BundleManager {
                                                    uint64_t generation,
                                                    std::string* error);
 
-  /// The shadow-validation probe set: answers from `candidate` must be
-  /// finite, inside the candidate world's (padded) bounding box, and agree
-  /// with `live` on at least `min_agree_fraction` of probes.
+  /// The shadow-validation probe set (uncounted `Lookup`s, not served
+  /// queries): answers from `candidate` must be finite, inside the candidate
+  /// world's (padded) bounding box, and agree with `live` on at least
+  /// `min_agree_fraction` of probes.
   bool Validate(const ServingState& live, const ServingState& candidate,
                 std::string* error) const;
 

@@ -86,6 +86,12 @@ class DeliveryLocationService {
   std::vector<Answer> QueryBatch(
       const std::vector<int64_t>& address_ids) const;
 
+  /// The full 3-tier chain, uncounted and untraced: Query and QueryBatch
+  /// share it (so their answers are identical by construction) and reload
+  /// validation probes with it. Dispatches to the degradation-aware path
+  /// only while a fault plan is armed.
+  Answer Lookup(int64_t address_id) const;
+
   /// Answers a query for a *new* address known only by building (the
   /// real-time case of Section VI-A where the address never appeared).
   Answer QueryByBuilding(int64_t building_id, const Point& geocode) const;
@@ -100,12 +106,6 @@ class DeliveryLocationService {
 
  private:
   explicit DeliveryLocationService(const sim::World* world) : world_(world) {}
-
-  /// The full 3-tier chain without metric counting (shared by Query and
-  /// QueryBatch so batched and sequential answers are identical by
-  /// construction). Dispatches to the degradation-aware path only while a
-  /// fault plan is armed.
-  Answer Lookup(int64_t address_id) const;
 
   /// Tiers 2-3 without metric counting (shared by both public queries, each
   /// of which counts exactly one tier hit). `already_degraded` carries a

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <string_view>
-#include <utility>
 
 #include "common/string_util.h"
 #include "fault/fault.h"
@@ -56,6 +55,21 @@ DeliveryLocationService::Answer ShedAnswer(
   answer.source = DeliveryLocationService::Source::kGeocode;
   answer.degraded = true;
   return answer;
+}
+
+/// Ids are dense indexes into the world that answers them.
+bool KnownId(const BundleManager::ServingState& state, int64_t id) {
+  return id >= 0 &&
+         static_cast<size_t>(id) < state.bundle.world->addresses.size();
+}
+
+/// One reload of the shared manager, counted once for each of `n` shards.
+QueryEngine::ReloadSummary CountPerShard(BundleManager::ReloadOutcome outcome,
+                                         int n) {
+  using Outcome = BundleManager::ReloadOutcome;
+  return {.swapped = outcome == Outcome::kSwapped ? n : 0,
+          .rolled_back = outcome == Outcome::kRolledBack ? n : 0,
+          .unchanged = outcome == Outcome::kUnchanged ? n : 0};
 }
 
 struct EngineMetrics {
@@ -189,26 +203,20 @@ std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
   }
   auto engine = std::unique_ptr<QueryEngine>(new QueryEngine());
   engine->router_ = ShardRouter(options.num_shards);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  BundleManager::Config config = options.bundle;
+  config.dir = options.bundle_dir;
+  engine->manager_ = BundleManager::Create(config, error);
+  if (engine->manager_ == nullptr) return nullptr;
 
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   for (int i = 0; i < options.num_shards; ++i) {
-    BundleManager::Config config = options.bundle;
-    config.dir = options.bundle_dir;
-    Shard shard;
-    shard.manager = BundleManager::Create(config, error);
-    if (shard.manager == nullptr) return nullptr;
     const std::string label = "#shard=" + std::to_string(i);
-    shard.hits = registry.GetCounter("service.shard.hits" + label);
-    shard.shed = registry.GetCounter("service.shard.shed" + label);
+    engine->shards_.push_back(
+        {registry.GetCounter("service.shard.hits" + label),
+         registry.GetCounter("service.shard.shed" + label)});
     engine->admin_.AddHealthProvider(BundleManagerHealth(
-        "shard." + std::to_string(i), shard.manager.get()));
-    engine->shards_.push_back(std::move(shard));
+        "shard." + std::to_string(i), engine->manager_.get()));
   }
-  engine->address_count_.store(
-      static_cast<int64_t>(engine->shards_[0]
-                               .manager->state()
-                               ->bundle.world->addresses.size()),
-      std::memory_order_release);
 
   HttpServer::Options server_options;
   server_options.port = options.port;
@@ -232,40 +240,11 @@ QueryEngine::~QueryEngine() { Stop(); }
 void QueryEngine::Stop() { StopAdminServer(&server_); }
 
 QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
-  return ReloadShards(&BundleManager::Poll, error);
+  return CountPerShard(manager_->Poll(error), num_shards());
 }
 
 QueryEngine::ReloadSummary QueryEngine::ReloadShardsNow(std::string* error) {
-  return ReloadShards(&BundleManager::ReloadNow, error);
-}
-
-QueryEngine::ReloadSummary QueryEngine::ReloadShards(
-    BundleManager::ReloadOutcome (BundleManager::*reload)(std::string*),
-    std::string* error) {
-  ReloadSummary summary;
-  for (auto& shard : shards_) {
-    switch ((shard.manager.get()->*reload)(error)) {
-      case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
-      case BundleManager::ReloadOutcome::kRolledBack:
-        ++summary.rolled_back;
-        break;
-      case BundleManager::ReloadOutcome::kUnchanged:
-        ++summary.unchanged;
-        break;
-    }
-  }
-  address_count_.store(
-      static_cast<int64_t>(
-          shards_[0].manager->state()->bundle.world->addresses.size()),
-      std::memory_order_release);
-  return summary;
-}
-
-bool QueryEngine::AnyShardDegraded() const {
-  for (const auto& shard : shards_) {
-    if (shard.manager->reload_degraded()) return true;
-  }
-  return false;
+  return CountPerShard(manager_->ReloadNow(error), num_shards());
 }
 
 void QueryEngine::HandleQuery(const HttpRequest& request,
@@ -287,7 +266,11 @@ void QueryEngine::HandleQuery(const HttpRequest& request,
                               {echo});
     return;
   }
-  if (id < 0 || id >= address_count_.load(std::memory_order_acquire)) {
+  // Pinned once, before the bounds check: a concurrent swap can neither
+  // invalidate it mid-answer nor change the world the id is checked in.
+  const std::shared_ptr<const BundleManager::ServingState> state =
+      manager_->state();
+  if (!KnownId(*state, id)) {
     EngineMetrics::Get().rejected->Add(1);
     handle.RespondWithHeaders(404, "application/json",
                               "{\"error\":\"unknown address_id\"}", {echo});
@@ -300,9 +283,6 @@ void QueryEngine::HandleQuery(const HttpRequest& request,
   const int shard_index = router_.ShardOf(id);
   const Shard& shard = shards_[static_cast<size_t>(shard_index)];
   const bool shed = fault::Hit("service.shard.overload").has_value();
-  // Pinned once: a concurrent swap cannot invalidate it mid-answer.
-  const std::shared_ptr<const BundleManager::ServingState> state =
-      shard.manager->state();
   std::string body;
   body.reserve(160);
   AppendAnswerJson(&body, id,
@@ -332,9 +312,11 @@ void QueryEngine::HandleQueryBatch(const HttpRequest& request,
                               {echo});
     return;
   }
-  const int64_t count = address_count_.load(std::memory_order_acquire);
+  // One pinned generation answers the whole batch.
+  const std::shared_ptr<const BundleManager::ServingState> state =
+      manager_->state();
   for (const int64_t id : ids) {
-    if (id < 0 || id >= count) {
+    if (!KnownId(*state, id)) {
       EngineMetrics::Get().rejected->Add(1);
       handle.RespondWithHeaders(404, "application/json",
                                 "{\"error\":\"unknown address_id\"}",
@@ -352,9 +334,8 @@ void QueryEngine::HandleQueryBatch(const HttpRequest& request,
   const obs::TraceScope trace_scope(trace_id);
 
   // Each shard's slice is admitted or shed whole (one overload check per
-  // slice, in shard order) and answered from one pinned generation.
+  // slice, in shard order).
   struct Slice {
-    std::shared_ptr<const BundleManager::ServingState> state;
     int64_t count = 0;
     bool shed = false;
   };
@@ -369,7 +350,6 @@ void QueryEngine::HandleQueryBatch(const HttpRequest& request,
     Slice& slice = slices[i];
     if (slice.count == 0) continue;
     slice.shed = fault::Hit("service.shard.overload").has_value();
-    slice.state = shards_[i].manager->state();
     (slice.shed ? metrics.shed_total : metrics.hits_total)->Add(slice.count);
     (slice.shed ? shards_[i].shed : shards_[i].hits)->Add(slice.count);
   }
@@ -379,8 +359,8 @@ void QueryEngine::HandleQueryBatch(const HttpRequest& request,
     if (i > 0) body += ',';
     const Slice& slice = slices[static_cast<size_t>(shard_of[i])];
     AppendAnswerJson(&body, ids[i],
-                     slice.shed ? ShedAnswer(*slice.state, ids[i])
-                                : slice.state->service->Query(ids[i]),
+                     slice.shed ? ShedAnswer(*state, ids[i])
+                                : state->service->Query(ids[i]),
                      shard_of[i], slice.shed);
   }
   body += "]}";
@@ -398,8 +378,7 @@ void QueryEngine::Handle(const HttpRequest& request,
     handle.Respond(
         200, "application/json",
         "{\"count\":" +
-            std::to_string(
-                address_count_.load(std::memory_order_acquire)) +
+            std::to_string(manager_->state()->bundle.world->addresses.size()) +
             ",\"shards\":" + std::to_string(num_shards()) + "}");
   } else if (!admin_.Handle(request, handle)) {
     handle.Respond(404, "text/plain", "not found\n");

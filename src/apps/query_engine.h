@@ -1,7 +1,6 @@
 #ifndef DLINF_APPS_QUERY_ENGINE_H_
 #define DLINF_APPS_QUERY_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,12 +19,14 @@
 /// One epoll event loop (`HttpServer`, thread `qe.loop`) accepts
 /// keep-alive/pipelined HTTP and answers `/query` + `/query_batch` to
 /// completion inside the handler: route by consistent hash (`ShardRouter`),
-/// look up, format, respond — no queue and no thread hop. A shard is what
-/// clients and operators see: its slice of the key space, its own
-/// `BundleManager` over the same bundle directory (so hot-reload — stage →
-/// validate → swap/rollback — happens per shard, and `state()` is an atomic
-/// load that a reload never blocks), its `service.shard.{hits,shed}`
-/// counters, its `/healthz` check and the `"shard"` field of each answer.
+/// look up, format, respond — no queue and no thread hop. Every shard
+/// answers from the one `BundleManager` the engine owns, so a boot or a
+/// reload stages one generation. A request pins that state once (a
+/// `/query_batch` once for the batch) and checks its ids against the pinned
+/// world, so an id that passes is always inside the world that answers it.
+/// A shard is what clients and operators see: its slice of the key space,
+/// its `service.shard.{hits,shed}` counters, its `/healthz` check and the
+/// `"shard"` field of each answer.
 ///
 /// **Request correlation**: `/query` and `/query_batch` accept an
 /// `X-Request-Id` header (any string; numeric values are adopted as the
@@ -47,14 +48,14 @@
 /// through to the shared admin routes (apps/admin_routes.h) on the same
 /// event loop, so a stalled or slow client can never delay a health scrape
 /// (the slow-loris fix; see tests/query_engine_test.cc). `/healthz` carries
-/// one check per shard (`shard.<i>`, with that shard's live generation),
-/// not-ok while the shard runs on a rolled-back generation.
+/// one check per shard (`shard.<i>`, with the live generation), not-ok
+/// while the engine runs on a rolled-back generation.
 
 namespace dlinf {
 namespace apps {
 
-/// Sharded query engine: one event loop answering for N shards, each with
-/// its own hot-reloading bundle.
+/// Sharded query engine: one event loop answering for N shards from one
+/// hot-reloading bundle.
 class QueryEngine {
  public:
   struct Options {
@@ -62,18 +63,19 @@ class QueryEngine {
     int num_shards = 4;
     int port = 0;  ///< 0 picks an ephemeral port.
     double idle_timeout_s = 30.0;
-    /// Per-shard BundleManager tuning (`dir` is overridden by bundle_dir).
+    /// BundleManager tuning (`dir` is overridden by bundle_dir).
     BundleManager::Config bundle;
   };
 
-  /// Aggregate outcome of one reload pass across every shard.
+  /// Outcome of one reload, counted once per shard: every shard reads the
+  /// one staged generation, so a swap reports `swapped == num_shards()`.
   struct ReloadSummary {
     int swapped = 0;
     int rolled_back = 0;
     int unchanged = 0;
   };
 
-  /// Boots one BundleManager per shard from `options.bundle_dir`, builds
+  /// Boots the engine's BundleManager from `options.bundle_dir`, builds
   /// the shard ring, binds the port and starts serving. nullptr (reason in
   /// `error`) when `num_shards` < 1, the bundle fails to load or the socket
   /// setup fails.
@@ -91,20 +93,18 @@ class QueryEngine {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ShardRouter& router() const { return router_; }
 
-  /// Runs BundleManager::Poll on every shard (control thread only).
+  /// Runs BundleManager::Poll once for all shards (control thread only).
   ReloadSummary PollShards(std::string* error = nullptr);
 
-  /// Runs BundleManager::ReloadNow on every shard (control thread only).
+  /// Runs BundleManager::ReloadNow once for all shards (control thread only).
   ReloadSummary ReloadShardsNow(std::string* error = nullptr);
 
-  /// True while any shard serves an older generation than the last push
-  /// (i.e. at least one shard rolled back and hasn't recovered).
-  bool AnyShardDegraded() const;
+  /// True while the shards serve an older generation than the last push
+  /// (a push rolled back and no later one has swapped).
+  bool AnyShardDegraded() const { return manager_->reload_degraded(); }
 
-  /// Shard `i`'s reload manager (tests and the serve loop).
-  BundleManager* shard_manager(int shard) {
-    return shards_[static_cast<size_t>(shard)].manager.get();
-  }
+  /// The reload manager every shard reads; the same one for every `shard`.
+  BundleManager* shard_manager(int /*shard*/) { return manager_.get(); }
 
   /// The exact JSON body `/query` serves for `address_id` answered by
   /// `shard`. Exposed so tests can derive the expected bytes from a direct
@@ -117,18 +117,11 @@ class QueryEngine {
 
  private:
   struct Shard {
-    std::unique_ptr<BundleManager> manager;
     obs::Counter* hits = nullptr;  ///< service.shard.hits#shard=i
     obs::Counter* shed = nullptr;  ///< service.shard.shed#shard=i
   };
 
   QueryEngine() = default;
-
-  /// PollShards and ReloadShardsNow: runs `reload` on every shard, tallies
-  /// the outcomes and republishes the address count.
-  ReloadSummary ReloadShards(
-      BundleManager::ReloadOutcome (BundleManager::*reload)(std::string*),
-      std::string* error);
 
   void Handle(const HttpRequest& request,
               const HttpServer::ResponseHandle& handle);
@@ -138,10 +131,10 @@ class QueryEngine {
                         const HttpServer::ResponseHandle& handle);
 
   ShardRouter router_{1};
+  std::unique_ptr<BundleManager> manager_;
   std::vector<Shard> shards_;
   AdminRoutes admin_;
   HttpServer server_;
-  std::atomic<int64_t> address_count_{0};  ///< Bounds check on every id.
 };
 
 }  // namespace apps

@@ -9,9 +9,26 @@
 namespace dlinf {
 namespace {
 
-/// Empty when `value` parses as a T, else the one-line reason.
+/// Empty when `parsed` is inside the spec's bounds, else the one-line reason.
+std::string CheckBounds(const FlagSpec& spec, double parsed,
+                        const std::string& value) {
+  const bool below = spec.min && (parsed < *spec.min ||
+                                  (spec.min_exclusive && parsed == *spec.min));
+  if (!below && !(spec.max && parsed > *spec.max)) return "";
+  std::string range;
+  if (spec.min) {
+    range = StrPrintf("%s %g", spec.min_exclusive ? ">" : ">=", *spec.min);
+  }
+  if (spec.max) {
+    range += StrPrintf("%s<= %g", spec.min ? " and " : "", *spec.max);
+  }
+  return std::string(spec.name) + " wants a value " + range + ", got '" +
+         value + "'";
+}
+
+/// Empty when `value` parses as an in-bounds T, else the one-line reason.
 template <typename T>
-std::string CheckNumber(std::string_view name, const std::string& value,
+std::string CheckNumber(const FlagSpec& spec, const std::string& value,
                         const char* wants) {
   T parsed{};
   bool out_of_range = false;
@@ -19,8 +36,8 @@ std::string CheckNumber(std::string_view name, const std::string& value,
   if constexpr (std::is_floating_point_v<T>) {
     ok = ok && std::isfinite(parsed);  // Flags take finite numbers only.
   }
-  if (ok) return "";
-  const std::string flag(name);
+  if (ok) return CheckBounds(spec, static_cast<double>(parsed), value);
+  const std::string flag(spec.name);
   if (out_of_range) return flag + " value '" + value + "' is out of range";
   return flag + " wants " + wants + ", got '" + value + "'";
 }
@@ -32,11 +49,11 @@ std::string CheckValue(const FlagSpec& spec, const std::string& value) {
     case FlagType::kString:
       break;
     case FlagType::kInt:
-      return CheckNumber<int>(spec.name, value, "an integer");
+      return CheckNumber<int>(spec, value, "an integer");
     case FlagType::kUint64:
-      return CheckNumber<uint64_t>(spec.name, value, "a non-negative integer");
+      return CheckNumber<uint64_t>(spec, value, "a non-negative integer");
     case FlagType::kDouble:
-      return CheckNumber<double>(spec.name, value, "a number");
+      return CheckNumber<double>(spec, value, "a number");
   }
   return "";
 }

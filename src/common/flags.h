@@ -21,10 +21,15 @@ enum class FlagType {
 
 /// One accepted flag. `name` is the token as typed (`"--days"`, `"-h"`).
 /// With `optional_value` the value may be omitted (`--metrics [FILE]`).
+/// A numeric flag may carry bounds, inclusive unless `min_exclusive`:
+/// `{.name = "--shards", .type = FlagType::kInt, .min = 1}`.
 struct FlagSpec {
   std::string_view name;
   FlagType type = FlagType::kBool;
   bool optional_value = false;
+  std::optional<double> min = std::nullopt;
+  std::optional<double> max = std::nullopt;
+  bool min_exclusive = false;
 };
 
 /// The command-line parser every tool uses. Syntax: `--key value`, a bare
@@ -32,7 +37,8 @@ struct FlagSpec {
 /// (`--port -1`); a token starting with `--` is never a value, and a
 /// repeated flag keeps its last value. Parse rejects unknown flags, stray
 /// positional arguments, missing values, and numbers that are malformed,
-/// have trailing characters or do not fit the flag's type.
+/// have trailing characters, do not fit the flag's type or fall outside its
+/// bounds.
 class Flags {
  public:
   /// Parses `args` against `specs`; on rejection returns nullopt with one

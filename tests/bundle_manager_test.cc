@@ -299,6 +299,29 @@ TEST(BundleManagerTest, AgreementThresholdRejectsDivergentCandidate) {
   EXPECT_NE(error.find("agree"), std::string::npos) << error;
 }
 
+// The shadow-validation probes are not served queries: a reload with no
+// traffic moves neither the tier-hit counters nor the query histogram.
+TEST(BundleManagerTest, ReloadProbesAreNotCountedAsServedQueries) {
+  std::unique_ptr<BundleManager> manager = MakeManager();
+  ASSERT_NE(manager, nullptr);
+  const char* const kHits[] = {"service.query.hits.address",
+                               "service.query.hits.building",
+                               "service.query.hits.geocode"};
+  int64_t hits_before[3];
+  for (int i = 0; i < 3; ++i) hits_before[i] = CounterValue(kHits[i]);
+  const obs::Histogram* latency = obs::MetricsRegistry::Global().GetHistogram(
+      "service.query.latency_seconds");
+  const int64_t latency_before = latency->count();
+
+  std::string error;
+  ASSERT_EQ(manager->ReloadNow(&error), BundleManager::ReloadOutcome::kSwapped)
+      << error;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(CounterValue(kHits[i]), hits_before[i]) << kHits[i];
+  }
+  EXPECT_EQ(latency->count(), latency_before);
+}
+
 TEST(BundleManagerTest, PinnedGenerationSurvivesSwap) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);

@@ -635,6 +635,51 @@ TEST(CheckpointCliTest, ServeRejectsBadFlagsWithExit2) {
   }
 }
 
+TEST(CheckpointCliTest, RejectsOutOfRangeFlagsWithExit2) {
+  // Each command's flag specs carry its numeric bounds: a value outside
+  // them is one line naming the flag and exit 2, before any file is read or
+  // written — never a silent clamp, a cast to 2^64-1 or an empty world.
+  // A listener row that got past the check would serve only 0.3 s.
+  const std::string scratch = CkptPath("cli_out_of_range");
+  const std::string listen = " --serve-seconds 0.3 --wal-dir " + scratch;
+  for (const auto& [flags, name] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"generate --days -3 --out " + scratch + ".art", "--days"},
+           {"train --world " + scratch + ".art --bundle " + scratch +
+                " --ckpt " + scratch + ".ckpt --ckpt-every 0",
+            "--ckpt-every"},
+           {"stream --world " + scratch + ".art --publish-dir " + scratch +
+                " --ckpt " + scratch + ".ckpt --ckpt-every 0",
+            "--ckpt-every"},
+           {"stream --listen -1" + listen, "--listen"},
+           {"stream --listen 0 --segment-bytes -1" + listen,
+            "--segment-bytes"},
+           {"stream --listen 0 --snapshot-every -1" + listen,
+            "--snapshot-every"}}) {
+    std::string stderr_text;
+    const int status = RunCli(flags, &stderr_text);
+    ASSERT_TRUE(WIFEXITED(status)) << flags << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    EXPECT_NE(stderr_text.find(name), std::string::npos)
+        << flags << ": " << stderr_text;
+    EXPECT_EQ(std::count(stderr_text.begin(), stderr_text.end(), '\n'), 1)
+        << flags << ": " << stderr_text;
+  }
+  EXPECT_FALSE(std::filesystem::exists(scratch + ".art"));
+  EXPECT_FALSE(std::filesystem::exists(scratch));
+
+  // The bound is inclusive: zero days is a valid, city-only world.
+  const int status =
+      RunCli("generate --preset dowbj --days 0 --out " + scratch + ".art");
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  std::string error;
+  const std::optional<sim::World> world =
+      LoadWorldArtifact(scratch + ".art", &error);
+  ASSERT_TRUE(world.has_value()) << error;
+  EXPECT_TRUE(world->trips.empty());
+  EXPECT_FALSE(world->addresses.empty());
+}
+
 }  // namespace
 }  // namespace io
 }  // namespace dlinf

@@ -348,6 +348,47 @@ TEST(FlagsTest, TypedGettersReadValuesOrFallBack) {
   EXPECT_EQ(flags->Str("--metrics", "stdout"), "stdout");
 }
 
+TEST(FlagsTest, RejectsValuesOutsideTheSpecBounds) {
+  constexpr FlagSpec kBounded[] = {
+      {.name = "--shards", .type = FlagType::kInt, .min = 1},
+      {.name = "--rate", .type = FlagType::kDouble, .min = 0, .max = 1},
+      {.name = "--seconds",
+       .type = FlagType::kDouble,
+       .min = 0,
+       .min_exclusive = true},
+      {.name = "--seed", .type = FlagType::kUint64, .max = 10}};
+  struct Row {
+    std::vector<std::string> args;
+    std::string error;  ///< The one-line rejection; empty when accepted.
+  };
+  const Row rows[] = {
+      {{"--shards", "0"}, "--shards wants a value >= 1, got '0'"},
+      {{"--shards", "-3"}, "--shards wants a value >= 1, got '-3'"},
+      {{"--shards", "1"}, ""},
+      {{"--rate", "1.5"}, "--rate wants a value >= 0 and <= 1, got '1.5'"},
+      {{"--rate", "-0.5"}, "--rate wants a value >= 0 and <= 1, got '-0.5'"},
+      {{"--rate", "0"}, ""},
+      {{"--rate", "1"}, ""},
+      {{"--seconds", "0"}, "--seconds wants a value > 0, got '0'"},
+      {{"--seconds", "0.001"}, ""},
+      {{"--seed", "11"}, "--seed wants a value <= 10, got '11'"},
+      {{"--seed", "10"}, ""},
+      // A malformed value keeps its own reason; bounds apply to numbers.
+      {{"--shards", "x"}, "--shards wants an integer, got 'x'"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(Join(row.args, " "));
+    std::vector<char*> argv;
+    for (const std::string& arg : row.args) {
+      argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    std::string error;
+    const std::optional<Flags> flags = Flags::Parse(kBounded, argv, &error);
+    EXPECT_EQ(error, row.error);
+    EXPECT_EQ(flags.has_value(), row.error.empty());
+  }
+}
+
 TEST(StopwatchTest, MeasuresElapsed) {
   Stopwatch watch;
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);

@@ -9,8 +9,11 @@
 //  - exact service.shard.* counter cross-checks (hits + shed == queries
 //    issued, per-shard hits == keys routed there);
 //  - the shedding contract (overload answers degraded, never drops);
-//  - per-shard rollback → /healthz degradation → recovery, under live
-//    /query load and a /healthz prober;
+//  - rollback → /healthz degradation → recovery, under live /query load
+//    and a /healthz prober;
+//  - one staged generation per push: every shard reads the same state, and
+//    every id below /inventory's count answers after a push grows the
+//    world;
 //  - the slow-loris fix: a stalled connection cannot delay /healthz;
 //  - a shard count below 1 is a typed error, never an abort;
 //  - /query_batch rejects every id /query rejects;
@@ -542,8 +545,7 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
     EXPECT_EQ(summary.swapped, 0);
   }
   EXPECT_TRUE(engine->AnyShardDegraded());
-  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before,
-            kShards);
+  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before, 1);
 
   ASSERT_TRUE(HttpGetOnce(port, "/healthz", &status, &body));
   EXPECT_EQ(status, 503);
@@ -580,7 +582,7 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
   EXPECT_EQ(recovered.swapped, kShards);
   EXPECT_EQ(recovered.rolled_back, 0);
   EXPECT_FALSE(engine->AnyShardDegraded());
-  EXPECT_EQ(CounterValue("service.reload.success") - success_before, kShards);
+  EXPECT_EQ(CounterValue("service.reload.success") - success_before, 1);
   ASSERT_TRUE(HttpGetOnce(port, "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(
@@ -597,6 +599,90 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
   EXPECT_EQ(non_200.load(), 0);
   EXPECT_GT(probes.load(), 0);
   EXPECT_EQ(bad_probes.load(), 0);
+}
+
+/// Trains a 2-day world of `communities` communities and saves it as the
+/// bundle at `dir` (a push when one is already there); its address count.
+int64_t PushSmallBundle(int communities, const std::string& dir) {
+  sim::SimConfig config = sim::SynDowBJConfig();
+  config.num_days = 2;
+  config.num_communities = communities;
+  const sim::World world = sim::GenerateWorld(config);
+  const dlinfma::Dataset data = dlinfma::BuildDataset(world, {});
+  const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
+  dlinfma::TrainConfig train_config;
+  train_config.max_epochs = 1;
+  train_config.early_stop_patience = 1;
+  dlinfma::DlInfMaMethod method("DLInfMA", dlinfma::LocMatcherConfig{},
+                                train_config);
+  method.Fit(data, samples);
+  std::string error;
+  EXPECT_TRUE(io::SaveBundle(dir, world, data, samples, method, &error))
+      << error;
+  return static_cast<int64_t>(world.addresses.size());
+}
+
+// Every shard reads the one staged generation: a push that grows the world
+// is staged once, under a fault plan that fails only the second stage, so
+// no shard can stay on the smaller world, and every id below /inventory's
+// count answers on /query and in one /query_batch (an id beyond a shard's
+// world would abort the engine in World::address).
+TEST(QueryEngineTest, OneStagedGenerationServesEveryShard) {
+  constexpr int kShards = 4;
+  const std::string dir =
+      TempDir() + "query_engine_push." + std::to_string(::getpid());
+  const int64_t boot_count = PushSmallBundle(3, dir);
+  QueryEngine::Options options;
+  options.bundle_dir = dir;
+  options.num_shards = kShards;
+  options.bundle.min_agree_fraction = 0;  // The pushed world differs.
+  std::string error;
+  std::unique_ptr<QueryEngine> engine = QueryEngine::Create(options, &error);
+  ASSERT_NE(engine, nullptr) << error;
+  const int64_t pushed_count = PushSmallBundle(5, dir);
+  ASSERT_GT(pushed_count, boot_count);
+  {
+    fault::ScopedFaultPlan armed(
+        fault::FaultPlan().Inject({.point = "service.reload.corrupt",
+                                   .skip_first = 1,
+                                   .max_fires = 1}),
+        20261019);
+    const QueryEngine::ReloadSummary summary = engine->ReloadShardsNow();
+    EXPECT_EQ(summary.swapped, kShards);
+  }
+
+  const int port = engine->port();
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(port, "/healthz", &status, &body));
+  for (int shard = 0; shard < kShards; ++shard) {
+    EXPECT_NE(body.find("{\"name\":\"shard." + std::to_string(shard) +
+                        "\",\"ok\":true,\"generation\":1,"),
+              std::string::npos)
+        << body;
+  }
+  EXPECT_EQ(engine->shard_manager(0)->state(),
+            engine->shard_manager(kShards - 1)->state());
+
+  ASSERT_TRUE(HttpGetOnce(port, "/inventory", &status, &body));
+  ASSERT_EQ(status, 200);
+  const std::string count_key = "{\"count\":";
+  ASSERT_EQ(body.rfind(count_key, 0), 0u) << body;
+  const int64_t count = std::stoll(body.substr(count_key.size()));
+  EXPECT_EQ(count, pushed_count);
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(port));
+  std::string batch = "{\"address_ids\":[";
+  for (int64_t id = 0; id < count; ++id) {
+    ASSERT_TRUE(client.SendGet("/query?address_id=" + std::to_string(id)));
+    ASSERT_TRUE(client.ReadResponse(&status, &body)) << id;
+    EXPECT_EQ(status, 200) << id;
+    batch += (id > 0 ? "," : "") + std::to_string(id);
+  }
+  ASSERT_TRUE(client.SendPost("/query_batch", batch + "]}"));
+  ASSERT_TRUE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(status, 200) << body;
 }
 
 TEST(QueryEngineTest, SlowLorisCannotDelayHealthz) {

@@ -24,17 +24,18 @@
 //              [--poll-every K] [--trace-sample R]
 //       The online service: warm-start from the bundle (milliseconds, no
 //       retraining) and boot the sharded HTTP query engine (DESIGN.md §11):
-//       N shards (default 4), each with its own hot-reload BundleManager
+//       N shards (default 4) reading one hot-reload BundleManager
 //       (apps/bundle_manager.h), answered by one epoll event loop on --port
 //       P (default 0 = ephemeral), serving /query, /query_batch, /inventory
 //       and the admin routes (apps/admin_routes.h; the startup line lists
 //       them) until --serve-seconds S elapses (default 0 = until
-//       SIGINT/SIGTERM). Every K seconds (default 5) each shard polls the
-//       bundle directory: a fresh push is staged, shadow-validated and
-//       swapped in with zero downtime, and a bad push rolls back to the
-//       live bundle. --trace-sample R arms per-request trace sampling at
-//       rate R in [0, 1] for /tracez. On exit the engine stops and prints
-//       its final counters; drive it with tools/load_gen.
+//       SIGINT/SIGTERM). Every K seconds (default 5) the engine polls the
+//       bundle directory: a fresh push is staged and shadow-validated once
+//       and swapped in for every shard with zero downtime, and a bad push
+//       rolls every shard back to the live bundle. --trace-sample R arms
+//       per-request trace sampling at rate R in [0, 1] for /tracez. On exit
+//       the engine stops and prints its final counters; drive it with
+//       tools/load_gen.
 //
 //   dlinf_cli infer --bundle DIR --out FILE.csv
 //       Write the inferred delivery location of every delivered address as
@@ -112,7 +113,6 @@
 //   or a malformed or out-of-range number prints one line naming it and
 //   exits 2.
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -281,8 +281,7 @@ int CmdTrain(const Flags& flags) {
     train_config.early_stop_patience = 5;
   }
   if (flags.Has("--ckpt")) {
-    train_config.checkpoint_every_epochs =
-        std::max(1, flags.Int("--ckpt-every", 5));
+    train_config.checkpoint_every_epochs = flags.Int("--ckpt-every", 5);
     train_config.checkpoint_sink =
         [ckpt_path](const dlinfma::TrainCheckpoint& state) {
           return io::SaveCheckpointArtifact(state, ckpt_path);
@@ -463,31 +462,14 @@ void ServeUntilStopped(const Flags& flags,
 
 /// `serve`: the sharded HTTP query engine (DESIGN.md §11). Boots a
 /// QueryEngine over the bundle, prints the bound port, then serves until
-/// ServeUntilStopped returns, polling every shard's bundle directory for
-/// pushes every --poll-every seconds.
+/// ServeUntilStopped returns, polling the bundle directory for pushes every
+/// --poll-every seconds.
 int CmdServe(const Flags& flags) {
   if (!flags.Has("--bundle")) return Usage();
   apps::QueryEngine::Options options;
   options.num_shards = flags.Int("--shards", 4);
-  if (options.num_shards < 1) {
-    std::fprintf(stderr, "error: --shards wants at least 1 shard, got %d\n",
-                 options.num_shards);
-    return 2;
-  }
   const int poll_every_s = flags.Int("--poll-every", 5);
-  if (poll_every_s < 1) {
-    std::fprintf(stderr,
-                 "error: --poll-every wants at least 1 second, got %d\n",
-                 poll_every_s);
-    return 2;
-  }
   const double trace_sample = flags.Double("--trace-sample", 0.0);
-  if (!(trace_sample >= 0.0 && trace_sample <= 1.0)) {
-    std::fprintf(stderr,
-                 "error: --trace-sample wants a rate in [0, 1], got %g\n",
-                 trace_sample);
-    return 2;
-  }
   options.bundle_dir = flags.Str("--bundle");
   if (!PathUsable("--bundle", options.bundle_dir, /*want_dir=*/true)) return 1;
   options.port = flags.Int("--port", 0);
@@ -546,11 +528,6 @@ int CmdServe(const Flags& flags) {
 int CmdStreamListen(const Flags& flags) {
   stream::IngestServer::Options options;
   options.port = flags.Int("--listen", 0);
-  if (options.port < 0) {
-    std::fprintf(stderr, "error: --listen wants a port number, got %d\n",
-                 options.port);
-    return 2;
-  }
   if (!flags.Has("--wal-dir")) {
     std::fprintf(stderr, "error: --listen requires --wal-dir DIR\n");
     return 2;
@@ -651,8 +628,7 @@ int CmdStream(const Flags& flags) {
       flags.Int("--epochs", trainer_options.train.max_epochs);
   if (flags.Has("--ckpt")) {
     trainer_options.checkpoint_path = flags.Str("--ckpt");
-    trainer_options.checkpoint_every_epochs =
-        std::max(1, flags.Int("--ckpt-every", 5));
+    trainer_options.checkpoint_every_epochs = flags.Int("--ckpt-every", 5);
   }
   trainer_options.publish_dir = publish_dir;
   stream::OnlineTrainer trainer(trainer_options);
@@ -778,23 +754,28 @@ int CmdEvaluate(const Flags& flags) {
   return 0;
 }
 
-constexpr FlagSpec kGenerateFlags[] = {{"--preset", FlagType::kString},
-                                       {"--days", FlagType::kInt},
-                                       {"--seed", FlagType::kUint64},
-                                       {"--out", FlagType::kString}};
+// Numeric bounds live in the specs: Flags::Parse rejects a value outside
+// them with one line naming the flag, before a command runs.
+constexpr FlagSpec kGenerateFlags[] = {
+    {"--preset", FlagType::kString},
+    {.name = "--days", .type = FlagType::kInt, .min = 0},
+    {"--seed", FlagType::kUint64},
+    {"--out", FlagType::kString}};
 constexpr FlagSpec kStatsFlags[] = {{"--world", FlagType::kString}};
-constexpr FlagSpec kTrainFlags[] = {{"--world", FlagType::kString},
-                                    {"--bundle", FlagType::kString},
-                                    {"--quick", FlagType::kBool},
-                                    {"--ckpt", FlagType::kString},
-                                    {"--ckpt-every", FlagType::kInt},
-                                    {"--resume", FlagType::kString, true}};
-constexpr FlagSpec kServeFlags[] = {{"--bundle", FlagType::kString},
-                                    {"--shards", FlagType::kInt},
-                                    {"--port", FlagType::kInt},
-                                    {"--serve-seconds", FlagType::kDouble},
-                                    {"--poll-every", FlagType::kInt},
-                                    {"--trace-sample", FlagType::kDouble}};
+constexpr FlagSpec kTrainFlags[] = {
+    {"--world", FlagType::kString},
+    {"--bundle", FlagType::kString},
+    {"--quick", FlagType::kBool},
+    {"--ckpt", FlagType::kString},
+    {.name = "--ckpt-every", .type = FlagType::kInt, .min = 1},
+    {"--resume", FlagType::kString, true}};
+constexpr FlagSpec kServeFlags[] = {
+    {"--bundle", FlagType::kString},
+    {.name = "--shards", .type = FlagType::kInt, .min = 1},
+    {"--port", FlagType::kInt},
+    {"--serve-seconds", FlagType::kDouble},
+    {.name = "--poll-every", .type = FlagType::kInt, .min = 1},
+    {.name = "--trace-sample", .type = FlagType::kDouble, .min = 0, .max = 1}};
 constexpr FlagSpec kInferFlags[] = {{"--bundle", FlagType::kString},
                                     {"--out", FlagType::kString}};
 constexpr FlagSpec kStreamFlags[] = {
@@ -808,17 +789,17 @@ constexpr FlagSpec kStreamFlags[] = {
     {"--watch", FlagType::kBool},
     {"--agree-frac", FlagType::kDouble},
     {"--ckpt", FlagType::kString},
-    {"--ckpt-every", FlagType::kInt},
+    {.name = "--ckpt-every", .type = FlagType::kInt, .min = 1},
     {"--telemetry-port", FlagType::kInt, true},
     {"--linger-seconds", FlagType::kInt},
-    {"--listen", FlagType::kInt},
+    {.name = "--listen", .type = FlagType::kInt, .min = 0},
     {"--wal-dir", FlagType::kString},
     {"--city", FlagType::kString},
     {"--serve-seconds", FlagType::kDouble},
     {"--fsync-every", FlagType::kInt},
     {"--fsync-interval", FlagType::kDouble},
-    {"--segment-bytes", FlagType::kInt},
-    {"--snapshot-every", FlagType::kInt}};
+    {.name = "--segment-bytes", .type = FlagType::kInt, .min = 1},
+    {.name = "--snapshot-every", .type = FlagType::kInt, .min = 0}};
 constexpr FlagSpec kEvaluateFlags[] = {{"--world", FlagType::kString},
                                        {"--quick", FlagType::kBool}};
 /// Accepted by every command (see the header comment).

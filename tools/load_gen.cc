@@ -85,15 +85,21 @@ double NowSeconds() {
       .count();
 }
 
+using dlinf::FlagType;
+
+/// A value no run can honour is rejected by Flags::Parse from these bounds.
 constexpr dlinf::FlagSpec kFlags[] = {
-    {"--port", dlinf::FlagType::kInt},
-    {"--threads", dlinf::FlagType::kInt},
-    {"--seconds", dlinf::FlagType::kDouble},
-    {"--pipeline", dlinf::FlagType::kInt},
-    {"--batch", dlinf::FlagType::kInt},
-    {"--max-requests", dlinf::FlagType::kInt},
-    {"--ingest", dlinf::FlagType::kBool},
-    {"--dup-every", dlinf::FlagType::kInt}};
+    {"--port", FlagType::kInt},
+    {.name = "--threads", .type = FlagType::kInt, .min = 1},
+    {.name = "--seconds",
+     .type = FlagType::kDouble,
+     .min = 0,
+     .min_exclusive = true},
+    {.name = "--pipeline", .type = FlagType::kInt, .min = 1},
+    {.name = "--batch", .type = FlagType::kInt, .min = 0},
+    {.name = "--max-requests", .type = FlagType::kInt, .min = 0},
+    {"--ingest", FlagType::kBool},
+    {.name = "--dup-every", .type = FlagType::kInt, .min = 0}};
 
 /// How many requests thread `thread_index` may still send after `done`:
 /// its exact share of --max-requests, unbounded without one.
@@ -395,19 +401,9 @@ int main(int argc, char** argv) {
   options.max_requests = flags->Int("--max-requests", options.max_requests);
   options.ingest = flags->Has("--ingest");
   options.dup_every = flags->Int("--dup-every", options.dup_every);
-  const std::pair<bool, const char*> checks[] = {
-      {options.port > 0, "--port P is required and must be > 0"},
-      {options.threads >= 1, "--threads must be >= 1"},
-      {options.seconds > 0.0, "--seconds must be > 0"},
-      {options.pipeline >= 1, "--pipeline must be >= 1"},
-      {options.batch >= 0, "--batch must be >= 0"},
-      {options.max_requests >= 0, "--max-requests must be >= 0"},
-      {options.dup_every >= 0, "--dup-every must be >= 0"}};
-  for (const auto& [ok, what] : checks) {
-    if (!ok) {
-      std::fprintf(stderr, "error: %s\n", what);
-      return 2;
-    }
+  if (options.port <= 0) {
+    std::fprintf(stderr, "error: --port P is required and must be > 0\n");
+    return 2;
   }
 
   if (options.ingest) {
