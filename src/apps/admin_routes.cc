@@ -105,15 +105,6 @@ bool AdminRoutes::Handle(const HttpRequest& request,
   return false;
 }
 
-HttpServer::Handler AdminRoutes::StandaloneHandler() const {
-  return [this](const HttpRequest& request,
-                HttpServer::ResponseHandle handle) {
-    if (!Handle(request, handle)) {
-      handle.Respond(404, "text/plain", "not found\n");
-    }
-  };
-}
-
 void AdminRoutes::ServeHealthz(
     const HttpServer::ResponseHandle& handle) const {
   bool all_ok = true;

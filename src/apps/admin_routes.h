@@ -11,11 +11,9 @@
 
 /// \file
 /// The one admin surface (DESIGN.md §10). Every HTTP server in the repo
-/// mounts the same `AdminRoutes`: the query engine, the ingest server and
-/// the standalone telemetry endpoint behind `--telemetry-port` (a bare
-/// `HttpServer` whose handler is `StandaloneHandler()`). An owner answers
-/// its own routes first, falls through to `Handle`, then 404s, so its hot
-/// path dispatch is unchanged. The routes:
+/// mounts the same `AdminRoutes`: the query engine and the ingest server.
+/// An owner answers its own routes first, falls through to `Handle`, then
+/// 404s, so its hot path dispatch is unchanged. The routes:
 ///
 ///   GET /metrics  Prometheus text exposition (format 0.0.4) of the global
 ///                 MetricsRegistry.
@@ -69,10 +67,6 @@ class AdminRoutes {
   /// returns false, leaving `handle` unanswered, otherwise.
   bool Handle(const HttpRequest& request,
               const HttpServer::ResponseHandle& handle) const;
-
-  /// The handler of a standalone admin server: `Handle`, else 404. This
-  /// object must outlive the server.
-  HttpServer::Handler StandaloneHandler() const;
 
  private:
   void ServeHealthz(const HttpServer::ResponseHandle& handle) const;

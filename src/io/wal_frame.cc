@@ -86,7 +86,7 @@ WalStatus DecodeWalSegmentHeader(const std::string& data, size_t* offset,
   return WalStatus::kOk;
 }
 
-void AppendWalFrame(uint32_t type, const std::string& payload,
+void AppendWalFrame(uint32_t type, std::string_view payload,
                     std::string* out) {
   AppendU32(kWalFrameMagic, out);
   AppendU32(static_cast<uint32_t>(payload.size()), out);

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 /// \file
 /// On-disk framing for the ingest write-ahead log (DESIGN.md §14).
@@ -73,7 +74,7 @@ WalStatus DecodeWalSegmentHeader(const std::string& data, size_t* offset,
                                  uint64_t* segment_index);
 
 /// Appends one framed record (header + payload) to `out`.
-void AppendWalFrame(uint32_t type, const std::string& payload,
+void AppendWalFrame(uint32_t type, std::string_view payload,
                     std::string* out);
 
 /// Decodes the frame at `*offset` in `data`. On kOk fills `*frame` and

@@ -14,6 +14,8 @@
 #include "io/codecs.h"
 #include "obs/json_escape.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "stream/online_trainer.h"
 
 namespace dlinf {
 namespace stream {
@@ -103,6 +105,7 @@ struct IngestMetrics {
 };
 
 constexpr const char* kJsonType = "application/json";
+constexpr const char* kLoopThreadName = "ingest.loop";
 
 std::string ErrorJson(const std::string& message) {
   // Messages echo client-supplied tokens, so every control character must
@@ -318,7 +321,7 @@ bool IngestServer::Start(std::string* error) {
   apps::HttpServer::Options http_options;
   http_options.port = options_.port;
   http_options.idle_timeout_s = options_.idle_timeout_s;
-  http_options.thread_name = "ingest.loop";
+  http_options.thread_name = kLoopThreadName;
   if (!http_.Start(http_options,
                    [this](const apps::HttpRequest& request,
                           apps::HttpServer::ResponseHandle handle) {
@@ -402,7 +405,7 @@ void IngestServer::HandleRequest(const apps::HttpRequest& request,
 
   const double start_s = MonotonicSeconds();
   const IngestMetrics& metrics = IngestMetrics::Get();
-  const std::vector<std::string_view> lines = IngestBodyLines(request.body);
+  std::vector<std::string_view> lines = IngestBodyLines(request.body);
   std::vector<IngestRecord> records(lines.size());
   for (size_t i = 0; i < lines.size(); ++i) {
     std::string parse_error;
@@ -428,17 +431,19 @@ void IngestServer::HandleRequest(const apps::HttpRequest& request,
 
   // `ingest.reorder` models a producer whose records arrive out of order;
   // classification then sees a sequence gap and the batch takes the typed
-  // 409 branch.
+  // 409 branch. Each record keeps its own line.
   if (records.size() > 1 && fault::Hit("ingest.reorder")) {
     std::reverse(records.begin(), records.end());
+    std::reverse(lines.begin(), lines.end());
   }
   metrics.received->Add(static_cast<int64_t>(records.size()));
   received_.fetch_add(static_cast<int64_t>(records.size()),
                       std::memory_order_relaxed);
-  HandleIngest(&records, handle, start_s);
+  HandleIngest(&records, lines, handle, start_s);
 }
 
 void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
+                                const std::vector<std::string_view>& lines,
                                 const apps::HttpServer::ResponseHandle& handle,
                                 double start_s) {
   const IngestMetrics& metrics = IngestMetrics::Get();
@@ -477,7 +482,8 @@ void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
   std::string frames;
   int64_t dups = 0;
   size_t new_clients = 0;
-  for (IngestRecord& record : *records) {
+  for (size_t i = 0; i < records->size(); ++i) {
+    IngestRecord& record = (*records)[i];
     auto [it, inserted] = overlay.try_emplace(record.client_id);
     if (inserted) {
       auto found = clients_.find(record.client_id);
@@ -509,15 +515,15 @@ void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
                        static_cast<unsigned long long>(record.seq)));
       return;
     }
-    const std::string line = FormatIngestLine(record);
-    // The WAL stores exactly this line; a payload past max_record_bytes
-    // must bounce here, before the append, or AppendFrames would refuse
-    // the whole batch as a 503 (and a hypothetical ack of it would be
-    // unreadable to recovery).
+    const std::string_view line = lines[i];
+    // The WAL stores exactly the received line; a payload past
+    // max_record_bytes must bounce here, before the append, or AppendFrames
+    // would refuse the whole batch as a 503 (and a hypothetical ack of it
+    // would be unreadable to recovery).
     if (line.size() > options_.wal.max_record_bytes) {
       reject(400, metrics.rejected_oversized,
-             StrPrintf("record for client %s at seq %llu encodes to %zu "
-                       "bytes, over the WAL record limit %llu",
+             StrPrintf("record for client %s at seq %llu is %zu bytes, "
+                       "over the WAL record limit %llu",
                        record.client_id.c_str(),
                        static_cast<unsigned long long>(record.seq),
                        line.size(),
@@ -568,7 +574,10 @@ void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
       return;
     }
     wal_error_.reset();
-    for (IngestRecord* record : fresh) ApplyRecord(record);
+    for (IngestRecord* record : fresh) {
+      ApplyRecord(record);
+      if (record->kind == IngestRecord::Kind::kFinishTrip) MaybeRetrain();
+    }
     MaybeSnapshot();
   }
 
@@ -617,6 +626,19 @@ void IngestServer::ApplyRecord(IngestRecord* record) {
       return;
     }
   }
+}
+
+void IngestServer::MaybeRetrain() {
+  const int64_t every = options_.retrain_every_trips;
+  if (options_.trainer == nullptr || every <= 0 ||
+      trips_.load(std::memory_order_relaxed) % every != 0) {
+    return;
+  }
+  // The trainer counts and logs the round and its publish.
+  options_.trainer->Retrain(ingestor_->world(), ingestor_->Snapshot());
+  // Training names its thread "trainer"; give the loop its name back so
+  // profiles and traces attribute later ingest work to it.
+  obs::prof::RegisterCurrentThread(kLoopThreadName);
 }
 
 bool IngestServer::RecoverState(std::string* error) {

@@ -65,11 +65,15 @@
 /// ## Durability & recovery
 ///
 /// Fresh records of a batch are framed and handed to a single write(2)
-/// before the 200 goes out (WalWriter's contract). On Start() the server
-/// loads the newest state snapshot (if any), replays WAL segments past the
-/// snapshot's covered index through the same apply path, truncates any torn
-/// tail (WalWriter::Open), and only then begins serving. Snapshots are
-/// written at segment-rotation boundaries every `snapshot_every_segments`
+/// before the 200 goes out (WalWriter's contract). A frame holds the line
+/// as received, less a trailing '\r': producers that send the canonical
+/// form (`TripLines`) get exactly FormatIngestLine's bytes, and any other
+/// spelling the parser accepts (runs of spaces, `\r\n`) parses back to the
+/// same record on recovery. On Start() the server loads the newest state
+/// snapshot (if any), replays WAL segments past the snapshot's covered
+/// index through the same apply path, truncates any torn tail
+/// (WalWriter::Open), and only then begins serving. Snapshots are written
+/// at segment-rotation boundaries every `snapshot_every_segments`
 /// rotations; segments covered by a persisted snapshot are retired.
 ///
 /// ## Admin routes
@@ -88,7 +92,9 @@
 /// order (the bit-identical anchor) without a queue. There is no ingest
 /// queue to shed from: a producer that outruns the loop is slowed by TCP
 /// backpressure, and an fsync (`WalOptions::fsync_every_n`/`_interval_s`)
-/// delays every connection on the port while it runs.
+/// delays every connection on the port while it runs. An online retrain
+/// round (`Options::trainer`) runs on the loop too, between two records,
+/// and holds up ingest for as long as it trains and publishes.
 ///
 /// Counters: `stream.ingest.{received,acked,deduped,recovered,batches,
 /// trips_completed,clients_evicted}`, `stream.ingest.rejected#
@@ -97,6 +103,8 @@
 
 namespace dlinf {
 namespace stream {
+
+class OnlineTrainer;
 
 /// One parsed ingest record (see the protocol grammar above).
 struct IngestRecord {
@@ -133,8 +141,8 @@ bool ParseIngestLine(std::string_view line, IngestRecord* record,
                      std::string* error);
 
 /// Canonical wire form of a record. Doubles are printed as printf's %.17g
-/// (AppendDouble) so Format → Parse round-trips bit-exactly (the WAL stores
-/// these lines).
+/// (AppendDouble) so Format → Parse round-trips bit-exactly (TripLines
+/// sends these lines, and the WAL keeps them as received).
 std::string FormatIngestLine(const IngestRecord& record);
 
 /// The protocol lines that stream one recorded trip from producer
@@ -165,6 +173,13 @@ class IngestServer {
     /// many segment rotations; 0 disables snapshots + retention.
     uint64_t snapshot_every_segments = 0;
     double idle_timeout_s = 30.0;
+    /// Online learning (DESIGN.md §13), off unless both are set: with a
+    /// borrowed `trainer` and `retrain_every_trips` N > 0, a round runs
+    /// `trainer->Retrain` over the ingestor's snapshot right after each
+    /// live finish_trip that makes Stats::trips a multiple of N. That
+    /// record is WAL-committed by then. Recovery replay never runs a round.
+    OnlineTrainer* trainer = nullptr;
+    int64_t retrain_every_trips = 0;
   };
 
   /// Monotonic server totals, all in records unless noted.
@@ -219,14 +234,19 @@ class IngestServer {
 
   void HandleRequest(const apps::HttpRequest& request,
                      apps::HttpServer::ResponseHandle handle);
-  /// Classifies, WAL-commits, applies and answers one parsed POST.
+  /// Classifies, WAL-commits, applies and answers one parsed POST;
+  /// `lines[i]` is the received line of `(*records)[i]`.
   void HandleIngest(std::vector<IngestRecord>* records,
+                    const std::vector<std::string_view>& lines,
                     const apps::HttpServer::ResponseHandle& handle,
                     double start_s);
   /// Applies one WAL-committed record to the dedup table, pending-trip
   /// buffers and (on finish_trip) the ingestor, moving its waybills out.
   /// Shared by the live path and recovery replay.
   void ApplyRecord(IngestRecord* record);
+  /// Runs a retrain round when the trip count just reached a multiple of
+  /// `Options::retrain_every_trips` (live path only).
+  void MaybeRetrain();
   bool RecoverState(std::string* error);
   bool WriteSnapshot(uint64_t covered_segment, std::string* error);
   void MaybeSnapshot();

@@ -1,15 +1,14 @@
 // Admin-surface tests (DESIGN.md §10, apps/admin_routes.h).
 //
-// AdminContractTest holds every server that mounts AdminRoutes — the
-// standalone telemetry endpoint, the QueryEngine and the IngestServer — to
-// one contract: /metrics carries Prometheus TYPE lines, /varz is the JSON
+// AdminContractTest holds every server that mounts AdminRoutes — a bare
+// admin-only server, the QueryEngine and the IngestServer — to one
+// contract: /metrics carries Prometheus TYPE lines, /varz is the JSON
 // snapshot, /tracez the Chrome trace, /profilez captures (and refuses a
 // concurrent capture with 409), /healthz is 200 until one of the server's
 // checks reports not-ok and 503 until it recovers, and anything else 404s.
 //
-// TelemetryServerTest covers the standalone endpoint (`--telemetry-port`,
-// a bare HttpServer whose handler is AdminRoutes::StandaloneHandler): the
-// exact /healthz body schema, stop/restart, port-in-use, and concurrent
+// TelemetryServerTest covers the bare server (an HttpServer whose handler
+// is AdminRoutes::Handle, else 404): the exact /healthz body schema, stop/restart, port-in-use, and concurrent
 // scrapes racing live metric updates (the case the TSan CI job cares
 // about).
 
@@ -53,7 +52,7 @@ std::string Scratch(const std::string& name) {
          name;
 }
 
-/// The standalone endpoint, as `dlinf_cli --telemetry-port` runs it.
+/// A bare server that mounts only the admin routes.
 struct Standalone {
   AdminRoutes admin;
   HttpServer server;
@@ -63,7 +62,14 @@ struct Standalone {
   bool Start(int port = 0, std::string* error = nullptr) {
     HttpServer::Options options;
     options.port = port;
-    return server.Start(options, admin.StandaloneHandler(), error);
+    return server.Start(
+        options,
+        [this](const HttpRequest& request, HttpServer::ResponseHandle handle) {
+          if (!admin.Handle(request, handle)) {
+            handle.Respond(404, "text/plain", "not found\n");
+          }
+        },
+        error);
   }
 };
 

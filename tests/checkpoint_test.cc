@@ -594,6 +594,29 @@ TEST(CheckpointCliTest, MalformedResumeStateExitsWithTypedError) {
   }
 }
 
+TEST(CheckpointCliTest, SampleLessWorldExitsWithTypedError) {
+  // A city-only world has no labeled samples in any split: training and
+  // evaluation must refuse it with one error line and exit 1, never reach
+  // a CHECK in the trainer or the metrics (an abort, 134).
+  const std::string city = CkptPath("cli_city.art");
+  const int generated =
+      RunCli("generate --preset dowbj --days 0 --out " + city);
+  ASSERT_TRUE(WIFEXITED(generated) && WEXITSTATUS(generated) == 0);
+  for (const std::string& command :
+       {"train --world " + city + " --bundle " + CkptPath("cli_city_bundle") +
+            " --quick",
+        "evaluate --world " + city + " --quick"}) {
+    std::string stderr_text;
+    const int status = RunCli(command, &stderr_text);
+    ASSERT_TRUE(WIFEXITED(status)) << command << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    EXPECT_TRUE(stderr_text.starts_with("error: ")) << stderr_text;
+    EXPECT_EQ(std::count(stderr_text.begin(), stderr_text.end(), '\n'), 1)
+        << command << ": " << stderr_text;
+  }
+  EXPECT_FALSE(std::filesystem::exists(CkptPath("cli_city_bundle")));
+}
+
 TEST(CheckpointCliTest, ServeBootsTheQueryEngine) {
   const std::string bundle = CkptPath("cli_serve_bundle");
   std::string error;
@@ -648,8 +671,8 @@ TEST(CheckpointCliTest, RejectsOutOfRangeFlagsWithExit2) {
            {"train --world " + scratch + ".art --bundle " + scratch +
                 " --ckpt " + scratch + ".ckpt --ckpt-every 0",
             "--ckpt-every"},
-           {"stream --world " + scratch + ".art --publish-dir " + scratch +
-                " --ckpt " + scratch + ".ckpt --ckpt-every 0",
+           {"stream --listen 0 --wal-dir " + scratch + " --publish-dir " +
+                scratch + " --ckpt " + scratch + ".ckpt --ckpt-every 0",
             "--ckpt-every"},
            {"stream --listen -1" + listen, "--listen"},
            {"stream --listen 0 --segment-bytes -1" + listen,

@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "sim/config.h"
 #include "sim/generator.h"
+#include "stream/online_trainer.h"
 #include "stream/stream_pipeline.h"
 
 namespace dlinf {
@@ -33,6 +34,7 @@ using stream::FormatIngestLine;
 using stream::IngestRecord;
 using stream::IngestServer;
 using stream::JoinLines;
+using stream::OnlineTrainer;
 using stream::ParseIngestLine;
 using stream::StreamIngestor;
 using stream::TripLines;
@@ -375,6 +377,13 @@ TEST(IngestServerTest, StreamedTripsMatchDirectIngestorBitIdentical) {
   EXPECT_EQ(stats.received, stats.acked);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 TEST(IngestServerTest, WalSegmentHoldsExactlyTheFramedTripLines) {
   const std::string dir = ScratchDir("wal-bytes");
   IngestServer server(BaseOptions(dir));
@@ -410,12 +419,138 @@ TEST(IngestServerTest, WalSegmentHoldsExactlyTheFramedTripLines) {
     }
   }
   ASSERT_EQ(segments.size(), 1u);
-  std::ifstream in(segments[0], std::ios::binary);
-  std::stringstream bytes;
-  bytes << in.rdbuf();
-  EXPECT_TRUE(bytes.str() == expected)
-      << "segment holds " << bytes.str().size() << " bytes, expected "
+  const std::string bytes = ReadFileBytes(segments[0]);
+  EXPECT_TRUE(bytes == expected)
+      << "segment holds " << bytes.size() << " bytes, expected "
       << expected.size();
+}
+
+TEST(IngestServerTest, RetrainRoundsPublishWhatTheDirectPathPublishes) {
+  // Rounds on the loop publish the bundle that StreamIngestor::ReplayTrip +
+  // OnlineTrainer::Retrain publish at the same trip counts. world.art may
+  // differ, because the wire carries no planned_stays, so it is not
+  // compared.
+  const std::string root = ScratchDir("rounds");
+  constexpr int64_t kEvery = 2;
+  OnlineTrainer::Options trainer_options;
+  trainer_options.train.max_epochs = 2;
+  trainer_options.publish_dir = root + "/served";
+  OnlineTrainer served_trainer(trainer_options);
+  trainer_options.publish_dir = root + "/direct";
+  OnlineTrainer direct_trainer(trainer_options);
+
+  IngestServer::Options options = BaseOptions(root + "/wal");
+  options.trainer = &served_trainer;
+  options.retrain_every_trips = kEvery;
+  IngestServer server(std::move(options));
+  ASSERT_TRUE(server.Start());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  StreamIngestor direct(City(), {});
+  const auto& trips = FullWorld().trips;
+  uint64_t seq = 0;
+  int compared = 0;
+  for (size_t i = 0; i < trips.size(); ++i) {
+    ASSERT_EQ(PostIngest(&client, JoinLines(TripLines("r", trips[i], &seq))),
+              200);
+    direct.ReplayTrip(trips[i]);
+    if ((i + 1) % kEvery != 0) continue;
+    // The 200 goes out after the round, so its publish is on disk.
+    if (!direct_trainer.Retrain(direct.world(), direct.Snapshot()).published) {
+      continue;
+    }
+    ++compared;
+    for (const char* name : {"model.art", "candidates.art", "samples.art"}) {
+      const std::string served = ReadFileBytes(root + "/served/" + name);
+      EXPECT_FALSE(served.empty()) << name;
+      EXPECT_TRUE(served == ReadFileBytes(root + "/direct/" + name))
+          << name << " after " << i + 1 << " trips";
+    }
+  }
+  server.Stop();
+  EXPECT_GT(compared, 0);
+  EXPECT_EQ(served_trainer.rounds_completed(),
+            direct_trainer.rounds_completed());
+  EXPECT_EQ(server.stats().trips, static_cast<int64_t>(trips.size()));
+}
+
+TEST(IngestServerTest, RecoveryNeverRunsARound) {
+  const std::string root = ScratchDir("no-recovery-round");
+  OnlineTrainer::Options trainer_options;
+  trainer_options.train.max_epochs = 1;
+  trainer_options.publish_dir = root + "/bundle";
+  uint64_t seq = 0;
+  {
+    IngestServer server(BaseOptions(root + "/wal"));
+    ASSERT_TRUE(server.Start());
+    HttpClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    for (const sim::DeliveryTrip& trip : FullWorld().trips) {
+      ASSERT_EQ(PostIngest(&client, JoinLines(TripLines("rc", trip, &seq))),
+                200);
+    }
+    server.Stop();
+  }
+  OnlineTrainer trainer(trainer_options);
+  IngestServer::Options options = BaseOptions(root + "/wal");
+  options.trainer = &trainer;
+  options.retrain_every_trips = 1;
+  IngestServer restarted(std::move(options));
+  ASSERT_TRUE(restarted.Start());
+  restarted.Stop();
+  EXPECT_EQ(restarted.stats().trips,
+            static_cast<int64_t>(FullWorld().trips.size()));
+  EXPECT_EQ(trainer.rounds_completed(), 0);
+  EXPECT_FALSE(std::filesystem::exists(root + "/bundle"));
+}
+
+TEST(IngestServerTest, NonCanonicalPostRecoversToItsCanonicalState) {
+  // The WAL keeps each line as received. A spelling the parser accepts but
+  // FormatIngestLine would not produce (runs of spaces and of ':', CRLF)
+  // must recover to the state its canonical form builds, dedup included.
+  const sim::DeliveryTrip& trip = FullWorld().trips[0];
+  uint64_t seq = 0;
+  const std::vector<std::string> canonical = TripLines("nc", trip, &seq);
+  std::string sloppy;
+  for (const std::string& line : canonical) {
+    sloppy += "  ";
+    for (char c : line) {
+      sloppy += c;
+      if (c == ' ' || c == ':') sloppy += c;
+    }
+    sloppy += " \r\n";
+  }
+
+  const std::string sloppy_dir = ScratchDir("sloppy");
+  const std::string canonical_dir = ScratchDir("canonical");
+  for (const auto& [dir, body] :
+       {std::pair{sloppy_dir, sloppy},
+        std::pair{canonical_dir, JoinLines(canonical)}}) {
+    IngestServer server(BaseOptions(dir));
+    ASSERT_TRUE(server.Start());
+    HttpClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    ASSERT_EQ(PostIngest(&client, body), 200);
+    server.Stop();
+  }
+
+  IngestServer recovered(BaseOptions(sloppy_dir));
+  ASSERT_TRUE(recovered.Start());
+  IngestServer reference(BaseOptions(canonical_dir));
+  ASSERT_TRUE(reference.Start());
+  EXPECT_EQ(recovered.stats().recovered,
+            static_cast<int64_t>(canonical.size()));
+  EXPECT_EQ(recovered.stats().trips, 1);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(recovered.port()));
+  std::string response;
+  ASSERT_EQ(PostIngest(&client, JoinLines(canonical), &response), 200);
+  EXPECT_EQ(response, "{\"acked\":0,\"deduped\":" +
+                          std::to_string(canonical.size()) + "}\n");
+  recovered.Stop();
+  reference.Stop();
+  ExpectBitIdentical(recovered.ingestor(), reference.ingestor());
 }
 
 TEST(IngestServerTest, OneTripMovesEveryCounterByItsExactDelta) {

@@ -164,7 +164,13 @@ TEST(ProfilerTest, CombinedChromeExportMergesSpansAndSamples) {
 TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
   apps::AdminRoutes admin;
   apps::HttpServer server;
-  ASSERT_TRUE(server.Start({}, admin.StandaloneHandler()));
+  ASSERT_TRUE(server.Start(
+      {}, [&admin](const apps::HttpRequest& request,
+                   apps::HttpServer::ResponseHandle handle) {
+        if (!admin.Handle(request, handle)) {
+          handle.Respond(404, "text/plain", "not found\n");
+        }
+      }));
 
   // Background CPU load so the capture has something to sample.
   std::atomic<bool> stop_spin{false};

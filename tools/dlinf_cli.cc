@@ -21,7 +21,7 @@
 //       finishes bit-identical to an uninterrupted one.
 //
 //   dlinf_cli serve --bundle DIR [--shards N] [--port P] [--serve-seconds S]
-//              [--poll-every K] [--trace-sample R]
+//              [--poll-every K] [--trace-sample R] [--agree-frac F]
 //       The online service: warm-start from the bundle (milliseconds, no
 //       retraining) and boot the sharded HTTP query engine (DESIGN.md §11):
 //       N shards (default 4) reading one hot-reload BundleManager
@@ -32,8 +32,12 @@
 //       SIGINT/SIGTERM). Every K seconds (default 5) the engine polls the
 //       bundle directory: a fresh push is staged and shadow-validated once
 //       and swapped in for every shard with zero downtime, and a bad push
-//       rolls every shard back to the live bundle. --trace-sample R arms
-//       per-request trace sampling at rate R in [0, 1] for /tracez. On exit
+//       rolls every shard back to the live bundle. --agree-frac F sets the
+//       fraction of shadow probes that must agree with the live bundle
+//       (default 0.9); online rounds drift from the live generation, so a
+//       directory that `stream --publish-dir` feeds wants 0. --trace-sample
+//       R arms per-request trace sampling at rate R in [0, 1] for /tracez.
+//       On exit
 //       the engine stops and prints its final counters; drive it with
 //       tools/load_gen.
 //
@@ -42,50 +46,36 @@
 //       CSV (address_id,x,y); the whole pipeline state is warm-started from
 //       the bundle's artifacts.
 //
-//   dlinf_cli stream --world FILE --publish-dir DIR [--retrain-every N]
-//              [--max-trips M] [--rate R] [--quick] [--epochs E]
-//              [--watch [--agree-frac F]] [--ckpt FILE [--ckpt-every K]]
-//              [--telemetry-port P [--linger-seconds S]]
-//       The streaming ingestion + online learning loop (DESIGN.md §13):
-//       replay the world's recorded trips as a live GPS feed, one point at
-//       a time, through the incremental stay-point detector and candidate
-//       index (src/stream). Every N completed trips (and once at end of
-//       stream; default N=0 means end-of-stream only) an online retrain
-//       round runs over the accumulated snapshot — warm-started from the
-//       previous round's weights — and publishes a fresh artifact bundle
-//       into --publish-dir with the manifest-last protocol the hot-reload
-//       watcher keys on. --rate R throttles the replay to R points/second
-//       (0 = full speed). --quick caps rounds at 20 epochs (--epochs
-//       overrides exactly). --watch additionally boots a BundleManager on
-//       the publish directory after the first publication and hot-reloads
-//       it after each subsequent one, printing swap/rollback outcomes
-//       (--agree-frac relaxes the shadow-validation agreement threshold;
-//       online rounds legitimately drift from the boot generation).
-//       --ckpt writes a crash-safe CKPT artifact every K epochs during
-//       each round, so a round killed mid-training resumes without losing
-//       accumulated samples (`dlinf_cli train --resume` semantics).
-//       --telemetry-port starts the telemetry endpoint (the admin routes)
-//       up front, so scrapers watch stream.ingest.* counters live, and
-//       keeps it up S extra seconds after the feed drains.
-//
 //   dlinf_cli stream --listen PORT --wal-dir DIR [--city FILE]
 //              [--serve-seconds S] [--fsync-every N] [--fsync-interval S]
 //              [--segment-bytes B] [--snapshot-every K]
-//       Durable network ingestion (DESIGN.md §14): instead of replaying a
-//       recorded world, serve POST /ingest, /ingest/stats and the admin
-//       routes on PORT (0 = ephemeral) and stream whatever producers send
-//       through the same incremental pipeline. Each POST is parsed,
+//              [--publish-dir DIR [--retrain-every N] [--quick] [--epochs E]
+//               [--ckpt FILE [--ckpt-every C]]]
+//       The live ingest node (DESIGN.md §13-14): serve POST /ingest,
+//       /ingest/stats and the admin routes on PORT (0 = ephemeral) and
+//       stream whatever producers send through the incremental stay-point
+//       detector and candidate index (src/stream). Each POST is parsed,
 //       WAL-committed under --wal-dir, applied and acked on the one
 //       ingest.loop thread (no queue: a producer that outruns it meets TCP
 //       backpressure, and an fsync holds up every connection); on startup the
 //       WAL (plus the newest state snapshot, written every K segment
-//       rotations) is replayed, so a kill -9'd listener resumes with zero
-//       acked-record loss — drive it with `load_gen --ingest`. --city
-//       seeds the static world (station, buildings, addresses) from a
-//       world artifact, its trips dropped; the default is the built-in
-//       synthetic city. Mutually exclusive with --world. Serves until S
-//       elapses (0 = until SIGINT/SIGTERM), then stops and prints the
-//       final counters.
+//       rotations) is replayed, so a kill -9'd node resumes with zero
+//       acked-record loss. Drive it with `load_gen --ingest`, which
+//       `--world FILE` turns into a replay of a recorded world. --city seeds
+//       the static world (station, buildings, addresses) from a world
+//       artifact, its trips dropped; the default is the built-in synthetic
+//       city.
+//       --publish-dir turns on online learning: every N completed trips
+//       (default N=0: only at shutdown) a retrain round runs on the loop
+//       over the accumulated snapshot, warm-started from the previous
+//       round's weights, and publishes a fresh bundle into DIR with the
+//       manifest-last protocol that `serve --poll-every` keys on. A round
+//       blocks ingest while it runs. After the node stops, one more round
+//       covers the trips the last periodic round did not see. --quick caps
+//       rounds at 20 epochs (--epochs overrides exactly); --ckpt writes a
+//       crash-safe CKPT artifact every C epochs (default 5) during each
+//       round. Serves until S elapses (0 = until SIGINT/SIGTERM), then
+//       stops and prints the final counters.
 //
 //   dlinf_cli evaluate --world FILE [--quick]
 //       Compare DLInfMA against the heuristic baselines on the test split.
@@ -123,9 +113,6 @@
 #include <vector>
 
 #include "apps/admin_routes.h"
-#include "apps/bundle_manager.h"
-#include "apps/http_conn.h"
-#include "apps/location_service.h"
 #include "apps/query_engine.h"
 #include "baselines/evaluation.h"
 #include "baselines/simple_baselines.h"
@@ -220,6 +207,20 @@ std::optional<sim::World> LoadWorldFlag(const Flags& flags,
   return world;
 }
 
+/// Training and evaluation need labeled samples in every split; a world
+/// without them (say `generate --days 0`) is a typed error, not an abort.
+bool SplitsUsable(const dlinfma::SampleSet& samples) {
+  if (!samples.train.empty() && !samples.val.empty() &&
+      !samples.test.empty()) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "error: world has %zu/%zu/%zu labeled train/val/test samples; "
+               "every split needs at least one (generate more --days)\n",
+               samples.train.size(), samples.val.size(), samples.test.size());
+  return false;
+}
+
 int CmdStats(const Flags& flags) {
   if (!flags.Has("--world")) return Usage();
   const auto world = LoadWorldFlag(flags);
@@ -274,6 +275,7 @@ int CmdTrain(const Flags& flags) {
 
   const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
   const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
+  if (!SplitsUsable(samples)) return 1;
 
   dlinfma::TrainConfig train_config;
   if (flags.Has("--quick")) {
@@ -379,65 +381,6 @@ int CmdInfer(const Flags& flags) {
   return 0;
 }
 
-/// The standalone telemetry endpoint behind `stream --telemetry-port`: a
-/// bare HttpServer mounting the shared admin routes.
-struct TelemetryEndpoint {
-  apps::AdminRoutes admin;
-  apps::HttpServer server;
-  ~TelemetryEndpoint() { apps::StopAdminServer(&server); }
-};
-
-/// Starts `telemetry` when --telemetry-port is given; true when the flag is
-/// absent. False, with the error printed, when the port cannot be bound.
-bool StartTelemetry(const Flags& flags, TelemetryEndpoint* telemetry) {
-  if (!flags.Has("--telemetry-port")) return true;
-  apps::HttpServer::Options options;
-  options.port = flags.Int("--telemetry-port", 0);
-  options.thread_name = "telemetry.loop";
-  std::string error;
-  if (!telemetry->server.Start(options, telemetry->admin.StandaloneHandler(),
-                               &error)) {
-    std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
-                 error.c_str());
-    return false;
-  }
-  std::printf("telemetry: http://127.0.0.1:%d (%s)\n",
-              telemetry->server.port(),
-              apps::AdminRoutes::PathList().c_str());
-  std::fflush(stdout);
-  return true;
-}
-
-/// Keeps a running endpoint up --linger-seconds for scrapers, then stops it.
-void LingerAndStopTelemetry(const Flags& flags, TelemetryEndpoint* telemetry) {
-  if (!telemetry->server.running()) return;
-  const int linger = flags.Int("--linger-seconds", 0);
-  if (linger > 0) {
-    std::printf("telemetry: lingering %d s for scrapers\n", linger);
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::seconds(linger));
-  }
-  apps::StopAdminServer(&telemetry->server);
-}
-
-/// Prints a swap or a rollback (with its reason); false when the reload
-/// left the bundle unchanged.
-bool PrintReload(apps::BundleManager::ReloadOutcome outcome,
-                 const apps::BundleManager& manager, const std::string& error) {
-  switch (outcome) {
-    case apps::BundleManager::ReloadOutcome::kSwapped:
-      std::printf("hot-reload: swapped to generation %llu\n",
-                  static_cast<unsigned long long>(manager.generation()));
-      return true;
-    case apps::BundleManager::ReloadOutcome::kRolledBack:
-      std::printf("hot-reload: rolled back (%s)\n", error.c_str());
-      return true;
-    case apps::BundleManager::ReloadOutcome::kUnchanged:
-      break;
-  }
-  return false;
-}
-
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void HandleStopSignal(int) { g_stop_requested = 1; }
@@ -473,6 +416,8 @@ int CmdServe(const Flags& flags) {
   options.bundle_dir = flags.Str("--bundle");
   if (!PathUsable("--bundle", options.bundle_dir, /*want_dir=*/true)) return 1;
   options.port = flags.Int("--port", 0);
+  options.bundle.min_agree_fraction =
+      flags.Double("--agree-frac", options.bundle.min_agree_fraction);
   // Arm per-request trace sampling unless --trace-out already armed a
   // record-everything session in main().
   if (flags.Has("--trace-sample") && !obs::TracingArmed()) {
@@ -524,14 +469,27 @@ int CmdServe(const Flags& flags) {
   return 0;
 }
 
-/// `stream --listen`: durable network ingestion (see the header comment).
-int CmdStreamListen(const Flags& flags) {
-  stream::IngestServer::Options options;
-  options.port = flags.Int("--listen", 0);
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+/// `stream`: the live ingest node (see the header comment).
+int CmdStream(const Flags& flags) {
+  if (!flags.Has("--listen")) return Usage();
   if (!flags.Has("--wal-dir")) {
     std::fprintf(stderr, "error: --listen requires --wal-dir DIR\n");
     return 2;
   }
+  const bool online = flags.Has("--publish-dir");
+  for (const char* round_flag :
+       {"--retrain-every", "--quick", "--epochs", "--ckpt", "--ckpt-every"}) {
+    if (!online && flags.Has(round_flag)) {
+      std::fprintf(stderr, "error: %s needs --publish-dir DIR\n", round_flag);
+      return 2;
+    }
+  }
+  stream::IngestServer::Options options;
+  options.port = flags.Int("--listen", 0);
   options.wal.dir = flags.Str("--wal-dir");
   std::error_code ec;
   std::filesystem::create_directories(options.wal.dir, ec);
@@ -554,6 +512,26 @@ int CmdStreamListen(const Flags& flags) {
       static_cast<uint64_t>(flags.Int("--segment-bytes", 4 << 20));
   options.snapshot_every_segments =
       static_cast<uint64_t>(flags.Int("--snapshot-every", 0));
+
+  std::optional<stream::OnlineTrainer> trainer;
+  const int64_t retrain_every = flags.Int("--retrain-every", 0);
+  if (online) {
+    stream::OnlineTrainer::Options trainer_options;
+    if (flags.Has("--quick")) {
+      trainer_options.train.max_epochs = 20;
+      trainer_options.train.early_stop_patience = 5;
+    }
+    trainer_options.train.max_epochs =
+        flags.Int("--epochs", trainer_options.train.max_epochs);
+    if (flags.Has("--ckpt")) {
+      trainer_options.checkpoint_path = flags.Str("--ckpt");
+      trainer_options.checkpoint_every_epochs = flags.Int("--ckpt-every", 5);
+    }
+    trainer_options.publish_dir = flags.Str("--publish-dir");
+    trainer.emplace(trainer_options);
+    options.trainer = &*trainer;
+    options.retrain_every_trips = retrain_every;
+  }
 
   stream::IngestServer server(std::move(options));
   std::string error;
@@ -587,144 +565,28 @@ int CmdStreamListen(const Flags& flags) {
       static_cast<long long>(stats.rejected),
       static_cast<long long>(stats.recovered),
       static_cast<long long>(stats.trips));
-  return 0;
-}
+  if (!trainer) return 0;
 
-/// `stream`: replay recorded trips as a live GPS feed through the
-/// incremental pipeline, retraining and publishing bundles as the stream
-/// progresses (see the header comment).
-int CmdStream(const Flags& flags) {
-  if (flags.Has("--listen")) {
-    if (flags.Has("--world") || flags.Has("--publish-dir")) {
-      std::fprintf(stderr,
-                   "error: stream --listen (network ingestion) and --world/"
-                   "--publish-dir (recorded replay) are mutually exclusive\n");
-      return 2;
-    }
-    return CmdStreamListen(flags);
-  }
-  if (!flags.Has("--world") || !flags.Has("--publish-dir")) return Usage();
-  const auto world = LoadWorldFlag(flags);
-  if (!world) return 1;
-  const std::string publish_dir = flags.Str("--publish-dir");
-
-  // Telemetry comes up before the first point, so scrapers watch the
-  // stream.ingest.* counters move while the feed is live.
-  TelemetryEndpoint telemetry;
-  if (!StartTelemetry(flags, &telemetry)) return 1;
-
-  const int retrain_every = flags.Int("--retrain-every", 0);
-  const int max_trips =
-      flags.Int("--max-trips", static_cast<int>(world->trips.size()));
-  const double rate = flags.Double("--rate", 0.0);
-
-  stream::StreamIngestor ingestor(*world, {});
-  stream::OnlineTrainer::Options trainer_options;
-  if (flags.Has("--quick")) {
-    trainer_options.train.max_epochs = 20;
-    trainer_options.train.early_stop_patience = 5;
-  }
-  trainer_options.train.max_epochs =
-      flags.Int("--epochs", trainer_options.train.max_epochs);
-  if (flags.Has("--ckpt")) {
-    trainer_options.checkpoint_path = flags.Str("--ckpt");
-    trainer_options.checkpoint_every_epochs = flags.Int("--ckpt-every", 5);
-  }
-  trainer_options.publish_dir = publish_dir;
-  stream::OnlineTrainer trainer(trainer_options);
-
-  const bool watch = flags.Has("--watch");
-  std::unique_ptr<apps::BundleManager> manager;
-
-  auto retrain = [&]() {
-    const stream::OnlineTrainer::RoundResult result =
-        trainer.Retrain(ingestor.world(), ingestor.Snapshot());
-    if (!result.trained) {
-      std::printf("round %d skipped after %lld trips: %s\n", result.round,
-                  static_cast<long long>(ingestor.num_trips()),
-                  result.skip_reason.c_str());
-      return;
-    }
-    std::printf(
-        "round %d: %lld trips, %zu/%zu train/val samples, %d epochs, "
-        "val loss %.4f\n",
-        result.round, static_cast<long long>(ingestor.num_trips()),
-        result.train_samples, result.val_samples, result.train.epochs_run,
-        result.train.best_val_loss);
-    if (!result.published) {
-      std::fprintf(stderr, "error: publish failed: %s\n",
-                   result.publish_error.c_str());
-      return;
-    }
-    std::printf("published bundle -> %s\n", publish_dir.c_str());
-    if (!watch) return;
-    std::string error;
-    if (manager == nullptr) {
-      apps::BundleManager::Config config;
-      config.dir = publish_dir;
-      config.min_agree_fraction = flags.Double("--agree-frac", 0.0);
-      manager = apps::BundleManager::Create(config, &error);
-      if (manager == nullptr) {
-        std::fprintf(stderr, "error: cannot watch %s: %s\n",
-                     publish_dir.c_str(), error.c_str());
-      } else {
-        std::printf("watching %s (generation %llu live)\n",
-                    publish_dir.c_str(),
-                    static_cast<unsigned long long>(manager->generation()));
-      }
-      return;
-    }
-    if (!PrintReload(manager->ReloadNow(&error), *manager, error)) {
-      std::printf("hot-reload: unchanged\n");
-    }
-  };
-
-  Stopwatch watch_time;
-  int trips = 0;
-  for (const sim::DeliveryTrip& trip : world->trips) {
-    if (trips >= max_trips) break;
-    ingestor.StartTrip(trip);
-    for (const TrajPoint& point : trip.trajectory.points) {
-      ingestor.PushPoint(point);
-      if (rate > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(1.0 / rate));
-      }
-    }
-    ingestor.FinishTrip();
-    ++trips;
-    if (retrain_every > 0 && trips % retrain_every == 0) retrain();
-    std::fflush(stdout);
-  }
   // End-of-stream round, unless the last periodic round already saw every
   // trip.
-  if (trips > 0 && (retrain_every <= 0 || trips % retrain_every != 0)) {
-    retrain();
+  if (stats.trips > 0 &&
+      (retrain_every == 0 || stats.trips % retrain_every != 0)) {
+    const stream::StreamIngestor& ingestor = server.ingestor();
+    trainer->Retrain(ingestor.world(), ingestor.Snapshot());
   }
-
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   std::printf(
-      "stream done in %.1f s: %lld points (%lld dropped), %lld trips, "
-      "%lld stay points, %zu clusters, %lld/%lld rounds trained/skipped, "
-      "%lld/%lld publishes ok/failed\n",
-      watch_time.ElapsedSeconds(),
-      static_cast<long long>(
-          registry.GetCounter("stream.ingest.points")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.ingest.dropped_points")->value()),
-      static_cast<long long>(ingestor.num_trips()),
-      static_cast<long long>(
-          registry.GetCounter("stream.ingest.stay_points")->value()),
-      ingestor.updater().num_clusters(),
-      static_cast<long long>(
-          registry.GetCounter("stream.retrain.rounds")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.retrain.skipped")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.publish.success")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.publish.failures")->value()));
-  LingerAndStopTelemetry(flags, &telemetry);
+      "online: %lld points (%lld dropped), %lld stay points, %zu clusters, "
+      "%lld/%lld rounds trained/skipped, %lld/%lld publishes ok/failed -> "
+      "%s\n",
+      static_cast<long long>(CounterValue("stream.ingest.points")),
+      static_cast<long long>(CounterValue("stream.ingest.dropped_points")),
+      static_cast<long long>(CounterValue("stream.ingest.stay_points")),
+      server.ingestor().updater().num_clusters(),
+      static_cast<long long>(CounterValue("stream.retrain.rounds")),
+      static_cast<long long>(CounterValue("stream.retrain.skipped")),
+      static_cast<long long>(CounterValue("stream.publish.success")),
+      static_cast<long long>(CounterValue("stream.publish.failures")),
+      flags.Str("--publish-dir").c_str());
   return 0;
 }
 
@@ -734,6 +596,7 @@ int CmdEvaluate(const Flags& flags) {
   if (!world) return 1;
   const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
   const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
+  if (!SplitsUsable(samples)) return 1;
 
   std::vector<baselines::MethodResult> results;
   baselines::GeocodingBaseline geocoding;
@@ -775,23 +638,11 @@ constexpr FlagSpec kServeFlags[] = {
     {"--port", FlagType::kInt},
     {"--serve-seconds", FlagType::kDouble},
     {.name = "--poll-every", .type = FlagType::kInt, .min = 1},
-    {.name = "--trace-sample", .type = FlagType::kDouble, .min = 0, .max = 1}};
+    {.name = "--trace-sample", .type = FlagType::kDouble, .min = 0, .max = 1},
+    {.name = "--agree-frac", .type = FlagType::kDouble, .min = 0, .max = 1}};
 constexpr FlagSpec kInferFlags[] = {{"--bundle", FlagType::kString},
                                     {"--out", FlagType::kString}};
 constexpr FlagSpec kStreamFlags[] = {
-    {"--world", FlagType::kString},
-    {"--publish-dir", FlagType::kString},
-    {"--retrain-every", FlagType::kInt},
-    {"--max-trips", FlagType::kInt},
-    {"--rate", FlagType::kDouble},
-    {"--quick", FlagType::kBool},
-    {"--epochs", FlagType::kInt},
-    {"--watch", FlagType::kBool},
-    {"--agree-frac", FlagType::kDouble},
-    {"--ckpt", FlagType::kString},
-    {.name = "--ckpt-every", .type = FlagType::kInt, .min = 1},
-    {"--telemetry-port", FlagType::kInt, true},
-    {"--linger-seconds", FlagType::kInt},
     {.name = "--listen", .type = FlagType::kInt, .min = 0},
     {"--wal-dir", FlagType::kString},
     {"--city", FlagType::kString},
@@ -799,7 +650,13 @@ constexpr FlagSpec kStreamFlags[] = {
     {"--fsync-every", FlagType::kInt},
     {"--fsync-interval", FlagType::kDouble},
     {.name = "--segment-bytes", .type = FlagType::kInt, .min = 1},
-    {.name = "--snapshot-every", .type = FlagType::kInt, .min = 0}};
+    {.name = "--snapshot-every", .type = FlagType::kInt, .min = 0},
+    {"--publish-dir", FlagType::kString},
+    {.name = "--retrain-every", .type = FlagType::kInt, .min = 0},
+    {"--quick", FlagType::kBool},
+    {"--epochs", FlagType::kInt},
+    {"--ckpt", FlagType::kString},
+    {.name = "--ckpt-every", .type = FlagType::kInt, .min = 1}};
 constexpr FlagSpec kEvaluateFlags[] = {{"--world", FlagType::kString},
                                        {"--quick", FlagType::kBool}};
 /// Accepted by every command (see the header comment).

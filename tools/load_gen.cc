@@ -3,8 +3,8 @@
 //
 //   load_gen --port P [--threads 4] [--seconds 2] [--pipeline 16]
 //            [--batch 0] [--max-requests 0]
-//   load_gen --port P --ingest [--threads 4] [--seconds 2] [--pipeline 16]
-//            [--dup-every 0] [--max-requests 0]
+//   load_gen --port P --ingest [--world FILE] [--threads 4] [--seconds 2]
+//            [--pipeline 16] [--dup-every 0] [--max-requests 0]
 //
 // Query mode discovers the address keyspace from the engine's /inventory
 // endpoint, then drives it from `--threads` keep-alive connections, each
@@ -14,11 +14,13 @@
 //
 // Ingest mode makes each thread one producer client (`lg-<i>`) streaming
 // deterministic synthetic trips as transactional POST /ingest batches of
-// `--pipeline` records (trips span batches freely). `--dup-every M`
-// re-sends every Mth POST verbatim — an injected producer retry the server
-// must ack as an exact no-op ("deduped"). A 429 is honoured by sleeping its
-// Retry-After and re-sending the same batch (counted as shed); anything
-// other than 2xx/429 is an error.
+// `--pipeline` records (trips span batches freely). `--world FILE` streams
+// a recorded world artifact's trips instead: thread i of T sends trips i,
+// i+T, ... and stops when they run out, so `--threads 1` replays the world
+// in its recorded order. `--dup-every M` re-sends every Mth POST verbatim —
+// an injected producer retry the server must ack as an exact no-op
+// ("deduped"). A 429 is honoured by sleeping its Retry-After and re-sending
+// the same batch (counted as shed); anything other than 2xx/429 is an error.
 //
 // Each mode prints one machine-readable summary line:
 //
@@ -50,6 +52,7 @@
 
 #include "apps/http_conn.h"
 #include "common/flags.h"
+#include "io/codecs.h"
 #include "stream/ingest_server.h"
 
 namespace {
@@ -67,6 +70,8 @@ struct Options {
   bool ingest = false;        ///< Drive POST /ingest instead of /query.
   int dup_every = 0;          ///< Ingest: re-send every Mth POST (0: never).
   int64_t address_count = 0;  ///< Query mode: keyspace from /inventory.
+  /// Ingest: the recorded world whose trips are sent; null for synthetic.
+  const dlinf::sim::World* world = nullptr;
 };
 
 struct ThreadStats {
@@ -99,7 +104,8 @@ constexpr dlinf::FlagSpec kFlags[] = {
     {.name = "--batch", .type = FlagType::kInt, .min = 0},
     {.name = "--max-requests", .type = FlagType::kInt, .min = 0},
     {"--ingest", FlagType::kBool},
-    {.name = "--dup-every", .type = FlagType::kInt, .min = 0}};
+    {.name = "--dup-every", .type = FlagType::kInt, .min = 0},
+    {"--world", FlagType::kString}};
 
 /// How many requests thread `thread_index` may still send after `done`:
 /// its exact share of --max-requests, unbounded without one.
@@ -207,22 +213,36 @@ int64_t JsonInt(const std::string& body, const std::string& key) {
   return std::atoll(body.c_str() + pos + needle.size());
 }
 
-/// One producer client streaming deterministic synthetic trips. Trip t of
-/// thread i always yields the same records, so a re-run (or a retry after a
-/// crash) replays the identical byte stream.
+/// One producer client streaming deterministic synthetic trips, or its
+/// share of a recorded world's trips. Trip t of thread i always yields the
+/// same records, so a re-run (or a retry after a crash) replays the
+/// identical byte stream.
 class IngestStream {
  public:
-  explicit IngestStream(int thread_index)
+  IngestStream(const Options& options, int thread_index)
       : client_id_("lg-" + std::to_string(thread_index)),
-        courier_id_(1000 + thread_index) {}
+        courier_id_(1000 + thread_index),
+        world_(options.world),
+        world_trip_(static_cast<size_t>(thread_index)),
+        world_stride_(static_cast<size_t>(options.threads)) {}
 
-  /// The next protocol line; trips span POST batches freely.
-  std::string NextLine() {
+  /// Sets *line to the next protocol line (trips span POST batches freely);
+  /// false once a recorded world's share of trips has been sent.
+  bool NextLine(std::string* line) {
     if (next_line_ == lines_.size()) {
-      lines_ = dlinf::stream::TripLines(client_id_, NextTrip(), &seq_);
+      if (world_ == nullptr) {
+        lines_ = dlinf::stream::TripLines(client_id_, NextTrip(), &seq_);
+      } else if (world_trip_ < world_->trips.size()) {
+        lines_ = dlinf::stream::TripLines(client_id_,
+                                          world_->trips[world_trip_], &seq_);
+        world_trip_ += world_stride_;
+      } else {
+        return false;
+      }
       next_line_ = 0;
     }
-    return lines_[next_line_++];
+    *line = lines_[next_line_++];
+    return true;
   }
 
  private:
@@ -246,6 +266,9 @@ class IngestStream {
 
   std::string client_id_;
   int64_t courier_id_;
+  const dlinf::sim::World* world_;
+  size_t world_trip_;    ///< Next recorded trip this thread sends.
+  size_t world_stride_;  ///< Threads sharing the recorded trips.
   uint64_t seq_ = 0;
   int64_t trip_index_ = 0;
   std::vector<std::string> lines_;  ///< The current trip's lines.
@@ -256,18 +279,21 @@ void RunIngestClient(const Options& options, int thread_index,
                      HttpClient* client, ThreadStats* stats) {
   std::string error;
   const double begin = NowSeconds();
-  IngestStream ingest_stream(thread_index);
+  IngestStream ingest_stream(options, thread_index);
   int64_t posts = 0;
 
   for (;;) {
-    const int64_t size = NextBurst(options, thread_index, begin,
+    const int64_t want = NextBurst(options, thread_index, begin,
                                    stats->requests, options.pipeline);
-    if (size <= 0) break;
     std::string body;
-    for (int64_t i = 0; i < size; ++i) {
-      body += ingest_stream.NextLine();
+    std::string line;
+    int64_t size = 0;
+    while (size < want && ingest_stream.NextLine(&line)) {
+      body += line;
       body += '\n';
+      ++size;
     }
+    if (size == 0) break;
     ++posts;
     // The verbatim retry is skipped when it would overrun --max-requests.
     const bool duplicate =
@@ -405,14 +431,32 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --port P is required and must be > 0\n");
     return 2;
   }
+  if (flags->Has("--world") && !options.ingest) {
+    std::fprintf(stderr, "error: --world needs --ingest\n");
+    return 2;
+  }
+
+  std::optional<dlinf::sim::World> world;
+  if (flags->Has("--world")) {
+    world = dlinf::io::LoadWorldArtifact(flags->Str("--world"), &error);
+    if (!world) {
+      std::fprintf(stderr, "error: cannot load world: %s\n", error.c_str());
+      return 1;
+    }
+    options.world = &*world;
+  }
 
   if (options.ingest) {
-    std::printf("load_gen: ingest mode, %d threads, %d records/post%s\n",
+    std::printf("load_gen: ingest mode, %d threads, %d records/post%s%s\n",
                 options.threads, options.pipeline,
                 options.dup_every > 0
                     ? (", dup every " + std::to_string(options.dup_every))
                           .c_str()
-                    : "");
+                    : "",
+                world ? (", " + std::to_string(world->trips.size()) +
+                         " recorded trips")
+                            .c_str()
+                      : "");
   } else {
     options.address_count = DiscoverAddressCount(options.port);
     if (options.address_count == 0) return 2;
