@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "fault/fault.h"
@@ -81,16 +82,22 @@ std::shared_ptr<const BundleManager::ServingState> BundleManager::Stage(
     SetError(error, "injected bundle corruption in " + dir);
     return nullptr;
   }
-  std::optional<io::WarmBundle> bundle = io::LoadBundle(dir, error);
-  if (!bundle) return nullptr;
+  std::optional<io::PublishedAnswers> answers = io::LoadAnswers(dir, error);
+  if (!answers) return nullptr;
 
   auto state = std::make_shared<ServingState>();
-  state->bundle = std::move(*bundle);
-  state->samples = io::AllSamples(state->bundle.samples);
+  state->city = std::make_unique<sim::World>(std::move(answers->city));
+  state->delivered = std::move(answers->delivered);
+  // Inserted in the stored order into a map reserved for every entry, the
+  // same sequence the scoring pass produced: the building tier's picks
+  // come out the same.
+  std::unordered_map<int64_t, Point> inferred;
+  inferred.reserve(answers->addresses.size());
+  for (const auto& [address_id, location] : answers->addresses) {
+    inferred[address_id] = location;
+  }
   state->service = std::make_unique<DeliveryLocationService>(
-      DeliveryLocationService::BuildFromInferrer(
-          *state->bundle.world, state->bundle.data, state->samples,
-          state->bundle.method.get()));
+      DeliveryLocationService::Build(*state->city, inferred));
   state->generation = generation;
   return state;
 }
@@ -109,26 +116,26 @@ std::unique_ptr<BundleManager> BundleManager::Create(const Config& config,
 }
 
 void BundleManager::RecordWatchStamp() {
-  const std::filesystem::path manifest =
-      std::filesystem::path(config_.dir) / "manifest.art";
+  const std::filesystem::path answers =
+      std::filesystem::path(config_.dir) / io::kAnswersFile;
   std::error_code ec;
-  last_mtime_ = std::filesystem::last_write_time(manifest, ec);
+  last_mtime_ = std::filesystem::last_write_time(answers, ec);
   if (ec) last_mtime_ = std::filesystem::file_time_type{};
-  last_size_ = std::filesystem::file_size(manifest, ec);
+  last_size_ = std::filesystem::file_size(answers, ec);
   if (ec) last_size_ = 0;
 }
 
 BundleManager::ReloadOutcome BundleManager::Poll(std::string* error) {
-  const std::filesystem::path manifest =
-      std::filesystem::path(config_.dir) / "manifest.art";
+  const std::filesystem::path answers =
+      std::filesystem::path(config_.dir) / io::kAnswersFile;
   std::error_code ec;
-  const auto mtime = std::filesystem::last_write_time(manifest, ec);
+  const auto mtime = std::filesystem::last_write_time(answers, ec);
   if (ec) {
-    // Mid-push (manifest is the last file written) or a broken deploy;
+    // Mid-push (answers.art is the last file written) or a broken deploy;
     // either way nothing loadable changed yet. Keep serving.
     return ReloadOutcome::kUnchanged;
   }
-  const uintmax_t size = std::filesystem::file_size(manifest, ec);
+  const uintmax_t size = std::filesystem::file_size(answers, ec);
   if (ec) return ReloadOutcome::kUnchanged;
   if (mtime == last_mtime_ && size == last_size_) {
     return ReloadOutcome::kUnchanged;
@@ -143,7 +150,7 @@ BundleManager::ReloadOutcome BundleManager::ReloadNow(std::string* error) {
   obs::Span span("bundle_reload");
   ReloadCounter("attempts")->Add(1);
   // Stamp first: a push that rolls back is not retried every Poll — only a
-  // *new* push (fresh manifest stamp) triggers the next attempt.
+  // *new* push (fresh answers.art stamp) triggers the next attempt.
   RecordWatchStamp();
 
   const std::shared_ptr<const ServingState> live =
@@ -186,40 +193,40 @@ BundleManager::ReloadOutcome BundleManager::ReloadNow(std::string* error) {
   return ReloadOutcome::kSwapped;
 }
 
+std::vector<int64_t> BundleManager::ProbeIds(
+    const std::vector<int64_t>& delivered, int64_t live_address_count,
+    int probe_count) {
+  // Probe ids must resolve in both worlds (ids are dense indexes): compare
+  // only the overlap, sampled evenly across the candidate inventory.
+  const size_t want = static_cast<size_t>(std::max(1, probe_count));
+  const size_t stride = std::max<size_t>(1, delivered.size() / want);
+  std::vector<int64_t> probes;
+  probes.reserve(want);
+  for (size_t i = 0; i < delivered.size() && probes.size() < want;
+       i += stride) {
+    if (delivered[i] < live_address_count) probes.push_back(delivered[i]);
+  }
+  return probes;
+}
+
 bool BundleManager::Validate(const ServingState& live,
                              const ServingState& candidate,
                              std::string* error) const {
   obs::Span span("bundle_validate");
-  const std::vector<int64_t> delivered =
-      candidate.bundle.world->DeliveredAddressIds();
-  if (delivered.empty()) {
+  if (candidate.delivered.empty()) {
     SetError(error, "candidate bundle serves no delivered addresses");
     return false;
   }
-
-  // Probe ids must resolve in both worlds (ids are dense indexes): compare
-  // only the overlap, sampled evenly across the candidate inventory.
-  const auto live_count =
-      static_cast<int64_t>(live.bundle.world->addresses.size());
-  std::vector<int64_t> probes;
-  probes.reserve(static_cast<size_t>(config_.probe_count));
-  const size_t stride =
-      std::max<size_t>(1, delivered.size() /
-                              static_cast<size_t>(std::max(
-                                  1, config_.probe_count)));
-  for (size_t i = 0;
-       i < delivered.size() &&
-       probes.size() < static_cast<size_t>(std::max(1, config_.probe_count));
-       i += stride) {
-    if (delivered[i] < live_count) probes.push_back(delivered[i]);
-  }
+  const std::vector<int64_t> probes =
+      ProbeIds(candidate.delivered,
+               static_cast<int64_t>(live.city->addresses.size()),
+               config_.probe_count);
   if (probes.empty()) {
     SetError(error, "candidate bundle shares no addresses with the live one");
     return false;
   }
 
-  const Bounds bounds =
-      WorldBounds(*candidate.bundle.world, config_.bounds_margin_m);
+  const Bounds bounds = WorldBounds(*candidate.city, config_.bounds_margin_m);
   size_t agreeing = 0;
   for (const int64_t id : probes) {
     const DeliveryLocationService::Answer fresh =

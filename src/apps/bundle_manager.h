@@ -19,12 +19,13 @@ namespace apps {
 ///
 /// The serving process periodically retrains offline and pushes a fresh
 /// artifact bundle; BundleManager is the online side of that handshake. It
-/// watches the bundle directory (manifest mtime/size poll), and on a change
-/// runs the reload state machine:
+/// reads one file of the bundle, answers.art (io/bundle.h), which a push
+/// writes last: it watches that file (mtime/size poll), and on a change runs
+/// the reload state machine:
 ///
-///   watch ── change ──▶ stage (load into a private slot, full envelope +
-///            detected      cross-artifact validation)
-///                        │ decode / CRC / consistency error
+///   watch ── change ──▶ stage (decode answers.art into a private slot:
+///            detected      envelope, CRC and id checks, then the KV tiers)
+///                        │ decode / CRC / id error
 ///                        ├────────────────────────────────▶ rollback
 ///                        ▼
 ///                      validate (shadow probe set: finite answers, inside
@@ -69,11 +70,14 @@ class BundleManager {
     double bounds_margin_m = 500.0;
   };
 
-  /// Everything one bundle generation serves from. Immutable after
-  /// construction; published to query threads as shared_ptr<const>.
+  /// Everything one bundle generation serves from: its answers.art, with no
+  /// model, feature tensor or trip. Immutable after construction; published
+  /// to query threads as shared_ptr<const>.
   struct ServingState {
-    io::WarmBundle bundle;
-    std::vector<dlinfma::AddressSample> samples;  ///< Serving inventory.
+    std::unique_ptr<const sim::World> city;  ///< Ids index its addresses.
+    /// Every delivered address id, in DeliveredAddressIds() order: the
+    /// serving inventory and the shadow-validation probe pool.
+    std::vector<int64_t> delivered;
     std::unique_ptr<DeliveryLocationService> service;
     uint64_t generation = 0;  ///< 0 for the boot bundle, +1 per swap.
   };
@@ -96,9 +100,9 @@ class BundleManager {
     return std::atomic_load_explicit(&live_, std::memory_order_acquire);
   }
 
-  /// Watch step: stat the bundle manifest and run the reload state machine
-  /// if it changed since the last Poll/ReloadNow. kUnchanged when the
-  /// manifest is untouched.
+  /// Watch step: stat the bundle's answers.art and run the reload state
+  /// machine if it changed since the last Poll/ReloadNow. kUnchanged when
+  /// the file is untouched or absent (mid-push).
   ReloadOutcome Poll(std::string* error = nullptr);
 
   /// Stage→validate→swap/rollback unconditionally (a push is known to have
@@ -117,23 +121,31 @@ class BundleManager {
     return state()->generation;
   }
 
+  /// The shadow-validation probe set: up to `probe_count` ids of
+  /// `delivered` (a candidate's inventory), sampled evenly, that also name
+  /// an address of a live city with `live_address_count` addresses.
+  static std::vector<int64_t> ProbeIds(const std::vector<int64_t>& delivered,
+                                       int64_t live_address_count,
+                                       int probe_count);
+
  private:
   explicit BundleManager(const Config& config) : config_(config) {}
 
-  /// Loads `dir` and builds a full ServingState (no swap). Returns nullptr
-  /// with a reason on any decode/validation failure.
+  /// Loads `dir`'s answers.art and builds a full ServingState (no swap).
+  /// Returns nullptr with a reason on any decode/validation failure.
   static std::shared_ptr<const ServingState> Stage(const std::string& dir,
                                                    uint64_t generation,
                                                    std::string* error);
 
-  /// The shadow-validation probe set (uncounted `Lookup`s, not served
-  /// queries): answers from `candidate` must be finite, inside the candidate
-  /// world's (padded) bounding box, and agree with `live` on at least
-  /// `min_agree_fraction` of probes.
+  /// Shadow validation: compares the candidate's answer table with the live
+  /// one on ProbeIds (uncounted `Lookup`s, not served queries). Answers from
+  /// `candidate` must be finite, inside the candidate city's (padded)
+  /// bounding box, and agree with `live` on at least `min_agree_fraction` of
+  /// probes.
   bool Validate(const ServingState& live, const ServingState& candidate,
                 std::string* error) const;
 
-  /// Remembers the manifest stamp so Poll only fires on a fresh push.
+  /// Remembers the answers.art stamp so Poll only fires on a fresh push.
   void RecordWatchStamp();
 
   Config config_;

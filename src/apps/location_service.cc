@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/check.h"
 #include "common/stopwatch.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -139,21 +138,6 @@ DeliveryLocationService DeliveryLocationService::Build(
     service.building_kv_[building_id] = best;
   }
   return service;
-}
-
-DeliveryLocationService DeliveryLocationService::BuildFromInferrer(
-    const sim::World& world, const dlinfma::Dataset& data,
-    const std::vector<dlinfma::AddressSample>& samples,
-    dlinfma::Inferrer* method) {
-  CHECK(method != nullptr);
-  const std::vector<Point> locations = method->InferAll(data, samples);
-  CHECK_EQ(locations.size(), samples.size());
-  std::unordered_map<int64_t, Point> inferred;
-  inferred.reserve(samples.size());
-  for (size_t i = 0; i < samples.size(); ++i) {
-    inferred[samples[i].address_id] = locations[i];
-  }
-  return Build(world, inferred);
 }
 
 DeliveryLocationService::Answer DeliveryLocationService::Query(

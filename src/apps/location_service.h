@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dlinfma/inferrer.h"
 #include "geo/point.h"
 #include "sim/world.h"
 
@@ -63,16 +62,6 @@ class DeliveryLocationService {
   static DeliveryLocationService Build(
       const sim::World& world,
       const std::unordered_map<int64_t, Point>& inferred);
-
-  /// Warm-start path: builds the service directly from a preloaded (trained
-  /// or artifact-restored) inference method by scoring `samples` — the
-  /// delivered-address inventory — and feeding the results through Build.
-  /// This is what `dlinf_cli serve` runs after loading a bundle; no
-  /// retraining or re-mining happens here.
-  static DeliveryLocationService BuildFromInferrer(
-      const sim::World& world, const dlinfma::Dataset& data,
-      const std::vector<dlinfma::AddressSample>& samples,
-      dlinfma::Inferrer* method);
 
   /// Answers a query for a known address id.
   Answer Query(int64_t address_id) const;

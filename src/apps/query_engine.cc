@@ -51,16 +51,16 @@ void AppendAnswerJson(std::string* out, int64_t address_id,
 DeliveryLocationService::Answer ShedAnswer(
     const BundleManager::ServingState& state, int64_t address_id) {
   DeliveryLocationService::Answer answer;
-  answer.location = state.bundle.world->address(address_id).geocoded_location;
+  answer.location = state.city->address(address_id).geocoded_location;
   answer.source = DeliveryLocationService::Source::kGeocode;
   answer.degraded = true;
   return answer;
 }
 
-/// Ids are dense indexes into the world that answers them.
+/// Ids are dense indexes into the city that answers them.
 bool KnownId(const BundleManager::ServingState& state, int64_t id) {
   return id >= 0 &&
-         static_cast<size_t>(id) < state.bundle.world->addresses.size();
+         static_cast<size_t>(id) < state.city->addresses.size();
 }
 
 /// One reload of the shared manager, counted once for each of `n` shards.
@@ -378,7 +378,7 @@ void QueryEngine::Handle(const HttpRequest& request,
     handle.Respond(
         200, "application/json",
         "{\"count\":" +
-            std::to_string(manager_->state()->bundle.world->addresses.size()) +
+            std::to_string(manager_->state()->city->addresses.size()) +
             ",\"shards\":" + std::to_string(num_shards()) + "}");
   } else if (!admin_.Handle(request, handle)) {
     handle.Respond(404, "text/plain", "not found\n");

@@ -23,7 +23,7 @@
 /// answers from the one `BundleManager` the engine owns, so a boot or a
 /// reload stages one generation. A request pins that state once (a
 /// `/query_batch` once for the batch) and checks its ids against the pinned
-/// world, so an id that passes is always inside the world that answers it.
+/// city, so an id that passes is always inside the city that answers it.
 /// A shard is what clients and operators see: its slice of the key space,
 /// its `service.shard.{hits,shed}` counters, its `/healthz` check and the
 /// `"shard"` field of each answer.

@@ -10,6 +10,20 @@
 #include "obs/profiler.h"
 
 namespace dlinf {
+namespace {
+
+/// The pool whose worker loop runs on this thread, if any.
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
+
+ThreadPool& ThreadPool::Shared() {
+  // Leaked on purpose: workers must outlive every static that might still
+  // run inference during exit.
+  static ThreadPool* const pool = new ThreadPool(
+      static_cast<int>(std::thread::hardware_concurrency()));
+  return *pool;
+}
 
 ThreadPool::ThreadPool(int num_threads) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -23,6 +37,7 @@ ThreadPool::ThreadPool(int num_threads) {
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] {
       obs::prof::RegisterCurrentThread("pool." + std::to_string(i));
+      t_worker_of = this;
       WorkerLoop();
     });
   }
@@ -58,11 +73,16 @@ void ThreadPool::ParallelFor(int64_t count,
                              const std::function<void(int64_t)>& fn) {
   CHECK_GE(count, 0) << "ParallelFor over a negative range";
   if (count == 0) return;
+  if (t_worker_of == this) {
+    for (int64_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
   // An exception in any block is captured (first writer wins) and rethrown
   // on the calling thread after the barrier — it must not die in a worker
   // (std::terminate) or be silently swallowed. Later indexes may still run;
   // blocks that start after the capture skip their work.
-  std::mutex error_mu;
+  std::mutex call_mu;  // Guards first_error and blocks_left.
+  std::condition_variable call_done;
   std::exception_ptr first_error;
   std::atomic<bool> errored{false};
   // Up to 4 blocks per worker for load balancing; never more blocks than
@@ -70,20 +90,30 @@ void ThreadPool::ParallelFor(int64_t count,
   const int64_t num_blocks =
       std::min<int64_t>(count, static_cast<int64_t>(workers_.size()) * 4);
   const int64_t block = (count + num_blocks - 1) / num_blocks;
+  int64_t blocks_left = (count + block - 1) / block;
   for (int64_t begin = 0; begin < count; begin += block) {
     const int64_t end = std::min(count, begin + block);
-    Submit([begin, end, &fn, &error_mu, &first_error, &errored] {
-      if (errored.load(std::memory_order_acquire)) return;
-      try {
-        for (int64_t i = begin; i < end; ++i) fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        errored.store(true, std::memory_order_release);
+    Submit([begin, end, &fn, &call_mu, &call_done, &first_error, &errored,
+            &blocks_left] {
+      if (!errored.load(std::memory_order_acquire)) {
+        try {
+          for (int64_t i = begin; i < end; ++i) fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(call_mu);
+          if (!first_error) first_error = std::current_exception();
+          errored.store(true, std::memory_order_release);
+        }
       }
+      // Notify under the lock: the caller cannot see zero, return and
+      // destroy these locals until this block has let go of them.
+      std::lock_guard<std::mutex> lock(call_mu);
+      if (--blocks_left == 0) call_done.notify_all();
     });
   }
-  Wait();
+  {
+    std::unique_lock<std::mutex> lock(call_mu);
+    call_done.wait(lock, [&blocks_left] { return blocks_left == 0; });
+  }
   if (errored.load(std::memory_order_acquire)) {
     std::rethrow_exception(first_error);
   }

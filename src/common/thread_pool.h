@@ -50,9 +50,18 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs fn(i) for i in [0, count) across the pool and waits for completion.
+  /// The process-wide pool: one worker per hardware thread, started on
+  /// first use and never torn down. Batched inference and per-window
+  /// clustering run on it; their results do not depend on its size.
+  static ThreadPool& Shared();
+
+  /// Runs fn(i) for i in [0, count) across the pool and waits for its own
+  /// blocks only, so concurrent callers do not wait on each other's work.
   /// Work is distributed in contiguous blocks; when count < num_threads each
   /// index gets its own block, so small ranges still use every worker.
+  /// Called from one of this pool's own workers, it runs every index inline
+  /// in order instead (a worker that waited on the queue it serves could
+  /// deadlock the pool).
   /// count == 0 is a no-op; a negative count is a programmer error (CHECK).
   /// If fn throws, the first exception is rethrown here (on the calling
   /// thread) after all blocks finish; remaining blocks may be skipped, so

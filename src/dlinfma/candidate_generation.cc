@@ -82,26 +82,32 @@ std::vector<PointCluster> ClusterStayPoints(
     batches[batch].push_back(static_cast<int64_t>(i));
   }
 
-  // Cluster each batch independently, then merge the accumulated clusters
-  // with the same procedure.
-  std::vector<PointCluster> accumulated;
+  // Cluster each batch independently, one pool task per batch, then merge
+  // the batches into the accumulated clusters with the same procedure, in
+  // time order on this thread (a batch's own clusters never depend on the
+  // others, so the result does not depend on the pool's size).
   std::vector<int64_t> batch_keys;
   for (const auto& [key, ids] : batches) batch_keys.push_back(key);
   std::sort(batch_keys.begin(), batch_keys.end());
-  for (int64_t key : batch_keys) {
-    std::vector<PointCluster> singletons;
-    for (int64_t index : batches[key]) {
-      PointCluster c;
-      c.centroid = stay_points[index].location;
-      c.weight = 1.0;
-      c.members = {index};
-      singletons.push_back(std::move(c));
-    }
-    std::vector<PointCluster> batch_clusters = AgglomerateByDistance(
-        std::move(singletons), options.cluster_distance_m);
+  std::vector<std::vector<PointCluster>> batch_clusters(batch_keys.size());
+  ThreadPool::Shared().ParallelFor(
+      static_cast<int64_t>(batch_keys.size()), [&](int64_t k) {
+        std::vector<PointCluster> singletons;
+        for (int64_t index : batches.at(batch_keys[k])) {
+          PointCluster c;
+          c.centroid = stay_points[index].location;
+          c.weight = 1.0;
+          c.members = {index};
+          singletons.push_back(std::move(c));
+        }
+        batch_clusters[k] = AgglomerateByDistance(
+            std::move(singletons), options.cluster_distance_m);
+      });
+  std::vector<PointCluster> accumulated;
+  for (std::vector<PointCluster>& clusters : batch_clusters) {
     accumulated.insert(accumulated.end(),
-                       std::make_move_iterator(batch_clusters.begin()),
-                       std::make_move_iterator(batch_clusters.end()));
+                       std::make_move_iterator(clusters.begin()),
+                       std::make_move_iterator(clusters.end()));
     accumulated =
         AgglomerateByDistance(std::move(accumulated),
                               options.cluster_distance_m);

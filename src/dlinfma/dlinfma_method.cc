@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "nn/serialize.h"
@@ -67,6 +68,11 @@ bool DlInfMaMethod::RestoreModel(const std::string& parameter_blob) {
 
 std::vector<Point> DlInfMaMethod::InferAll(
     const Dataset& data, const std::vector<AddressSample>& samples) {
+  return std::as_const(*this).InferAll(data, samples);
+}
+
+std::vector<Point> DlInfMaMethod::InferAll(
+    const Dataset& data, const std::vector<AddressSample>& samples) const {
   CHECK(!models_.empty()) << "Fit must run before InferAll";
   obs::Span span("locmatcher_scoring");
   obs::MetricsRegistry::Global()

@@ -39,6 +39,10 @@ class DlInfMaMethod : public Inferrer {
   std::vector<Point> InferAll(
       const Dataset& data,
       const std::vector<AddressSample>& samples) override;
+  /// The same answers from a const method (scoring changes no state); the
+  /// bundle writer scores through it.
+  std::vector<Point> InferAll(const Dataset& data,
+                              const std::vector<AddressSample>& samples) const;
 
   const TrainResult& train_result() const { return train_result_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "nn/loss.h"
 #include "nn/ops.h"
 
@@ -142,23 +143,32 @@ void LocMatcher::ForEachLogitsBatch(
     return samples[a].features.size() > samples[b].features.size();
   });
 
-  // Inference-only path: no autograd tape, no gradient buffers.
-  nn::NoGradGuard no_grad;
-  nn::FwdCtx eval_ctx;
-  std::vector<const AddressSample*> chunk;
-  std::vector<size_t> indices;
-  for (size_t begin = 0; begin < order.size();
-       begin += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(order.size(), begin + static_cast<size_t>(batch_size));
-    chunk.clear();
-    indices.clear();
-    for (size_t i = begin; i < end; ++i) {
-      chunk.push_back(&samples[order[i]]);
-      indices.push_back(order[i]);
-    }
-    const LocMatcherBatch batch = MakeLocMatcherBatch(chunk);
-    fn(batch, Forward(batch, eval_ctx), indices);
+  // Every batch is built and run on the shared pool; `fn` then sees them in
+  // batch order on this thread, so what it accumulates does not depend on
+  // the pool's size.
+  const size_t step = static_cast<size_t>(batch_size);
+  const size_t num_batches = (order.size() + step - 1) / step;
+  std::vector<LocMatcherBatch> batches(num_batches);
+  std::vector<nn::Tensor> logits(num_batches);
+  std::vector<std::vector<size_t>> indices(num_batches);
+  ThreadPool::Shared().ParallelFor(
+      static_cast<int64_t>(num_batches), [&](int64_t k) {
+        // Inference-only path: no autograd tape, no gradient buffers. The
+        // guard is per thread, so each task sets its own.
+        nn::NoGradGuard no_grad;
+        const size_t begin = static_cast<size_t>(k) * step;
+        const size_t end = std::min(order.size(), begin + step);
+        std::vector<const AddressSample*> chunk;
+        for (size_t i = begin; i < end; ++i) {
+          chunk.push_back(&samples[order[i]]);
+          indices[k].push_back(order[i]);
+        }
+        batches[k] = MakeLocMatcherBatch(chunk);
+        logits[k] = Forward(batches[k], nn::FwdCtx{});
+      });
+  nn::NoGradGuard no_grad;  // Nor do fn's own ops (EvaluateLoss's loss).
+  for (size_t k = 0; k < num_batches; ++k) {
+    fn(batches[k], logits[k], indices[k]);
   }
 }
 

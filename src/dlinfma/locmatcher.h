@@ -87,16 +87,18 @@ class LocMatcher : public nn::Module {
 
  private:
   /// Shared batched-inference driver behind PredictIndices / PredictLogits /
-  /// EvaluateLoss: chunks `samples` into padded batches, runs Forward under
-  /// nn::NoGradGuard (no tape, no gradient buffers), and hands each
-  /// (batch, logits, original sample indices) triple to `fn`.
+  /// EvaluateLoss: chunks `samples` into padded batches, builds and runs
+  /// each one's Forward under nn::NoGradGuard (no tape, no gradient buffers)
+  /// on ThreadPool::Shared(), then hands each (batch, logits, original
+  /// sample indices) triple to `fn` in batch order on the calling thread.
   ///
   /// Samples are grouped by descending candidate count before chunking, so
   /// each padded batch is only as wide as its own widest sample. Per-sample
   /// logits are invariant to both padding width and batch mates: positions
   /// never mix outside self-attention, and a padded key's -1e9 additive mask
   /// drives its softmax weight to exactly zero (exp underflow) — so the
-  /// reordering is a pure speedup, bit-identical results. `fn` receives
+  /// reordering is a pure speedup, bit-identical results, and so is the
+  /// pool: no batch reads another's state. `fn` receives
   /// `indices[i]` = the position in `samples` of the batch's row i.
   void ForEachLogitsBatch(
       const std::vector<AddressSample>& samples, int batch_size,

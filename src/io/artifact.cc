@@ -81,6 +81,8 @@ const char* ArtifactKindName(ArtifactKind kind) {
       return "checkpoint";
     case ArtifactKind::kIngestState:
       return "ingest_state";
+    case ArtifactKind::kAnswers:
+      return "answers";
   }
   return "unknown";
 }

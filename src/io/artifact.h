@@ -59,6 +59,7 @@ enum class ArtifactKind : uint32_t {
   kManifest = 6,     ///< Bundle manifest (bundle.h).
   kCheckpoint = 7,   ///< Mid-training resume state (checkpoint.h, "CKPT").
   kIngestState = 8,  ///< Ingest-server snapshot (stream/ingest_server.h).
+  kAnswers = 9,      ///< Published serving answers (bundle.h, answers.art).
 };
 
 /// Name of a kind for error messages ("world", "model", ...).

@@ -1,5 +1,6 @@
 #include "io/bundle.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -93,6 +94,24 @@ bool SaveBundle(const std::string& dir, const sim::World& world,
     SetError(error, "cannot write bundle manifest");
     return false;
   }
+
+  // Serving's table: score every sample once, here, so no reader of the
+  // bundle has to load the model to answer.
+  const std::vector<dlinfma::AddressSample> all = AllSamples(samples);
+  const std::vector<Point> locations = method.InferAll(data, all);
+  ArtifactWriter answers(ArtifactKind::kAnswers);
+  EncodeCityPayload(world, &answers);
+  answers.WriteI64s(world.DeliveredAddressIds());
+  answers.WriteU64(all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    answers.WriteI64(all[i].address_id);
+    answers.WriteDouble(locations[i].x);
+    answers.WriteDouble(locations[i].y);
+  }
+  if (!answers.Finish(PathJoin(dir, kAnswersFile))) {
+    SetError(error, "cannot write answers artifact");
+    return false;
+  }
   return true;
 }
 
@@ -161,6 +180,52 @@ std::optional<WarmBundle> LoadBundle(const std::string& dir,
     return std::nullopt;
   }
   return bundle;
+}
+
+std::optional<PublishedAnswers> LoadAnswers(const std::string& dir,
+                                            std::string* error) {
+  obs::Span span("load_answers");
+  const std::string path = PathJoin(dir, kAnswersFile);
+  auto reader = ArtifactReader::Open(path, ArtifactKind::kAnswers, error);
+  if (!reader) return std::nullopt;
+  PublishedAnswers answers;
+  answers.city = DecodeWorldPayload(&*reader);
+  answers.delivered = reader->ReadI64s();
+  const uint64_t count = reader->ReadU64();
+  // 24 bytes an entry: a count the payload cannot hold fails before it
+  // sizes anything.
+  if (count > reader->remaining() / 24) {
+    reader->Fail();
+  } else {
+    answers.addresses.reserve(count);
+  }
+  for (uint64_t i = 0; reader->ok() && i < count; ++i) {
+    const int64_t id = reader->ReadI64();
+    Point location;
+    location.x = reader->ReadDouble();
+    location.y = reader->ReadDouble();
+    answers.addresses.emplace_back(id, location);
+  }
+  if (!reader->AtEnd()) {
+    SetError(error, "malformed answers payload in " + path);
+    return std::nullopt;
+  }
+  // Ids index the city's addresses; one outside it would abort the first
+  // lookup that reached it.
+  const auto in_city = [&](int64_t id) {
+    return id >= 0 &&
+           id < static_cast<int64_t>(answers.city.addresses.size());
+  };
+  bool ids_valid = std::all_of(answers.delivered.begin(),
+                               answers.delivered.end(), in_city);
+  for (const auto& [id, location] : answers.addresses) {
+    ids_valid = ids_valid && in_city(id);
+  }
+  if (!ids_valid) {
+    SetError(error, "answers in " + path + " name an address outside the city");
+    return std::nullopt;
+  }
+  return answers;
 }
 
 }  // namespace io

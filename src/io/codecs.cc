@@ -79,7 +79,9 @@ void WriteI64Map(ArtifactWriter* w,
 
 namespace {
 
-void EncodeWorld(const sim::World& world, ArtifactWriter* w) {
+/// `with_trips` false writes a trip count of zero and no trips: the city.
+void EncodeWorld(const sim::World& world, bool with_trips,
+                 ArtifactWriter* w) {
   w->WriteString(world.name);
   WritePoint(w, world.station);
 
@@ -120,6 +122,10 @@ void EncodeWorld(const sim::World& world, ArtifactWriter* w) {
     w->WriteI64s(c.zone_community_ids);
   }
 
+  if (!with_trips) {
+    w->WriteU64(0);
+    return;
+  }
   w->WriteU64(world.trips.size());
   for (const sim::DeliveryTrip& trip : world.trips) {
     w->WriteI64(trip.id);
@@ -250,7 +256,11 @@ sim::World DecodeWorld(ArtifactReader* r) {
 }  // namespace
 
 void EncodeWorldPayload(const sim::World& world, ArtifactWriter* writer) {
-  EncodeWorld(world, writer);
+  EncodeWorld(world, /*with_trips=*/true, writer);
+}
+
+void EncodeCityPayload(const sim::World& world, ArtifactWriter* writer) {
+  EncodeWorld(world, /*with_trips=*/false, writer);
 }
 
 sim::World DecodeWorldPayload(ArtifactReader* reader) {
@@ -259,7 +269,7 @@ sim::World DecodeWorldPayload(ArtifactReader* reader) {
 
 bool SaveWorldArtifact(const sim::World& world, const std::string& path) {
   ArtifactWriter writer(ArtifactKind::kWorld);
-  EncodeWorld(world, &writer);
+  EncodeWorld(world, /*with_trips=*/true, &writer);
   return writer.Finish(path);
 }
 

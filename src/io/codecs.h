@@ -32,6 +32,9 @@ std::optional<sim::World> LoadWorldArtifact(const std::string& path,
 /// leaves failure signalling to the reader's sticky ok() flag.
 void EncodeWorldPayload(const sim::World& world, ArtifactWriter* writer);
 sim::World DecodeWorldPayload(ArtifactReader* reader);
+/// The world payload of `world` without its trips (the static city), read
+/// back by DecodeWorldPayload as a world with no trips.
+void EncodeCityPayload(const sim::World& world, ArtifactWriter* writer);
 
 /// --- Candidate pool + retrieval indexes (kCandidates) ---------------------
 

@@ -52,11 +52,12 @@ bool PublishBundle(const sim::World& world, const dlinfma::Dataset& data,
     std::filesystem::remove_all(staging, ec);
     return fail("cannot create publish dir " + publish_dir);
   }
-  // Artifacts first, manifest last: BundleManager watches the manifest
-  // stamp, so a watcher that fires mid-publish stages a consistent bundle.
+  // Training artifacts first, answers.art last: serving reads and watches
+  // only that one file, so a watcher that fires mid-publish sees either the
+  // previous publish or this one, never a mix.
   for (const char* name :
        {"world.art", "candidates.art", "samples.art", "model.art",
-        "manifest.art"}) {
+        "manifest.art", io::kAnswersFile}) {
     std::filesystem::rename(staging + "/" + name, publish_dir + "/" + name,
                             ec);
     if (ec) {

@@ -18,8 +18,8 @@ namespace stream {
 /// Publishes a trained pipeline as a DLAB bundle into `publish_dir` using
 /// the hot-reload-safe protocol (DESIGN.md §13): the bundle is written into
 /// a staging directory first, then its artifacts are renamed into place with
-/// the manifest last — the exact order apps::BundleManager keys its watch
-/// on, so a watcher never stages a torn push. The `stream.publish.fail`
+/// answers.art last — the one file apps::BundleManager reads and watches, so
+/// a watcher never stages a torn or mixed push. The `stream.publish.fail`
 /// fault point fails the publication deterministically; outcomes feed the
 /// `stream.publish.{success,failures}` counters.
 bool PublishBundle(const sim::World& world, const dlinfma::Dataset& data,

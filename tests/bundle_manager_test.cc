@@ -1,23 +1,28 @@
 // BundleManager hot-reload tests (src/apps/bundle_manager.h, DESIGN.md §9):
-// boot, the watch->stage->validate->swap state machine, every rollback
-// trigger (injected corruption, real on-disk corruption, shadow-validation
-// veto, agreement threshold), RCU semantics for pinned generations, and the
-// reload counters + degraded-health flag. Two drills churn reloads (offline
+// boot from answers.art alone, the watch->stage->validate->swap state
+// machine (a poll between a publish's renames included), every rollback
+// trigger (injected corruption, real on-disk corruption of answers.art,
+// shadow-validation veto, agreement threshold), answers equal to warm-start
+// scoring, RCU semantics for pinned generations, and the reload counters +
+// degraded-health flag. Two drills churn reloads (offline
 // pushes, then online publications) while a thread runs QueryBatch on the
 // pinned state, so a TSan build checks the swap for races.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stop_token>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/bundle_manager.h"
@@ -119,11 +124,10 @@ std::unique_ptr<BundleManager> MakeManager(BundleManager::Config config = {}) {
 class QueryBatchLoad {
  public:
   explicit QueryBatchLoad(const BundleManager* manager) {
-    std::vector<int64_t> ids;
-    for (const dlinfma::AddressSample& sample : manager->state()->samples) {
-      ids.push_back(sample.address_id);
-      if (ids.size() >= 64) break;
-    }
+    const std::vector<int64_t>& delivered = manager->state()->delivered;
+    const std::vector<int64_t> ids(
+        delivered.begin(),
+        delivered.begin() + std::min<size_t>(64, delivered.size()));
     thread_ = std::jthread([this, manager, ids](std::stop_token stop) {
       while (!stop.stop_requested()) {
         const std::shared_ptr<const BundleManager::ServingState> pinned =
@@ -165,9 +169,9 @@ TEST(BundleManagerTest, BootsAndServes) {
   const std::shared_ptr<const BundleManager::ServingState> state =
       manager->state();
   ASSERT_NE(state, nullptr);
-  ASSERT_FALSE(state->samples.empty());
+  ASSERT_FALSE(state->delivered.empty());
   const DeliveryLocationService::Answer answer =
-      state->service->Query(state->samples.front().address_id);
+      state->service->Query(state->delivered.front());
   EXPECT_TRUE(std::isfinite(answer.location.x));
   EXPECT_TRUE(std::isfinite(answer.location.y));
 }
@@ -193,13 +197,13 @@ TEST(BundleManagerTest, PollWithoutPushIsUnchanged) {
 TEST(BundleManagerTest, PollDetectsFreshPushAndSwaps) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);
-  // A push bumps the manifest mtime; set it explicitly rather than relying
-  // on filesystem timestamp granularity.
-  const std::filesystem::path manifest =
-      std::filesystem::path(Fixture().dir) / "manifest.art";
+  // A push bumps the answers.art mtime; set it explicitly rather than
+  // relying on filesystem timestamp granularity.
+  const std::filesystem::path answers =
+      std::filesystem::path(Fixture().dir) / io::kAnswersFile;
   std::filesystem::last_write_time(
-      manifest, std::filesystem::last_write_time(manifest) +
-                    std::chrono::seconds(2));
+      answers, std::filesystem::last_write_time(answers) +
+                   std::chrono::seconds(2));
   std::string error;
   EXPECT_EQ(manager->Poll(&error), BundleManager::ReloadOutcome::kSwapped)
       << error;
@@ -211,15 +215,127 @@ TEST(BundleManagerTest, PollDetectsFreshPushAndSwaps) {
 TEST(BundleManagerTest, PollDuringMidPushManifestGapIsUnchanged) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);
-  // A pusher writes the manifest last; while it is absent the directory is
+  // A pusher writes answers.art last; while it is absent the directory is
   // mid-push and must be left alone.
-  const std::filesystem::path manifest =
-      std::filesystem::path(Fixture().dir) / "manifest.art";
-  const std::string bytes = ReadFileBytes(manifest.string());
-  std::filesystem::remove(manifest);
+  const std::filesystem::path answers =
+      std::filesystem::path(Fixture().dir) / io::kAnswersFile;
+  const std::string bytes = ReadFileBytes(answers.string());
+  std::filesystem::remove(answers);
   EXPECT_EQ(manager->Poll(), BundleManager::ReloadOutcome::kUnchanged);
   EXPECT_EQ(manager->generation(), 0u);
-  WriteFileBytes(manifest.string(), bytes);
+  WriteFileBytes(answers.string(), bytes);
+}
+
+// A poll that lands between a publish's renames sees the previous publish:
+// serving reads only answers.art, which a publish renames last, so the new
+// training artifacts and manifest alone change nothing, and answers.art
+// then swaps in cleanly.
+TEST(BundleManagerTest, PollBetweenPublishRenamesIsUnchangedThenSwaps) {
+  std::unique_ptr<BundleManager> manager = MakeManager();
+  ASSERT_NE(manager, nullptr);
+  const BundleFixture& fx = Fixture();
+  const std::string next = ScratchPath("next_publish");
+  std::filesystem::remove_all(next);
+  std::string error;
+  ASSERT_TRUE(io::SaveBundle(next, fx.world, fx.data, fx.samples, *fx.method,
+                             &error))
+      << error;
+  const int64_t attempts_before = CounterValue("service.reload.attempts");
+  const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
+  for (const char* name : {"world.art", "candidates.art", "samples.art",
+                           "model.art", "manifest.art"}) {
+    std::filesystem::rename(next + "/" + name, fx.dir + "/" + name);
+  }
+  EXPECT_EQ(manager->Poll(&error), BundleManager::ReloadOutcome::kUnchanged)
+      << error;
+  EXPECT_EQ(manager->generation(), 0u);
+  EXPECT_FALSE(manager->reload_degraded());
+  EXPECT_EQ(CounterValue("service.reload.attempts"), attempts_before);
+
+  // A fresh stamp even where the filesystem's timestamps are coarse.
+  const std::filesystem::path answers =
+      std::filesystem::path(next) / io::kAnswersFile;
+  std::filesystem::last_write_time(
+      answers, std::filesystem::last_write_time(
+                   std::filesystem::path(fx.dir) / io::kAnswersFile) +
+                   std::chrono::seconds(2));
+  std::filesystem::rename(answers,
+                          std::filesystem::path(fx.dir) / io::kAnswersFile);
+  EXPECT_EQ(manager->Poll(&error), BundleManager::ReloadOutcome::kSwapped)
+      << error;
+  EXPECT_EQ(manager->generation(), 1u);
+  EXPECT_EQ(CounterValue("service.reload.rollbacks"), rollbacks_before);
+  std::filesystem::remove_all(next);
+}
+
+// Serving never opens a training artifact: with all four deleted the
+// manager boots from answers.art alone and answers every delivered id.
+TEST(BundleManagerTest, BootsFromAnswersAlone) {
+  const std::string dir = ScratchPath("answers_only");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(
+      std::filesystem::path(Fixture().dir) / io::kAnswersFile,
+      std::filesystem::path(dir) / io::kAnswersFile);
+  BundleManager::Config config;
+  config.dir = dir;
+  std::string error;
+  std::unique_ptr<BundleManager> manager =
+      BundleManager::Create(config, &error);
+  ASSERT_NE(manager, nullptr) << error;
+  const std::shared_ptr<const BundleManager::ServingState> state =
+      manager->state();
+  ASSERT_FALSE(state->delivered.empty());
+  for (const DeliveryLocationService::Answer& answer :
+       state->service->QueryBatch(state->delivered)) {
+    EXPECT_TRUE(std::isfinite(answer.location.x));
+    EXPECT_TRUE(std::isfinite(answer.location.y));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The served answer table is the one a warm start computes: for every
+// address of the city, the answers.art service's Lookup equals a service
+// built from LoadBundle + InferAll + Build (same tier, bit-equal point),
+// and reload validation draws the same probes from either.
+TEST(BundleManagerTest, AnswersEqualWarmStartScoringForEveryAddress) {
+  std::unique_ptr<BundleManager> manager = MakeManager();
+  ASSERT_NE(manager, nullptr);
+  std::string error;
+  std::optional<io::WarmBundle> bundle = io::LoadBundle(Fixture().dir, &error);
+  ASSERT_TRUE(bundle.has_value()) << error;
+  const std::vector<dlinfma::AddressSample> all =
+      io::AllSamples(bundle->samples);
+  const std::vector<Point> locations =
+      bundle->method->InferAll(bundle->data, all);
+  std::unordered_map<int64_t, Point> inferred;
+  inferred.reserve(all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    inferred[all[i].address_id] = locations[i];
+  }
+  const DeliveryLocationService reference =
+      DeliveryLocationService::Build(*bundle->world, inferred);
+
+  const std::shared_ptr<const BundleManager::ServingState> state =
+      manager->state();
+  ASSERT_EQ(state->city->addresses.size(), bundle->world->addresses.size());
+  for (int64_t id = 0;
+       id < static_cast<int64_t>(bundle->world->addresses.size()); ++id) {
+    const DeliveryLocationService::Answer served = state->service->Lookup(id);
+    const DeliveryLocationService::Answer want = reference.Lookup(id);
+    EXPECT_EQ(served.source, want.source) << "address " << id;
+    EXPECT_EQ(served.location.x, want.location.x) << "address " << id;
+    EXPECT_EQ(served.location.y, want.location.y) << "address " << id;
+  }
+
+  const std::vector<int64_t> delivered = bundle->world->DeliveredAddressIds();
+  EXPECT_EQ(state->delivered, delivered);
+  const auto live_count =
+      static_cast<int64_t>(bundle->world->addresses.size());
+  const std::vector<int64_t> probes =
+      BundleManager::ProbeIds(state->delivered, live_count, 64);
+  EXPECT_FALSE(probes.empty());
+  EXPECT_EQ(probes, BundleManager::ProbeIds(delivered, live_count, 64));
 }
 
 TEST(BundleManagerTest, InjectedCorruptPushRollsBack) {
@@ -247,16 +363,16 @@ TEST(BundleManagerTest, InjectedCorruptPushRollsBack) {
 TEST(BundleManagerTest, RealOnDiskCorruptionRollsBack) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);
-  const std::string model_path = Fixture().dir + "/model.art";
-  const std::string valid = ReadFileBytes(model_path);
-  FlipMiddleByte(model_path);
+  const std::string answers_path = Fixture().dir + "/" + io::kAnswersFile;
+  const std::string valid = ReadFileBytes(answers_path);
+  FlipMiddleByte(answers_path);
 
   std::string error;
   EXPECT_EQ(manager->ReloadNow(&error),
             BundleManager::ReloadOutcome::kRolledBack);
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(manager->generation(), 0u);
-  WriteFileBytes(model_path, valid);
+  WriteFileBytes(answers_path, valid);
 }
 
 TEST(BundleManagerTest, ValidationVetoRollsBackThenHealthySwapRecovers) {
@@ -327,8 +443,8 @@ TEST(BundleManagerTest, PinnedGenerationSurvivesSwap) {
   ASSERT_NE(manager, nullptr);
   const std::shared_ptr<const BundleManager::ServingState> pinned =
       manager->state();
-  ASSERT_FALSE(pinned->samples.empty());
-  const int64_t probe_id = pinned->samples.front().address_id;
+  ASSERT_FALSE(pinned->delivered.empty());
+  const int64_t probe_id = pinned->delivered.front();
   const DeliveryLocationService::Answer before =
       pinned->service->Query(probe_id);
 
@@ -372,15 +488,15 @@ TEST(BundleManagerTest, PushSequenceUnderQueryBatchLoadDropsNothing) {
     EXPECT_TRUE(manager->reload_degraded()) << point;
   }
 
-  const std::string model_path = Fixture().dir + "/model.art";
-  const std::string model_bytes = ReadFileBytes(model_path);
-  FlipMiddleByte(model_path);
+  const std::string answers_path = Fixture().dir + "/" + io::kAnswersFile;
+  const std::string answers_bytes = ReadFileBytes(answers_path);
+  FlipMiddleByte(answers_path);
   error.clear();
   EXPECT_EQ(manager->ReloadNow(&error),
             BundleManager::ReloadOutcome::kRolledBack);
   EXPECT_FALSE(error.empty());
   EXPECT_TRUE(manager->reload_degraded());
-  WriteFileBytes(model_path, model_bytes);
+  WriteFileBytes(answers_path, answers_bytes);
 
   EXPECT_EQ(manager->ReloadNow(&error),
             BundleManager::ReloadOutcome::kSwapped)
@@ -451,9 +567,9 @@ TEST(BundleManagerTest, OnlinePublicationsRollBackUnderQueryBatchLoad) {
   EXPECT_EQ(manager->generation(), 1u);
   EXPECT_TRUE(health().ok);
 
-  const std::string model_path = dir + "/model.art";
-  const std::string model_bytes = ReadFileBytes(model_path);
-  FlipMiddleByte(model_path);
+  const std::string answers_path = dir + "/" + io::kAnswersFile;
+  const std::string answers_bytes = ReadFileBytes(answers_path);
+  FlipMiddleByte(answers_path);
   EXPECT_EQ(manager->ReloadNow(&error),
             BundleManager::ReloadOutcome::kRolledBack);
   EXPECT_TRUE(manager->reload_degraded());
@@ -472,7 +588,7 @@ TEST(BundleManagerTest, OnlinePublicationsRollBackUnderQueryBatchLoad) {
             1);
   EXPECT_FALSE(health().ok) << "the last push is still the corrupt one";
 
-  WriteFileBytes(model_path, model_bytes);
+  WriteFileBytes(answers_path, answers_bytes);
   EXPECT_EQ(manager->ReloadNow(&error),
             BundleManager::ReloadOutcome::kSwapped)
       << error;

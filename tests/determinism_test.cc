@@ -1,12 +1,18 @@
-// Determinism regression: the candidate pipeline and feature extraction
-// must produce bit-identical results regardless of the thread count used
-// for the parallel stages (Section V-F parallelizes stay-point extraction
-// at trajectory level). Guards future parallelism PRs against silently
-// introducing thread-count-dependent output.
+// Determinism regression: the candidate pipeline, feature extraction and
+// batched LocMatcher scoring must produce bit-identical results regardless
+// of the thread count used for the parallel stages (Section V-F
+// parallelizes stay-point extraction at trajectory level; clustering
+// windows and inference batches run on the shared pool). A call made from
+// inside a shared-pool task runs its pool work inline, on one thread, so
+// comparing it with a top-level call compares one thread with all of them.
+// Guards future parallelism PRs against silently introducing
+// thread-count-dependent output.
 
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "dlinfma/dlinfma_method.h"
 #include "dlinfma/inferrer.h"
 #include "gtest/gtest.h"
 #include "sim/generator.h"
@@ -101,6 +107,76 @@ TEST(DeterminismTest, RepeatedRunsAreIdentical) {
   const Dataset a = BuildDataset(world, {}, &pool);
   const Dataset b = BuildDataset(world, {}, &pool);
   ExpectSampleSetsIdentical(ExtractSamples(a, {}), ExtractSamples(b, {}));
+}
+
+/// Runs `fn` inside one task of the shared pool, where any ParallelFor it
+/// makes on that pool runs inline.
+template <typename Fn>
+void InSharedPoolTask(const Fn& fn) {
+  ThreadPool::Shared().ParallelFor(1, [&fn](int64_t) { fn(); });
+}
+
+TEST(DeterminismTest, CandidateBuildIsIdenticalInsideAPoolTask) {
+  const sim::World world = SmallWorld();
+  const Dataset top = BuildDataset(world, {});
+  std::unique_ptr<Dataset> inline_data;
+  InSharedPoolTask([&] {
+    inline_data = std::make_unique<Dataset>(BuildDataset(world, {}));
+  });
+  const std::vector<LocationCandidate>& a = top.gen->candidates();
+  const std::vector<LocationCandidate>& b = inline_data->gen->candidates();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].location.x, b[i].location.x) << "candidate " << i;
+    EXPECT_EQ(a[i].location.y, b[i].location.y) << "candidate " << i;
+    EXPECT_EQ(a[i].num_stay_points, b[i].num_stay_points) << "candidate " << i;
+  }
+  ExpectSampleSetsIdentical(ExtractSamples(top, {}),
+                            ExtractSamples(*inline_data, {}));
+}
+
+TEST(DeterminismTest, ScoringIsIdenticalInsideAPoolTask) {
+  const sim::World world = SmallWorld();
+  const Dataset data = BuildDataset(world, {});
+  const SampleSet samples = ExtractSamples(data, {});
+  TrainConfig train_config;
+  train_config.max_epochs = 1;
+  DlInfMaMethod method("DLInfMA", LocMatcherConfig{}, train_config);
+  method.Fit(data, samples);
+  // Small batches, so even this world spans several of them.
+  const LocMatcher& model = *method.model();
+  const double loss = model.EvaluateLoss(samples.train, /*batch_size=*/8);
+  const std::vector<Point> answers = method.InferAll(data, samples.train);
+
+  double inline_loss = 0.0;
+  std::vector<Point> inline_answers;
+  InSharedPoolTask([&] {
+    inline_loss = model.EvaluateLoss(samples.train, /*batch_size=*/8);
+    inline_answers = method.InferAll(data, samples.train);
+  });
+  EXPECT_EQ(loss, inline_loss);
+  ASSERT_EQ(answers.size(), inline_answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i].x, inline_answers[i].x) << "sample " << i;
+    EXPECT_EQ(answers[i].y, inline_answers[i].y) << "sample " << i;
+  }
+}
+
+// The fit's validation losses run on the pool too: a fit whose every
+// EvaluateLoss runs inline on one thread ends on the same parameters.
+TEST(DeterminismTest, FitIsIdenticalInsideAPoolTask) {
+  const sim::World world = SmallWorld();
+  const Dataset data = BuildDataset(world, {});
+  const SampleSet samples = ExtractSamples(data, {});
+  TrainConfig train_config;
+  train_config.max_epochs = 2;
+  DlInfMaMethod top("DLInfMA", LocMatcherConfig{}, train_config);
+  top.Fit(data, samples);
+  DlInfMaMethod inline_fit("DLInfMA", LocMatcherConfig{}, train_config);
+  InSharedPoolTask([&] { inline_fit.Fit(data, samples); });
+  EXPECT_EQ(top.train_result().best_val_loss,
+            inline_fit.train_result().best_val_loss);
+  EXPECT_TRUE(top.ExportParameters() == inline_fit.ExportParameters());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "apps/location_service.h"
@@ -540,9 +541,13 @@ TEST(DirtyGpsPipelineTest, TrainInferServeStayFiniteUnderGpsFaults) {
   std::vector<AddressSample> all = samples.train;
   all.insert(all.end(), samples.test.begin(), samples.test.end());
   ASSERT_FALSE(all.empty());
+  const std::vector<Point> locations = method.InferAll(data, all);
+  std::unordered_map<int64_t, Point> by_address;
+  for (size_t i = 0; i < all.size(); ++i) {
+    by_address[all[i].address_id] = locations[i];
+  }
   const apps::DeliveryLocationService service =
-      apps::DeliveryLocationService::BuildFromInferrer(world, data, all,
-                                                       &method);
+      apps::DeliveryLocationService::Build(world, by_address);
   for (size_t i = 0; i < std::min<size_t>(50, all.size()); ++i) {
     const apps::DeliveryLocationService::Answer answer =
         service.Query(all[i].address_id);

@@ -461,7 +461,8 @@ TEST(IngestServerTest, RetrainRoundsPublishWhatTheDirectPathPublishes) {
       continue;
     }
     ++compared;
-    for (const char* name : {"model.art", "candidates.art", "samples.art"}) {
+    for (const char* name :
+         {"model.art", "candidates.art", "samples.art", "answers.art"}) {
       const std::string served = ReadFileBytes(root + "/served/" + name);
       EXPECT_FALSE(served.empty()) << name;
       EXPECT_TRUE(served == ReadFileBytes(root + "/direct/" + name))

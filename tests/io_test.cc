@@ -412,6 +412,116 @@ TEST(ArtifactFaultTest, DisarmedFileIsUntouchedAndLoads) {
   EXPECT_EQ(reader->ReadString(), "payload under test");
 }
 
+// --- answers.art: the serving artifact (bundle.h) -------------------------
+
+/// A fresh directory holding only a copy of the fixture bundle's
+/// answers.art (the bundle itself is saved once), for LoadAnswers to open.
+std::string AnswersOnlyDir(const std::string& name) {
+  static const std::string bundle = [] {
+    const std::string dir = TestPath("answers_bundle");
+    std::string error;
+    EXPECT_TRUE(SaveBundle(dir, Fixture().world, Fixture().data,
+                           Fixture().samples, *Fixture().method, &error))
+        << error;
+    return dir;
+  }();
+  const std::string dir = TestPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(bundle + "/" + kAnswersFile,
+                             dir + "/" + kAnswersFile);
+  return dir;
+}
+
+TEST(ArtifactEnvelopeTest, AnswersLoadBackTheScoredTable) {
+  const std::string dir = AnswersOnlyDir("answers_ok");
+  std::string error;
+  const std::optional<PublishedAnswers> answers = LoadAnswers(dir, &error);
+  ASSERT_TRUE(answers.has_value()) << error;
+  const PipelineFixture& fixture = Fixture();
+  EXPECT_EQ(answers->city.addresses.size(), fixture.world.addresses.size());
+  EXPECT_TRUE(answers->city.trips.empty());
+  EXPECT_EQ(answers->delivered, fixture.world.DeliveredAddressIds());
+  const std::vector<dlinfma::AddressSample> all = AllSamples(fixture.samples);
+  const std::vector<Point> locations =
+      fixture.method->InferAll(fixture.data, all);
+  ASSERT_EQ(answers->addresses.size(), all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(answers->addresses[i].first, all[i].address_id) << i;
+    EXPECT_EQ(answers->addresses[i].second, locations[i]) << i;
+  }
+}
+
+TEST(ArtifactEnvelopeTest, AnswersBadMagicRejected) {
+  const std::string dir = AnswersOnlyDir("answers_magic");
+  CorruptByteAt(dir + "/" + kAnswersFile, 0);
+  std::string error;
+  EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
+  EXPECT_NE(error.find("magic"), std::string::npos) << error;
+}
+
+TEST(ArtifactEnvelopeTest, AnswersKindMismatchRejected) {
+  // A world.art passed as answers: a sound artifact of the wrong kind.
+  const std::string dir = TestPath("answers_kind");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(SaveWorldArtifact(Fixture().world, dir + "/" + kAnswersFile));
+  std::string error;
+  EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
+  EXPECT_NE(error.find("kind"), std::string::npos) << error;
+}
+
+TEST(ArtifactEnvelopeTest, AnswersFlippedPayloadByteFailsChecksum) {
+  const std::string dir = AnswersOnlyDir("answers_flip");
+  const std::string path = dir + "/" + kAnswersFile;
+  CorruptByteAt(path, ReadFileBytes(path).size() / 2);
+  std::string error;
+  EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+}
+
+TEST(ArtifactEnvelopeTest, AnswersTruncationsRejected) {
+  const std::string dir = AnswersOnlyDir("answers_truncated");
+  const std::string path = dir + "/" + kAnswersFile;
+  const std::string bytes = ReadFileBytes(path);
+  for (const size_t keep : {size_t{0}, size_t{7}, size_t{20}, size_t{30},
+                            bytes.size() / 2, bytes.size() - 1}) {
+    WriteFileBytes(path, bytes.substr(0, keep));
+    std::string error;
+    EXPECT_FALSE(LoadAnswers(dir, &error).has_value())
+        << "kept " << keep << " bytes";
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+TEST(ArtifactEnvelopeTest, AnswersNamingAnAddressOutsideTheCityRejected) {
+  // Checksum-valid, but an id past the city's addresses: refused on load,
+  // never an abort in the first lookup that reaches it.
+  const std::string dir = TestPath("answers_outside");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ArtifactWriter writer(ArtifactKind::kAnswers);
+  EncodeCityPayload(Fixture().world, &writer);
+  writer.WriteI64s({static_cast<int64_t>(Fixture().world.addresses.size())});
+  writer.WriteU64(0);
+  ASSERT_TRUE(writer.Finish(dir + "/" + kAnswersFile));
+  std::string error;
+  EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
+  EXPECT_NE(error.find("outside the city"), std::string::npos) << error;
+}
+
+TEST(ArtifactFaultTest, AnswersFutureVersionRejected) {
+  const std::string dir = AnswersOnlyDir("answers_version");
+  const std::string path = dir + "/" + kAnswersFile;
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t future = kArtifactVersion + 1;
+  std::memcpy(&bytes[4], &future, sizeof(future));
+  WriteFileBytes(path, bytes);
+  std::string error;
+  EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+}
+
 // --- Dataset artifacts ----------------------------------------------------
 
 TEST(IoCodecsTest, WorldArtifactRoundTripsByteIdentically) {

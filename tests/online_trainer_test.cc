@@ -195,11 +195,8 @@ TEST(OnlineTrainerTest, PublishedBundleHotReloadsAcrossRounds) {
   // Zero dropped queries: every inventory address still answers finitely.
   auto state = manager->state();
   ASSERT_NE(state, nullptr);
-  ASSERT_FALSE(state->samples.empty());
-  std::vector<int64_t> ids;
-  for (const dlinfma::AddressSample& s : state->samples) {
-    ids.push_back(s.address_id);
-  }
+  ASSERT_FALSE(state->delivered.empty());
+  const std::vector<int64_t>& ids = state->delivered;
   const auto answers = state->service->QueryBatch(ids);
   ASSERT_EQ(answers.size(), ids.size());
   for (const auto& answer : answers) {

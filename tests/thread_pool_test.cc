@@ -4,8 +4,10 @@
 
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -70,6 +72,50 @@ TEST(ThreadPoolEdgeTest, ParallelForReusableAcrossCalls) {
     pool.ParallelFor(17, [&hits](int64_t i) { hits[i].fetch_add(1); });
     for (const auto& hit : hits) ASSERT_EQ(hit.load(), 1);
   }
+}
+
+TEST(ThreadPoolEdgeTest, ParallelForWaitsOnlyForItsOwnBlocks) {
+  // One worker is held by an unrelated task; ParallelFor must still return
+  // once its own blocks finish on the other worker.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<bool> held_done{false};
+  pool.Submit([&] {
+    while (!release.load()) std::this_thread::yield();
+    held_done.store(true);
+  });
+  std::atomic<int> calls{0};
+  pool.ParallelFor(6, [&calls](int64_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 6);
+  EXPECT_FALSE(held_done.load());
+  release.store(true);
+  pool.Wait();
+  EXPECT_TRUE(held_done.load());
+}
+
+TEST(ThreadPoolEdgeTest, ParallelForFromAWorkerRunsInline) {
+  // On a one-worker pool, a worker that queued work behind itself and
+  // waited would never finish; the nested call runs inline, in order.
+  ThreadPool pool(1);
+  std::vector<int64_t> order;
+  std::thread::id worker;
+  bool same_thread = true;
+  pool.ParallelFor(1, [&](int64_t) {
+    worker = std::this_thread::get_id();
+    pool.ParallelFor(5, [&](int64_t i) {
+      order.push_back(i);
+      same_thread = same_thread && std::this_thread::get_id() == worker;
+    });
+  });
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(same_thread);
+}
+
+TEST(ThreadPoolEdgeTest, SharedPoolHasAWorkerPerHardwareThread) {
+  const int want =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(ThreadPool::Shared().num_threads(), want);
+  EXPECT_EQ(&ThreadPool::Shared(), &ThreadPool::Shared());
 }
 
 TEST(ThreadPoolDeathTest, ParallelForNegativeCountAborts) {

@@ -14,16 +14,18 @@
 //       The offline pipeline: candidate generation + feature extraction,
 //       train LocMatcher on the train/val splits, report test metrics, then
 //       persist the full artifact bundle (world, candidate pool + retrieval
-//       indexes, feature tensors, checksummed model weights; see
-//       io/bundle.h) so that serve/infer warm-start without retraining.
+//       indexes, feature tensors, checksummed model weights, and the scored
+//       answers serving reads; see io/bundle.h) so that serve/infer
+//       warm-start without retraining.
 //       --ckpt writes a crash-safe CKPT artifact (io/checkpoint.h) every N
 //       epochs (default 5); --resume restores it first, so a killed run
 //       finishes bit-identical to an uninterrupted one.
 //
 //   dlinf_cli serve --bundle DIR [--shards N] [--port P] [--serve-seconds S]
 //              [--poll-every K] [--trace-sample R] [--agree-frac F]
-//       The online service: warm-start from the bundle (milliseconds, no
-//       retraining) and boot the sharded HTTP query engine (DESIGN.md §11):
+//       The online service: warm-start from the bundle's answers.art alone
+//       (milliseconds, no model) and boot the sharded HTTP query engine
+//       (DESIGN.md §11):
 //       N shards (default 4) reading one hot-reload BundleManager
 //       (apps/bundle_manager.h), answered by one epoll event loop on --port
 //       P (default 0 = ephemeral), serving /query, /query_batch, /inventory
