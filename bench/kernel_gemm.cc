@@ -13,6 +13,10 @@
 //   kernel.gemm.large      a cache-blocking stress shape (256^3)
 //   kernel.dropout_mask    dropout-mask draws (FillDropoutMask, 4096
 //                          elements per call)
+//   kernel.softmax_rows    one attention panel's softmax (SoftmaxRows,
+//                          30x30, in place)
+//   kernel.tanh            the additive scorer's tanh (Tanh over 16x30x32
+//                          scores)
 //
 // Each case is also run with the scalar path forced (<name>.scalar), so
 // the bench history tracks the SIMD speedup itself — a dispatch regression
@@ -90,6 +94,26 @@ double TimeDropoutMask(int64_t n, int64_t iters, int reps) {
   return best;
 }
 
+/// Best-of-`reps` seconds for `iters` calls of `fn(x, y)` on a span of `n`
+/// inputs drawn uniformly from [lo, hi].
+template <typename Fn>
+double TimeSpan(int64_t n, double lo, double hi, int64_t iters, int reps,
+                Fn fn) {
+  Rng rng(42);
+  std::vector<float> x(static_cast<size_t>(n));
+  for (float& v : x) v = static_cast<float>(rng.Uniform(lo, hi));
+  std::vector<float> y(x.size());
+  double best = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch watch;
+    for (int64_t i = 0; i < iters; ++i) fn(x.data(), y.data());
+    const double seconds = watch.ElapsedSeconds();
+    if (seconds < best) best = seconds;
+    g_sink = y.front() + y.back();
+  }
+  return best;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -139,6 +163,39 @@ int Main(int argc, char** argv) {
   std::printf("%-9s %14.6f %14.6f %7.2fx  (%.2f vs %.2f ns/draw)\n",
               "dropout", mask_active, mask_scalar, mask_scalar / mask_active,
               mask_active / draws * 1e9, mask_scalar / draws * 1e9);
+
+  // Softmax re-reads x each call (y is scratch), so every call sees the
+  // same logits; tanh runs over the scorer's [B, N, hidden] activations.
+  constexpr int64_t kPanel = 30;
+  constexpr int64_t kScores = 16 * 30 * 32;
+  struct SpanCase {
+    const char* name;
+    const char* label;  // Table column (the shape column is 9 wide).
+    int64_t n;
+    double lo, hi;
+    int64_t iters;
+    void (*fn)(const float*, float*);
+  };
+  const SpanCase span_cases[] = {
+      {"softmax_rows", "softmax", kPanel * kPanel, -8.0, 8.0, 20000,
+       [](const float* x, float* y) {
+         nn::kernel::SoftmaxRows(x, y, kPanel, kPanel);
+       }},
+      {"tanh", "tanh", kScores, -3.0, 3.0, 2000,
+       [](const float* x, float* y) { nn::kernel::Tanh(x, y, kScores); }},
+  };
+  for (const SpanCase& c : span_cases) {
+    const double active = TimeSpan(c.n, c.lo, c.hi, c.iters, reps, c.fn);
+    results.Add(std::string("kernel.") + c.name, active);
+    nn::kernel::ForceScalar(true);
+    const double scalar = TimeSpan(c.n, c.lo, c.hi, c.iters, reps, c.fn);
+    nn::kernel::ForceScalar(false);
+    results.Add(std::string("kernel.") + c.name + ".scalar", scalar);
+    const double elems = static_cast<double>(c.n * c.iters);
+    std::printf("%-9s %14.6f %14.6f %7.2fx  (%.2f vs %.2f ns/element)\n",
+                c.label, active, scalar, scalar / active,
+                active / elems * 1e9, scalar / elems * 1e9);
+  }
 
   results.WriteJson(json_path);
   DumpMetrics(metrics_path);

@@ -45,6 +45,12 @@ void LayerNormInputGradAvx2(const float* x, const float* gamma,
 void FillDropoutMaskAvx2(uint64_t* words, size_t* position,
                          uint64_t threshold, float keep, float* mask,
                          int64_t n);
+void ExpAvx2(const float* x, float* y, int64_t count);
+void Expm1Avx2(const float* x, float* y, int64_t count);
+void TanhAvx2(const float* x, float* y, int64_t count);
+void SoftmaxRowsAvx2(const float* x, float* y, int64_t rows, int64_t n);
+void SoftmaxBackwardRowsAvx2(const float* y, const float* gy, float* gx,
+                             int64_t rows, int64_t n);
 
 }  // namespace detail
 
@@ -223,8 +229,36 @@ void ColumnSumRows(const float* x, int64_t rows, int64_t n, float* out) {
   }
 }
 
+void Exp(const float* x, float* y, int64_t count) {
+  if (Avx2Enabled()) {
+    detail::ExpAvx2(x, y, count);
+    return;
+  }
+  for (int64_t i = 0; i < count; ++i) y[i] = std::exp(x[i]);
+}
+
+void Expm1(const float* x, float* y, int64_t count) {
+  if (Avx2Enabled()) {
+    detail::Expm1Avx2(x, y, count);
+    return;
+  }
+  for (int64_t i = 0; i < count; ++i) y[i] = ::expm1f(x[i]);
+}
+
+void Tanh(const float* x, float* y, int64_t count) {
+  if (Avx2Enabled()) {
+    detail::TanhAvx2(x, y, count);
+    return;
+  }
+  for (int64_t i = 0; i < count; ++i) y[i] = std::tanh(x[i]);
+}
+
 void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t n) {
   CHECK_GT(n, 0);
+  if (Avx2Enabled()) {
+    detail::SoftmaxRowsAvx2(x, y, rows, n);
+    return;
+  }
   for (int64_t r = 0; r < rows; ++r) {
     const float* xr = x + r * n;
     float* yr = y + r * n;
@@ -242,6 +276,10 @@ void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t n) {
 
 void SoftmaxBackwardRows(const float* y, const float* gy, float* gx,
                          int64_t rows, int64_t n) {
+  if (Avx2Enabled()) {
+    detail::SoftmaxBackwardRowsAvx2(y, gy, gx, rows, n);
+    return;
+  }
   for (int64_t r = 0; r < rows; ++r) {
     const float* yr = y + r * n;
     const float* gyr = gy + r * n;

@@ -15,10 +15,11 @@ namespace kernel {
 /// \file
 /// The compute-kernel layer under nn/ (DESIGN.md §12): cache-aware GEMM with an
 /// AVX2/FMA microkernel behind runtime CPU dispatch, bias/activation epilogues,
-/// row-wise softmax / layer-norm primitives, block dropout-mask draws, and a
-/// free-list buffer pool for autograd temporaries. Everything above (nn/ops.cc,
-/// nn/module.cc) routes its inner loops through these entry points; nothing
-/// here records autograd tape state.
+/// exact exp / expm1 / tanh spans, row-wise softmax / layer-norm primitives,
+/// block dropout-mask draws, and a free-list buffer pool for autograd
+/// temporaries. Everything above (nn/ops.cc, nn/module.cc) routes its inner
+/// loops through these entry points; nothing here records autograd tape
+/// state.
 ///
 /// **Determinism contract.** The scalar and AVX2 paths produce bit-identical
 /// results: every output element accumulates its k-products in the same serial
@@ -26,7 +27,9 @@ namespace kernel {
 /// path the hardware vfmadd (the same single-rounding fused operation), and
 /// epilogues/softmax/layer-norm use only per-element ops whose rounding does
 /// not depend on lane width (explicit multiplies and adds, never contracted
-/// into a fused op); their reductions stay serial. tests/kernel_test.cc asserts
+/// into a fused op); their reductions stay serial. The vector exp, expm1 and
+/// tanh repeat libm's own operations lane by lane, so they return libm's
+/// bits (DESIGN.md §12 states which libm that is). tests/kernel_test.cc asserts
 /// the bit-identity on every shape it sweeps; the `simd-dispatch` CI job
 /// asserts it end to end on the golden pipeline.
 
@@ -92,15 +95,28 @@ void ReluInPlace(float* y, int64_t count);
 /// order broadcast-add backward historically used for bias gradients).
 void ColumnSumRows(const float* x, int64_t rows, int64_t n, float* out);
 
+/// --- Transcendentals ------------------------------------------------------
+
+/// y[i] = std::exp(x[i]), y[i] = ::expm1f(x[i]), y[i] = std::tanh(x[i]),
+/// bit for bit, over a span (`x` and `y` may alias). The scalar path calls
+/// libm; the AVX2 path replays libm's own operation sequence eight lanes at
+/// a time (glibc's `__expf_fma`, fdlibm's `expm1f` and `tanhf`; DESIGN.md
+/// §12) and hands NaN, infinite and overflowing lanes to libm itself.
+void Exp(const float* x, float* y, int64_t count);
+void Expm1(const float* x, float* y, int64_t count);
+void Tanh(const float* x, float* y, int64_t count);
+
 /// --- Softmax --------------------------------------------------------------
 
 /// Numerically stable softmax over each contiguous row of `n` entries;
-/// `x` and `y` may alias. Path-invariant by construction (serial exp and
-/// double-precision denominator on both paths).
+/// `x` and `y` may alias. Path-invariant: the row max is exact on both
+/// paths, every exp is libm's `expf` bit for bit (see Exp), and each row's
+/// double-precision denominator adds its terms serially in column order.
 void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t n);
 
 /// gx[r, j] += y[r, j] * (gy[r, j] - sum_i gy[r, i] * y[r, i]) — the softmax
-/// Jacobian product, given the forward result `y`.
+/// Jacobian product, given the forward result `y`. The row dot product is a
+/// serial double sum in column order on both paths.
 void SoftmaxBackwardRows(const float* y, const float* gy, float* gx,
                          int64_t rows, int64_t n);
 

@@ -10,7 +10,8 @@
 // the scalar path performs. The row primitives use explicit mul/add
 // intrinsics (this file is built with -ffp-contract=off, so nothing is fused
 // behind their back) and keep every reduction serial, so the two paths are
-// bit-identical (kernels.h).
+// bit-identical (kernels.h). The exp, expm1 and tanh forms replay libm's own
+// operations lane by lane (see "Exact transcendentals" below).
 
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
+#include <cmath>
 #include <type_traits>
 #endif
 
@@ -409,6 +411,408 @@ void FillDropoutMaskAvx2(uint64_t* words, size_t* position,
   *position = pos;
 }
 
+// --- Exact transcendentals -------------------------------------------------
+//
+// Each function below runs libm's own algorithm on all eight lanes, every
+// branch computed and the results blended, with the operations in libm's
+// order and rounding, so a lane returns the bits the libm call returns:
+//
+//   expf    glibc 2.27+'s e_expf.c as its FMA build (__expf_fma) compiles
+//           it; glibc's ifunc picks that build on every CPU with AVX2 and
+//           FMA, which are the CPUs DetectAvx2() accepts.
+//   expm1f  fdlibm's s_expm1f.c and s_tanhf.c as glibc compiles them for
+//   tanhf   baseline x86-64: single-precision ops, nothing fused.
+//
+// Lanes that libm takes off its main path for NaN, infinity or overflow
+// (and expf's may-underflow band) are recomputed by the libm call itself.
+// expf's underflow to +0, which softmax's -1e9 padding logits hit, stays
+// in the vector.
+
+namespace {
+
+/// 2^(i/32) with i << 47 subtracted from its bits, i = 0..31 (glibc's
+/// __exp2f_data.tab), so that adding ki << 47 for ki = k mod 2^17 scales
+/// it by 2^(k/32).
+alignas(32) constexpr uint64_t kExp2fTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+/// Lanes of y whose bit is set in `lanes` (a movemask) replaced by fn(x).
+template <typename Fn>
+__m256 RecomputeLanes(__m256 x, __m256 y, int lanes, Fn fn) {
+  alignas(32) float xs[8];
+  alignas(32) float ys[8];
+  _mm256_store_ps(xs, x);
+  _mm256_store_ps(ys, y);
+  for (; lanes != 0; lanes &= lanes - 1) {
+    const int i = __builtin_ctz(static_cast<unsigned>(lanes));
+    ys[i] = fn(xs[i]);
+  }
+  return _mm256_load_ps(ys);
+}
+
+/// Movemask of the lanes whose |x| bits exceed `bound`.
+inline int AbsBitsAbove(__m256 x, int32_t bound) {
+  const __m256i abs_bits = _mm256_and_si256(_mm256_castps_si256(x),
+                                            _mm256_set1_epi32(0x7fffffff));
+  return _mm256_movemask_ps(_mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(abs_bits, _mm256_set1_epi32(bound))));
+}
+
+/// __expf_fma's main path on four floats: z = x * 32/ln2 rounded to the
+/// integer kd by the 1.5 * 2^52 shift (one fused op), the fused remainder
+/// r = z - kd, s = 2^(kd/32) from the table, then the three-FMA cubic.
+inline __m128 ExpfHalf(__m128 x) {
+  const __m256d inv_ln2_n = _mm256_set1_pd(0x1.71547652b82fep+5);
+  const __m256d shift = _mm256_set1_pd(0x1.8p+52);
+  const __m256d xd = _mm256_cvtps_pd(x);
+  __m256d kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+  const __m256i t = _mm256_add_epi64(
+      _mm256_i64gather_epi64(reinterpret_cast<const long long*>(kExp2fTable),
+                             _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8),
+      _mm256_slli_epi64(ki, 47));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(0x1.c6af84b912394p-20), r,
+                                    _mm256_set1_pd(0x1.ebfce50fac4f3p-13));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(0x1.62e42ff0c52d6p-6), r,
+                              _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, _mm256_castsi256_pd(t)));
+}
+
+/// std::exp(float) on eight lanes.
+inline __m256 Expf8(__m256 x) {
+  __m256 y = _mm256_set_m128(ExpfHalf(_mm256_extractf128_ps(x, 1)),
+                             ExpfHalf(_mm256_castps256_ps128(x)));
+  // glibc leaves the main path when the top 12 bits of |x| reach 88.0f's
+  // (0x42b) or x is NaN or infinite. Below log(2^-150) (-inf included) it
+  // returns +0; the other lanes it left are recomputed by libm.
+  const __m256 underflow =
+      _mm256_cmp_ps(x, _mm256_set1_ps(-0x1.9fe368p6f), _CMP_LT_OQ);
+  y = _mm256_andnot_ps(underflow, y);
+  const __m256i abstop = _mm256_and_si256(
+      _mm256_srli_epi32(_mm256_castps_si256(x), 20), _mm256_set1_epi32(0x7ff));
+  const int slow = _mm256_movemask_ps(_mm256_andnot_ps(
+      underflow, _mm256_castsi256_ps(
+                     _mm256_cmpgt_epi32(abstop, _mm256_set1_epi32(0x42a)))));
+  if (slow != 0) {
+    y = RecomputeLanes(x, y, slow, [](float v) { return std::exp(v); });
+  }
+  return y;
+}
+
+/// fdlibm expm1f on eight lanes with |x| <= 0x1.62e42ep6 (bits 0x42b17217);
+/// larger, infinite and NaN lanes are garbage, for the caller to replace.
+inline __m256 Expm1Core8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256i bits = _mm256_castps_si256(x);
+  const __m256i sign = _mm256_srai_epi32(bits, 31);
+  const __m256i hx = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fffffff));
+  auto hx_above = [&](int32_t bound) {
+    return _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(bound));
+  };
+  // Argument reduction x = k ln2 + (hi - lo) for |x| > ln2 / 2: k = +-1 up
+  // to 1.5 ln2, else x / ln2 + +-0.5 truncated. k = 0 below leaves
+  // hi - lo = x.
+  const __m256 half_signed =
+      _mm256_or_ps(half, _mm256_and_ps(_mm256_castsi256_ps(sign),
+                                       _mm256_set1_ps(-0.0f)));
+  __m256i k = _mm256_cvttps_epi32(_mm256_add_ps(
+      _mm256_mul_ps(_mm256_set1_ps(0x1.715476p+0f), x), half_signed));
+  k = _mm256_blendv_epi8(_mm256_or_si256(sign, _mm256_set1_epi32(1)), k,
+                         hx_above(0x3f851591));
+  k = _mm256_and_si256(k, hx_above(0x3eb17218));
+  const __m256 kf = _mm256_cvtepi32_ps(k);
+  const __m256 hi =
+      _mm256_sub_ps(x, _mm256_mul_ps(kf, _mm256_set1_ps(0x1.62e3p-1f)));
+  const __m256 lo = _mm256_mul_ps(kf, _mm256_set1_ps(0x1.2fefa2p-17f));
+  const __m256 xr = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+  // The primary range: the rational approximation of fdlibm's Q1..Q5.
+  const __m256 hfx = _mm256_mul_ps(xr, half);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 r1 = _mm256_mul_ps(_mm256_set1_ps(-0x1.afdb76p-23f), hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(r1, _mm256_set1_ps(0x1.0cfca8p-18f)), hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(r1, _mm256_set1_ps(-0x1.4ce19ap-14f)), hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(r1, _mm256_set1_ps(0x1.a01a02p-10f)), hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(r1, _mm256_set1_ps(-0x1.111112p-5f)), hxs);
+  r1 = _mm256_add_ps(r1, one);
+  const __m256 t =
+      _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(hfx, r1));
+  const __m256 e = _mm256_mul_ps(
+      _mm256_div_ps(_mm256_sub_ps(r1, t),
+                    _mm256_sub_ps(_mm256_set1_ps(6.0f), _mm256_mul_ps(t, xr))),
+      hxs);
+
+  // One result per branch of k.
+  const __m256 k0 = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(e, xr), hxs));
+  const __m256 ek = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(_mm256_sub_ps(e, c), xr), c), hxs);
+  const __m256 km1 =
+      _mm256_sub_ps(_mm256_mul_ps(_mm256_sub_ps(xr, ek), half), half);
+  const __m256 k1_low = _mm256_mul_ps(
+      _mm256_set1_ps(-2.0f), _mm256_sub_ps(ek, _mm256_add_ps(half, xr)));
+  const __m256 x_minus_e = _mm256_sub_ps(xr, ek);
+  const __m256 k1_high = _mm256_add_ps(_mm256_add_ps(x_minus_e, x_minus_e), one);
+  const __m256 k1 = _mm256_blendv_ps(
+      k1_high, k1_low, _mm256_cmp_ps(xr, _mm256_set1_ps(-0.25f), _CMP_LT_OQ));
+  // The rest add k to the exponent of y.
+  const __m256i k_exponent = _mm256_slli_epi32(k, 23);
+  auto scale = [&](__m256 y) {
+    return _mm256_castsi256_ps(
+        _mm256_add_epi32(_mm256_castps_si256(y), k_exponent));
+  };
+  const __m256 e_minus_x = _mm256_sub_ps(ek, xr);
+  const __m256 far = _mm256_sub_ps(scale(_mm256_sub_ps(one, e_minus_x)), one);
+  const __m256 t_below_23 = _mm256_castsi256_ps(_mm256_sub_epi32(
+      _mm256_set1_epi32(0x3f800000),
+      _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)));
+  const __m256 below_23 = scale(_mm256_sub_ps(t_below_23, e_minus_x));
+  const __m256 t_from_23 = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 from_23 = scale(
+      _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(ek, t_from_23)), one));
+
+  auto k_is = [&](int32_t v) {
+    return _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(v)));
+  };
+  __m256 y = _mm256_blendv_ps(
+      from_23, below_23,
+      _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(23), k)));
+  y = _mm256_blendv_ps(
+      y, far,
+      _mm256_castsi256_ps(_mm256_or_si256(
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+          _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)))));
+  y = _mm256_blendv_ps(y, k1, k_is(1));
+  y = _mm256_blendv_ps(y, km1, k_is(-1));
+  y = _mm256_blendv_ps(y, k0, k_is(0));
+  // |x| < 2^-25 returns x; x <= -27 ln2 returns -1.
+  y = _mm256_blendv_ps(x, y, _mm256_castsi256_ps(hx_above(0x32ffffff)));
+  return _mm256_blendv_ps(
+      y, _mm256_set1_ps(-1.0f),
+      _mm256_castsi256_ps(_mm256_and_si256(sign, hx_above(0x4195b843))));
+}
+
+/// ::expm1f on eight lanes.
+inline __m256 Expm1f8(__m256 x) {
+  __m256 y = Expm1Core8(x);
+  const int slow = AbsBitsAbove(x, 0x42b17217);
+  if (slow != 0) {
+    y = RecomputeLanes(x, y, slow, [](float v) { return ::expm1f(v); });
+  }
+  return y;
+}
+
+/// std::tanh(float) on eight lanes: fdlibm's tanhf, whose single expm1f
+/// call (argument 2|x| from |x| = 1, -2|x| below) is Expm1Core8.
+inline __m256 Tanhf8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 sign_bit = _mm256_set1_ps(-0.0f);
+  const __m256 ax = _mm256_andnot_ps(sign_bit, x);
+  const __m256i ix = _mm256_castps_si256(ax);
+  auto ix_above = [&](int32_t bound) {
+    return _mm256_castsi256_ps(
+        _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(bound)));
+  };
+  const __m256 from_one = ix_above(0x3f7fffff);
+  const __m256 t = Expm1Core8(_mm256_blendv_ps(
+      _mm256_mul_ps(ax, _mm256_set1_ps(-2.0f)), _mm256_add_ps(ax, ax),
+      from_one));
+  // z = 1 - 2 / (t + 2) from |x| = 1, -t / (t + 2) below: one division
+  // with each lane's own numerator.
+  const __m256 q = _mm256_div_ps(
+      _mm256_blendv_ps(_mm256_xor_ps(t, sign_bit), two, from_one),
+      _mm256_add_ps(t, two));
+  __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), from_one);
+  // |x| >= 22 is +-1; the sign of x goes on last.
+  z = _mm256_blendv_ps(z, one, ix_above(0x41afffff));
+  z = _mm256_xor_ps(z, _mm256_and_ps(x, sign_bit));
+  // |x| < 2^-55 (zero included) returns x * (1 + x).
+  __m256 y = _mm256_blendv_ps(_mm256_mul_ps(_mm256_add_ps(one, x), x), z,
+                              ix_above(0x23ffffff));
+  const int slow = AbsBitsAbove(x, 0x7f7fffff);
+  if (slow != 0) {
+    y = RecomputeLanes(x, y, slow, [](float v) { return std::tanh(v); });
+  }
+  return y;
+}
+
+/// y = fn8(x) over a span, the tail in one masked strip.
+template <typename Fn8>
+inline void MapSpan(const float* x, float* y, int64_t count, Fn8 fn8) {
+  ForEachStrip(count, [&](auto masked, int64_t j, __m256i lanes) {
+    constexpr bool kMasked = decltype(masked)::value;
+    Store8<kMasked>(y + j, lanes, fn8(Load8<kMasked>(x + j, lanes)));
+  });
+}
+
+/// The value the scalar path's serial `max_v = std::max(max_v, x[j])` loop
+/// ends with. Without NaN in the row every order finds the same maximum,
+/// up to the sign of a zero one, which x - max cannot tell apart (exp(+-0)
+/// is 1); a row holding a NaN takes the serial loop.
+float RowMax(const float* xr, int64_t n) {
+  const __m256 first = _mm256_set1_ps(xr[0]);
+  __m256 max_v = first;
+  __m256 nan = _mm256_setzero_ps();
+  ForEachStrip(n, [&](auto masked, int64_t j, __m256i lanes) {
+    constexpr bool kMasked = decltype(masked)::value;
+    __m256 v = Load8<kMasked>(xr + j, lanes);
+    if constexpr (kMasked) {
+      v = _mm256_blendv_ps(first, v, _mm256_castsi256_ps(lanes));
+    }
+    max_v = _mm256_max_ps(max_v, v);
+    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+  });
+  if (_mm256_movemask_ps(nan) != 0) {
+    float serial = xr[0];
+    for (int64_t j = 1; j < n; ++j) serial = serial < xr[j] ? xr[j] : serial;
+    return serial;
+  }
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(max_v),
+                        _mm256_extractf128_ps(max_v, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_movehdup_ps(m));
+  return _mm_cvtss_f32(m);
+}
+
+/// The 4x4 block at p (four rows `ld` apart, four columns) as four column
+/// vectors widened to double: lane i of col[c] is row i's column c, so one
+/// vector add extends four rows' serial sums by one column each.
+inline void LoadColumns4(const float* p, int64_t ld, __m256d col[4]) {
+  __m128 r0 = _mm_loadu_ps(p);
+  __m128 r1 = _mm_loadu_ps(p + ld);
+  __m128 r2 = _mm_loadu_ps(p + 2 * ld);
+  __m128 r3 = _mm_loadu_ps(p + 3 * ld);
+  _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+  col[0] = _mm256_cvtps_pd(r0);
+  col[1] = _mm256_cvtps_pd(r1);
+  col[2] = _mm256_cvtps_pd(r2);
+  col[3] = _mm256_cvtps_pd(r3);
+}
+
+/// Softmax over R consecutive rows: vector exp, then each row's double
+/// denominator summed serially in column order, the R chains interleaved.
+template <int R>
+void SoftmaxBlock(const float* x, float* y, int64_t n) {
+  double denom[R];
+  for (int i = 0; i < R; ++i) {
+    const float* xr = x + i * n;
+    float* yr = y + i * n;
+    const __m256 max_v = _mm256_set1_ps(RowMax(xr, n));
+    MapSpan(xr, yr, n,
+            [&](__m256 v) { return Expf8(_mm256_sub_ps(v, max_v)); });
+    denom[i] = 0.0;
+  }
+  int64_t j = 0;
+  if constexpr (R == 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (; j + 4 <= n; j += 4) {
+      __m256d col[4];
+      LoadColumns4(y + j, n, col);
+      for (int c = 0; c < 4; ++c) acc = _mm256_add_pd(acc, col[c]);
+    }
+    _mm256_storeu_pd(denom, acc);
+  }
+  for (; j < n; ++j) {
+    for (int i = 0; i < R; ++i) denom[i] += y[i * n + j];
+  }
+  for (int i = 0; i < R; ++i) {
+    const __m256 inv = _mm256_set1_ps(static_cast<float>(1.0 / denom[i]));
+    float* yr = y + i * n;
+    MapSpan(yr, yr, n, [&](__m256 v) { return _mm256_mul_ps(v, inv); });
+  }
+}
+
+/// Softmax backward over R consecutive rows: each row's double dot product
+/// summed serially in column order (the R chains interleaved), then the
+/// element-wise update.
+template <int R>
+void SoftmaxBackwardBlock(const float* y, const float* gy, float* gx,
+                          int64_t n) {
+  double dot[R] = {};
+  int64_t j = 0;
+  if constexpr (R == 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (; j + 4 <= n; j += 4) {
+      __m256d gy_col[4];
+      __m256d y_col[4];
+      LoadColumns4(gy + j, n, gy_col);
+      LoadColumns4(y + j, n, y_col);
+      for (int c = 0; c < 4; ++c) {
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(gy_col[c], y_col[c]));
+      }
+    }
+    _mm256_storeu_pd(dot, acc);
+  }
+  for (; j < n; ++j) {
+    for (int i = 0; i < R; ++i) {
+      dot[i] += static_cast<double>(gy[i * n + j]) * y[i * n + j];
+    }
+  }
+  for (int i = 0; i < R; ++i) {
+    const __m256 dot_f = _mm256_set1_ps(static_cast<float>(dot[i]));
+    const float* yr = y + i * n;
+    const float* gyr = gy + i * n;
+    float* gxr = gx + i * n;
+    ForEachStrip(n, [&](auto masked, int64_t j, __m256i lanes) {
+      constexpr bool kMasked = decltype(masked)::value;
+      const __m256 update = _mm256_mul_ps(
+          Load8<kMasked>(yr + j, lanes),
+          _mm256_sub_ps(Load8<kMasked>(gyr + j, lanes), dot_f));
+      Store8<kMasked>(gxr + j, lanes,
+                      _mm256_add_ps(Load8<kMasked>(gxr + j, lanes), update));
+    });
+  }
+}
+
+}  // namespace
+
+void ExpAvx2(const float* x, float* y, int64_t count) {
+  MapSpan(x, y, count, Expf8);
+}
+
+void Expm1Avx2(const float* x, float* y, int64_t count) {
+  MapSpan(x, y, count, Expm1f8);
+}
+
+void TanhAvx2(const float* x, float* y, int64_t count) {
+  MapSpan(x, y, count, Tanhf8);
+}
+
+void SoftmaxRowsAvx2(const float* x, float* y, int64_t rows, int64_t n) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) SoftmaxBlock<4>(x + r * n, y + r * n, n);
+  for (; r < rows; ++r) SoftmaxBlock<1>(x + r * n, y + r * n, n);
+}
+
+void SoftmaxBackwardRowsAvx2(const float* y, const float* gy, float* gx,
+                             int64_t rows, int64_t n) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    SoftmaxBackwardBlock<4>(y + r * n, gy + r * n, gx + r * n, n);
+  }
+  for (; r < rows; ++r) {
+    SoftmaxBackwardBlock<1>(y + r * n, gy + r * n, gx + r * n, n);
+  }
+}
+
 #else  // !(__AVX2__ && __FMA__)
 
 extern const bool kAvx2Compiled = false;
@@ -449,6 +853,16 @@ void LayerNormInputGradAvx2(const float*, const float*, const float*,
 }
 void FillDropoutMaskAvx2(uint64_t*, size_t*, uint64_t, float, float*,
                          int64_t) {
+  DLINF_AVX2_STUB;
+}
+void ExpAvx2(const float*, float*, int64_t) { DLINF_AVX2_STUB; }
+void Expm1Avx2(const float*, float*, int64_t) { DLINF_AVX2_STUB; }
+void TanhAvx2(const float*, float*, int64_t) { DLINF_AVX2_STUB; }
+void SoftmaxRowsAvx2(const float*, float*, int64_t, int64_t) {
+  DLINF_AVX2_STUB;
+}
+void SoftmaxBackwardRowsAvx2(const float*, const float*, float*, int64_t,
+                             int64_t) {
   DLINF_AVX2_STUB;
 }
 

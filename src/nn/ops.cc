@@ -163,14 +163,14 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, FwdFn fwd, DaFn da,
   return out;
 }
 
-/// Shared implementation of unary elementwise ops. `dfn` receives the input
-/// value and the output value (so e.g. tanh' can reuse the forward result).
-template <typename FwdFn, typename DFn>
-Tensor ElementwiseUnary(const Tensor& x, FwdFn fwd, DFn dfn) {
+/// Shared implementation of unary elementwise ops: `span_fwd(x, out, n)`
+/// fills the output. `dfn` receives the input value and the output value
+/// (so e.g. tanh' can reuse the forward result).
+template <typename SpanFn, typename DFn>
+Tensor ElementwiseUnarySpan(const Tensor& x, SpanFn span_fwd, DFn dfn) {
   Tensor out = MakeResult(x.shape(), {x});
-  const std::vector<float>& xv = x.data();
-  std::vector<float>& ov = out.data();
-  for (size_t i = 0; i < xv.size(); ++i) ov[i] = fwd(xv[i]);
+  span_fwd(x.data().data(), out.data().data(),
+           static_cast<int64_t>(x.data().size()));
   if (out.requires_grad()) {
     auto out_impl = out.impl();
     auto x_impl = x.impl();
@@ -183,6 +183,17 @@ Tensor ElementwiseUnary(const Tensor& x, FwdFn fwd, DFn dfn) {
     };
   }
   return out;
+}
+
+/// ElementwiseUnarySpan with the forward given per element.
+template <typename FwdFn, typename DFn>
+Tensor ElementwiseUnary(const Tensor& x, FwdFn fwd, DFn dfn) {
+  return ElementwiseUnarySpan(
+      x,
+      [fwd](const float* in, float* out, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) out[i] = fwd(in[i]);
+      },
+      dfn);
 }
 
 /// Inverted-dropout keep/scale mask over `n` elements: 0 where an element
@@ -243,9 +254,8 @@ Tensor Relu(const Tensor& x) {
 }
 
 Tensor Tanh(const Tensor& x) {
-  return ElementwiseUnary(
-      x, [](float v) { return std::tanh(v); },
-      [](float, float y) { return 1.0f - y * y; });
+  return ElementwiseUnarySpan(x, kernel::Tanh,
+                              [](float, float y) { return 1.0f - y * y; });
 }
 
 Tensor Sigmoid(const Tensor& x) {
@@ -255,9 +265,8 @@ Tensor Sigmoid(const Tensor& x) {
 }
 
 Tensor Exp(const Tensor& x) {
-  return ElementwiseUnary(
-      x, [](float v) { return std::exp(v); },
-      [](float, float y) { return y; });
+  return ElementwiseUnarySpan(x, kernel::Exp,
+                              [](float, float y) { return y; });
 }
 
 Tensor Log(const Tensor& x) {

@@ -515,6 +515,22 @@ void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
                        static_cast<unsigned long long>(record.seq)));
       return;
     }
+    // A waybill naming an address the city lacks would abort candidate
+    // generation at finish_trip, and again on every WAL replay.
+    for (const sim::Waybill& waybill : record.waybills) {
+      if (waybill.address_id >= 0 &&
+          waybill.address_id <
+              static_cast<int64_t>(options_.city.addresses.size())) {
+        continue;
+      }
+      reject(400, metrics.rejected_malformed,
+             StrPrintf("line %zu: waybill %lld names address %lld, outside "
+                       "the city's %zu addresses",
+                       i + 1, static_cast<long long>(waybill.id),
+                       static_cast<long long>(waybill.address_id),
+                       options_.city.addresses.size()));
+      return;
+    }
     const std::string_view line = lines[i];
     // The WAL stores exactly the received line; a payload past
     // max_record_bytes must bounce here, before the append, or AppendFrames

@@ -41,8 +41,10 @@
 ///   200  every fresh record WAL-committed and applied; body reports
 ///        {"acked":n,"deduped":m}. A retried POST whose records were all
 ///        committed before is an exact no-op: 200 with acked=0.
-///   400  malformed record, or a record whose wire form exceeds the WAL
-///        record limit (`WalOptions::max_record_bytes`) — nothing applied.
+///   400  malformed record, a start_trip whose waybill names an address
+///        outside `Options::city` (counted as malformed), or a record
+///        whose wire form exceeds the WAL record limit
+///        (`WalOptions::max_record_bytes`) — nothing applied.
 ///   409  sequence gap (seq beyond last+1) or trip-lifecycle violation —
 ///        nothing applied. Gaps are rejected, not buffered: the producer
 ///        owns ordering (`ingest.reorder` injects this branch).

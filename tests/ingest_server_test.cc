@@ -815,6 +815,60 @@ TEST(IngestServerTest, OversizedRecordIsATyped400NeverAcked) {
   restarted.Stop();
 }
 
+TEST(IngestServerTest, WaybillAddressOutsideTheCityIsATyped400) {
+  const std::string dir = ScratchDir("bad-address");
+  auto wal_bytes = [&dir] {
+    uintmax_t total = 0;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+      if (entry.is_regular_file()) total += entry.file_size();
+    }
+    return total;
+  };
+  const int64_t last_address =
+      static_cast<int64_t>(City().addresses.size()) - 1;
+  auto trip = [](const std::string& client, int64_t address) {
+    return "start_trip " + client + " 1 1 0 100 wb=7:" +
+           std::to_string(address) + ":40:50:60\npoint " + client +
+           " 2 1 2 3\nfinish_trip " + client + " 3\n";
+  };
+  {
+    IngestServer server(BaseOptions(dir));
+    ASSERT_TRUE(server.Start());
+    HttpClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    const uintmax_t wal_before = wal_bytes();
+
+    // Acked, such a trip would abort the node at finish_trip and on every
+    // replay after it; it must bounce before anything is framed.
+    for (const int64_t address : {int64_t{99999}, int64_t{-5}}) {
+      std::string response;
+      ASSERT_EQ(PostIngest(&client, trip("bad", address), &response), 400)
+          << address;
+      EXPECT_NE(response.find("line 1: waybill 7 names address " +
+                              std::to_string(address)),
+                std::string::npos)
+          << response;
+    }
+    EXPECT_EQ(wal_bytes(), wal_before);
+    EXPECT_EQ(server.stats().acked, 0);
+    EXPECT_EQ(server.stats().rejected, 6);
+
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/healthz", &status, &body));
+    EXPECT_EQ(status, 200) << body;
+    ASSERT_EQ(PostIngest(&client, trip("ok", last_address)), 200);
+    EXPECT_EQ(server.stats().acked, 3);
+    server.Stop();
+  }
+
+  IngestServer restarted(BaseOptions(dir));
+  ASSERT_TRUE(restarted.Start());
+  EXPECT_EQ(restarted.stats().recovered, 3);
+  restarted.Stop();
+}
+
 TEST(IngestServerTest, ClientCapEvictsIdleThenRejectsTyped) {
   IngestServer::Options options = BaseOptions(ScratchDir("client-cap"));
   options.max_clients = 2;

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ios>
+#include <iterator>
 #include <vector>
 
 #include "common/mt19937_64.h"
@@ -445,6 +447,226 @@ TEST(DropoutMaskTest, BlockFillMatchesPerDrawLoop) {
         }
       }
     }
+  }
+}
+
+// --- Exact transcendentals -------------------------------------------------
+//
+// kernel::Exp / Expm1 / Tanh must return libm's bits for every float input
+// (kernels.h). On the scalar path they call libm, so the comparisons below
+// only test something on the AVX2 path; they skip elsewhere.
+
+struct Transcendental {
+  const char* name;
+  void (*kernel)(const float*, float*, int64_t);
+  float (*libm)(float);
+};
+
+const Transcendental kTranscendentals[] = {
+    {"exp", kernel::Exp, [](float v) { return std::exp(v); }},
+    {"expm1", kernel::Expm1, [](float v) { return ::expm1f(v); }},
+    {"tanh", kernel::Tanh, [](float v) { return std::tanh(v); }},
+};
+
+float FromBits(uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+uint32_t ToBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Runs `f.kernel` over `inputs` in one span (lane positions and the masked
+/// tail included) and counts the outputs whose bits differ from libm's,
+/// reporting the first few.
+int64_t CountLibmMismatches(const Transcendental& f,
+                            const std::vector<float>& inputs) {
+  std::vector<float> got(inputs.size());
+  f.kernel(inputs.data(), got.data(), static_cast<int64_t>(inputs.size()));
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const float want = f.libm(inputs[i]);
+    if (ToBits(got[i]) == ToBits(want)) continue;
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << f.name << "(" << std::hexfloat << inputs[i]
+                    << " = 0x" << std::hex << ToBits(inputs[i]) << ") gave "
+                    << std::hexfloat << got[i] << ", libm " << want;
+    }
+  }
+  return mismatches;
+}
+
+/// Every branch threshold of the three algorithms (as |x| bit patterns),
+/// each probed +-64 ULPs on both signs, plus the special values.
+TEST(KernelTranscendentalTest, ThresholdsAndSpecialValuesMatchLibm) {
+  ScopedForceScalar probe(false);
+  if (!probe.had_avx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  const float ln2 = 0x1.62e43p-1f;
+  std::vector<uint32_t> thresholds = {
+      // expf: the main path's 88.0f exit, overflow, underflow, may-underflow.
+      0x42b00000, 0x42b17218, 0x42cff1b4, 0x42ce8ecf,
+      // expm1f: |x| vs 2^-25, ln2/2, 1.5 ln2, 27 ln2, o_threshold, 88.72.
+      0x33000000, 0x3eb17218, 0x3f851592, 0x4195b844, 0x42b17180, 0x42b17218,
+      // tanhf: 2^-55, 1, 22.
+      0x24000000, 0x3f800000, 0x41b00000,
+      // Zero, subnormals, the smallest normal, infinity.
+      0x00000000, 0x00800000, 0x7f800000};
+  // expm1f's k (x / ln2 rounded half away) changes branch at -1/-2, 1/2,
+  // 22/23 and 56/57.
+  for (const float k : {1.5f, 2.5f, 22.5f, 23.5f, 56.5f, 57.5f}) {
+    thresholds.push_back(ToBits(k * ln2));
+  }
+  std::vector<float> inputs;
+  for (const uint32_t t : thresholds) {
+    for (int64_t d = -64; d <= 64; ++d) {
+      const int64_t bits = static_cast<int64_t>(t) + d;
+      if (bits < 0 || bits > 0x7fffffff) continue;
+      inputs.push_back(FromBits(static_cast<uint32_t>(bits)));
+      inputs.push_back(-FromBits(static_cast<uint32_t>(bits)));
+    }
+  }
+  for (const float v :
+       {0.0f, -0.0f, 1.0f, -1.0f, -1e9f, 1e9f, 0x1p-149f, -0x1p-149f,
+        0x1p-126f, 0x1.fffffep127f, -0x1.fffffep127f, FromBits(0x7fc00000),
+        FromBits(0xffc00000), FromBits(0x7f800001), FromBits(0x7fa5a5a5),
+        FromBits(0xff812345), FromBits(0x7fffffff)}) {
+    inputs.push_back(v);
+  }
+  for (const Transcendental& f : kTranscendentals) {
+    EXPECT_EQ(CountLibmMismatches(f, inputs), 0) << f.name;
+  }
+}
+
+/// About 1M bit patterns spread over all 2^32 by a prime stride.
+TEST(KernelTranscendentalTest, PrimeStrideSweepMatchesLibm) {
+  ScopedForceScalar probe(false);
+  if (!probe.had_avx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  constexpr uint64_t kStride = 4093;
+  std::vector<float> inputs;
+  inputs.reserve((uint64_t{1} << 32) / kStride + 1);
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += kStride) {
+    inputs.push_back(FromBits(static_cast<uint32_t>(bits)));
+  }
+  for (const Transcendental& f : kTranscendentals) {
+    EXPECT_EQ(CountLibmMismatches(f, inputs), 0) << f.name;
+  }
+}
+
+/// All 2^32 inputs, in 2^20-float spans. Disabled by default (tens of
+/// seconds each); CI's simd-dispatch avx2 leg runs them with
+/// --gtest_also_run_disabled_tests.
+void SweepAllFloats(const Transcendental& f) {
+  ScopedForceScalar probe(false);
+  if (!probe.had_avx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  constexpr uint64_t kSpan = uint64_t{1} << 20;
+  std::vector<float> inputs(kSpan);
+  int64_t mismatches = 0;
+  for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kSpan) {
+    for (uint64_t i = 0; i < kSpan; ++i) {
+      inputs[i] = FromBits(static_cast<uint32_t>(base + i));
+    }
+    mismatches += CountLibmMismatches(f, inputs);
+  }
+  EXPECT_EQ(mismatches, 0) << f.name;
+}
+
+TEST(KernelTranscendentalTest, DISABLED_ExpMatchesLibmOnAllFloats) {
+  SweepAllFloats(kTranscendentals[0]);
+}
+
+TEST(KernelTranscendentalTest, DISABLED_Expm1MatchesLibmOnAllFloats) {
+  SweepAllFloats(kTranscendentals[1]);
+}
+
+TEST(KernelTranscendentalTest, DISABLED_TanhMatchesLibmOnAllFloats) {
+  SweepAllFloats(kTranscendentals[2]);
+}
+
+/// Rows whose double dot product rounds to a different float in any order
+/// that adds the 1 + 2^-23 term before the three 2^-54 terms: in column
+/// order the dot is 1 + 2^-24 + 2^-52 and rounds up to 1 + 2^-23; added
+/// after the big term each 2^-54 is lost, and 1 + 2^-24 rounds to even,
+/// 1. Swept over every row position in and past a 4-row block and every
+/// column offset, so a lane or column mix-up on the AVX2 path shows.
+TEST(KernelRowPrimitiveTest, SoftmaxBackwardSumsEachRowInColumnOrder) {
+  ScopedForceScalar probe(false);
+  if (!probe.had_avx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  const float pattern[] = {0x1p-54f, 0x1p-54f, 0x1p-54f, 1.0f + 0x1p-23f,
+                           -0x1p-24f};
+  const int64_t width = static_cast<int64_t>(std::size(pattern));
+  const int64_t rows = 7;
+  for (int64_t n = width + 1; n <= 21; ++n) {
+    for (int64_t row = 0; row < rows; ++row) {
+      for (int64_t offset = 0; offset + width <= n; ++offset) {
+        const std::vector<float> y(static_cast<size_t>(rows * n), 1.0f);
+        std::vector<float> gy(y.size(), 0.0f);
+        for (int64_t k = 0; k < width; ++k) {
+          gy[row * n + offset + k] = pattern[k];
+        }
+        for (const bool force_scalar : {true, false}) {
+          ScopedForceScalar force(force_scalar);
+          std::vector<float> gx(y.size(), 0.0f);
+          kernel::SoftmaxBackwardRows(y.data(), gy.data(), gx.data(), rows,
+                                      n);
+          // gx = 1 * (gy - dot_f), so a column where gy is 0 reads -dot_f.
+          const int64_t zero_col = offset == 0 ? width : 0;
+          ASSERT_EQ(ToBits(-gx[row * n + zero_col]), ToBits(1.0f + 0x1p-23f))
+              << kernel::PathName() << " n=" << n << " row=" << row
+              << " offset=" << offset;
+        }
+      }
+    }
+  }
+}
+
+/// SoftmaxRows, SoftmaxBackwardRows and Tanh on both paths for every width
+/// 1..40 (full strips, tails, and 4-row blocks with a remainder), with
+/// rows masked by -1e9 padding logits, constant rows, rows mixing +0 and
+/// -0, and the in-place softmax the attention kernel runs.
+TEST(KernelRowPrimitiveTest, SoftmaxAndTanhArePathInvariant) {
+  ScopedForceScalar probe(false);
+  if (!probe.had_avx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  Rng rng(32);
+  const int64_t rows = 11;
+  for (int64_t n = 1; n <= 40; ++n) {
+    std::vector<float> x(static_cast<size_t>(rows * n));
+    for (float& v : x) v = static_cast<float>(rng.Uniform(-30.0, 30.0));
+    for (int64_t j = 0; j < n; ++j) {
+      if (j % 3 == 2) x[1 * n + j] = -1e9f;       // padding-masked row
+      x[2 * n + j] = 0.75f;                       // constant row
+      x[3 * n + j] = j % 2 == 0 ? 0.0f : -0.0f;   // zero maximum
+      if (j > 0) x[4 * n + j] = -1e9f;            // all masked but one
+      x[5 * n + j] *= 4.0f;                       // spans exp's cut-offs
+    }
+    const std::vector<float> gy = RandomVec(rows * n, &rng);
+    const std::vector<float> gx0 = RandomVec(rows * n, &rng);
+    struct Out {
+      std::vector<float> soft, in_place, gx, tanh;
+    };
+    auto run = [&](bool force_scalar) {
+      ScopedForceScalar force(force_scalar);
+      Out o;
+      o.soft.resize(x.size());
+      kernel::SoftmaxRows(x.data(), o.soft.data(), rows, n);
+      o.in_place = x;
+      kernel::SoftmaxRows(o.in_place.data(), o.in_place.data(), rows, n);
+      o.gx = gx0;
+      kernel::SoftmaxBackwardRows(o.soft.data(), gy.data(), o.gx.data(), rows,
+                                  n);
+      o.tanh.resize(x.size());
+      kernel::Tanh(x.data(), o.tanh.data(), rows * n);
+      return o;
+    };
+    const Out scalar = run(true);
+    const Out simd = run(false);
+    EXPECT_TRUE(SameBits(scalar.soft, simd.soft)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.soft, simd.in_place)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.gx, simd.gx)) << "n=" << n;
+    EXPECT_TRUE(SameBits(scalar.tanh, simd.tanh)) << "n=" << n;
   }
 }
 

@@ -57,10 +57,14 @@ void GemmSpin(double seconds, int64_t until_samples) {
   std::vector<float> b(kDim * kDim, -0.75f);
   std::vector<float> c(kDim * kDim, 0.0f);
   const double deadline = NowSeconds() + seconds;
+  // The clock is read once per 64 GEMMs: under TSan each read runs in the
+  // clock_gettime interceptor, which would otherwise take the samples.
   while (NowSeconds() < deadline &&
          CpuProfiler::Global().sample_count() < until_samples) {
-    nn::kernel::Gemm(kDim, kDim, kDim, a.data(), kDim, b.data(), kDim,
-                     c.data(), kDim, /*accumulate=*/true);
+    for (int i = 0; i < 64; ++i) {
+      nn::kernel::Gemm(kDim, kDim, kDim, a.data(), kDim, b.data(), kDim,
+                       c.data(), kDim, /*accumulate=*/true);
+    }
   }
   // Keep the result alive so the whole loop cannot be eliminated.
   ASSERT_NE(c[0], 0.123456f);
