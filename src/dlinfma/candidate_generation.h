@@ -15,10 +15,6 @@
 
 namespace dlinf {
 
-namespace io {
-class CandidateGenerationCodec;
-}  // namespace io
-
 namespace stream {
 class CandidateIndexUpdater;
 }  // namespace stream
@@ -124,11 +120,6 @@ class CandidateGeneration {
 
  private:
   CandidateGeneration() = default;
-
-  /// The artifact serialization layer (src/io) persists and restores the
-  /// full mined state — including the retrieval indexes — so warm-started
-  /// serving never re-runs the mining pass.
-  friend class dlinf::io::CandidateGenerationCodec;
 
   /// The streaming ingestion layer (src/stream) clusters stay points
   /// incrementally and materializes snapshots through Assemble without

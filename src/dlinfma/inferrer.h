@@ -25,7 +25,7 @@ struct Dataset {
 
 /// Wraps a mined candidate pool in a Dataset, splitting the delivered
 /// addresses of `world` by their (spatially disjoint) community split tags.
-/// BuildDataset, io::LoadBundle and the online trainer all split through it.
+/// BuildDataset and the online trainer both split through it.
 Dataset MakeDataset(const sim::World& world, CandidateGeneration gen);
 
 /// Runs the candidate-generation pipeline and splits delivered addresses

@@ -137,14 +137,13 @@ void ArtifactWriter::WriteFloats(const std::vector<float>& v) {
   WriteBytes(v.data(), v.size() * sizeof(float));
 }
 
-void ArtifactWriter::WriteDoubles(const std::vector<double>& v) {
-  WriteU64(v.size());
-  WriteBytes(v.data(), v.size() * sizeof(double));
-}
-
 void ArtifactWriter::WriteI64s(const std::vector<int64_t>& v) {
   WriteU64(v.size());
   WriteBytes(v.data(), v.size() * sizeof(int64_t));
+}
+
+uint32_t ArtifactWriter::payload_crc() const {
+  return Crc32(payload_.data(), payload_.size());
 }
 
 bool ArtifactWriter::Finish(const std::string& path) {
@@ -163,7 +162,7 @@ bool ArtifactWriter::Finish(const std::string& path) {
     out.write(reinterpret_cast<const char*>(&header.kind), 4);
     out.write(reinterpret_cast<const char*>(&header.payload_size), 8);
     out.write(payload_.data(), static_cast<std::streamsize>(payload_.size()));
-    const uint32_t crc = Crc32(payload_.data(), payload_.size());
+    const uint32_t crc = payload_crc();
     out.write(reinterpret_cast<const char*>(&crc), 4);
     if (!out) {
       out.close();
@@ -261,6 +260,7 @@ std::optional<ArtifactReader> ArtifactReader::Open(const std::string& path,
     return fail(StrPrintf("bad checksum in %s (stored %08x, computed %08x)",
                           path.c_str(), stored_crc, computed));
   }
+  reader.crc_ = computed;
   return reader;
 }
 
@@ -340,13 +340,6 @@ std::vector<float> ArtifactReader::ReadFloats() {
   std::vector<float> v(count);
   Take(v.data(), count * sizeof(float));
   return ok_ ? v : std::vector<float>();
-}
-
-std::vector<double> ArtifactReader::ReadDoubles() {
-  const size_t count = TakeCount(sizeof(double));
-  std::vector<double> v(count);
-  Take(v.data(), count * sizeof(double));
-  return ok_ ? v : std::vector<double>();
 }
 
 std::vector<int64_t> ArtifactReader::ReadI64s() {

@@ -10,9 +10,9 @@
 /// \file
 /// Versioned, checksummed binary artifact container (DESIGN.md §7).
 ///
-/// Every pipeline artifact the offline stage persists — simulated worlds,
-/// stay points, candidate pools, feature samples, model weights — is one
-/// file in this common envelope:
+/// Every artifact the pipeline persists — simulated worlds, model weights,
+/// published answers, checkpoints, ingest snapshots — is one file in this
+/// common envelope:
 ///
 ///   offset  size  field
 ///   0       4     magic "DLAB" (0x44 0x4c 0x41 0x42, little-endian u32)
@@ -49,14 +49,16 @@ inline constexpr uint32_t kArtifactVersion = 1;
 /// passing, say, a world file where a model is expected fails fast.
 enum class ArtifactKind : uint32_t {
   kWorld = 1,        ///< A full sim::World (codecs.h).
-  /// Retired: standalone stay-point files are no longer written or read
-  /// (stay points travel inside kCandidates). The value stays reserved so
-  /// an old file still fails with the typed kind-mismatch error.
+  /// Retired kinds: no longer written or read. Stay points, the candidate
+  /// pool, the feature tensors and the bundle manifest left the bundle,
+  /// which now holds model.art and answers.art alone (bundle.h). The values
+  /// stay reserved so an old file still fails with the typed kind-mismatch
+  /// error.
   kStayPoints = 2,
-  kCandidates = 3,   ///< dlinfma::CandidateGeneration state + grid indexes.
-  kSamples = 4,      ///< dlinfma::SampleSet feature tensors.
+  kCandidates = 3,
+  kSamples = 4,
   kModel = 5,        ///< Model config + nn parameter blob.
-  kManifest = 6,     ///< Bundle manifest (bundle.h).
+  kManifest = 6,
   kCheckpoint = 7,   ///< Mid-training resume state (checkpoint.h, "CKPT").
   kIngestState = 8,  ///< Ingest-server snapshot (stream/ingest_server.h).
   kAnswers = 9,      ///< Published serving answers (bundle.h, answers.art).
@@ -92,15 +94,14 @@ class ArtifactWriter {
   void WriteString(const std::string& s);
   /// Length-prefixed (u64 count) packed float32 array.
   void WriteFloats(const std::vector<float>& v);
-  /// Length-prefixed (u64 count) packed float64 array.
-  void WriteDoubles(const std::vector<double>& v);
   /// Length-prefixed (u64 count) packed int64 array.
   void WriteI64s(const std::vector<int64_t>& v);
   /// Unprefixed raw bytes (callers manage their own framing).
   void WriteBytes(const void* data, size_t size);
 
-  ArtifactKind kind() const { return kind_; }
-  size_t payload_size() const { return payload_.size(); }
+  /// CRC-32 of the payload written so far: after the last Write*, the
+  /// checksum Finish() seals the file with.
+  uint32_t payload_crc() const;
 
   /// Writes header + payload + CRC to `path` (atomically via rename from a
   /// sibling temp file, so readers never observe a half-written artifact).
@@ -138,7 +139,6 @@ class ArtifactReader {
   bool ReadBool();
   std::string ReadString();
   std::vector<float> ReadFloats();
-  std::vector<double> ReadDoubles();
   std::vector<int64_t> ReadI64s();
 
   /// True while every read so far stayed within the payload. Also flips to
@@ -146,6 +146,9 @@ class ArtifactReader {
   bool ok() const { return ok_; }
   /// Marks the reader failed (codec-level validation).
   void Fail() { ok_ = false; }
+
+  /// The payload's CRC-32, as stored in the file and verified by Open().
+  uint32_t payload_crc() const { return crc_; }
 
   /// Payload bytes not yet consumed.
   size_t remaining() const { return payload_.size() - offset_; }
@@ -161,6 +164,7 @@ class ArtifactReader {
 
   std::string payload_;
   size_t offset_ = 0;
+  uint32_t crc_ = 0;
   bool ok_ = true;
 };
 

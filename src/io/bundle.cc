@@ -4,18 +4,13 @@
 #include <filesystem>
 #include <utility>
 
+#include "common/string_util.h"
 #include "io/codecs.h"
 #include "obs/trace.h"
 
 namespace dlinf {
 namespace io {
 namespace {
-
-constexpr const char* kManifestFile = "manifest.art";
-constexpr const char* kWorldFile = "world.art";
-constexpr const char* kCandidatesFile = "candidates.art";
-constexpr const char* kSamplesFile = "samples.art";
-constexpr const char* kModelFile = "model.art";
 
 std::string PathJoin(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
@@ -24,19 +19,6 @@ std::string PathJoin(const std::string& dir, const char* file) {
 void SetError(std::string* error, std::string reason) {
   if (error != nullptr) *error = std::move(reason);
 }
-
-/// Counts persisted in the manifest and re-derived on load; a mismatch
-/// means the bundle's files do not belong together (e.g. a model.art copied
-/// in from another run).
-struct ManifestCounts {
-  std::string world_name;
-  int64_t num_addresses = 0;
-  int64_t num_trips = 0;
-  int64_t num_candidates = 0;
-  int64_t num_train = 0;
-  int64_t num_val = 0;
-  int64_t num_test = 0;
-};
 
 }  // namespace
 
@@ -65,33 +47,9 @@ bool SaveBundle(const std::string& dir, const sim::World& world,
     return false;
   }
 
-  if (!SaveWorldArtifact(world, PathJoin(dir, kWorldFile))) {
-    SetError(error, "cannot write world artifact");
-    return false;
-  }
-  if (!SaveCandidatesArtifact(*data.gen, PathJoin(dir, kCandidatesFile))) {
-    SetError(error, "cannot write candidates artifact");
-    return false;
-  }
-  if (!SaveSamplesArtifact(samples, PathJoin(dir, kSamplesFile))) {
-    SetError(error, "cannot write samples artifact");
-    return false;
-  }
-  if (!SaveModelArtifact(method, PathJoin(dir, kModelFile))) {
+  uint32_t model_crc = 0;
+  if (!SaveModelArtifact(method, PathJoin(dir, kModelFile), &model_crc)) {
     SetError(error, "cannot write model artifact (ensemble or untrained?)");
-    return false;
-  }
-
-  ArtifactWriter manifest(ArtifactKind::kManifest);
-  manifest.WriteString(world.name);
-  manifest.WriteI64(static_cast<int64_t>(world.addresses.size()));
-  manifest.WriteI64(static_cast<int64_t>(world.trips.size()));
-  manifest.WriteI64(static_cast<int64_t>(data.gen->candidates().size()));
-  manifest.WriteI64(static_cast<int64_t>(samples.train.size()));
-  manifest.WriteI64(static_cast<int64_t>(samples.val.size()));
-  manifest.WriteI64(static_cast<int64_t>(samples.test.size()));
-  if (!manifest.Finish(PathJoin(dir, kManifestFile))) {
-    SetError(error, "cannot write bundle manifest");
     return false;
   }
 
@@ -108,6 +66,7 @@ bool SaveBundle(const std::string& dir, const sim::World& world,
     answers.WriteDouble(locations[i].x);
     answers.WriteDouble(locations[i].y);
   }
+  answers.WriteU32(model_crc);
   if (!answers.Finish(PathJoin(dir, kAnswersFile))) {
     SetError(error, "cannot write answers artifact");
     return false;
@@ -115,70 +74,25 @@ bool SaveBundle(const std::string& dir, const sim::World& world,
   return true;
 }
 
-std::optional<WarmBundle> LoadBundle(const std::string& dir,
-                                     std::string* error) {
+std::optional<Bundle> LoadBundle(const std::string& dir, std::string* error) {
   obs::Span span("load_bundle");
-
-  ManifestCounts manifest;
-  {
-    auto reader = ArtifactReader::Open(PathJoin(dir, kManifestFile),
-                                       ArtifactKind::kManifest, error);
-    if (!reader) return std::nullopt;
-    manifest.world_name = reader->ReadString();
-    manifest.num_addresses = reader->ReadI64();
-    manifest.num_trips = reader->ReadI64();
-    manifest.num_candidates = reader->ReadI64();
-    manifest.num_train = reader->ReadI64();
-    manifest.num_val = reader->ReadI64();
-    manifest.num_test = reader->ReadI64();
-    if (!reader->AtEnd()) {
-      SetError(error, "malformed bundle manifest in " + dir);
-      return std::nullopt;
-    }
-  }
-
-  WarmBundle bundle;
-  {
-    auto world = LoadWorldArtifact(PathJoin(dir, kWorldFile), error);
-    if (!world) return std::nullopt;
-    bundle.world = std::make_unique<sim::World>(std::move(*world));
-  }
-  {
-    auto gen = LoadCandidatesArtifact(PathJoin(dir, kCandidatesFile), error);
-    if (!gen) return std::nullopt;
-    // Same split rule as BuildDataset, minus the mining.
-    bundle.data = dlinfma::MakeDataset(*bundle.world, std::move(*gen));
-  }
-  {
-    auto samples = LoadSamplesArtifact(PathJoin(dir, kSamplesFile), error);
-    if (!samples) return std::nullopt;
-    bundle.samples = std::move(*samples);
-  }
-  bundle.method = LoadModelArtifact(PathJoin(dir, kModelFile), error);
+  Bundle bundle;
+  uint32_t model_crc = 0;
+  bundle.method =
+      LoadModelArtifact(PathJoin(dir, kModelFile), error, &model_crc);
   if (bundle.method == nullptr) return std::nullopt;
-
-  const bool consistent =
-      manifest.world_name == bundle.world->name &&
-      manifest.num_addresses ==
-          static_cast<int64_t>(bundle.world->addresses.size()) &&
-      manifest.num_trips ==
-          static_cast<int64_t>(bundle.world->trips.size()) &&
-      manifest.num_trips == bundle.data.gen->num_trips() &&
-      manifest.num_candidates ==
-          static_cast<int64_t>(bundle.data.gen->candidates().size()) &&
-      manifest.num_train ==
-          static_cast<int64_t>(bundle.samples.train.size()) &&
-      manifest.num_val == static_cast<int64_t>(bundle.samples.val.size()) &&
-      manifest.num_test == static_cast<int64_t>(bundle.samples.test.size()) &&
-      bundle.samples.train.size() == bundle.data.train_ids.size() &&
-      bundle.samples.val.size() == bundle.data.val_ids.size() &&
-      bundle.samples.test.size() == bundle.data.test_ids.size();
-  if (!consistent) {
+  std::optional<PublishedAnswers> answers = LoadAnswers(dir, error);
+  if (!answers) return std::nullopt;
+  if (answers->model_crc != model_crc) {
     SetError(error,
-             "bundle artifacts in " + dir +
-                 " are inconsistent (mixed files from different runs?)");
+             StrPrintf("%s and %s in %s are from different runs: the "
+                       "answers were scored by model CRC %08x, the model "
+                       "file holds %08x",
+                       kModelFile, kAnswersFile, dir.c_str(),
+                       answers->model_crc, model_crc));
     return std::nullopt;
   }
+  bundle.answers = std::move(*answers);
   return bundle;
 }
 
@@ -189,7 +103,8 @@ std::optional<PublishedAnswers> LoadAnswers(const std::string& dir,
   auto reader = ArtifactReader::Open(path, ArtifactKind::kAnswers, error);
   if (!reader) return std::nullopt;
   PublishedAnswers answers;
-  answers.city = DecodeWorldPayload(&*reader);
+  std::string invalid;
+  answers.city = DecodeWorldPayload(&*reader, &invalid);
   answers.delivered = reader->ReadI64s();
   const uint64_t count = reader->ReadU64();
   // 24 bytes an entry: a count the payload cannot hold fails before it
@@ -206,8 +121,11 @@ std::optional<PublishedAnswers> LoadAnswers(const std::string& dir,
     location.y = reader->ReadDouble();
     answers.addresses.emplace_back(id, location);
   }
+  answers.model_crc = reader->ReadU32();
   if (!reader->AtEnd()) {
-    SetError(error, "malformed answers payload in " + path);
+    SetError(error, invalid.empty()
+                        ? "malformed answers payload in " + path
+                        : "invalid city in " + path + ": " + invalid);
     return std::nullopt;
   }
   // Ids index the city's addresses; one outside it would abort the first

@@ -1,6 +1,8 @@
 #ifndef DLINF_IO_BUNDLE_H_
 #define DLINF_IO_BUNDLE_H_
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,44 +15,38 @@
 #include "sim/world.h"
 
 /// \file
-/// Artifact bundles: one directory holding a training run's state — the
-/// dataset, the mined candidate pool with its retrieval indexes, the
-/// extracted feature tensors and the trained model, tied together by a
-/// manifest — plus the answers that state gives, published for serving. Six
-/// checksummed artifacts:
+/// Artifact bundles: one directory holding what a training run publishes,
+/// as two checksummed artifacts, written in this order:
 ///
-///   <dir>/manifest.art     cross-file counts (consistency check on load)
-///   <dir>/world.art        the sim::World
-///   <dir>/candidates.art   CandidateGeneration state
-///   <dir>/samples.art      SampleSet feature tensors
-///   <dir>/model.art        model + train config and trained weights
-///   <dir>/answers.art      the city, the delivered-address ids and each
-///                          scored address's inferred location
+///   <dir>/model.art     model + train config and trained weights
+///   <dir>/answers.art   the city, the delivered-address ids, each scored
+///                       address's inferred location, and the CRC of the
+///                       model.art that scored them
 ///
 /// `dlinf_cli train` and `stream::PublishBundle` write a bundle through
-/// SaveBundle, which scores every sample once. Readers open
-/// different files: `dlinf_cli infer`, warm starts and the e2e benchmark
-/// load the first five with LoadBundle; serving (`apps::BundleManager`, so
-/// `dlinf_cli serve`) opens answers.art alone through LoadAnswers, and never
-/// reads the model, the feature tensors or the raw trips.
+/// SaveBundle, which scores every sample once. Serving
+/// (`apps::BundleManager`, so `dlinf_cli serve`) opens answers.art alone
+/// through LoadAnswers; `dlinf_cli infer` and the e2e benchmark open both
+/// through LoadBundle, which checks that they belong together. The training
+/// inputs (world, candidate pool, feature tensors) are not part of a bundle:
+/// no reader needs them, and the world is the file `dlinf_cli generate`
+/// wrote.
 
 namespace dlinf {
 namespace io {
 
-/// A fully rehydrated offline pipeline: everything InferAll needs, with no
-/// retraining or re-mining. `data.world` points at
-/// `world`; keep the bundle alive as long as either is used.
-struct WarmBundle {
-  std::unique_ptr<sim::World> world;
-  dlinfma::Dataset data;
-  dlinfma::SampleSet samples;
-  std::unique_ptr<dlinfma::DlInfMaMethod> method;
-};
+/// The trained model's file name inside a bundle directory.
+inline constexpr const char* kModelFile = "model.art";
 
 /// The serving artifact's name inside a bundle directory. SaveBundle writes
 /// it last, and a publisher renames it into place last, so its stamp marks a
 /// complete push.
 inline constexpr const char* kAnswersFile = "answers.art";
+
+/// Every file of a bundle, in write order (answers.art last). A publisher
+/// moves a staged bundle into place in this order.
+inline constexpr std::array<const char*, 2> kBundleFiles = {kModelFile,
+                                                            kAnswersFile};
 
 /// A bundle's answers.art, decoded: everything a serving generation needs.
 struct PublishedAnswers {
@@ -61,6 +57,14 @@ struct PublishedAnswers {
   /// The address tier: each scored address and its inferred delivery
   /// location, in AllSamples order.
   std::vector<std::pair<int64_t, Point>> addresses;
+  /// Payload CRC-32 of the model.art the addresses were scored with.
+  uint32_t model_crc = 0;
+};
+
+/// A whole bundle, loaded: the trained model and the answers it scored.
+struct Bundle {
+  std::unique_ptr<dlinfma::DlInfMaMethod> method;
+  PublishedAnswers answers;
 };
 
 /// Concatenates a sample set's splits (train, val, test order): the serving
@@ -68,8 +72,8 @@ struct PublishedAnswers {
 std::vector<dlinfma::AddressSample> AllSamples(
     const dlinfma::SampleSet& samples);
 
-/// Writes the four training artifacts, the manifest and, last, answers.art
-/// (every sample of `samples` scored by `method`) into `dir` (created if
+/// Writes model.art and, last, answers.art (every sample of `samples` scored
+/// by `method` over `data`'s candidate pool) into `dir` (created if
 /// missing). The method must hold a trained single model. Returns false
 /// (with a reason in `error`) on any failure.
 bool SaveBundle(const std::string& dir, const sim::World& world,
@@ -78,18 +82,18 @@ bool SaveBundle(const std::string& dir, const sim::World& world,
                 const dlinfma::DlInfMaMethod& method,
                 std::string* error = nullptr);
 
-/// Loads a bundle written by SaveBundle: validates the manifest, every
-/// artifact's envelope (magic/version/kind/CRC), and cross-artifact
-/// consistency, then rebuilds the Dataset splits from the world's split
-/// tags (the same rule BuildDataset applies). Returns nullopt with a clean
-/// error message on any mismatch.
-std::optional<WarmBundle> LoadBundle(const std::string& dir,
-                                     std::string* error = nullptr);
+/// Loads a bundle written by SaveBundle: both envelopes, answers.art's
+/// checks (LoadAnswers), and that answers.art was scored by this model.art
+/// (its recorded model CRC). Returns nullopt with a clean error message on
+/// any failure; a pair from two different runs names both files.
+std::optional<Bundle> LoadBundle(const std::string& dir,
+                                 std::string* error = nullptr);
 
 /// Loads `dir`'s answers.art alone: validates its envelope (a file of any
-/// other kind or version is refused with the reason) and that every id it
-/// holds names an address of its city. Returns nullopt with a clean error
-/// message on any failure.
+/// other kind or version is refused with the reason), its city's
+/// cross-references (sim::ValidateWorld) and that every id it holds names
+/// an address of its city. Returns nullopt with a clean error message on
+/// any failure.
 std::optional<PublishedAnswers> LoadAnswers(const std::string& dir,
                                             std::string* error = nullptr);
 

@@ -1,10 +1,7 @@
 #include "io/codecs.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
-
-#include "traj/stay_point.h"
 
 namespace dlinf {
 namespace io {
@@ -37,47 +34,7 @@ E ReadEnum(ArtifactReader* r, int32_t max_value) {
   return static_cast<E>(v);
 }
 
-void WriteStayPoint(ArtifactWriter* w, const StayPoint& sp) {
-  WritePoint(w, sp.location);
-  w->WriteDouble(sp.start_time);
-  w->WriteDouble(sp.end_time);
-  w->WriteI64(sp.courier_id);
-  w->WriteI64(sp.trip_id);
-}
-
-StayPoint ReadStayPoint(ArtifactReader* r) {
-  StayPoint sp;
-  sp.location = ReadPoint(r);
-  sp.start_time = r->ReadDouble();
-  sp.end_time = r->ReadDouble();
-  sp.courier_id = r->ReadI64();
-  sp.trip_id = r->ReadI64();
-  return sp;
-}
-
-/// Writes a sorted (key, vector) view of an unordered map so identical
-/// in-memory states always produce byte-identical artifacts (the round-trip
-/// tests rely on save -> load -> save being a fixed point).
-template <typename V, typename WriteValue>
-void WriteI64Map(ArtifactWriter* w,
-                 const std::unordered_map<int64_t, V>& map,
-                 const WriteValue& write_value) {
-  std::vector<int64_t> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  w->WriteU64(keys.size());
-  for (int64_t key : keys) {
-    w->WriteI64(key);
-    write_value(map.at(key));
-  }
-}
-
-}  // namespace
-
 /// --- World ----------------------------------------------------------------
-
-namespace {
 
 /// `with_trips` false writes a trip count of zero and no trips: the city.
 void EncodeWorld(const sim::World& world, bool with_trips,
@@ -160,7 +117,17 @@ void EncodeWorld(const sim::World& world, bool with_trips,
   }
 }
 
-sim::World DecodeWorld(ArtifactReader* r) {
+}  // namespace
+
+void EncodeWorldPayload(const sim::World& world, ArtifactWriter* writer) {
+  EncodeWorld(world, /*with_trips=*/true, writer);
+}
+
+void EncodeCityPayload(const sim::World& world, ArtifactWriter* writer) {
+  EncodeWorld(world, /*with_trips=*/false, writer);
+}
+
+sim::World DecodeWorldPayload(ArtifactReader* r, std::string* invalid) {
   sim::World world;
   world.name = r->ReadString();
   world.station = ReadPoint(r);
@@ -250,21 +217,12 @@ sim::World DecodeWorld(ArtifactReader* r) {
     }
     world.trips.push_back(std::move(trip));
   }
+  std::string reason;
+  if (r->ok() && !sim::ValidateWorld(world, &reason)) {
+    r->Fail();
+    if (invalid != nullptr) *invalid = std::move(reason);
+  }
   return world;
-}
-
-}  // namespace
-
-void EncodeWorldPayload(const sim::World& world, ArtifactWriter* writer) {
-  EncodeWorld(world, /*with_trips=*/true, writer);
-}
-
-void EncodeCityPayload(const sim::World& world, ArtifactWriter* writer) {
-  EncodeWorld(world, /*with_trips=*/false, writer);
-}
-
-sim::World DecodeWorldPayload(ArtifactReader* reader) {
-  return DecodeWorld(reader);
 }
 
 bool SaveWorldArtifact(const sim::World& world, const std::string& path) {
@@ -277,239 +235,22 @@ std::optional<sim::World> LoadWorldArtifact(const std::string& path,
                                             std::string* error) {
   auto reader = ArtifactReader::Open(path, ArtifactKind::kWorld, error);
   if (!reader) return std::nullopt;
-  sim::World world = DecodeWorld(&*reader);
+  std::string invalid;
+  sim::World world = DecodeWorldPayload(&*reader, &invalid);
   if (!reader->AtEnd()) {
-    if (error != nullptr) *error = "malformed world payload in " + path;
+    if (error != nullptr) {
+      *error = invalid.empty() ? "malformed world payload in " + path
+                               : "invalid world in " + path + ": " + invalid;
+    }
     return std::nullopt;
   }
   return world;
 }
 
-/// --- Candidate generation -------------------------------------------------
-
-void CandidateGenerationCodec::Encode(const dlinfma::CandidateGeneration& gen,
-                                      ArtifactWriter* w) {
-  w->WriteI64(gen.num_trips_);
-
-  w->WriteU64(gen.stay_points_.size());
-  for (const StayPoint& sp : gen.stay_points_) WriteStayPoint(w, sp);
-
-  w->WriteU64(gen.candidates_.size());
-  for (const dlinfma::LocationCandidate& c : gen.candidates_) {
-    w->WriteI64(c.id);
-    WritePoint(w, c.location);
-    w->WriteI32(c.num_stay_points);
-    w->WriteDouble(c.profile.avg_duration_s);
-    w->WriteI32(c.profile.num_couriers);
-    for (double bin : c.profile.time_distribution) w->WriteDouble(bin);
-  }
-
-  w->WriteU64(gen.trip_visits_.size());
-  for (const auto& visits : gen.trip_visits_) {
-    w->WriteU64(visits.size());
-    for (const dlinfma::TripCandidateVisit& v : visits) {
-      w->WriteI64(v.candidate_id);
-      w->WriteDouble(v.time);
-      w->WriteDouble(v.duration);
-    }
-  }
-
-  WriteI64Map(w, gen.address_trips_,
-              [w](const std::vector<dlinfma::AddressTripRecord>& records) {
-                w->WriteU64(records.size());
-                for (const dlinfma::AddressTripRecord& rec : records) {
-                  w->WriteI64(rec.trip_id);
-                  w->WriteDouble(rec.recorded_delivery_time);
-                }
-              });
-  WriteI64Map(w, gen.candidate_trips_,
-              [w](const std::vector<int64_t>& ids) { w->WriteI64s(ids); });
-  WriteI64Map(w, gen.building_trips_,
-              [w](const std::vector<int64_t>& ids) { w->WriteI64s(ids); });
-}
-
-std::optional<dlinfma::CandidateGeneration> CandidateGenerationCodec::Decode(
-    ArtifactReader* r) {
-  dlinfma::CandidateGeneration gen;
-  gen.num_trips_ = r->ReadI64();
-
-  const uint64_t num_stays = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < num_stays; ++i) {
-    gen.stay_points_.push_back(ReadStayPoint(r));
-  }
-
-  const uint64_t num_candidates = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < num_candidates; ++i) {
-    dlinfma::LocationCandidate c;
-    c.id = r->ReadI64();
-    c.location = ReadPoint(r);
-    c.num_stay_points = r->ReadI32();
-    c.profile.avg_duration_s = r->ReadDouble();
-    c.profile.num_couriers = r->ReadI32();
-    for (double& bin : c.profile.time_distribution) bin = r->ReadDouble();
-    gen.candidates_.push_back(std::move(c));
-  }
-
-  const uint64_t num_trip_lists = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < num_trip_lists; ++i) {
-    std::vector<dlinfma::TripCandidateVisit> visits;
-    const uint64_t num_visits = r->ReadU64();
-    for (uint64_t j = 0; r->ok() && j < num_visits; ++j) {
-      dlinfma::TripCandidateVisit v;
-      v.candidate_id = r->ReadI64();
-      v.time = r->ReadDouble();
-      v.duration = r->ReadDouble();
-      visits.push_back(v);
-    }
-    gen.trip_visits_.push_back(std::move(visits));
-  }
-
-  const uint64_t num_address_entries = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < num_address_entries; ++i) {
-    const int64_t key = r->ReadI64();
-    std::vector<dlinfma::AddressTripRecord> records;
-    const uint64_t num_records = r->ReadU64();
-    for (uint64_t j = 0; r->ok() && j < num_records; ++j) {
-      dlinfma::AddressTripRecord rec;
-      rec.trip_id = r->ReadI64();
-      rec.recorded_delivery_time = r->ReadDouble();
-      records.push_back(rec);
-    }
-    gen.address_trips_[key] = std::move(records);
-  }
-
-  const uint64_t num_candidate_entries = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < num_candidate_entries; ++i) {
-    const int64_t key = r->ReadI64();
-    gen.candidate_trips_[key] = r->ReadI64s();
-  }
-
-  const uint64_t num_building_entries = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < num_building_entries; ++i) {
-    const int64_t key = r->ReadI64();
-    gen.building_trips_[key] = r->ReadI64s();
-  }
-
-  // Referential sanity: every visit list must belong to a trip and every
-  // visit must point into the candidate pool.
-  if (gen.trip_visits_.size() !=
-      static_cast<size_t>(std::max<int64_t>(gen.num_trips_, 0))) {
-    r->Fail();
-  }
-  for (const auto& visits : gen.trip_visits_) {
-    for (const dlinfma::TripCandidateVisit& v : visits) {
-      if (v.candidate_id < 0 ||
-          v.candidate_id >= static_cast<int64_t>(gen.candidates_.size())) {
-        r->Fail();
-      }
-    }
-  }
-  if (!r->ok()) return std::nullopt;
-  return gen;
-}
-
-bool SaveCandidatesArtifact(const dlinfma::CandidateGeneration& gen,
-                            const std::string& path) {
-  ArtifactWriter writer(ArtifactKind::kCandidates);
-  CandidateGenerationCodec::Encode(gen, &writer);
-  return writer.Finish(path);
-}
-
-std::optional<dlinfma::CandidateGeneration> LoadCandidatesArtifact(
-    const std::string& path, std::string* error) {
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kCandidates, error);
-  if (!reader) return std::nullopt;
-  auto gen = CandidateGenerationCodec::Decode(&*reader);
-  if (!gen || !reader->AtEnd()) {
-    if (error != nullptr) *error = "malformed candidate payload in " + path;
-    return std::nullopt;
-  }
-  return gen;
-}
-
-/// --- Feature samples ------------------------------------------------------
-
-namespace {
-
-void EncodeSamples(const std::vector<dlinfma::AddressSample>& samples,
-                   ArtifactWriter* w) {
-  w->WriteU64(samples.size());
-  for (const dlinfma::AddressSample& s : samples) {
-    w->WriteI64(s.address_id);
-    w->WriteI64s(s.candidate_ids);
-    w->WriteU64(s.features.size());
-    for (const dlinfma::CandidateFeatureVector& f : s.features) {
-      w->WriteDouble(f.trip_coverage);
-      w->WriteDouble(f.location_commonality);
-      w->WriteDouble(f.distance);
-      w->WriteDouble(f.avg_duration);
-      w->WriteDouble(f.num_couriers);
-      for (double bin : f.time_distribution) w->WriteDouble(bin);
-    }
-    w->WriteDouble(s.address.log_num_deliveries);
-    w->WriteI32(s.address.poi_category);
-    w->WriteI32(s.label);
-  }
-}
-
-std::vector<dlinfma::AddressSample> DecodeSamples(ArtifactReader* r) {
-  std::vector<dlinfma::AddressSample> samples;
-  const uint64_t count = r->ReadU64();
-  for (uint64_t i = 0; r->ok() && i < count; ++i) {
-    dlinfma::AddressSample s;
-    s.address_id = r->ReadI64();
-    s.candidate_ids = r->ReadI64s();
-    const uint64_t num_features = r->ReadU64();
-    for (uint64_t j = 0; r->ok() && j < num_features; ++j) {
-      dlinfma::CandidateFeatureVector f;
-      f.trip_coverage = r->ReadDouble();
-      f.location_commonality = r->ReadDouble();
-      f.distance = r->ReadDouble();
-      f.avg_duration = r->ReadDouble();
-      f.num_couriers = r->ReadDouble();
-      for (double& bin : f.time_distribution) bin = r->ReadDouble();
-      s.features.push_back(f);
-    }
-    s.address.log_num_deliveries = r->ReadDouble();
-    s.address.poi_category = r->ReadI32();
-    s.label = r->ReadI32();
-    // A sample's feature rows must align 1:1 with its candidate ids.
-    if (s.features.size() != s.candidate_ids.size()) r->Fail();
-    samples.push_back(std::move(s));
-  }
-  return samples;
-}
-
-}  // namespace
-
-bool SaveSamplesArtifact(const dlinfma::SampleSet& samples,
-                         const std::string& path) {
-  ArtifactWriter writer(ArtifactKind::kSamples);
-  EncodeSamples(samples.train, &writer);
-  EncodeSamples(samples.val, &writer);
-  EncodeSamples(samples.test, &writer);
-  return writer.Finish(path);
-}
-
-std::optional<dlinfma::SampleSet> LoadSamplesArtifact(const std::string& path,
-                                                      std::string* error) {
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kSamples, error);
-  if (!reader) return std::nullopt;
-  dlinfma::SampleSet samples;
-  samples.train = DecodeSamples(&*reader);
-  samples.val = DecodeSamples(&*reader);
-  samples.test = DecodeSamples(&*reader);
-  if (!reader->AtEnd()) {
-    if (error != nullptr) *error = "malformed sample payload in " + path;
-    return std::nullopt;
-  }
-  return samples;
-}
-
 /// --- Trained models -------------------------------------------------------
 
 bool SaveModelArtifact(const dlinfma::DlInfMaMethod& method,
-                       const std::string& path) {
+                       const std::string& path, uint32_t* crc) {
   const std::string blob = method.ExportParameters();
   if (blob.empty()) return false;  // Ensemble or untrained.
 
@@ -540,13 +281,15 @@ bool SaveModelArtifact(const dlinfma::DlInfMaMethod& method,
   w.WriteU64(t.seed);
 
   w.WriteString(blob);
+  if (crc != nullptr) *crc = w.payload_crc();
   return w.Finish(path);
 }
 
 std::unique_ptr<dlinfma::DlInfMaMethod> LoadModelArtifact(
-    const std::string& path, std::string* error) {
+    const std::string& path, std::string* error, uint32_t* crc) {
   auto reader = ArtifactReader::Open(path, ArtifactKind::kModel, error);
   if (!reader) return nullptr;
+  if (crc != nullptr) *crc = reader->payload_crc();
   ArtifactReader& r = *reader;
 
   const std::string name = r.ReadString();

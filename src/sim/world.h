@@ -124,6 +124,20 @@ struct World {
   int64_t TotalTrajectoryPoints() const;
 };
 
+/// The first of `waybills` naming no address of `city`, or nullptr. The
+/// apply path indexes the city by these ids, so a record or a file that
+/// names one must be refused before it is applied.
+const Waybill* FindWaybillOutsideCity(const World& city,
+                                      const std::vector<Waybill>& waybills);
+
+/// Checks every id World's accessors and the pipeline index by:
+/// communities, buildings, addresses and trips are numbered by index, and
+/// addresses, buildings, courier zones, waybills and planned stays name
+/// only entities of the world. Returns false with the first dangling
+/// reference in `error`. Decoders run it, so a file that passes its CRC
+/// still cannot reach a CHECK.
+bool ValidateWorld(const World& world, std::string* error);
+
 }  // namespace sim
 }  // namespace dlinf
 

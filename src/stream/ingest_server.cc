@@ -517,17 +517,13 @@ void IngestServer::HandleIngest(std::vector<IngestRecord>* records,
     }
     // A waybill naming an address the city lacks would abort candidate
     // generation at finish_trip, and again on every WAL replay.
-    for (const sim::Waybill& waybill : record.waybills) {
-      if (waybill.address_id >= 0 &&
-          waybill.address_id <
-              static_cast<int64_t>(options_.city.addresses.size())) {
-        continue;
-      }
+    if (const sim::Waybill* waybill =
+            sim::FindWaybillOutsideCity(options_.city, record.waybills)) {
       reject(400, metrics.rejected_malformed,
              StrPrintf("line %zu: waybill %lld names address %lld, outside "
                        "the city's %zu addresses",
-                       i + 1, static_cast<long long>(waybill.id),
-                       static_cast<long long>(waybill.address_id),
+                       i + 1, static_cast<long long>(waybill->id),
+                       static_cast<long long>(waybill->address_id),
                        options_.city.addresses.size()));
       return;
     }
@@ -675,7 +671,8 @@ bool IngestServer::RecoverState(std::string* error) {
       return false;
     }
     const uint64_t covered = reader->ReadU64();
-    sim::World world = io::DecodeWorldPayload(&*reader);
+    std::string invalid;
+    sim::World world = io::DecodeWorldPayload(&*reader, &invalid);
     const uint64_t num_clients = reader->ReadU64();
     std::vector<std::pair<std::string, ClientState>> snapshot_clients;
     for (uint64_t i = 0; reader->ok() && i < num_clients; ++i) {
@@ -710,7 +707,26 @@ bool IngestServer::RecoverState(std::string* error) {
       snapshot_clients.emplace_back(std::move(client_id), std::move(state));
     }
     if (!reader->AtEnd()) {
-      if (error != nullptr) *error = "malformed ingest snapshot payload";
+      if (error != nullptr) {
+        *error = invalid.empty() ? "malformed ingest snapshot payload"
+                                 : "invalid ingest snapshot world: " + invalid;
+      }
+      return false;
+    }
+    // The snapshot's trips, open ones too, are re-applied to this node's
+    // city, which need not be the one that wrote the snapshot.
+    bool fits_city = true;
+    for (const sim::DeliveryTrip& trip : world.trips) {
+      fits_city &= !sim::FindWaybillOutsideCity(options_.city, trip.waybills);
+    }
+    for (const auto& [client_id, state] : snapshot_clients) {
+      fits_city &=
+          !sim::FindWaybillOutsideCity(options_.city, state.pending.waybills);
+    }
+    if (!fits_city) {
+      if (error != nullptr) {
+        *error = "ingest snapshot names an address outside the city";
+      }
       return false;
     }
     // Rebuild the ingestor by re-streaming the snapshot's trips — the

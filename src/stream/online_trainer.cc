@@ -52,12 +52,10 @@ bool PublishBundle(const sim::World& world, const dlinfma::Dataset& data,
     std::filesystem::remove_all(staging, ec);
     return fail("cannot create publish dir " + publish_dir);
   }
-  // Training artifacts first, answers.art last: serving reads and watches
-  // only that one file, so a watcher that fires mid-publish sees either the
-  // previous publish or this one, never a mix.
-  for (const char* name :
-       {"world.art", "candidates.art", "samples.art", "model.art",
-        "manifest.art", io::kAnswersFile}) {
+  // In write order, answers.art last: serving reads and watches only that
+  // one file, so a watcher that fires mid-publish sees either the previous
+  // publish or this one, never a mix.
+  for (const char* name : io::kBundleFiles) {
     std::filesystem::rename(staging + "/" + name, publish_dir + "/" + name,
                             ec);
     if (ec) {

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <stop_token>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -144,6 +145,14 @@ class QueryBatchLoad {
         }
       }
     });
+    // Return once the load is answering, so what the caller does next runs
+    // under it even when the thread is slow to be scheduled (a loaded host).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (answered_.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
   }
 
   /// Stops the load and checks that it answered, and never badly.
@@ -227,9 +236,9 @@ TEST(BundleManagerTest, PollDuringMidPushManifestGapIsUnchanged) {
 }
 
 // A poll that lands between a publish's renames sees the previous publish:
-// serving reads only answers.art, which a publish renames last, so the new
-// training artifacts and manifest alone change nothing, and answers.art
-// then swaps in cleanly.
+// serving reads only answers.art, which a publish renames last, so the
+// files renamed before it change nothing, and answers.art then swaps in
+// cleanly.
 TEST(BundleManagerTest, PollBetweenPublishRenamesIsUnchangedThenSwaps) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);
@@ -242,8 +251,8 @@ TEST(BundleManagerTest, PollBetweenPublishRenamesIsUnchangedThenSwaps) {
       << error;
   const int64_t attempts_before = CounterValue("service.reload.attempts");
   const int64_t rollbacks_before = CounterValue("service.reload.rollbacks");
-  for (const char* name : {"world.art", "candidates.art", "samples.art",
-                           "model.art", "manifest.art"}) {
+  for (const char* name : io::kBundleFiles) {
+    if (std::string_view(name) == io::kAnswersFile) break;
     std::filesystem::rename(next + "/" + name, fx.dir + "/" + name);
   }
   EXPECT_EQ(manager->Poll(&error), BundleManager::ReloadOutcome::kUnchanged)
@@ -268,8 +277,8 @@ TEST(BundleManagerTest, PollBetweenPublishRenamesIsUnchangedThenSwaps) {
   std::filesystem::remove_all(next);
 }
 
-// Serving never opens a training artifact: with all four deleted the
-// manager boots from answers.art alone and answers every delivered id.
+// Serving never opens the model: with model.art absent the manager boots
+// from answers.art alone and answers every delivered id.
 TEST(BundleManagerTest, BootsFromAnswersAlone) {
   const std::string dir = ScratchPath("answers_only");
   std::filesystem::remove_all(dir);
@@ -294,33 +303,30 @@ TEST(BundleManagerTest, BootsFromAnswersAlone) {
   std::filesystem::remove_all(dir);
 }
 
-// The served answer table is the one a warm start computes: for every
+// The served answer table is the one the trained model scores: for every
 // address of the city, the answers.art service's Lookup equals a service
-// built from LoadBundle + InferAll + Build (same tier, bit-equal point),
-// and reload validation draws the same probes from either.
+// built from the fixture's in-memory method + InferAll + Build (same tier,
+// bit-equal point), and reload validation draws the same probes from
+// either.
 TEST(BundleManagerTest, AnswersEqualWarmStartScoringForEveryAddress) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);
-  std::string error;
-  std::optional<io::WarmBundle> bundle = io::LoadBundle(Fixture().dir, &error);
-  ASSERT_TRUE(bundle.has_value()) << error;
-  const std::vector<dlinfma::AddressSample> all =
-      io::AllSamples(bundle->samples);
-  const std::vector<Point> locations =
-      bundle->method->InferAll(bundle->data, all);
+  const BundleFixture& fx = Fixture();
+  const std::vector<dlinfma::AddressSample> all = io::AllSamples(fx.samples);
+  const std::vector<Point> locations = fx.method->InferAll(fx.data, all);
   std::unordered_map<int64_t, Point> inferred;
   inferred.reserve(all.size());
   for (size_t i = 0; i < all.size(); ++i) {
     inferred[all[i].address_id] = locations[i];
   }
   const DeliveryLocationService reference =
-      DeliveryLocationService::Build(*bundle->world, inferred);
+      DeliveryLocationService::Build(fx.world, inferred);
 
   const std::shared_ptr<const BundleManager::ServingState> state =
       manager->state();
-  ASSERT_EQ(state->city->addresses.size(), bundle->world->addresses.size());
-  for (int64_t id = 0;
-       id < static_cast<int64_t>(bundle->world->addresses.size()); ++id) {
+  ASSERT_EQ(state->city->addresses.size(), fx.world.addresses.size());
+  for (int64_t id = 0; id < static_cast<int64_t>(fx.world.addresses.size());
+       ++id) {
     const DeliveryLocationService::Answer served = state->service->Lookup(id);
     const DeliveryLocationService::Answer want = reference.Lookup(id);
     EXPECT_EQ(served.source, want.source) << "address " << id;
@@ -328,10 +334,9 @@ TEST(BundleManagerTest, AnswersEqualWarmStartScoringForEveryAddress) {
     EXPECT_EQ(served.location.y, want.location.y) << "address " << id;
   }
 
-  const std::vector<int64_t> delivered = bundle->world->DeliveredAddressIds();
+  const std::vector<int64_t> delivered = fx.world.DeliveredAddressIds();
   EXPECT_EQ(state->delivered, delivered);
-  const auto live_count =
-      static_cast<int64_t>(bundle->world->addresses.size());
+  const auto live_count = static_cast<int64_t>(fx.world.addresses.size());
   const std::vector<int64_t> probes =
       BundleManager::ProbeIds(state->delivered, live_count, 64);
   EXPECT_FALSE(probes.empty());

@@ -561,6 +561,26 @@ TEST(CheckpointCliTest, UnloadableWorldExitsWithTypedError) {
   }
 }
 
+TEST(CheckpointCliTest, WorldNamingAnUnknownAddressExitsWithTypedError) {
+  // Checksum-valid, but a waybill names an address the world lacks: stats
+  // must refuse it at load with one error line and exit 1, never reach
+  // World::address's CHECK in candidate generation (an abort, 134).
+  sim::World world = Fixture().world;
+  ASSERT_FALSE(world.trips.empty());
+  ASSERT_FALSE(world.trips.front().waybills.empty());
+  world.trips.front().waybills.front().address_id = 99999;
+  const std::string path = CkptPath("cli_unknown_address.art");
+  ASSERT_TRUE(SaveWorldArtifact(world, path));
+  std::string stderr_text;
+  const int status = RunCli("stats --world " + path, &stderr_text);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(stderr_text.find("names address 99999"), std::string::npos)
+      << stderr_text;
+  EXPECT_EQ(std::count(stderr_text.begin(), stderr_text.end(), '\n'), 1)
+      << stderr_text;
+}
+
 TEST(CheckpointCliTest, MalformedResumeStateExitsWithTypedError) {
   // A real checkpoint of this world, so seed, shapes and training-set size
   // all pass the CLI's own checks and only the corrupted field is wrong.

@@ -19,6 +19,9 @@
 #include "apps/http_conn.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
+#include "io/artifact.h"
+#include "io/bundle.h"
+#include "io/codecs.h"
 #include "io/wal_frame.h"
 #include "obs/metrics.h"
 #include "sim/config.h"
@@ -427,9 +430,7 @@ TEST(IngestServerTest, WalSegmentHoldsExactlyTheFramedTripLines) {
 
 TEST(IngestServerTest, RetrainRoundsPublishWhatTheDirectPathPublishes) {
   // Rounds on the loop publish the bundle that StreamIngestor::ReplayTrip +
-  // OnlineTrainer::Retrain publish at the same trip counts. world.art may
-  // differ, because the wire carries no planned_stays, so it is not
-  // compared.
+  // OnlineTrainer::Retrain publish at the same trip counts, byte for byte.
   const std::string root = ScratchDir("rounds");
   constexpr int64_t kEvery = 2;
   OnlineTrainer::Options trainer_options;
@@ -461,8 +462,7 @@ TEST(IngestServerTest, RetrainRoundsPublishWhatTheDirectPathPublishes) {
       continue;
     }
     ++compared;
-    for (const char* name :
-         {"model.art", "candidates.art", "samples.art", "answers.art"}) {
+    for (const char* name : io::kBundleFiles) {
       const std::string served = ReadFileBytes(root + "/served/" + name);
       EXPECT_FALSE(served.empty()) << name;
       EXPECT_TRUE(served == ReadFileBytes(root + "/direct/" + name))
@@ -1125,6 +1125,41 @@ TEST(IngestServerTest, CorruptSnapshotFailsStartWithTypedError) {
   std::string error;
   EXPECT_FALSE(server.Start(&error));
   EXPECT_NE(error.find("snapshot"), std::string::npos) << error;
+}
+
+TEST(IngestServerTest, SnapshotNamingAnUnknownAddressFailsStartTyped) {
+  // Checksum-valid snapshots whose trips name an address that either their
+  // own world or the restarting node's city lacks: Start refuses them
+  // typed instead of aborting when the trips are re-applied.
+  const auto write_snapshot = [](const std::string& dir,
+                                 const sim::World& world) {
+    io::ArtifactWriter writer(io::ArtifactKind::kIngestState);
+    writer.WriteU64(0);  // Covered segment.
+    io::EncodeWorldPayload(world, &writer);
+    writer.WriteU64(0);  // Clients.
+    ASSERT_TRUE(writer.Finish(IngestServer::SnapshotPath(dir)));
+  };
+  std::string error;
+  {
+    const std::string dir = ScratchDir("snap_dangling");
+    sim::World world = FullWorld();
+    world.trips.front().waybills.front().address_id = 99999;
+    write_snapshot(dir, world);
+    IngestServer server(BaseOptions(dir));
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("invalid ingest snapshot world"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("names address 99999"), std::string::npos) << error;
+  }
+  {
+    const std::string dir = ScratchDir("snap_other_city");
+    write_snapshot(dir, FullWorld());
+    IngestServer::Options options = BaseOptions(dir);
+    options.city.addresses.resize(1);
+    IngestServer server(options);
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("outside the city"), std::string::npos) << error;
+  }
 }
 
 TEST(IngestServerTest, StatsAndHealthEndpointsServe) {

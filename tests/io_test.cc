@@ -1,8 +1,9 @@
 // Round-trip, corruption, and warm-start-equivalence tests for the artifact
-// serialization layer (src/io): every artifact type survives save/load
-// bit-exactly, inference is bit-identical before and after a reload, and
-// corrupted / truncated / mismatched files fail with a clean error instead
-// of crashing or feeding garbage downstream.
+// serialization layer (src/io): the world and model artifacts survive
+// save/load bit-exactly, inference is bit-identical before and after a
+// reload, a bundle's answers.art pairs with its model.art, and corrupted /
+// truncated / mismatched files fail with a clean error instead of crashing
+// or feeding garbage downstream.
 
 #include <algorithm>
 #include <cstdint>
@@ -97,7 +98,7 @@ std::string TestPath(const std::string& name) {
 
 TEST(ArtifactEnvelopeTest, PrimitivesRoundTrip) {
   const std::string path = TestPath("primitives.art");
-  ArtifactWriter writer(ArtifactKind::kManifest);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteU32(0xdeadbeefu);
   writer.WriteU64(1ull << 52);
   writer.WriteI32(-42);
@@ -107,12 +108,11 @@ TEST(ArtifactEnvelopeTest, PrimitivesRoundTrip) {
   writer.WriteBool(true);
   writer.WriteString("stay point");
   writer.WriteFloats({1.0f, -2.0f});
-  writer.WriteDoubles({3.5});
   writer.WriteI64s({7, 8, 9});
   ASSERT_TRUE(writer.Finish(path));
 
   std::string error;
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kManifest, &error);
+  auto reader = ArtifactReader::Open(path, ArtifactKind::kModel, &error);
   ASSERT_TRUE(reader.has_value()) << error;
   EXPECT_EQ(reader->ReadU32(), 0xdeadbeefu);
   EXPECT_EQ(reader->ReadU64(), 1ull << 52);
@@ -123,7 +123,6 @@ TEST(ArtifactEnvelopeTest, PrimitivesRoundTrip) {
   EXPECT_TRUE(reader->ReadBool());
   EXPECT_EQ(reader->ReadString(), "stay point");
   EXPECT_EQ(reader->ReadFloats(), (std::vector<float>{1.0f, -2.0f}));
-  EXPECT_EQ(reader->ReadDoubles(), (std::vector<double>{3.5}));
   EXPECT_EQ(reader->ReadI64s(), (std::vector<int64_t>{7, 8, 9}));
   EXPECT_TRUE(reader->AtEnd());
 }
@@ -186,7 +185,7 @@ TEST(ArtifactEnvelopeTest, WrongFormatVersionRejected) {
 
 TEST(ArtifactEnvelopeTest, CorruptedPayloadFailsChecksum) {
   const std::string path = TestPath("corrupt.art");
-  ArtifactWriter writer(ArtifactKind::kSamples);
+  ArtifactWriter writer(ArtifactKind::kAnswers);
   writer.WriteString("some payload that will be corrupted");
   ASSERT_TRUE(writer.Finish(path));
   // First payload byte lives right after the 20-byte header.
@@ -194,13 +193,13 @@ TEST(ArtifactEnvelopeTest, CorruptedPayloadFailsChecksum) {
 
   std::string error;
   EXPECT_FALSE(
-      ArtifactReader::Open(path, ArtifactKind::kSamples, &error).has_value());
+      ArtifactReader::Open(path, ArtifactKind::kAnswers, &error).has_value());
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
 TEST(ArtifactEnvelopeTest, TruncatedFileRejected) {
   const std::string path = TestPath("truncated.art");
-  ArtifactWriter writer(ArtifactKind::kCandidates);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteI64s({1, 2, 3, 4, 5});
   ASSERT_TRUE(writer.Finish(path));
   const std::string bytes = ReadFileBytes(path);
@@ -210,7 +209,7 @@ TEST(ArtifactEnvelopeTest, TruncatedFileRejected) {
                             bytes.size() - 1}) {
     WriteFileBytes(path, bytes.substr(0, keep));
     std::string error;
-    EXPECT_FALSE(ArtifactReader::Open(path, ArtifactKind::kCandidates, &error)
+    EXPECT_FALSE(ArtifactReader::Open(path, ArtifactKind::kModel, &error)
                      .has_value())
         << "kept " << keep << " bytes";
     EXPECT_FALSE(error.empty());
@@ -221,7 +220,7 @@ TEST(ArtifactEnvelopeTest, PayloadSizeBeyondFileIsTypedTruncation) {
   // A header whose size field claims more bytes than the file holds must
   // fail as a truncated payload before anything that large is allocated.
   const std::string path = TestPath("payload_size.art");
-  ArtifactWriter writer(ArtifactKind::kManifest);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteString("payload under test");
   ASSERT_TRUE(writer.Finish(path));
   const std::string valid = ReadFileBytes(path);
@@ -244,7 +243,7 @@ TEST(ArtifactEnvelopeTest, PayloadSizeBeyondFileIsTypedTruncation) {
     WriteFileBytes(path, row.bytes);
     std::string error;
     EXPECT_FALSE(
-        ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value())
+        ArtifactReader::Open(path, ArtifactKind::kModel, &error).has_value())
         << row.name;
     EXPECT_NE(error.find("truncated payload"), std::string::npos)
         << row.name << ": " << error;
@@ -296,11 +295,11 @@ TEST(ArtifactEnvelopeTest, MissingFileReportsError) {
 
 TEST(ArtifactEnvelopeTest, ReadPastEndIsStickyNotFatal) {
   const std::string path = TestPath("pastend.art");
-  ArtifactWriter writer(ArtifactKind::kManifest);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteU32(5);
   ASSERT_TRUE(writer.Finish(path));
 
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kManifest);
+  auto reader = ArtifactReader::Open(path, ArtifactKind::kModel);
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->ReadU32(), 5u);
   EXPECT_TRUE(reader->ok());
@@ -314,11 +313,11 @@ TEST(ArtifactEnvelopeTest, OversizedLengthPrefixRejected) {
   // A length prefix larger than the remaining payload must fail cleanly
   // instead of allocating or reading out of bounds.
   const std::string path = TestPath("oversized.art");
-  ArtifactWriter writer(ArtifactKind::kManifest);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteU64(~0ull);  // Claims ~2^64 following elements.
   ASSERT_TRUE(writer.Finish(path));
 
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kManifest);
+  auto reader = ArtifactReader::Open(path, ArtifactKind::kModel);
   ASSERT_TRUE(reader.has_value());
   EXPECT_TRUE(reader->ReadI64s().empty());
   EXPECT_FALSE(reader->ok());
@@ -326,10 +325,10 @@ TEST(ArtifactEnvelopeTest, OversizedLengthPrefixRejected) {
 
 // --- Fault injection (fault/fault.h, DESIGN.md §8) ------------------------
 
-/// Writes a small valid manifest artifact and returns its path.
+/// Writes a small valid model-kind artifact and returns its path.
 std::string WriteValidArtifact(const std::string& name) {
   const std::string path = TestPath(name);
-  ArtifactWriter writer(ArtifactKind::kManifest);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteString("payload under test");
   writer.WriteI64s({1, 2, 3});
   EXPECT_TRUE(writer.Finish(path));
@@ -347,7 +346,7 @@ TEST(ArtifactFaultTest, ExplicitFutureVersionRejected) {
 
   std::string error;
   EXPECT_FALSE(
-      ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value());
+      ArtifactReader::Open(path, ArtifactKind::kModel, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
@@ -357,7 +356,7 @@ TEST(ArtifactFaultTest, InjectedShortReadFailsCleanly) {
       fault::FaultPlan().FailAlways("io.artifact.short_read"), /*seed=*/1);
   std::string error;
   EXPECT_FALSE(
-      ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value());
+      ArtifactReader::Open(path, ArtifactKind::kModel, &error).has_value());
   EXPECT_NE(error.find("truncated payload"), std::string::npos) << error;
   EXPECT_EQ(fault::FireCount("io.artifact.short_read"), 1);
 }
@@ -370,7 +369,7 @@ TEST(ArtifactFaultTest, InjectedBitFlipFailsChecksum) {
       /*seed=*/1);
   std::string error;
   EXPECT_FALSE(
-      ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value());
+      ArtifactReader::Open(path, ArtifactKind::kModel, &error).has_value());
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
   EXPECT_EQ(fault::FireCount("io.artifact.bit_flip"), 1);
 }
@@ -381,7 +380,7 @@ TEST(ArtifactFaultTest, InjectedStaleVersionRejected) {
       fault::FaultPlan().FailAlways("io.artifact.stale_version"), /*seed=*/1);
   std::string error;
   EXPECT_FALSE(
-      ArtifactReader::Open(path, ArtifactKind::kManifest, &error).has_value());
+      ArtifactReader::Open(path, ArtifactKind::kModel, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
   EXPECT_EQ(fault::FireCount("io.artifact.stale_version"), 1);
 }
@@ -391,7 +390,7 @@ TEST(ArtifactFaultTest, InjectedWriteFailReported) {
   std::filesystem::remove(path);
   fault::ScopedFaultPlan armed(
       fault::FaultPlan().FailAlways("io.artifact.write_fail"), /*seed=*/1);
-  ArtifactWriter writer(ArtifactKind::kManifest);
+  ArtifactWriter writer(ArtifactKind::kModel);
   writer.WriteU32(7);
   EXPECT_FALSE(writer.Finish(path));
   EXPECT_FALSE(std::filesystem::exists(path));
@@ -405,9 +404,9 @@ TEST(ArtifactFaultTest, DisarmedFileIsUntouchedAndLoads) {
     fault::ScopedFaultPlan armed(
         fault::FaultPlan().FailAlways("io.artifact.bit_flip"), /*seed=*/1);
     EXPECT_FALSE(
-        ArtifactReader::Open(path, ArtifactKind::kManifest).has_value());
+        ArtifactReader::Open(path, ArtifactKind::kModel).has_value());
   }
-  auto reader = ArtifactReader::Open(path, ArtifactKind::kManifest);
+  auto reader = ArtifactReader::Open(path, ArtifactKind::kModel);
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->ReadString(), "payload under test");
 }
@@ -450,6 +449,13 @@ TEST(ArtifactEnvelopeTest, AnswersLoadBackTheScoredTable) {
     EXPECT_EQ(answers->addresses[i].first, all[i].address_id) << i;
     EXPECT_EQ(answers->addresses[i].second, locations[i]) << i;
   }
+  // The trailing field names the model.art the table was scored with.
+  uint32_t model_crc = 0;
+  ASSERT_NE(LoadModelArtifact(TestPath("answers_bundle") + "/" + kModelFile,
+                              &error, &model_crc),
+            nullptr)
+      << error;
+  EXPECT_EQ(answers->model_crc, model_crc);
 }
 
 TEST(ArtifactEnvelopeTest, AnswersBadMagicRejected) {
@@ -504,10 +510,32 @@ TEST(ArtifactEnvelopeTest, AnswersNamingAnAddressOutsideTheCityRejected) {
   EncodeCityPayload(Fixture().world, &writer);
   writer.WriteI64s({static_cast<int64_t>(Fixture().world.addresses.size())});
   writer.WriteU64(0);
+  writer.WriteU32(0);  // Model CRC.
   ASSERT_TRUE(writer.Finish(dir + "/" + kAnswersFile));
   std::string error;
   EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
   EXPECT_NE(error.find("outside the city"), std::string::npos) << error;
+}
+
+TEST(ArtifactEnvelopeTest, AnswersWithoutModelCrcRejected) {
+  // The answers.art layout from before the model CRC field: city,
+  // delivered ids and the table, sealed with a good checksum. Refused
+  // typed, so a bundle whose pairing cannot be checked is never served.
+  const std::string dir = TestPath("answers_no_crc");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ArtifactWriter writer(ArtifactKind::kAnswers);
+  EncodeCityPayload(Fixture().world, &writer);
+  writer.WriteI64s(Fixture().world.DeliveredAddressIds());
+  writer.WriteU64(1);
+  writer.WriteI64(Fixture().world.DeliveredAddressIds().front());
+  writer.WriteDouble(1.0);
+  writer.WriteDouble(2.0);
+  ASSERT_TRUE(writer.Finish(dir + "/" + kAnswersFile));
+  std::string error;
+  EXPECT_FALSE(LoadAnswers(dir, &error).has_value());
+  EXPECT_NE(error.find("malformed answers payload"), std::string::npos)
+      << error;
 }
 
 TEST(ArtifactFaultTest, AnswersFutureVersionRejected) {
@@ -549,57 +577,6 @@ TEST(IoCodecsTest, WorldArtifactRoundTripsByteIdentically) {
   // and nothing is lost in flight.
   const std::string resaved = TestPath("world2.art");
   ASSERT_TRUE(SaveWorldArtifact(*loaded, resaved));
-  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
-}
-
-TEST(IoCodecsTest, CandidatesArtifactRoundTripsByteIdentically) {
-  const PipelineFixture& fixture = Fixture();
-  const std::string path = TestPath("candidates.art");
-  ASSERT_TRUE(SaveCandidatesArtifact(*fixture.data.gen, path));
-
-  std::string error;
-  auto loaded = LoadCandidatesArtifact(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ASSERT_EQ(loaded->candidates().size(), fixture.data.gen->candidates().size());
-  ASSERT_EQ(loaded->stay_points().size(),
-            fixture.data.gen->stay_points().size());
-
-  // The loaded pool must answer retrieval queries identically (the indexes
-  // are part of the artifact, not re-mined).
-  for (const sim::Address& address : fixture.world.addresses) {
-    const auto original = fixture.data.gen->Retrieve(address.id);
-    const auto restored = loaded->Retrieve(address.id);
-    ASSERT_EQ(original.size(), restored.size()) << address.id;
-    for (size_t i = 0; i < original.size(); ++i) {
-      EXPECT_EQ(original[i], restored[i]) << address.id;
-    }
-  }
-
-  const std::string resaved = TestPath("candidates2.art");
-  ASSERT_TRUE(SaveCandidatesArtifact(*loaded, resaved));
-  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
-}
-
-TEST(IoCodecsTest, SamplesArtifactRoundTripsByteIdentically) {
-  const PipelineFixture& fixture = Fixture();
-  const std::string path = TestPath("samples.art");
-  ASSERT_TRUE(SaveSamplesArtifact(fixture.samples, path));
-
-  std::string error;
-  auto loaded = LoadSamplesArtifact(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ASSERT_EQ(loaded->train.size(), fixture.samples.train.size());
-  ASSERT_EQ(loaded->val.size(), fixture.samples.val.size());
-  ASSERT_EQ(loaded->test.size(), fixture.samples.test.size());
-  ASSERT_FALSE(fixture.samples.train.empty());
-  const dlinfma::AddressSample& original = fixture.samples.train.front();
-  const dlinfma::AddressSample& restored = loaded->train.front();
-  EXPECT_EQ(restored.address_id, original.address_id);
-  EXPECT_EQ(restored.candidate_ids, original.candidate_ids);
-  EXPECT_EQ(restored.label, original.label);
-
-  const std::string resaved = TestPath("samples2.art");
-  ASSERT_TRUE(SaveSamplesArtifact(*loaded, resaved));
   EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
 }
 
@@ -647,22 +624,30 @@ TEST(IoBundleTest, BundleRoundTripsToBitIdenticalInference) {
   ASSERT_TRUE(SaveBundle(dir, fixture.world, fixture.data, fixture.samples,
                          *fixture.method, &error))
       << error;
+  // A bundle is its two files, nothing else.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{kAnswersFile, kModelFile}));
 
-  std::optional<WarmBundle> bundle = LoadBundle(dir, &error);
+  std::optional<Bundle> bundle = LoadBundle(dir, &error);
   ASSERT_TRUE(bundle.has_value()) << error;
-  EXPECT_EQ(bundle->world->name, fixture.world.name);
-  EXPECT_EQ(bundle->data.train_ids, fixture.data.train_ids);
-  EXPECT_EQ(bundle->data.val_ids, fixture.data.val_ids);
-  EXPECT_EQ(bundle->data.test_ids, fixture.data.test_ids);
+  EXPECT_EQ(bundle->answers.city.name, fixture.world.name);
 
+  // The loaded model scores what the trained one scored, and answers.art
+  // holds exactly that table.
   const std::vector<dlinfma::AddressSample> all = AllSamples(fixture.samples);
   const std::vector<Point> before =
       fixture.method->InferAll(fixture.data, all);
-  const std::vector<Point> after =
-      bundle->method->InferAll(bundle->data, AllSamples(bundle->samples));
+  const std::vector<Point> after = bundle->method->InferAll(fixture.data, all);
   ASSERT_EQ(before.size(), after.size());
+  ASSERT_EQ(bundle->answers.addresses.size(), all.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]) << "sample " << i;
+    EXPECT_EQ(bundle->answers.addresses[i].first, all[i].address_id) << i;
+    EXPECT_EQ(bundle->answers.addresses[i].second, before[i]) << i;
   }
 }
 
@@ -673,10 +658,10 @@ TEST(IoBundleTest, MissingArtifactFailsCleanly) {
   ASSERT_TRUE(SaveBundle(dir, fixture.world, fixture.data, fixture.samples,
                          *fixture.method, &error))
       << error;
-  std::filesystem::remove(dir + "/candidates.art");
+  std::filesystem::remove(dir + "/" + kModelFile);
 
   EXPECT_FALSE(LoadBundle(dir, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find(kModelFile), std::string::npos) << error;
 }
 
 TEST(IoBundleTest, CorruptedBundleArtifactFailsCleanly) {
@@ -686,10 +671,64 @@ TEST(IoBundleTest, CorruptedBundleArtifactFailsCleanly) {
   ASSERT_TRUE(SaveBundle(dir, fixture.world, fixture.data, fixture.samples,
                          *fixture.method, &error))
       << error;
-  CorruptByteAt(dir + "/samples.art", 100);
+  CorruptByteAt(dir + "/" + kModelFile, 100);
 
   EXPECT_FALSE(LoadBundle(dir, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+}
+
+TEST(IoBundleTest, MixedPairFromTwoRunsNamesBothFiles) {
+  // answers.art from one run beside model.art from another: each file is
+  // sound on its own, and answers.art's recorded model CRC catches the mix.
+  PipelineFixture& fixture = Fixture();
+  dlinfma::TrainConfig other_config = fixture.method->train_config();
+  other_config.seed += 1;
+  other_config.max_epochs = 1;
+  dlinfma::DlInfMaMethod other("DLInfMA", fixture.method->model_config(),
+                               other_config);
+  other.Fit(fixture.data, fixture.samples);
+  const std::string dir = TestPath("bundle_mixed");
+  const std::string other_dir = TestPath("bundle_mixed_other");
+  std::string error;
+  ASSERT_TRUE(SaveBundle(dir, fixture.world, fixture.data, fixture.samples,
+                         *fixture.method, &error))
+      << error;
+  ASSERT_TRUE(SaveBundle(other_dir, fixture.world, fixture.data,
+                         fixture.samples, other, &error))
+      << error;
+  ASSERT_TRUE(LoadBundle(other_dir, &error).has_value()) << error;
+  std::filesystem::copy_file(other_dir + "/" + kModelFile,
+                             dir + "/" + kModelFile,
+                             std::filesystem::copy_options::overwrite_existing);
+
+  EXPECT_FALSE(LoadBundle(dir, &error).has_value());
+  EXPECT_NE(error.find(kModelFile), std::string::npos) << error;
+  EXPECT_NE(error.find(kAnswersFile), std::string::npos) << error;
+  EXPECT_NE(error.find("different runs"), std::string::npos) << error;
+  // Serving reads answers.art alone, which is still sound.
+  EXPECT_TRUE(LoadAnswers(dir, &error).has_value()) << error;
+}
+
+TEST(IoBundleTest, RetiredKindIsATypedKindMismatch) {
+  // A file of a kind bundles no longer hold, in a bundle's model.art slot
+  // (say a manifest.art left from an old bundle): refused with the kind
+  // named, never decoded.
+  const std::string dir = TestPath("bundle_retired_kind");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const ArtifactKind retired :
+       {ArtifactKind::kStayPoints, ArtifactKind::kCandidates,
+        ArtifactKind::kSamples, ArtifactKind::kManifest}) {
+    ArtifactWriter writer(retired);
+    writer.WriteString("payload of an old bundle");
+    ASSERT_TRUE(writer.Finish(dir + "/" + kModelFile));
+    std::string error;
+    EXPECT_EQ(LoadModelArtifact(dir + "/" + kModelFile, &error), nullptr);
+    EXPECT_NE(error.find(std::string("holds '") + ArtifactKindName(retired) +
+                         "', expected 'model'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

@@ -162,11 +162,12 @@ TEST(OnlineTrainerTest, PublishedBundleHotReloadsAcrossRounds) {
   ASSERT_TRUE(first.trained) << first.skip_reason;
   ASSERT_TRUE(first.published) << first.publish_error;
 
-  // The published bundle is a complete, standalone warm start.
+  // The published bundle loads whole: the model and the answers it scored.
   std::string error;
   auto loaded = io::LoadBundle(publish_dir, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_TRUE(loaded->method->has_model());
+  EXPECT_FALSE(loaded->answers.addresses.empty());
 
   // Online rounds are retrained on shifting sample sets, so the reload
   // gate's live-vs-candidate agreement threshold is relaxed; structural

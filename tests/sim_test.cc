@@ -161,6 +161,60 @@ TEST_F(SimWorldTest, AccessorsAndCounters) {
   EXPECT_EQ(unique.size(), delivered.size());
 }
 
+TEST_F(SimWorldTest, ValidatorAcceptsGeneratedWorldAndNamesEachDanglingId) {
+  std::string error;
+  EXPECT_TRUE(ValidateWorld(*world_, &error)) << error;
+  EXPECT_EQ(FindWaybillOutsideCity(*world_, world_->trips.front().waybills),
+            nullptr);
+  ASSERT_FALSE(world_->trips.front().planned_stays.empty());
+  ASSERT_FALSE(world_->couriers.empty());
+  // One broken reference per row, each found with a reason naming it.
+  const struct {
+    const char* name;
+    void (*breaks)(World*);
+    const char* reason;
+  } rows[] = {
+      {"community id", [](World* w) { w->communities[1].id = 7; },
+       "community 1 has id 7"},
+      {"building id", [](World* w) { w->buildings[2].id = 3; },
+       "building 2 has id 3"},
+      {"building community", [](World* w) { w->buildings[0].community_id = -1; },
+       "building 0 names community -1"},
+      {"address id", [](World* w) { w->addresses[4].id = 5; },
+       "address 4 has id 5"},
+      {"address building", [](World* w) { w->addresses[0].building_id = 99999; },
+       "names building 99999"},
+      {"address community",
+       [](World* w) { w->addresses[0].community_id = 99999; },
+       "community 99999"},
+      {"courier zone",
+       [](World* w) { w->couriers[0].zone_community_ids.push_back(99999); },
+       "zone names community 99999"},
+      {"trip id", [](World* w) { w->trips[1].id = 0; }, "trip 1 has id 0"},
+      {"waybill address",
+       [](World* w) { w->trips[0].waybills.back().address_id = 99999; },
+       "names address 99999"},
+      {"planned stay address",
+       [](World* w) {
+         w->trips[0].planned_stays[0].delivered_address_ids.push_back(-5);
+       },
+       "a planned stay names address -5"},
+  };
+  for (const auto& row : rows) {
+    World broken = *world_;
+    row.breaks(&broken);
+    error.clear();
+    EXPECT_FALSE(ValidateWorld(broken, &error)) << row.name;
+    EXPECT_NE(error.find(row.reason), std::string::npos)
+        << row.name << ": " << error;
+  }
+  World broken = *world_;
+  broken.trips[0].waybills.back().address_id =
+      static_cast<int64_t>(broken.addresses.size());
+  EXPECT_EQ(FindWaybillOutsideCity(broken, broken.trips[0].waybills),
+            &broken.trips[0].waybills.back());
+}
+
 TEST(SimDeterminismTest, SameSeedSameWorld) {
   const World a = GenerateWorld(SmallConfig());
   const World b = GenerateWorld(SmallConfig());

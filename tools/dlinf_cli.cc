@@ -13,10 +13,9 @@
 //              [--ckpt FILE [--ckpt-every N] [--resume [FILE]]]
 //       The offline pipeline: candidate generation + feature extraction,
 //       train LocMatcher on the train/val splits, report test metrics, then
-//       persist the full artifact bundle (world, candidate pool + retrieval
-//       indexes, feature tensors, checksummed model weights, and the scored
-//       answers serving reads; see io/bundle.h) so that serve/infer
-//       warm-start without retraining.
+//       persist the bundle (io/bundle.h): the checksummed model weights and
+//       the answers it scored for every delivered address, which serve and
+//       infer read without retraining.
 //       --ckpt writes a crash-safe CKPT artifact (io/checkpoint.h) every N
 //       epochs (default 5); --resume restores it first, so a killed run
 //       finishes bit-identical to an uninterrupted one.
@@ -45,8 +44,8 @@
 //
 //   dlinf_cli infer --bundle DIR --out FILE.csv
 //       Write the inferred delivery location of every delivered address as
-//       CSV (address_id,x,y); the whole pipeline state is warm-started from
-//       the bundle's artifacts.
+//       CSV (address_id,x,y): the table train scored into answers.art, after
+//       checking it against the bundle's model.art. Nothing is re-scored.
 //
 //   dlinf_cli stream --listen PORT --wal-dir DIR [--city FILE]
 //              [--serve-seconds S] [--fsync-every N] [--fsync-interval S]
@@ -71,7 +70,7 @@
 //       (default N=0: only at shutdown) a retrain round runs on the loop
 //       over the accumulated snapshot, warm-started from the previous
 //       round's weights, and publishes a fresh bundle into DIR with the
-//       manifest-last protocol that `serve --poll-every` keys on. A round
+//       answers-last protocol that `serve --poll-every` keys on. A round
 //       blocks ingest while it runs. After the node stops, one more round
 //       covers the trips the last periodic round did not see. --quick caps
 //       rounds at 20 epochs (--epochs overrides exactly); --ckpt writes a
@@ -89,7 +88,8 @@
 //   (DESIGN.md §10):
 //     --trace-out FILE   record every span/instant event (sampling rate 1)
 //                        for the whole command and write Chrome trace-event
-//                        JSON to FILE on exit (open in Perfetto).
+//                        JSON to FILE on exit (open in Perfetto); the
+//                        command's own thread is the track named "main".
 //     --log-json [FILE]  emit structured JSON-lines telemetry (per-epoch
 //                        training stats, reload transitions, degradation
 //                        warnings) to FILE, or stderr when no FILE given.
@@ -348,37 +348,34 @@ int CmdInfer(const Flags& flags) {
   if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
   Stopwatch watch;
   std::string error;
-  std::optional<io::WarmBundle> bundle = io::LoadBundle(dir, &error);
+  std::optional<io::Bundle> bundle = io::LoadBundle(dir, &error);
   if (!bundle) {
     std::fprintf(stderr, "error: cannot load bundle: %s\n", error.c_str());
     return 1;
   }
   std::printf(
-      "warm-start: bundle %s loaded in %.1f ms (%zu addresses, %zu "
-      "candidates, %lld model parameters; no retraining)\n",
+      "warm-start: bundle %s loaded in %.1f ms (%zu addresses, %lld model "
+      "parameters; no retraining)\n",
       dir.c_str(), watch.ElapsedSeconds() * 1e3,
-      bundle->world->addresses.size(), bundle->data.gen->candidates().size(),
+      bundle->answers.city.addresses.size(),
       static_cast<long long>(bundle->method->model()->NumParameters()));
 
-  // Every pipeline artifact comes from the bundle.
-  const std::vector<dlinfma::AddressSample> samples =
-      io::AllSamples(bundle->samples);
-  const std::vector<Point> locations =
-      bundle->method->InferAll(bundle->data, samples);
+  // SaveBundle scored every sample with this model: write its table.
+  const auto& table = bundle->answers.addresses;
   std::FILE* file = std::fopen(out.c_str(), "w");
   bool written = file != nullptr &&
                  std::fputs("address_id,x,y\n", file) >= 0;
-  for (size_t i = 0; written && i < samples.size(); ++i) {
+  for (size_t i = 0; written && i < table.size(); ++i) {
     written = std::fprintf(file, "%lld,%.2f,%.2f\n",
-                           static_cast<long long>(samples[i].address_id),
-                           locations[i].x, locations[i].y) >= 0;
+                           static_cast<long long>(table[i].first),
+                           table[i].second.x, table[i].second.y) >= 0;
   }
   if (file != nullptr && std::fclose(file) != 0) written = false;
   if (!written) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
     return 1;
   }
-  std::printf("inferred %zu delivery locations -> %s\n", samples.size(),
+  std::printf("inferred %zu delivery locations -> %s\n", table.size(),
               out.c_str());
   return 0;
 }
@@ -714,12 +711,15 @@ int main(int argc, char** argv) {
     }
   }
   const std::string trace_out = flags->Str("--trace-out");
+  const std::string profile_out = flags->Str("--profile-out");
+  // A labeled track for the command's own thread, whichever capture runs.
+  if (!trace_out.empty() || !profile_out.empty()) {
+    obs::prof::RegisterCurrentThread("main");
+  }
   if (!trace_out.empty()) {
     obs::TraceLog::Global().Start(/*sample_rate=*/1.0);
   }
-  const std::string profile_out = flags->Str("--profile-out");
   if (!profile_out.empty()) {
-    obs::prof::RegisterCurrentThread("main");
     obs::prof::CpuProfiler::Options profile_options;
     profile_options.hz = flags->Int("--profile-hz", profile_options.hz);
     std::string error;
