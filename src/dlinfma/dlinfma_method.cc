@@ -12,6 +12,22 @@
 namespace dlinf {
 namespace dlinfma {
 
+std::string PoiCategoryError(const SampleSet& samples,
+                             const LocMatcherConfig& config) {
+  for (const std::vector<AddressSample>* split :
+       {&samples.train, &samples.val, &samples.test}) {
+    for (const AddressSample& sample : *split) {
+      const int category = sample.address.poi_category;
+      if (category >= 0 && category < config.num_poi_categories) continue;
+      return "address " + std::to_string(sample.address_id) +
+             " has POI category " + std::to_string(category) +
+             ", outside the model's " +
+             std::to_string(config.num_poi_categories) + " categories";
+    }
+  }
+  return "";
+}
+
 DlInfMaMethod::DlInfMaMethod(std::string name,
                              const LocMatcherConfig& model_config,
                              const TrainConfig& train_config,

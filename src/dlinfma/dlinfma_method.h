@@ -11,6 +11,14 @@
 namespace dlinf {
 namespace dlinfma {
 
+/// Empty when every train/val/test sample's POI category indexes the POI
+/// embedding of a LocMatcher built from `config` (0 up to
+/// num_poi_categories - 1); otherwise one line naming the first address
+/// that does not. Training on such a sample would abort in the embedding
+/// lookup, so callers holding user data check first.
+std::string PoiCategoryError(const SampleSet& samples,
+                             const LocMatcherConfig& config);
+
 /// The full DLInfMA method as an Inferrer: candidate generation + features
 /// are supplied through the Dataset/SampleSet, this class owns the
 /// LocMatcher model, its training, and candidate selection.

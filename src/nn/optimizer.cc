@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace dlinf {
 namespace nn {
 
@@ -46,20 +48,20 @@ Adam::Adam(std::vector<Tensor> parameters, float learning_rate, float beta1,
 
 void Adam::Step() {
   ++t_;
-  const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const kernel::AdamCoefficients coefficients = {
+      .beta1 = beta1_,
+      .beta2 = beta2_,
+      .one_minus_beta1 = 1.0f - beta1_,
+      .one_minus_beta2 = 1.0f - beta2_,
+      .bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_)),
+      .bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_)),
+      .learning_rate = learning_rate_,
+      .eps = eps_};
   for (size_t i = 0; i < parameters_.size(); ++i) {
     std::vector<float>& data = parameters_[i].data();
-    const std::vector<float>& grad = parameters_[i].grad();
-    std::vector<float>& m = m_[i];
-    std::vector<float>& v = v_[i];
-    for (size_t j = 0; j < data.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * grad[j] * grad[j];
-      const float m_hat = m[j] / bias1;
-      const float v_hat = v[j] / bias2;
-      data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    kernel::AdamStep(coefficients, parameters_[i].grad().data(), data.data(),
+                     m_[i].data(), v_[i].data(),
+                     static_cast<int64_t>(data.size()));
   }
 }
 

@@ -76,8 +76,10 @@ Tensor Tensor::Zeros(const Shape& shape, bool requires_grad) {
 Tensor Tensor::Full(const Shape& shape, float value, bool requires_grad) {
   auto impl = std::make_shared<internal::TensorImpl>();
   impl->shape = shape;
-  impl->data = kernel::AcquireBuffer(NumElements(shape));
-  if (value != 0.0f) {
+  if (value == 0.0f) {
+    impl->data = kernel::AcquireBuffer(NumElements(shape));
+  } else {
+    impl->data = kernel::AcquireBufferForOverwrite(NumElements(shape));
     std::fill(impl->data.begin(), impl->data.end(), value);
   }
   impl->requires_grad = requires_grad;
@@ -190,7 +192,7 @@ NoGradGuard::~NoGradGuard() { t_grad_enabled = prev_; }
 Tensor MakeResult(const Shape& shape, const std::vector<Tensor>& inputs) {
   auto impl = std::make_shared<internal::TensorImpl>();
   impl->shape = shape;
-  impl->data = kernel::AcquireBuffer(NumElements(shape));
+  impl->data = kernel::AcquireBufferForOverwrite(NumElements(shape));
   if (t_grad_enabled) {
     for (const Tensor& input : inputs) {
       CHECK(input.defined());

@@ -114,7 +114,9 @@ class Tensor {
 };
 
 /// Creates a non-leaf result tensor: requires_grad if any input does, records
-/// inputs for the tape. The caller fills data and sets backward_fn.
+/// inputs for the tape. The data buffer is not zeroed (a recycled one holds
+/// its last user's values): the caller writes every element of it, then
+/// sets backward_fn. The gradient buffer, an accumulator, starts zeroed.
 /// Under NoGradGuard the result is a detached leaf (no inputs, no grad).
 Tensor MakeResult(const Shape& shape, const std::vector<Tensor>& inputs);
 

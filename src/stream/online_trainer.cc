@@ -98,6 +98,16 @@ OnlineTrainer::RoundResult OnlineTrainer::Retrain(
         .Str("skipped", result.skip_reason);
     return result;
   }
+  result.error = dlinfma::PoiCategoryError(samples, options_.model);
+  if (!result.error.empty()) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("stream.retrain.failures")
+        ->Add(1);
+    obs::LogLine(obs::LogSeverity::kWarn, "stream.retrain")
+        .Int("round", result.round)
+        .Str("error", result.error);
+    return result;
+  }
 
   dlinfma::TrainConfig config = options_.train;
   if (!options_.checkpoint_path.empty() &&

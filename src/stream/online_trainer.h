@@ -45,6 +45,10 @@ bool PublishBundle(const sim::World& world, const dlinfma::Dataset& data,
 /// Rounds with an empty train or validation split (early in a stream, the
 /// spatial splits may not all be populated yet) are skipped and counted on
 /// `stream.retrain.skipped`; completed rounds feed `stream.retrain.rounds`.
+/// A round whose samples this model cannot train on (a POI category outside
+/// its embedding) fails instead of aborting: it trains and publishes
+/// nothing, keeps the previous round's model, and counts on
+/// `stream.retrain.failures`.
 class OnlineTrainer {
  public:
   struct Options {
@@ -61,8 +65,11 @@ class OnlineTrainer {
 
   struct RoundResult {
     int round = 0;        ///< 1-based index of this retrain round.
-    bool trained = false; ///< False when the round was skipped.
+    bool trained = false; ///< False when the round was skipped or failed.
     std::string skip_reason;
+    /// Why the round failed: its samples cannot train this model (a POI
+    /// category outside the embedding). Empty otherwise.
+    std::string error;
     dlinfma::TrainResult train;
     size_t train_samples = 0;
     size_t val_samples = 0;

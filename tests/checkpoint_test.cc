@@ -637,6 +637,36 @@ TEST(CheckpointCliTest, SampleLessWorldExitsWithTypedError) {
   EXPECT_FALSE(std::filesystem::exists(CkptPath("cli_city_bundle")));
 }
 
+TEST(CheckpointCliTest, OutOfVocabularyPoiCategoryExitsWithTypedError) {
+  // A checksum-valid world whose training address has POI category 99
+  // (LocMatcher embeds 21): training and evaluation must name the address
+  // in one error line and exit 1, never abort in the embedding lookup.
+  sim::World world = Fixture().world;
+  const int64_t address_id = Fixture().samples.train.front().address_id;
+  for (sim::Address& address : world.addresses) {
+    if (address.id == address_id) address.poi_category = 99;
+  }
+  const std::string path = CkptPath("cli_poi99.art");
+  ASSERT_TRUE(SaveWorldArtifact(world, path));
+  for (const std::string& command :
+       {"train --world " + path + " --bundle " + CkptPath("cli_poi99_bundle") +
+            " --quick",
+        "evaluate --world " + path + " --quick"}) {
+    std::string stderr_text;
+    const int status = RunCli(command, &stderr_text);
+    ASSERT_TRUE(WIFEXITED(status)) << command << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    EXPECT_TRUE(stderr_text.starts_with("error: ")) << stderr_text;
+    EXPECT_NE(stderr_text.find("address " + std::to_string(address_id) +
+                               " has POI category 99"),
+              std::string::npos)
+        << command << ": " << stderr_text;
+    EXPECT_EQ(std::count(stderr_text.begin(), stderr_text.end(), '\n'), 1)
+        << command << ": " << stderr_text;
+  }
+  EXPECT_FALSE(std::filesystem::exists(CkptPath("cli_poi99_bundle")));
+}
+
 TEST(CheckpointCliTest, ServeBootsTheQueryEngine) {
   const std::string bundle = CkptPath("cli_serve_bundle");
   std::string error;

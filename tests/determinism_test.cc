@@ -8,6 +8,7 @@
 // Guards future parallelism PRs against silently introducing
 // thread-count-dependent output.
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/inferrer.h"
 #include "gtest/gtest.h"
+#include "nn/kernels.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -177,6 +179,34 @@ TEST(DeterminismTest, FitIsIdenticalInsideAPoolTask) {
   EXPECT_EQ(top.train_result().best_val_loss,
             inline_fit.train_result().best_val_loss);
   EXPECT_TRUE(top.ExportParameters() == inline_fit.ExportParameters());
+}
+
+// Buffers acquired for overwrite (nn/kernels.h) keep what their last user
+// left in them, so each must be written in full before any read: a fit
+// whose recycled buffers all start as NaN ends on the same parameters as
+// one whose pool hands out zeros, as fresh allocations are.
+TEST(DeterminismTest, FitIgnoresStalePooledBufferContents) {
+  const sim::World world = SmallWorld();
+  const Dataset data = BuildDataset(world, {});
+  const SampleSet samples = ExtractSamples(data, {});
+  TrainConfig train_config;
+  train_config.max_epochs = 2;
+  // Larger than any buffer this fit recycles.
+  constexpr size_t kPoisonUpTo = size_t{1} << 17;
+  DlInfMaMethod zeroed("DLInfMA", LocMatcherConfig{}, train_config);
+  DlInfMaMethod poisoned("DLInfMA", LocMatcherConfig{}, train_config);
+  // One pool task, so the validation passes run on this thread's pool too.
+  InSharedPoolTask([&] {
+    nn::kernel::PoisonBufferPool(0.0f, kPoisonUpTo);
+    zeroed.Fit(data, samples);
+    nn::kernel::PoisonBufferPool(std::numeric_limits<float>::quiet_NaN(),
+                                 kPoisonUpTo);
+    poisoned.Fit(data, samples);
+    nn::kernel::PoisonBufferPool(0.0f, 0);
+  });
+  EXPECT_EQ(zeroed.train_result().best_val_loss,
+            poisoned.train_result().best_val_loss);
+  EXPECT_TRUE(zeroed.ExportParameters() == poisoned.ExportParameters());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "dlinfma/locmatcher.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "dlinfma/trainer.h"
 #include "gtest/gtest.h"
@@ -82,24 +84,52 @@ TEST(LocMatcherTest, ForwardShapeAndFiniteness) {
 }
 
 TEST(LocMatcherTest, PaddingInvariance) {
-  // A sample's valid logits must not change when batched with a sample that
-  // forces padding (thanks to the attention padding mask).
+  // A sample's valid logits must not change, bit for bit, when it is
+  // batched with wider samples (the attention padding mask) at any row
+  // position: ForEachLogitsBatch's length bucketing relies on it. Batch
+  // sizes 2..6 and widths up to 33 put the sample in every row of a 4-row
+  // GEMM tile and its tail, and its columns in masked tail strips.
   Rng rng(3);
   LocMatcher model(LocMatcherConfig{}, &rng);
-  std::vector<AddressSample> samples = MakeSyntheticSamples(2, 5, &rng);
-  samples[0].features.resize(3);
-  samples[0].candidate_ids.resize(3);
-  samples[0].label = 0;
-  // Alone (no padding).
-  const LocMatcherBatch solo = MakeLocMatcherBatch({&samples[0]});
+  std::vector<AddressSample> sample = MakeSyntheticSamples(1, 5, &rng);
+  sample[0].features.resize(3);
+  sample[0].candidate_ids.resize(3);
+  sample[0].label = 0;
   nn::FwdCtx ctx;
-  const nn::Tensor solo_logits = model.Forward(solo, ctx);
-  // Batched with a bigger sample (padding to its size).
-  const LocMatcherBatch padded = MakeLocMatcherBatch({&samples[0], &samples[1]});
-  const nn::Tensor padded_logits = model.Forward(padded, ctx);
-  for (int j = 0; j < 3; ++j) {
-    EXPECT_NEAR(solo_logits.data()[j],
-                padded_logits.data()[0 * padded_logits.dim(1) + j], 1e-4f);
+  const nn::Tensor solo_logits =
+      model.Forward(MakeLocMatcherBatch({&sample[0]}), ctx);
+  ASSERT_EQ(solo_logits.dim(1), 3);
+  auto bits = [](float v) {
+    uint32_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (const int width : {3, 4, 9, 17, 33}) {
+    for (int batch_size = 2; batch_size <= 6; ++batch_size) {
+      std::vector<AddressSample> mates =
+          MakeSyntheticSamples(batch_size - 1, width, &rng);
+      // The first mate sets the padded width.
+      while (static_cast<int>(mates[0].features.size()) < width) {
+        mates[0].features.push_back(mates[0].features.back());
+        mates[0].candidate_ids.push_back(
+            static_cast<int>(mates[0].candidate_ids.size()));
+      }
+      for (int pos = 0; pos < batch_size; ++pos) {
+        std::vector<const AddressSample*> batch;
+        for (int i = 0, m = 0; i < batch_size; ++i) {
+          batch.push_back(i == pos ? &sample[0] : &mates[m++]);
+        }
+        const nn::Tensor logits =
+            model.Forward(MakeLocMatcherBatch(batch), ctx);
+        ASSERT_EQ(logits.dim(1), width);
+        for (int j = 0; j < 3; ++j) {
+          EXPECT_EQ(bits(logits.data()[pos * width + j]),
+                    bits(solo_logits.data()[j]))
+              << "width " << width << " batch " << batch_size << " row "
+              << pos << " candidate " << j;
+        }
+      }
+    }
   }
 }
 

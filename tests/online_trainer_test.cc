@@ -25,6 +25,7 @@
 #include "gtest/gtest.h"
 #include "io/bundle.h"
 #include "io/checkpoint.h"
+#include "obs/metrics.h"
 #include "sim/generator.h"
 #include "sim/world.h"
 #include "stream/online_trainer.h"
@@ -285,6 +286,41 @@ TEST(OnlineTrainerTest, EmptyStreamSkipsTheRound) {
   EXPECT_FALSE(round.skip_reason.empty());
   EXPECT_EQ(trainer.rounds_completed(), 0);
   EXPECT_EQ(trainer.method(), nullptr);
+}
+
+// A streamed city whose address has a POI category the model cannot embed
+// fails the round (counted, nothing trained or published) instead of
+// aborting the node; the trainer's next usable round still trains.
+TEST(OnlineTrainerTest, OutOfVocabularyPoiCategoryFailsTheRound) {
+  sim::World city = FixedWorld();
+  for (sim::Address& address : city.addresses) address.poi_category = 99;
+  auto bad = IngestAll(city);
+  auto good = IngestAll(FixedWorld());
+
+  stream::OnlineTrainer::Options options;
+  options.train = QuickTrain();
+  options.train.max_epochs = 1;
+  options.publish_dir = StreamPath("poi99_bundle");
+  stream::OnlineTrainer trainer(options);
+  obs::Counter* failures =
+      obs::MetricsRegistry::Global().GetCounter("stream.retrain.failures");
+  const int64_t failures_before = failures->value();
+  const stream::OnlineTrainer::RoundResult failed =
+      trainer.Retrain(bad->world(), bad->Snapshot());
+  EXPECT_FALSE(failed.trained);
+  EXPECT_FALSE(failed.published);
+  EXPECT_NE(failed.error.find("POI category 99"), std::string::npos)
+      << failed.error;
+  EXPECT_EQ(failures->value(), failures_before + 1);
+  EXPECT_EQ(trainer.rounds_completed(), 0);
+  EXPECT_EQ(trainer.method(), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(options.publish_dir));
+
+  const stream::OnlineTrainer::RoundResult next =
+      trainer.Retrain(good->world(), good->Snapshot());
+  EXPECT_TRUE(next.trained) << next.skip_reason << next.error;
+  EXPECT_TRUE(next.error.empty());
+  EXPECT_EQ(trainer.rounds_completed(), 1);
 }
 
 }  // namespace

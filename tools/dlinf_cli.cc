@@ -209,18 +209,25 @@ std::optional<sim::World> LoadWorldFlag(const Flags& flags,
   return world;
 }
 
-/// Training and evaluation need labeled samples in every split; a world
-/// without them (say `generate --days 0`) is a typed error, not an abort.
-bool SplitsUsable(const dlinfma::SampleSet& samples) {
-  if (!samples.train.empty() && !samples.val.empty() &&
-      !samples.test.empty()) {
-    return true;
+/// Training and evaluation need labeled samples in every split, each with a
+/// POI category the model's embedding covers; a world without them (say
+/// `generate --days 0`, or a category out of range) is a typed error, not
+/// an abort.
+bool SamplesUsable(const dlinfma::SampleSet& samples) {
+  if (samples.train.empty() || samples.val.empty() || samples.test.empty()) {
+    std::fprintf(
+        stderr,
+        "error: world has %zu/%zu/%zu labeled train/val/test samples; "
+        "every split needs at least one (generate more --days)\n",
+        samples.train.size(), samples.val.size(), samples.test.size());
+    return false;
   }
-  std::fprintf(stderr,
-               "error: world has %zu/%zu/%zu labeled train/val/test samples; "
-               "every split needs at least one (generate more --days)\n",
-               samples.train.size(), samples.val.size(), samples.test.size());
-  return false;
+  const std::string poi_error = dlinfma::PoiCategoryError(samples, {});
+  if (!poi_error.empty()) {
+    std::fprintf(stderr, "error: %s\n", poi_error.c_str());
+    return false;
+  }
+  return true;
 }
 
 int CmdStats(const Flags& flags) {
@@ -277,7 +284,7 @@ int CmdTrain(const Flags& flags) {
 
   const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
   const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
-  if (!SplitsUsable(samples)) return 1;
+  if (!SamplesUsable(samples)) return 1;
 
   dlinfma::TrainConfig train_config;
   if (flags.Has("--quick")) {
@@ -575,14 +582,15 @@ int CmdStream(const Flags& flags) {
   }
   std::printf(
       "online: %lld points (%lld dropped), %lld stay points, %zu clusters, "
-      "%lld/%lld rounds trained/skipped, %lld/%lld publishes ok/failed -> "
-      "%s\n",
+      "%lld/%lld/%lld rounds trained/skipped/failed, %lld/%lld publishes "
+      "ok/failed -> %s\n",
       static_cast<long long>(CounterValue("stream.ingest.points")),
       static_cast<long long>(CounterValue("stream.ingest.dropped_points")),
       static_cast<long long>(CounterValue("stream.ingest.stay_points")),
       server.ingestor().updater().num_clusters(),
       static_cast<long long>(CounterValue("stream.retrain.rounds")),
       static_cast<long long>(CounterValue("stream.retrain.skipped")),
+      static_cast<long long>(CounterValue("stream.retrain.failures")),
       static_cast<long long>(CounterValue("stream.publish.success")),
       static_cast<long long>(CounterValue("stream.publish.failures")),
       flags.Str("--publish-dir").c_str());
@@ -595,7 +603,7 @@ int CmdEvaluate(const Flags& flags) {
   if (!world) return 1;
   const dlinfma::Dataset data = dlinfma::BuildDataset(*world, {});
   const dlinfma::SampleSet samples = dlinfma::ExtractSamples(data, {});
-  if (!SplitsUsable(samples)) return 1;
+  if (!SamplesUsable(samples)) return 1;
 
   std::vector<baselines::MethodResult> results;
   baselines::GeocodingBaseline geocoding;
