@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   dlinfma::CandidateGeneration::Options options;
   {
     Stopwatch watch;
-    const auto serial = dlinfma::CandidateGeneration::Build(world, options);
+    const auto serial =
+        dlinfma::CandidateGeneration::Build(world, options, /*pool=*/nullptr);
     const double serial_s = watch.ElapsedSeconds();
     ThreadPool pool(4);
     watch.Reset();

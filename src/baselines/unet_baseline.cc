@@ -183,7 +183,7 @@ void UnetBaseline::Fit(const dlinfma::Dataset& data,
     }
     nn::Tensor x =
         nn::Tensor::FromVector({b, 1, side, side}, std::move(pixels));
-    nn::FwdCtx ctx{training, &rng};
+    nn::FwdCtx ctx{training};  // SmallUnet has no dropout.
     nn::Tensor logits = model_->Forward(x, ctx);
     return nn::MaskedCrossEntropy(logits, valid, labels);
   };

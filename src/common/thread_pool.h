@@ -33,7 +33,11 @@ class Histogram;
 class ThreadPool {
  public:
   /// Starts `num_threads` workers. Zero or negative requests are clamped to
-  /// one worker — the pool is always usable.
+  /// one worker — the pool is always usable. Worker i is pinned to the i-th
+  /// CPU (modulo their count) the process may run on: a sleeping worker
+  /// that a caller wakes is otherwise often placed on the caller's own CPU
+  /// and left there, so that a ParallelFor's blocks ran one after another
+  /// on one CPU of a 4-vCPU VM (DESIGN.md §9 has the measurement).
   explicit ThreadPool(int num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -55,17 +59,26 @@ class ThreadPool {
   /// clustering run on it; their results do not depend on its size.
   static ThreadPool& Shared();
 
-  /// Runs fn(i) for i in [0, count) across the pool and waits for its own
-  /// blocks only, so concurrent callers do not wait on each other's work.
-  /// Work is distributed in contiguous blocks; when count < num_threads each
-  /// index gets its own block, so small ranges still use every worker.
+  /// Runs fn(i) for i in [0, count) and waits for its own blocks only, so
+  /// concurrent callers do not wait on each other's work. Work is split
+  /// into contiguous blocks (one index each when count < num_threads),
+  /// claimed in index order from one atomic counter. The caller claims
+  /// blocks too, from the first, alongside at most one helper task per
+  /// worker; a helper that runs on the caller's CPU claims nothing (it
+  /// would only share that CPU with the caller), and one that starts after
+  /// every block is claimed finds nothing to do. So the caller never sleeps
+  /// while a block is unclaimed: it then waits only for blocks that workers
+  /// have started.
+  /// A range of a single block runs as one pool task instead, so
+  /// ParallelFor(1, fn) runs fn on a worker.
   /// Called from one of this pool's own workers, it runs every index inline
   /// in order instead (a worker that waited on the queue it serves could
   /// deadlock the pool).
   /// count == 0 is a no-op; a negative count is a programmer error (CHECK).
   /// If fn throws, the first exception is rethrown here (on the calling
-  /// thread) after all blocks finish; remaining blocks may be skipped, so
-  /// treat the iteration as incomplete. The pool stays usable afterwards.
+  /// thread) after every started block finishes; blocks claimed after the
+  /// throw skip their work, so treat the iteration as incomplete. The pool
+  /// stays usable afterwards.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn);
 
  private:

@@ -79,10 +79,13 @@ class CandidateGeneration {
     bool use_grid_merge = false;
   };
 
-  /// Mines candidates from every trip in `world`.
+  /// Mines candidates from every trip in `world`, extracting stay points on
+  /// `pool` (the shared pool unless given; nullptr runs them serially, the
+  /// reference the determinism tests compare against). The result does
+  /// not depend on the pool.
   static CandidateGeneration Build(const sim::World& world,
                                    const Options& options,
-                                   ThreadPool* pool = nullptr);
+                                   ThreadPool* pool = &ThreadPool::Shared());
 
   /// The candidate pool.
   const std::vector<LocationCandidate>& candidates() const {

@@ -28,11 +28,12 @@ struct Dataset {
 /// BuildDataset and the online trainer both split through it.
 Dataset MakeDataset(const sim::World& world, CandidateGeneration gen);
 
-/// Runs the candidate-generation pipeline and splits delivered addresses
-/// with MakeDataset.
+/// Runs the candidate-generation pipeline (stay points on `pool`, as in
+/// CandidateGeneration::Build) and splits delivered addresses with
+/// MakeDataset.
 Dataset BuildDataset(const sim::World& world,
                      const CandidateGeneration::Options& options,
-                     ThreadPool* pool = nullptr);
+                     ThreadPool* pool = &ThreadPool::Shared());
 
 /// Feature samples per split for a given feature configuration (ablations
 /// re-extract with their own FeatureConfig over the same candidate pool).

@@ -11,7 +11,7 @@ namespace dlinf {
 namespace dlinfma {
 
 LocMatcherBatch MakeLocMatcherBatch(
-    const std::vector<const AddressSample*>& samples) {
+    const std::vector<const AddressSample*>& samples, int width) {
   CHECK(!samples.empty());
   const int batch = static_cast<int>(samples.size());
   int max_n = 0;
@@ -19,6 +19,10 @@ LocMatcherBatch MakeLocMatcherBatch(
     CHECK(sample != nullptr);
     CHECK(!sample->features.empty());
     max_n = std::max(max_n, static_cast<int>(sample->features.size()));
+  }
+  if (width != 0) {
+    CHECK_GE(width, max_n);
+    max_n = width;
   }
 
   std::vector<float> scalars(
@@ -130,81 +134,87 @@ nn::Tensor LocMatcher::Forward(const LocMatcherBatch& batch,
 
 void LocMatcher::ForEachLogitsBatch(
     const std::vector<AddressSample>& samples, int batch_size,
-    const std::function<void(const LocMatcherBatch&, const nn::Tensor&,
-                             const std::vector<size_t>&)>& fn) const {
+    const std::function<void(const LogitsBatch&)>& fn) const {
   CHECK(!samples.empty());
   CHECK_GT(batch_size, 0);
-  // Length-bucketing: chunk in descending candidate-count order so no batch
-  // pads past its own widest sample (see the header for why this cannot
-  // change any sample's logits).
+  // Length-bucketing: descending candidate count, so no chunk or batch pads
+  // past its own widest sample (see the header for why this cannot change
+  // any sample's logits).
   std::vector<size_t> order(samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return samples[a].features.size() > samples[b].features.size();
   });
 
-  // Every batch is built and run on the shared pool; `fn` then sees them in
-  // batch order on this thread, so what it accumulates does not depend on
-  // the pool's size.
-  const size_t step = static_cast<size_t>(batch_size);
-  const size_t num_batches = (order.size() + step - 1) / step;
-  std::vector<LocMatcherBatch> batches(num_batches);
-  std::vector<nn::Tensor> logits(num_batches);
-  std::vector<std::vector<size_t>> indices(num_batches);
+  constexpr size_t kChunk = 16;
+  const size_t num_chunks = (order.size() + kChunk - 1) / kChunk;
+  std::vector<nn::Tensor> chunk_logits(num_chunks);
   ThreadPool::Shared().ParallelFor(
-      static_cast<int64_t>(num_batches), [&](int64_t k) {
+      static_cast<int64_t>(num_chunks), [&](int64_t k) {
         // Inference-only path: no autograd tape, no gradient buffers. The
         // guard is per thread, so each task sets its own.
         nn::NoGradGuard no_grad;
-        const size_t begin = static_cast<size_t>(k) * step;
-        const size_t end = std::min(order.size(), begin + step);
+        const size_t begin = static_cast<size_t>(k) * kChunk;
+        const size_t end = std::min(order.size(), begin + kChunk);
         std::vector<const AddressSample*> chunk;
         for (size_t i = begin; i < end; ++i) {
           chunk.push_back(&samples[order[i]]);
-          indices[k].push_back(order[i]);
         }
-        batches[k] = MakeLocMatcherBatch(chunk);
-        logits[k] = Forward(batches[k], nn::FwdCtx{});
+        chunk_logits[k] = Forward(MakeLocMatcherBatch(chunk), nn::FwdCtx{});
       });
+
+  // `fn` sees the batches in order on this thread, so what it accumulates
+  // does not depend on the pool's size.
   nn::NoGradGuard no_grad;  // Nor do fn's own ops (EvaluateLoss's loss).
-  for (size_t k = 0; k < num_batches; ++k) {
-    fn(batches[k], logits[k], indices[k]);
+  const size_t step = static_cast<size_t>(batch_size);
+  for (size_t begin = 0; begin < order.size(); begin += step) {
+    const size_t end = std::min(order.size(), begin + step);
+    LogitsBatch batch;
+    const int width = static_cast<int>(samples[order[begin]].features.size());
+    batch.logits =
+        nn::Tensor::Zeros({static_cast<int>(end - begin), width});
+    float* row = batch.logits.data().data();
+    for (size_t i = begin; i < end; ++i, row += width) {
+      const AddressSample& sample = samples[order[i]];
+      const nn::Tensor& from = chunk_logits[i / kChunk];
+      const float* src =
+          from.data().data() + (i % kChunk) * static_cast<size_t>(from.dim(1));
+      std::copy(src, src + sample.features.size(), row);
+      batch.valid.push_back(static_cast<int>(sample.features.size()));
+      batch.labels.push_back(sample.label);
+      batch.indices.push_back(order[i]);
+    }
+    fn(batch);
   }
 }
 
 std::vector<int> LocMatcher::PredictIndices(
     const std::vector<AddressSample>& samples, int batch_size) const {
   std::vector<int> predictions(samples.size(), 0);
-  ForEachLogitsBatch(
-      samples, batch_size,
-      [&](const LocMatcherBatch& batch, const nn::Tensor& logits,
-          const std::vector<size_t>& indices) {
-        const int n = logits.dim(1);
-        for (size_t i = 0; i < indices.size(); ++i) {
-          const float* row = logits.data().data() + i * n;
-          int best = 0;
-          for (int j = 1; j < batch.valid[i]; ++j) {
-            if (row[j] > row[best]) best = j;
-          }
-          predictions[indices[i]] = best;
-        }
-      });
+  ForEachLogitsBatch(samples, batch_size, [&](const LogitsBatch& batch) {
+    const int n = batch.logits.dim(1);
+    for (size_t i = 0; i < batch.indices.size(); ++i) {
+      const float* row = batch.logits.data().data() + i * n;
+      int best = 0;
+      for (int j = 1; j < batch.valid[i]; ++j) {
+        if (row[j] > row[best]) best = j;
+      }
+      predictions[batch.indices[i]] = best;
+    }
+  });
   return predictions;
 }
 
 std::vector<std::vector<float>> LocMatcher::PredictLogits(
     const std::vector<AddressSample>& samples, int batch_size) const {
   std::vector<std::vector<float>> out(samples.size());
-  ForEachLogitsBatch(
-      samples, batch_size,
-      [&](const LocMatcherBatch& batch, const nn::Tensor& logits,
-          const std::vector<size_t>& indices) {
-        const int n = logits.dim(1);
-        for (size_t i = 0; i < indices.size(); ++i) {
-          const float* row = logits.data().data() + i * n;
-          out[indices[i]].assign(row, row + batch.valid[i]);
-        }
-      });
+  ForEachLogitsBatch(samples, batch_size, [&](const LogitsBatch& batch) {
+    const int n = batch.logits.dim(1);
+    for (size_t i = 0; i < batch.indices.size(); ++i) {
+      const float* row = batch.logits.data().data() + i * n;
+      out[batch.indices[i]].assign(row, row + batch.valid[i]);
+    }
+  });
   return out;
 }
 
@@ -215,15 +225,12 @@ double LocMatcher::EvaluateLoss(const std::vector<AddressSample>& samples,
   }
   double total = 0.0;
   int64_t count = 0;
-  ForEachLogitsBatch(
-      samples, batch_size,
-      [&](const LocMatcherBatch& batch, const nn::Tensor& logits,
-          const std::vector<size_t>& indices) {
-        const double loss =
-            nn::MaskedCrossEntropy(logits, batch.valid, batch.labels).item();
-        total += loss * static_cast<double>(indices.size());
-        count += static_cast<int64_t>(indices.size());
-      });
+  ForEachLogitsBatch(samples, batch_size, [&](const LogitsBatch& batch) {
+    const double loss =
+        nn::MaskedCrossEntropy(batch.logits, batch.valid, batch.labels).item();
+    total += loss * static_cast<double>(batch.indices.size());
+    count += static_cast<int64_t>(batch.indices.size());
+  });
   return total / static_cast<double>(count);
 }
 

@@ -51,9 +51,10 @@ struct LocMatcherBatch {
   std::vector<int> labels;     ///< [B] positive indexes; -1 when unlabeled.
 };
 
-/// Packs samples into a padded batch. All samples must be non-empty.
+/// Packs samples into a batch padded to `width` candidates (0: the widest
+/// sample's count; otherwise at least that). All samples must be non-empty.
 LocMatcherBatch MakeLocMatcherBatch(
-    const std::vector<const AddressSample*>& samples);
+    const std::vector<const AddressSample*>& samples, int width = 0);
 
 /// The attention-based address-location matching model (Section IV-B,
 /// Figure 8): per-candidate feature encoding, a transformer encoder that
@@ -86,24 +87,35 @@ class LocMatcher : public nn::Module {
   const LocMatcherConfig& config() const { return config_; }
 
  private:
+  /// One batch of scored samples as ForEachLogitsBatch hands it over.
+  struct LogitsBatch {
+    /// [B, N]: row i's first valid[i] entries are sample indices[i]'s
+    /// logits; the rest of the row is 0.
+    nn::Tensor logits;
+    std::vector<int> valid;
+    std::vector<int> labels;
+    /// indices[i] = the position in `samples` of row i.
+    std::vector<size_t> indices;
+  };
+
   /// Shared batched-inference driver behind PredictIndices / PredictLogits /
-  /// EvaluateLoss: chunks `samples` into padded batches, builds and runs
-  /// each one's Forward under nn::NoGradGuard (no tape, no gradient buffers)
-  /// on ThreadPool::Shared(), then hands each (batch, logits, original
-  /// sample indices) triple to `fn` in batch order on the calling thread.
+  /// EvaluateLoss. Samples are ordered by descending candidate count and
+  /// cut into `batch_size` batches; `fn` sees each batch in order on the
+  /// calling thread.
   ///
-  /// Samples are grouped by descending candidate count before chunking, so
-  /// each padded batch is only as wide as its own widest sample. Per-sample
-  /// logits are invariant to both padding width and batch mates: positions
-  /// never mix outside self-attention, and a padded key's -1e9 additive mask
-  /// drives its softmax weight to exactly zero (exp underflow) — so the
-  /// reordering is a pure speedup, bit-identical results, and so is the
-  /// pool: no batch reads another's state. `fn` receives
-  /// `indices[i]` = the position in `samples` of the batch's row i.
+  /// The forward itself runs on ThreadPool::Shared() in chunks of at most
+  /// 16 samples of that order, each padded only to its own widest sample,
+  /// under nn::NoGradGuard (no tape, no gradient buffers), and each sample's
+  /// logits are scattered into its batch. Per-sample logits are invariant to
+  /// both padding width and batch mates: positions never mix outside
+  /// self-attention, and a padded key's -1e9 additive mask drives its
+  /// softmax weight to exactly zero (exp underflow). So the chunking is a
+  /// pure speedup with bit-identical results, and so is the pool: no chunk
+  /// reads another's state. Small chunks keep the pool busy even when the
+  /// widest samples would make one batch dominate.
   void ForEachLogitsBatch(
       const std::vector<AddressSample>& samples, int batch_size,
-      const std::function<void(const LocMatcherBatch&, const nn::Tensor&,
-                               const std::vector<size_t>&)>& fn) const;
+      const std::function<void(const LogitsBatch&)>& fn) const;
 
   LocMatcherConfig config_;
   nn::Linear time_dense_;

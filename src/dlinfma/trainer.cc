@@ -7,8 +7,10 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/sample_groups.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/structured_log.h"
@@ -50,13 +52,75 @@ TrainCheckpoint Capture(int epochs_done, const TrainConfig& config,
   return ck;
 }
 
+/// Samples per group of a training step (the last group of a step may be
+/// smaller). Any size gives the same bytes; four samples make four groups
+/// of a 16-sample step.
+constexpr int kStepGroupSize = 4;
+
+/// One optimizer step over `chunk`, run as groups of `group_size`
+/// consecutive samples on the shared pool (DESIGN.md §9). Each group is
+/// padded to the whole chunk's width, draws its dropout masks from one
+/// stream over the chunk and writes the parameter gradients in turn, so the
+/// step's bytes are those of one forward and backward over the whole chunk.
+/// Returns the chunk's mean loss, rounded to float as a loss tensor is.
+float TrainStep(const LocMatcher& model,
+                const std::vector<const AddressSample*>& chunk,
+                int group_size, const std::vector<nn::Tensor>& params,
+                nn::Adam* adam, Rng* rng) {
+  const int batch = static_cast<int>(chunk.size());
+  int width = 0;
+  for (const AddressSample* sample : chunk) {
+    width = std::max(width, static_cast<int>(sample->features.size()));
+  }
+  const int num_groups = (batch + group_size - 1) / group_size;
+  nn::DropoutStream masks(rng, batch);
+  nn::GradTurns turns(params, num_groups);
+  // Each group's graph lives until every group's parameter writes ran.
+  std::vector<nn::Tensor> losses(num_groups);
+  std::vector<std::vector<double>> nll(num_groups);
+  adam->ZeroGrad();
+  ThreadPool::Shared().ParallelFor(num_groups, [&](int64_t g) {
+    const int begin = static_cast<int>(g) * group_size;
+    const int end = std::min(batch, begin + group_size);
+    const LocMatcherBatch rows = MakeLocMatcherBatch(
+        {chunk.begin() + begin, chunk.begin() + end}, width);
+    nn::DropoutStream row_masks = masks.Rows(begin, end);
+    nn::GradTurns::Group group(&turns, static_cast<int>(g));
+    losses[g] = nn::MaskedCrossEntropy(
+        model.Forward(rows, nn::FwdCtx{/*training=*/true, &row_masks}),
+        rows.valid, rows.labels, batch, &nll[g]);
+    losses[g].Backward();
+    // This thread's buffer pool takes the graph back, unless a write of the
+    // group still waits for its turn.
+    if (turns.QueuedWrites(static_cast<int>(g)) == 0) losses[g] = nn::Tensor();
+  });
+  adam->Step();
+  double total = 0.0;
+  for (const std::vector<double>& group_nll : nll) {
+    for (double v : group_nll) total += v;
+  }
+  return static_cast<float>(total / batch);
+}
+
 }  // namespace
 
 TrainResult TrainLocMatcher(LocMatcher* model,
                             const std::vector<AddressSample>& train,
                             const std::vector<AddressSample>& val,
                             const TrainConfig& config) {
+  return internal::TrainLocMatcherInGroups(model, train, val, config,
+                                           kStepGroupSize);
+}
+
+namespace internal {
+
+TrainResult TrainLocMatcherInGroups(LocMatcher* model,
+                                    const std::vector<AddressSample>& train,
+                                    const std::vector<AddressSample>& val,
+                                    const TrainConfig& config,
+                                    int group_size) {
   CHECK(model != nullptr);
+  CHECK_GE(group_size, 1);
   CHECK(!train.empty());
   CHECK(!val.empty());
   for (const AddressSample& sample : train) CHECK_GE(sample.label, 0);
@@ -178,16 +242,7 @@ TrainResult TrainLocMatcher(LocMatcher* model,
           bucketed.size(), begin + static_cast<size_t>(config.batch_size));
       std::vector<const AddressSample*> chunk;
       for (size_t i = begin; i < end; ++i) chunk.push_back(&train[bucketed[i]]);
-      const LocMatcherBatch batch = MakeLocMatcherBatch(chunk);
-
-      nn::FwdCtx train_ctx{/*training=*/true, &rng};
-      adam.ZeroGrad();
-      nn::Tensor logits = model->Forward(batch, train_ctx);
-      nn::Tensor loss =
-          nn::MaskedCrossEntropy(logits, batch.valid, batch.labels);
-      loss.Backward();
-      adam.Step();
-      epoch_loss += loss.item();
+      epoch_loss += TrainStep(*model, chunk, group_size, params, &adam, &rng);
       ++num_batches;
     }
     schedule.OnEpochEnd();
@@ -243,5 +298,6 @@ TrainResult TrainLocMatcher(LocMatcher* model,
   return result;
 }
 
+}  // namespace internal
 }  // namespace dlinfma
 }  // namespace dlinf

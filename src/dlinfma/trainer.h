@@ -109,6 +109,20 @@ TrainResult TrainLocMatcher(LocMatcher* model,
                             const std::vector<AddressSample>& val,
                             const TrainConfig& config);
 
+namespace internal {
+
+/// TrainLocMatcher with each step's samples run as groups of `group_size`
+/// consecutive samples (the last group may be smaller; a size of at least
+/// the batch size runs each step as one group). The size never changes a
+/// byte of the result (DESIGN.md §9); TrainLocMatcher uses 4, and tests
+/// compare sizes through this.
+TrainResult TrainLocMatcherInGroups(LocMatcher* model,
+                                    const std::vector<AddressSample>& train,
+                                    const std::vector<AddressSample>& val,
+                                    const TrainConfig& config,
+                                    int group_size);
+
+}  // namespace internal
 }  // namespace dlinfma
 }  // namespace dlinf
 

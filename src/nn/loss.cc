@@ -7,11 +7,19 @@ namespace nn {
 
 Tensor MaskedCrossEntropy(const Tensor& logits, const std::vector<int>& valid,
                           const std::vector<int>& labels) {
+  return MaskedCrossEntropy(logits, valid, labels, logits.dim(0), nullptr);
+}
+
+Tensor MaskedCrossEntropy(const Tensor& logits, const std::vector<int>& valid,
+                          const std::vector<int>& labels, int mean_over,
+                          std::vector<double>* nll) {
   CHECK_EQ(logits.rank(), 2);
   const int batch = logits.dim(0);
   const int n = logits.dim(1);
   CHECK_EQ(static_cast<int>(valid.size()), batch);
   CHECK_EQ(static_cast<int>(labels.size()), batch);
+  CHECK_GE(mean_over, batch);
+  if (nll != nullptr) nll->clear();
 
   Tensor out = MakeResult({}, {logits});
   const std::vector<float>& lv = logits.data();
@@ -32,17 +40,20 @@ Tensor MaskedCrossEntropy(const Tensor& logits, const std::vector<int>& valid,
       denom += prow[j];
     }
     for (int j = 0; j < nb; ++j) prow[j] = static_cast<float>(prow[j] / denom);
-    total += -std::log(std::max(1e-12, static_cast<double>(prow[labels[b]])));
+    const double row_nll =
+        -std::log(std::max(1e-12, static_cast<double>(prow[labels[b]])));
+    total += row_nll;
+    if (nll != nullptr) nll->push_back(row_nll);
   }
-  out.data()[0] = static_cast<float>(total / batch);
+  out.data()[0] = static_cast<float>(total / mean_over);
 
   if (out.requires_grad()) {
     auto out_impl = out.impl();
     auto logits_impl = logits.impl();
     internal::TensorImpl* const self = out_impl.get();
     out_impl->backward_fn = [self, logits_impl, valid, labels, batch, n,
-                             probs = std::move(probs)]() {
-      const float g = self->grad[0] / static_cast<float>(batch);
+                             mean_over, probs = std::move(probs)]() {
+      const float g = self->grad[0] / static_cast<float>(mean_over);
       for (int b = 0; b < batch; ++b) {
         float* grow = logits_impl->grad.data() + static_cast<int64_t>(b) * n;
         const float* prow = probs.data() + static_cast<int64_t>(b) * n;

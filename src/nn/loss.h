@@ -20,6 +20,15 @@ namespace nn {
 Tensor MaskedCrossEntropy(const Tensor& logits, const std::vector<int>& valid,
                           const std::vector<int>& labels);
 
+/// The same loss for a group of rows of a larger batch of `mean_over`
+/// samples: the result and its gradient are those of the rows' part of the
+/// batch mean (sum / mean_over). `nll`, when non-null, receives each row's
+/// -log p, for a caller that sums every group's rows in sample order — the
+/// double sum the whole batch's loss divides.
+Tensor MaskedCrossEntropy(const Tensor& logits, const std::vector<int>& valid,
+                          const std::vector<int>& labels, int mean_over,
+                          std::vector<double>* nll);
+
 /// Mean binary cross-entropy with logits; `targets[i]` in {0, 1} (or soft).
 /// `pos_weight` scales the loss of positive targets, implementing the 8:2
 /// class weighting the paper applies to the classification variants.

@@ -109,7 +109,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
   return FusedSelfAttention(x, wq_.weight(), wq_.bias(), wk_.weight(),
                             wk_.bias(), wv_.weight(), wv_.bias(), wo_.weight(),
                             wo_.bias(), additive_mask, num_heads_, dropout_,
-                            ctx.training, ctx.rng);
+                            ctx.training, ctx.dropout);
 }
 
 TransformerEncoderLayer::TransformerEncoderLayer(int model_dim, int num_heads,
@@ -132,11 +132,11 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x,
                                         const Tensor& additive_mask,
                                         const FwdCtx& ctx) const {
   Tensor attn_out = attention_.Forward(x, additive_mask, ctx);
-  attn_out = Dropout(attn_out, dropout_, ctx.training, ctx.rng);
+  attn_out = Dropout(attn_out, dropout_, ctx.training, ctx.dropout);
   Tensor h = norm1_.Forward(Add(x, attn_out));
 
   Tensor ff_out = ff2_.Forward(ff1_.Forward(h, Activation::kRelu));
-  ff_out = Dropout(ff_out, dropout_, ctx.training, ctx.rng);
+  ff_out = Dropout(ff_out, dropout_, ctx.training, ctx.dropout);
   return norm2_.Forward(Add(h, ff_out));
 }
 

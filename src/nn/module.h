@@ -6,16 +6,18 @@
 
 #include "common/random.h"
 #include "nn/ops.h"
+#include "nn/sample_groups.h"
 #include "nn/tensor.h"
 
 namespace dlinf {
 namespace nn {
 
-/// Per-forward-call context: training mode toggles dropout, `rng` supplies
-/// its randomness. Inference uses the default (eval mode).
+/// Per-forward-call context: training mode toggles dropout, whose masks come
+/// from `dropout` (one reader per forward; nn/sample_groups.h). Inference
+/// uses the default (eval mode).
 struct FwdCtx {
   bool training = false;
-  Rng* rng = nullptr;
+  DropoutStream* dropout = nullptr;
 };
 
 /// Base class for parameterized network components.

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "nn/kernels.h"
+#include "nn/sample_groups.h"
 
 namespace dlinf {
 namespace nn {
@@ -230,20 +231,6 @@ Tensor ElementwiseUnary(const Tensor& x, FwdFn fwd, DFn dfn) {
       dfn);
 }
 
-/// Inverted-dropout keep/scale mask over `n` elements: 0 where an element
-/// drops (probability p), 1 / (1 - p) where it stays. One engine draw per
-/// element in flat order, compared against Bernoulli(p)'s exact threshold,
-/// so the mask and the engine's end state are those of a per-element
-/// `rng->Bernoulli(p)` loop.
-kernel::PooledBuffer DropoutMask(size_t n, float p, Rng* rng) {
-  CHECK(rng != nullptr);
-  kernel::PooledBuffer mask(n, kernel::PooledBuffer::ForOverwrite{});
-  kernel::FillDropoutMask(&rng->engine(), Rng::BernoulliThreshold(p),
-                          1.0f / (1.0f - p), mask.data(),
-                          static_cast<int64_t>(n));
-  return mask;
-}
-
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -274,10 +261,12 @@ Tensor Add(const Tensor& a, const Tensor& b) {
         kernel::AccumulateSpan(g, a_impl->grad.data(), outer * block);
       }
       if (b_impl->requires_grad) {
-        for (int64_t o = 0; o < outer; ++o) {
-          kernel::ColumnSumRows(g + o * block, rows, inner,
-                                b_impl->grad.data() + o * inner);
-        }
+        AccumulateGrad(b_impl, [g, b_impl, outer, rows, inner, block] {
+          for (int64_t o = 0; o < outer; ++o) {
+            kernel::ColumnSumRows(g + o * block, rows, inner,
+                                  b_impl->grad.data() + o * inner);
+          }
+        });
       }
     };
   }
@@ -595,9 +584,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         }
         if (b_impl->requires_grad) {
           // dB += A^T @ dC (one flattened GEMM when B is shared).
-          kernel::GemmAtB(k, n, rows, ap, k, gp, n,
-                          b_impl->grad.data() + p * b_stride, n,
-                          /*accumulate=*/true);
+          AccumulateGrad(b_impl, [b_impl, ap, gp, k, n, rows, p, b_stride] {
+            kernel::GemmAtB(k, n, rows, ap, k, gp, n,
+                            b_impl->grad.data() + p * b_stride, n,
+                            /*accumulate=*/true);
+          });
         }
       }
     };
@@ -665,31 +656,36 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& indices) {
     auto table_impl = table.impl();
     internal::TensorImpl* const self = out_impl.get();
     out_impl->backward_fn = [self, table_impl, indices, width]() {
-      for (size_t i = 0; i < indices.size(); ++i) {
-        kernel::AccumulateSpan(
-            self->grad.data() + static_cast<int64_t>(i) * width,
-            table_impl->grad.data() + static_cast<int64_t>(indices[i]) * width,
-            width);
-      }
+      AccumulateGrad(table_impl, [self, table_impl, indices, width] {
+        for (size_t i = 0; i < indices.size(); ++i) {
+          kernel::AccumulateSpan(
+              self->grad.data() + static_cast<int64_t>(i) * width,
+              table_impl->grad.data() +
+                  static_cast<int64_t>(indices[i]) * width,
+              width);
+        }
+      });
     };
   }
   return out;
 }
 
-Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
+Tensor Dropout(const Tensor& x, float p, bool training,
+               DropoutStream* masks) {
   CHECK(p >= 0.0f && p < 1.0f);
   if (!training || p == 0.0f) return x;
+  CHECK(masks != nullptr) << "training-mode dropout needs a DropoutStream";
   Tensor out = MakeResult(x.shape(), {x});
-  kernel::PooledBuffer mask = DropoutMask(x.numel(), p, rng);
-  kernel::MulSpan(x.data().data(), mask.data(), out.data().data(), x.numel());
+  std::shared_ptr<const float> mask = masks->Next(x.numel(), p);
+  kernel::MulSpan(x.data().data(), mask.get(), out.data().data(), x.numel());
   if (out.requires_grad()) {
     auto out_impl = out.impl();
     auto x_impl = x.impl();
     internal::TensorImpl* const self = out_impl.get();
     out_impl->backward_fn = [self, x_impl, mask = std::move(mask)]() {
-      kernel::MulAccumulateSpan(self->grad.data(), mask.data(),
+      kernel::MulAccumulateSpan(self->grad.data(), mask.get(),
                                 x_impl->grad.data(),
-                                static_cast<int64_t>(mask.size()));
+                                static_cast<int64_t>(x_impl->grad.size()));
     };
   }
   return out;
@@ -722,12 +718,29 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     out_impl->backward_fn = [self, x_impl, g_impl, b_impl, rows, n,
                              means = std::move(means),
                              inv_std = std::move(inv_std)]() {
-      kernel::LayerNormBackwardRows(
-          x_impl->data.data(), g_impl->data.data(), self->grad.data(),
-          means.data(), inv_std.data(), rows, n,
-          x_impl->requires_grad ? x_impl->grad.data() : nullptr,
-          g_impl->requires_grad ? g_impl->grad.data() : nullptr,
-          b_impl->requires_grad ? b_impl->grad.data() : nullptr);
+      const float* gy = self->grad.data();
+      const float* mu = means.data();
+      const float* istd = inv_std.data();
+      // One kernel call per output: gamma's and beta's column sums are
+      // separate chains, each written in its own turn.
+      auto backward = [=](float* gx, float* ggamma, float* gbeta) {
+        kernel::LayerNormBackwardRows(x_impl->data.data(), g_impl->data.data(),
+                                      gy, mu, istd, rows, n, gx, ggamma,
+                                      gbeta);
+      };
+      if (g_impl->requires_grad) {
+        AccumulateGrad(g_impl, [backward, g_impl] {
+          backward(nullptr, g_impl->grad.data(), nullptr);
+        });
+      }
+      if (b_impl->requires_grad) {
+        AccumulateGrad(b_impl, [backward, b_impl] {
+          backward(nullptr, nullptr, b_impl->grad.data());
+        });
+      }
+      if (x_impl->requires_grad) {
+        backward(x_impl->grad.data(), nullptr, nullptr);
+      }
     };
   }
   return out;
@@ -773,22 +786,28 @@ Tensor LinearEx(const Tensor& x, const Tensor& w, const Tensor& b,
     out_impl->backward_fn = [self, x_impl, w_impl, b_impl, rows, n, k,
                              act]() {
       const float* gy = self->grad.data();
-      kernel::PooledBuffer gpre_buf;
       // Relu gate: y > 0 iff the pre-activation was > 0 (relu is identity
-      // there), so the saved output doubles as the mask.
+      // there), so the saved output doubles as the mask. Shared, since a
+      // parameter write may read it after this closure returns.
+      std::shared_ptr<kernel::PooledBuffer> gpre;
       if (act == Activation::kRelu) {
-        gpre_buf = kernel::PooledBuffer(static_cast<size_t>(rows) * n,
-                                        kernel::PooledBuffer::ForOverwrite{});
-        kernel::ReluGate(self->data.data(), gy, gpre_buf.data(), rows * n);
-        gy = gpre_buf.data();
+        gpre = std::make_shared<kernel::PooledBuffer>(
+            static_cast<size_t>(rows) * n,
+            kernel::PooledBuffer::ForOverwrite{});
+        kernel::ReluGate(self->data.data(), gy, gpre->data(), rows * n);
+        gy = gpre->data();
       }
       if (b_impl != nullptr && b_impl->requires_grad) {
-        kernel::ColumnSumRows(gy, rows, n, b_impl->grad.data());
+        AccumulateGrad(b_impl, [gpre, gy, b_impl, rows, n] {
+          kernel::ColumnSumRows(gy, rows, n, b_impl->grad.data());
+        });
       }
       if (w_impl->requires_grad) {
         // dW += x^T @ gy.
-        kernel::GemmAtB(k, n, rows, x_impl->data.data(), k, gy, n,
-                        w_impl->grad.data(), n, /*accumulate=*/true);
+        AccumulateGrad(w_impl, [gpre, gy, x_impl, w_impl, rows, n, k] {
+          kernel::GemmAtB(k, n, rows, x_impl->data.data(), k, gy, n,
+                          w_impl->grad.data(), n, /*accumulate=*/true);
+        });
       }
       if (x_impl->requires_grad) {
         // dx += gy @ W^T.
@@ -808,7 +827,7 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
                           const Tensor& wv, const Tensor& bv,
                           const Tensor& wo, const Tensor& bo,
                           const Tensor& mask, int num_heads, float dropout_p,
-                          bool training, Rng* rng) {
+                          bool training, DropoutStream* masks) {
   CHECK_EQ(x.rank(), 3);
   const int B = x.dim(0);
   const int N = x.dim(1);
@@ -847,17 +866,17 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
   kernel::Gemm(R, D, D, xd, wv.data().data(), v.data(), false);
   kernel::AddBiasRows(v.data(), bv.data().data(), R, D);
 
-  // Inverted-dropout keep/scale mask, drawn flat over [B, H, N, N] — the
-  // exact RNG order of the Dropout op this fuses (nothing else draws in
-  // between, so drawing it before the panels changes no draw).
+  // Inverted-dropout keep/scale mask, one site over [B, H, N, N] — the
+  // draws of the Dropout op this fuses (nothing else draws in between, so
+  // drawing it before the panels changes no draw).
   const int64_t nn = static_cast<int64_t>(N) * N;
   const size_t panels_size = static_cast<size_t>(B) * H * nn;
   const bool has_dropout = training && dropout_p > 0.0f;
-  kernel::PooledBuffer dmask;
+  std::shared_ptr<const float> dmask;
   kernel::PooledBuffer dropped;
   if (has_dropout) {
-    CHECK_LT(dropout_p, 1.0f);
-    dmask = DropoutMask(panels_size, dropout_p, rng);
+    CHECK(masks != nullptr) << "training-mode dropout needs a DropoutStream";
+    dmask = masks->Next(static_cast<int64_t>(panels_size), dropout_p);
     dropped = kernel::PooledBuffer(panels_size, overwrite);
   }
 
@@ -879,7 +898,7 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
         kernel::Gemm(N, N, dh, q.data() + head_off, D, kt.data(), N, prow, N,
                      false);
         kernel::AttentionPanelForward(
-            prow, mrow, scale, has_dropout ? dmask.data() + p_off : nullptr,
+            prow, mrow, scale, has_dropout ? dmask.get() + p_off : nullptr,
             has_dropout ? dropped.data() + p_off : nullptr, N, N);
       }
     }
@@ -917,11 +936,15 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
           const float* gy = self->grad.data();
           // Output projection.
           if (bo_impl->requires_grad) {
-            kernel::ColumnSumRows(gy, R, D, bo_impl->grad.data());
+            AccumulateGrad(bo_impl, [gy, bo_impl, R, D] {
+              kernel::ColumnSumRows(gy, R, D, bo_impl->grad.data());
+            });
           }
           if (wo_impl->requires_grad) {
-            kernel::GemmAtB(D, D, R, ctx.data(), D, gy, D,
-                            wo_impl->grad.data(), D, true);
+            AccumulateGrad(wo_impl, [ctx = ctx.data(), gy, wo_impl, R, D] {
+              kernel::GemmAtB(D, D, R, ctx, D, gy, D, wo_impl->grad.data(), D,
+                              true);
+            });
           }
           kernel::PooledBuffer dctx(static_cast<size_t>(R) * D, overwrite);
           {
@@ -931,10 +954,15 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
                          false);
           }
           // Per-(batch, head) attention backward into projection grads,
-          // which accumulate over heads and so start zeroed.
-          kernel::PooledBuffer dq(static_cast<size_t>(R) * D);
-          kernel::PooledBuffer dk(static_cast<size_t>(R) * D);
-          kernel::PooledBuffer dv(static_cast<size_t>(R) * D);
+          // which accumulate over heads and so start zeroed. Shared, since
+          // the parameter writes may read them after this closure returns.
+          auto zeroed = [R, D] {
+            return std::make_shared<kernel::PooledBuffer>(
+                static_cast<size_t>(R) * D);
+          };
+          const std::shared_ptr<kernel::PooledBuffer> dq = zeroed();
+          const std::shared_ptr<kernel::PooledBuffer> dk = zeroed();
+          const std::shared_ptr<kernel::PooledBuffer> dv = zeroed();
           kernel::PooledBuffer vt(static_cast<size_t>(dh) * N, overwrite);
           kernel::PooledBuffer dpd(static_cast<size_t>(nn), overwrite);
           kernel::PooledBuffer ds(static_cast<size_t>(nn), overwrite);
@@ -951,35 +979,38 @@ Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
               kernel::Gemm(N, N, dh, dctx_bh, D, vt.data(), N, dpd.data(), N,
                            false);
               kernel::GemmAtB(N, dh, N, pd_bh, N, dctx_bh, D,
-                              dv.data() + head_off, D, true);
+                              dv->data() + head_off, D, true);
               // Through dropout and softmax, then the 1/sqrt(dh) scale.
               kernel::AttentionPanelBackward(
-                  p_bh, has_dropout ? dmask.data() + p_off : nullptr,
+                  p_bh, has_dropout ? dmask.get() + p_off : nullptr,
                   dpd.data(), scale, ds.data(), N, N);
               // dQ += dS @ K; dK += dS^T @ Q.
               kernel::Gemm(N, dh, N, ds.data(), N, kbuf.data() + head_off, D,
-                           dq.data() + head_off, D, true);
+                           dq->data() + head_off, D, true);
               kernel::GemmAtB(N, dh, N, ds.data(), N, q.data() + head_off,
-                              D, dk.data() + head_off, D, true);
+                              D, dk->data() + head_off, D, true);
             }
           }
           // Input projections: dX += dP @ W^T, dW += X^T @ dP, db += colsum.
           const struct {
-            kernel::PooledBuffer* dproj;
-            internal::TensorImpl* w;
-            internal::TensorImpl* bias;
-          } branches[] = {{&dq, wq_impl.get(), bq_impl.get()},
-                          {&dk, wk_impl.get(), bk_impl.get()},
-                          {&dv, wv_impl.get(), bv_impl.get()}};
+            const std::shared_ptr<kernel::PooledBuffer>& dproj;
+            const std::shared_ptr<internal::TensorImpl>& w;
+            const std::shared_ptr<internal::TensorImpl>& bias;
+          } branches[] = {{dq, wq_impl, bq_impl},
+                          {dk, wk_impl, bk_impl},
+                          {dv, wv_impl, bv_impl}};
           kernel::PooledBuffer wt(static_cast<size_t>(D) * D, overwrite);
           for (const auto& br : branches) {
             if (br.bias->requires_grad) {
-              kernel::ColumnSumRows(br.dproj->data(), R, D,
-                                    br.bias->grad.data());
+              AccumulateGrad(br.bias, [dproj = br.dproj, bias = br.bias, R, D] {
+                kernel::ColumnSumRows(dproj->data(), R, D, bias->grad.data());
+              });
             }
             if (br.w->requires_grad) {
-              kernel::GemmAtB(D, D, R, x_impl->data.data(), D,
-                              br.dproj->data(), D, br.w->grad.data(), D, true);
+              AccumulateGrad(br.w, [dproj = br.dproj, w = br.w, x_impl, R, D] {
+                kernel::GemmAtB(D, D, R, x_impl->data.data(), D, dproj->data(),
+                                D, w->grad.data(), D, true);
+              });
             }
             if (x_impl->requires_grad) {
               kernel::Transpose(br.w->data.data(), D, D, D, wt.data());

@@ -10,6 +10,8 @@
 namespace dlinf {
 namespace nn {
 
+class DropoutStream;
+
 /// \file
 /// Differentiable tensor operations. Every function returns a fresh tensor
 /// recorded on the autograd tape (when any input requires grad).
@@ -79,14 +81,15 @@ Tensor LinearEx(const Tensor& x, const Tensor& w, const Tensor& b,
 /// `x` is [B, N, D]; weights are [D, D], biases [D]; `mask` (optional,
 /// additive, e.g. -1e9 at padding) is [B, 1, 1, N]. Score -> softmax ->
 /// weighted-sum runs on kernel-layer GEMM/softmax primitives over pooled
-/// scratch; the RNG draw order for dropout matches the unfused
-/// Dropout-on-[B,H,N,N] op it replaces, element for element.
+/// scratch; in training mode the dropout mask is one site of `masks` over
+/// [B, H, N, N], the draws of the unfused Dropout op it replaces, element
+/// for element.
 Tensor FusedSelfAttention(const Tensor& x, const Tensor& wq, const Tensor& bq,
                           const Tensor& wk, const Tensor& bk,
                           const Tensor& wv, const Tensor& bv,
                           const Tensor& wo, const Tensor& bo,
                           const Tensor& mask, int num_heads, float dropout_p,
-                          bool training, Rng* rng);
+                          bool training, DropoutStream* masks);
 
 /// --- Reductions -----------------------------------------------------------
 /// Sum / mean of all elements into a scalar (rank-0) tensor.
@@ -105,8 +108,10 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& indices);
 
 /// --- Regularization ----------------------------------------------------------
 /// Inverted dropout: during training each element is zeroed with probability
-/// p and survivors are scaled by 1/(1-p); identity when `training` is false.
-Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng);
+/// p and survivors are scaled by 1/(1-p), the mask being the next site of
+/// `masks` (nn/sample_groups.h); identity when `training` is false or p is 0,
+/// which takes no site.
+Tensor Dropout(const Tensor& x, float p, bool training, DropoutStream* masks);
 
 /// --- Normalization -----------------------------------------------------------
 /// Layer normalization over the last axis with learnable gain/bias

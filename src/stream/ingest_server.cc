@@ -15,6 +15,7 @@
 #include "obs/json_escape.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/structured_log.h"
 #include "stream/online_trainer.h"
 
 namespace dlinf {
@@ -77,6 +78,7 @@ struct IngestMetrics {
   obs::Counter* rejected_wal;
   obs::Counter* clients_evicted;
   obs::Counter* snapshot_errors;
+  obs::Counter* recover_rejected;
   obs::Histogram* ack_seconds;
 
   static const IngestMetrics& Get() {
@@ -97,6 +99,7 @@ struct IngestMetrics {
           r.GetCounter("stream.ingest.rejected#reason=wal"),
           r.GetCounter("stream.ingest.clients_evicted"),
           r.GetCounter("stream.ingest.snapshot_errors"),
+          r.GetCounter("stream.recover.rejected"),
           r.GetHistogram("stream.ingest.ack_seconds"),
       };
     }();
@@ -356,6 +359,7 @@ IngestServer::Stats IngestServer::stats() const {
   s.deduped = deduped_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.recovered = recovered_.load(std::memory_order_relaxed);
+  s.recover_rejected = recover_rejected_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.trips = trips_.load(std::memory_order_relaxed);
   return s;
@@ -381,6 +385,13 @@ apps::HealthCheck IngestServer::WalHealth() const {
   check.name = "ingest.wal";
   if (!wal_error_) {
     check.detail = "appending";
+    if (const int64_t skipped =
+            recover_rejected_.load(std::memory_order_relaxed)) {
+      check.detail += StrPrintf(
+          "; recovery skipped %lld trip(s) naming an address outside the "
+          "city",
+          static_cast<long long>(skipped));
+    }
     return check;
   }
   check.ok = false;
@@ -613,6 +624,7 @@ void IngestServer::ApplyRecord(IngestRecord* record) {
   switch (record->kind) {
     case IngestRecord::Kind::kStartTrip: {
       state.trip_open = true;
+      state.skip_trip = false;
       state.pending = sim::DeliveryTrip();
       state.pending.courier_id = record->courier_id;
       state.pending.start_time = record->start_time;
@@ -623,10 +635,18 @@ void IngestServer::ApplyRecord(IngestRecord* record) {
       return;
     }
     case IngestRecord::Kind::kPoint: {
-      state.points.push_back(TrajPoint{record->x, record->y, record->t});
+      if (!state.skip_trip) {
+        state.points.push_back(TrajPoint{record->x, record->y, record->t});
+      }
       return;
     }
     case IngestRecord::Kind::kFinishTrip: {
+      if (state.skip_trip) {
+        state.pending = sim::DeliveryTrip();
+        state.trip_open = false;
+        state.skip_trip = false;
+        return;
+      }
       // Hand the buffered trip over: the ingestor copies each fix as it
       // streams it, so nothing here copies the trip again.
       sim::DeliveryTrip trip = std::exchange(state.pending, {});
@@ -757,7 +777,27 @@ bool IngestServer::RecoverState(std::string* error) {
           metrics.rejected_malformed->Add(1);
           return;
         }
+        // Replaying this trip would abort candidate generation at its
+        // finish_trip, on every restart: skip it whole, keeping the
+        // client's sequence (the producer saw it acked).
+        const sim::Waybill* outside =
+            record.kind == IngestRecord::Kind::kStartTrip
+                ? sim::FindWaybillOutsideCity(options_.city, record.waybills)
+                : nullptr;
+        if (outside != nullptr) {
+          obs::LogLine(obs::LogSeverity::kWarn, "stream.recover.rejected")
+              .Str("client", record.client_id)
+              .Int("seq", static_cast<int64_t>(record.seq))
+              .Int("waybill", outside->id)
+              .Int("address", outside->address_id)
+              .Int("city_addresses",
+                   static_cast<int64_t>(options_.city.addresses.size()));
+          metrics.recover_rejected->Add(1);
+          recover_rejected_.fetch_add(1, std::memory_order_relaxed);
+          record.waybills.clear();
+        }
         ApplyRecord(&record);
+        if (outside != nullptr) clients_[record.client_id].skip_trip = true;
         ++replayed;
       },
       &stats, error);

@@ -74,7 +74,12 @@
 /// same record on recovery. On Start() the server loads the newest state
 /// snapshot (if any), replays WAL segments past the snapshot's covered
 /// index through the same apply path, truncates any torn tail
-/// (WalWriter::Open), and only then begins serving. Snapshots are written
+/// (WalWriter::Open), and only then begins serving. A WAL `start_trip`
+/// whose waybill names an address outside the city (acked by a binary that
+/// predates that 400) never aborts recovery: the trip it opens is skipped
+/// whole, its records still advance the client's sequence, and each such
+/// record is logged, counted (`stream.recover.rejected`) and shown in the
+/// `ingest.wal` health detail. Snapshots are written
 /// at segment-rotation boundaries every `snapshot_every_segments`
 /// rotations; segments covered by a persisted snapshot are retired.
 ///
@@ -191,6 +196,8 @@ class IngestServer {
     int64_t deduped = 0;    ///< Retried records acked as no-ops.
     int64_t rejected = 0;   ///< Records in 400/409/429-cap/503 batches.
     int64_t recovered = 0;  ///< Records replayed from snapshot+WAL at Start.
+    /// WAL start_trip records whose trip recovery skipped (see above).
+    int64_t recover_rejected = 0;
     int64_t batches = 0;    ///< POSTs fully processed (any status).
     int64_t trips = 0;      ///< finish_trip records applied (incl. recovery).
   };
@@ -232,6 +239,9 @@ class IngestServer {
     uint64_t last_active = 0;        ///< activity_clock_ at the last apply.
     sim::DeliveryTrip pending;       ///< Metadata while a trip is open.
     std::vector<TrajPoint> points;   ///< Buffered fixes of the open trip.
+    /// The open trip was skipped at recovery: its fixes are not buffered
+    /// and its finish applies nothing.
+    bool skip_trip = false;
   };
 
   void HandleRequest(const apps::HttpRequest& request,
@@ -275,6 +285,7 @@ class IngestServer {
   std::atomic<int64_t> deduped_{0};
   std::atomic<int64_t> rejected_{0};
   std::atomic<int64_t> recovered_{0};
+  std::atomic<int64_t> recover_rejected_{0};
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> trips_{0};
 };

@@ -36,6 +36,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_log.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 #include "stream/ingest_server.h"
 
@@ -45,11 +46,11 @@ namespace {
 
 using ::testing::TempDir;
 
-/// A unique scratch directory per test process (ctest runs cases in
-/// parallel processes).
+/// A path in this test process's scratch directory (ctest runs cases in
+/// parallel processes), removed at exit.
 std::string Scratch(const std::string& name) {
-  return TempDir() + "admin_routes_test." + std::to_string(::getpid()) + "." +
-         name;
+  static const ScopedTempDir dir("admin_routes_test");
+  return dir.Child(name);
 }
 
 /// A bare server that mounts only the admin routes.

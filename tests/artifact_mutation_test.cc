@@ -36,6 +36,7 @@
 #include "io/artifact.h"
 #include "io/bundle.h"
 #include "io/codecs.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -151,9 +152,9 @@ struct MutationFixture {
     method = std::make_unique<dlinfma::DlInfMaMethod>(
         "DLInfMA", dlinfma::LocMatcherConfig{}, train_config);
     method->Fit(data, samples);
-    dir = ::testing::TempDir() + "/artifact_mutation." +
-          std::to_string(::getpid());
-    std::filesystem::remove_all(dir);
+    // The fixture itself is never destroyed; its directory goes at exit.
+    static const ScopedTempDir scratch("artifact_mutation");
+    dir = scratch.path();
     bundle = dir + "/bundle";
     std::string error;
     EXPECT_TRUE(SaveBundle(bundle, world, data, samples, *method, &error))

@@ -33,6 +33,7 @@
 #include "gtest/gtest.h"
 #include "io/bundle.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 #include "stream/online_trainer.h"
 #include "stream/stream_pipeline.h"
@@ -69,11 +70,13 @@ void FlipMiddleByte(const std::string& path) {
   WriteFileBytes(path, bytes);
 }
 
-/// A pid-suffixed scratch path: under `ctest -j` each test case is a
-/// separate process, and several of them mutate or corrupt bundle files —
-/// a shared fixed path makes concurrent cases clobber each other's bundles.
+/// A path in a pid-suffixed scratch directory, removed at exit: under
+/// `ctest -j` each test case is a separate process, and several of them
+/// mutate or corrupt bundle files — a shared fixed path makes concurrent
+/// cases clobber each other's bundles.
 std::string ScratchPath(const std::string& name) {
-  return TempDir() + name + "." + std::to_string(::getpid());
+  static const ScopedTempDir dir("bundle_manager_test");
+  return dir.Child(name);
 }
 
 /// One small trained pipeline saved as an on-disk bundle, shared by every

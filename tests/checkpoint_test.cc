@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <optional>
 #include <random>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/trainer.h"
 #include "fault/fault.h"
@@ -35,6 +37,7 @@
 #include "io/checkpoint.h"
 #include "io/codecs.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -43,16 +46,11 @@ namespace {
 
 using ::testing::TempDir;
 
-// Pid-suffixed scratch dir: parallel ctest invocations of this binary must
-// not clobber each other's fixture files.
+// Pid-suffixed scratch dir, removed at exit: parallel ctest invocations of
+// this binary must not clobber each other's fixture files.
 std::string CkptPath(const std::string& name) {
-  static const std::string dir = [] {
-    const std::string d =
-        TempDir() + "checkpoint_test." + std::to_string(::getpid());
-    std::filesystem::create_directories(d);
-    return d;
-  }();
-  return dir + "/" + name;
+  static const ScopedTempDir dir("checkpoint_test");
+  return dir.Child(name);
 }
 
 int64_t CounterValue(const std::string& name) {
@@ -474,6 +472,122 @@ TEST(CheckpointResumeTest, TerminalCheckpointResumesToSameModel) {
   ASSERT_EQ(resumed.size(), golden.size());
   for (size_t i = 0; i < golden.size(); ++i) {
     EXPECT_TRUE(BitEqual(resumed[i], golden[i])) << "tensor " << i;
+  }
+}
+
+// --- Sample groups: every partition of a step trains the same bytes -------
+
+/// What a fit leaves behind, for comparing two partitions of its steps.
+struct GroupedFit {
+  dlinfma::TrainResult result;
+  std::vector<std::vector<float>> params;
+  std::string rng_state;        ///< The engine at the end of the fit.
+  std::string checkpoint;       ///< The terminal checkpoint's file bytes.
+  std::string resumed;          ///< Same, for a run resumed at epoch 1.
+};
+
+/// Fits `model_config` for 3 epochs with each step run as groups of
+/// `group_size` samples (16: one group, the batched graph), then resumes
+/// `resume_from` (a checkpoint at epoch 1) with the same group size.
+/// `in_pool_task` runs both fits inside a shared-pool task, where the
+/// groups run one after another on one thread.
+GroupedFit FitInGroups(const dlinfma::LocMatcherConfig& model_config,
+                       int group_size, bool in_pool_task,
+                       const dlinfma::TrainCheckpoint* resume_from,
+                       std::optional<dlinfma::TrainCheckpoint>* at_epoch1) {
+  TrainFixture& fx = Fixture();
+  dlinfma::TrainConfig base;
+  base.max_epochs = 3;
+  base.early_stop_patience = 3;
+  base.lr_halve_epochs = 2;
+  base.seed = 13;
+  base.checkpoint_every_epochs = 1;
+  GroupedFit fit;
+  const std::string name = "grouped_" + std::to_string(group_size) +
+                           (in_pool_task ? "_inline" : "") + ".art";
+  auto run = [&](dlinfma::TrainConfig config, std::string* bytes,
+                 std::vector<std::vector<float>>* params) {
+    std::optional<dlinfma::TrainCheckpoint> last;
+    config.checkpoint_sink = [&](const dlinfma::TrainCheckpoint& ck) {
+      if (ck.next_epoch == 1 && at_epoch1 != nullptr) *at_epoch1 = ck;
+      last = ck;
+      return true;
+    };
+    Rng rng(base.seed);
+    dlinfma::LocMatcher model(model_config, &rng);
+    auto fit_model = [&] {
+      fit.result = dlinfma::internal::TrainLocMatcherInGroups(
+          &model, fx.samples.train, fx.samples.val, config, group_size);
+    };
+    if (in_pool_task) {
+      std::promise<void> done;
+      ThreadPool::Shared().Submit([&] {
+        fit_model();
+        done.set_value();
+      });
+      done.get_future().wait();
+    } else {
+      fit_model();
+    }
+    if (params != nullptr) *params = Snapshot(model);
+    ASSERT_TRUE(last.has_value());
+    fit.rng_state = last->rng_state;
+    const std::string path = CkptPath(name);
+    ASSERT_TRUE(SaveCheckpointArtifact(*last, path));
+    *bytes = ReadFileBytes(path);
+  };
+  run(base, &fit.checkpoint, &fit.params);
+  if (resume_from != nullptr) {
+    dlinfma::TrainConfig resumed = base;
+    resumed.resume = resume_from;
+    at_epoch1 = nullptr;
+    run(resumed, &fit.resumed, nullptr);
+  }
+  return fit;
+}
+
+/// A step run as groups of consecutive samples on the pool is the step run
+/// over the whole batch, bit for bit (DESIGN.md §9): parameters, the RNG's
+/// end state, both losses and the checkpoints, of a fresh and of a resumed
+/// run, for the transformer, the PN (LSTM) encoder and DLInfMA-nA.
+TEST(SampleGroupTest, EveryStepPartitionTrainsTheSameBytes) {
+  dlinfma::LocMatcherConfig lstm;
+  lstm.encoder = dlinfma::LocMatcherConfig::EncoderKind::kLstm;
+  dlinfma::LocMatcherConfig no_context;
+  no_context.use_address_context = false;
+  const struct {
+    const char* name;
+    dlinfma::LocMatcherConfig config;
+  } models[] = {{"transformer", dlinfma::LocMatcherConfig{}},
+                {"pn", lstm},
+                {"na", no_context}};
+  for (const auto& model : models) {
+    SCOPED_TRACE(model.name);
+    std::optional<dlinfma::TrainCheckpoint> at_epoch1;
+    const GroupedFit whole =
+        FitInGroups(model.config, 16, false, nullptr, &at_epoch1);
+    ASSERT_TRUE(at_epoch1.has_value());
+    const GroupedFit batched =
+        FitInGroups(model.config, 16, false, &*at_epoch1, nullptr);
+    for (const auto& [group_size, in_pool_task] :
+         {std::pair{4, false}, std::pair{1, false}, std::pair{4, true}}) {
+      SCOPED_TRACE("group size " + std::to_string(group_size) +
+                   (in_pool_task ? " inside a pool task" : ""));
+      const GroupedFit grouped = FitInGroups(model.config, group_size,
+                                             in_pool_task, &*at_epoch1,
+                                             nullptr);
+      ASSERT_EQ(grouped.params.size(), whole.params.size());
+      for (size_t i = 0; i < whole.params.size(); ++i) {
+        EXPECT_TRUE(BitEqual(grouped.params[i], whole.params[i]))
+            << "parameter tensor " << i;
+      }
+      EXPECT_EQ(grouped.rng_state, whole.rng_state);
+      EXPECT_EQ(grouped.result.final_train_loss, whole.result.final_train_loss);
+      EXPECT_EQ(grouped.result.best_val_loss, whole.result.best_val_loss);
+      EXPECT_TRUE(grouped.checkpoint == whole.checkpoint);
+      EXPECT_TRUE(grouped.resumed == batched.resumed);
+      EXPECT_TRUE(grouped.resumed == whole.checkpoint);
+    }
   }
 }
 

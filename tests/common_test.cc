@@ -18,6 +18,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 
 namespace dlinf {
 namespace {
@@ -429,7 +430,8 @@ TEST(FlatJsonTest, RejectsMalformedDocuments) {
 }
 
 TEST(FlatJsonTest, FileRoundTripAndMissingFile) {
-  const std::string path = testing::TempDir() + "/flat_json_test.json";
+  const ScopedTempDir scratch("common_test");
+  const std::string path = scratch.Child("flat_json_test.json");
   const std::map<std::string, double> values = {{"k", 2.0}};
   ASSERT_TRUE(FlatJsonSave(path, values));
   const auto loaded = FlatJsonLoad(path);

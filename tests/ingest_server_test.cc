@@ -24,10 +24,12 @@
 #include "io/codecs.h"
 #include "io/wal_frame.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "sim/config.h"
 #include "sim/generator.h"
 #include "stream/online_trainer.h"
 #include "stream/stream_pipeline.h"
+#include "stream/wal.h"
 
 namespace dlinf {
 namespace {
@@ -44,8 +46,8 @@ using stream::TripLines;
 using ::testing::TempDir;
 
 std::string ScratchDir(const std::string& name) {
-  const std::string dir = TempDir() + "/ingest_test." +
-                          std::to_string(::getpid()) + "/" + name;
+  static const ScopedTempDir root("ingest_test");
+  const std::string dir = root.Child(name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -867,6 +869,57 @@ TEST(IngestServerTest, WaybillAddressOutsideTheCityIsATyped400) {
   ASSERT_TRUE(restarted.Start());
   EXPECT_EQ(restarted.stats().recovered, 3);
   restarted.Stop();
+}
+
+// A WAL written by a binary that acked a trip naming an address outside the
+// city (before that became a 400) must not abort every restart: recovery
+// skips the trip, counts and reports it, and the node serves on, with the
+// client's sequence where the producer left it.
+TEST(IngestServerTest, RecoverySkipsATripNamingAnAddressOutsideTheCity) {
+  const std::string dir = ScratchDir("poison-wal");
+  const std::vector<std::string> lines = {
+      "start_trip old 1 1 0 100 wb=7:99999:40:50:60", "point old 2 1 2 3",
+      "finish_trip old 3"};
+  {
+    auto wal = stream::WalWriter::Open(BaseOptions(dir).wal);
+    ASSERT_TRUE(wal.has_value());
+    for (const std::string& line : lines) {
+      IngestRecord record;
+      std::string parse_error;
+      ASSERT_TRUE(ParseIngestLine(line, &record, &parse_error)) << parse_error;
+      ASSERT_TRUE(wal->Append(static_cast<uint32_t>(record.kind), line));
+    }
+    wal->Close();
+  }
+  const int64_t rejected_before = CounterValue("stream.recover.rejected");
+
+  IngestServer server(BaseOptions(dir));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  EXPECT_EQ(server.stats().recover_rejected, 1);
+  EXPECT_EQ(server.stats().recovered, 3);
+  EXPECT_EQ(server.stats().trips, 0);
+  EXPECT_EQ(CounterValue("stream.recover.rejected") - rejected_before, 1);
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200) << body;
+  EXPECT_NE(body.find("recovery skipped 1 trip(s)"), std::string::npos)
+      << body;
+
+  // The producer's next record continues its sequence, and trips apply.
+  const int64_t last_address =
+      static_cast<int64_t>(City().addresses.size()) - 1;
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_EQ(PostIngest(&client, "start_trip old 4 1 0 100 wb=8:" +
+                                    std::to_string(last_address) +
+                                    ":40:50:60\npoint old 5 1 2 3\n"
+                                    "finish_trip old 6\n"),
+            200);
+  EXPECT_EQ(server.stats().trips, 1);
+  server.Stop();
 }
 
 TEST(IngestServerTest, ClientCapEvictsIdleThenRejectsTyped) {

@@ -22,6 +22,7 @@
 #include "io/artifact.h"
 #include "io/bundle.h"
 #include "io/codecs.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -82,16 +83,11 @@ PipelineFixture& Fixture() {
   return *fixture;
 }
 
-// Pid-suffixed scratch dir: parallel ctest invocations of this binary must
-// not clobber each other's fixture files.
+// Pid-suffixed scratch dir, removed at exit: parallel ctest invocations of
+// this binary must not clobber each other's fixture files.
 std::string TestPath(const std::string& name) {
-  static const std::string dir = [] {
-    const std::string d =
-        TempDir() + "/io_test." + std::to_string(::getpid());
-    std::filesystem::create_directories(d);
-    return d;
-  }();
-  return dir + "/" + name;
+  static const ScopedTempDir dir("io_test");
+  return dir.Child(name);
 }
 
 // --- Envelope -------------------------------------------------------------

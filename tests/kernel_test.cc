@@ -266,7 +266,7 @@ TEST(FusedOpGradTest, FusedSelfAttentionMatchesFiniteDifferences) {
       [&]() {
         return Sum(FusedSelfAttention(x, wq, bq, wk, bk, wv, bv, wo, bo, mask,
                                       H, /*dropout_p=*/0.0f,
-                                      /*training=*/false, /*rng=*/nullptr));
+                                      /*training=*/false, /*masks=*/nullptr));
       },
       {x, wq, bq, wk, bk, wv, bv, wo, bo});
 }

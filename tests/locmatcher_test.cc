@@ -1,11 +1,13 @@
 #include "dlinfma/locmatcher.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 
 #include "dlinfma/trainer.h"
 #include "gtest/gtest.h"
+#include "nn/loss.h"
 
 namespace dlinf {
 namespace dlinfma {
@@ -129,6 +131,55 @@ TEST(LocMatcherTest, PaddingInvariance) {
               << pos << " candidate " << j;
         }
       }
+    }
+  }
+}
+
+// Scoring runs the forward in small length-sorted chunks on the pool and
+// scatters each sample's logits into the 64-sample batches EvaluateLoss
+// averages over: losses and logits are bit-equal to a forward per 64-sample
+// batch, whatever the set's size.
+TEST(LocMatcherTest, ChunkedScoringMatchesAForwardPerBatch) {
+  Rng rng(17);
+  LocMatcher model(LocMatcherConfig{}, &rng);
+  for (const int count : {1, 63, 64, 65, 130}) {
+    SCOPED_TRACE("samples: " + std::to_string(count));
+    const std::vector<AddressSample> samples =
+        MakeSyntheticSamples(count, 30, &rng);
+    std::vector<size_t> order(samples.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return samples[a].features.size() > samples[b].features.size();
+    });
+    std::vector<std::vector<float>> want_logits(samples.size());
+    double total = 0.0;
+    nn::NoGradGuard no_grad;
+    for (size_t begin = 0; begin < order.size(); begin += 64) {
+      const size_t end = std::min(order.size(), begin + 64);
+      std::vector<const AddressSample*> chunk;
+      for (size_t i = begin; i < end; ++i) chunk.push_back(&samples[order[i]]);
+      const LocMatcherBatch batch = MakeLocMatcherBatch(chunk);
+      const nn::Tensor logits = model.Forward(batch, nn::FwdCtx{});
+      const int n = logits.dim(1);
+      for (size_t i = begin; i < end; ++i) {
+        const float* row = logits.data().data() + (i - begin) * n;
+        want_logits[order[i]].assign(row, row + batch.valid[i - begin]);
+      }
+      total += nn::MaskedCrossEntropy(logits, batch.valid, batch.labels)
+                   .item() *
+               static_cast<double>(end - begin);
+    }
+    const double want_loss = total / static_cast<double>(samples.size());
+
+    EXPECT_EQ(model.EvaluateLoss(samples), want_loss);
+    const std::vector<std::vector<float>> logits = model.PredictLogits(samples);
+    ASSERT_EQ(logits.size(), want_logits.size());
+    for (size_t i = 0; i < logits.size(); ++i) {
+      ASSERT_EQ(logits[i].size(), want_logits[i].size()) << "sample " << i;
+      EXPECT_EQ(std::memcmp(logits[i].data(), want_logits[i].data(),
+                            logits[i].size() * sizeof(float)),
+                0)
+          << "sample " << i;
     }
   }
 }

@@ -130,7 +130,8 @@ TEST(TransformerTest, TrainModeDropoutPerturbs) {
   Rng rng(8);
   TransformerEncoder encoder(1, 8, 2, 16, /*dropout=*/0.5f, &rng);
   Tensor x = Randn({1, 4, 8}, &rng);
-  FwdCtx train_ctx{/*training=*/true, &rng};
+  DropoutStream masks(&rng, 1);
+  FwdCtx train_ctx{/*training=*/true, &masks};
   Tensor y1 = encoder.Forward(x, Tensor(), train_ctx);
   Tensor y2 = encoder.Forward(x, Tensor(), train_ctx);
   EXPECT_NE(y1.data(), y2.data());

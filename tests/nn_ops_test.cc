@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "nn/conv.h"
 #include "nn/loss.h"
+#include "nn/sample_groups.h"
 #include "nn/tensor.h"
 
 namespace dlinf {
@@ -148,14 +149,16 @@ TEST(OpsTest, EmbeddingLookupForward) {
 TEST(OpsTest, DropoutEvalIsIdentity) {
   Rng rng(3);
   Tensor x = Randn({4, 4}, &rng);
-  Tensor y = Dropout(x, 0.5f, /*training=*/false, &rng);
+  DropoutStream masks(&rng, 4);
+  Tensor y = Dropout(x, 0.5f, /*training=*/false, &masks);
   EXPECT_EQ(y.data(), x.data());
 }
 
 TEST(OpsTest, DropoutTrainZeroesAndRescales) {
   Rng rng(3);
   Tensor x = Tensor::Full({1000}, 1.0f, true);
-  Tensor y = Dropout(x, 0.5f, /*training=*/true, &rng);
+  DropoutStream masks(&rng, 1);
+  Tensor y = Dropout(x, 0.5f, /*training=*/true, &masks);
   int zeros = 0;
   for (float v : y.data()) {
     if (v == 0.0f) {

@@ -26,6 +26,7 @@
 #include "io/bundle.h"
 #include "io/checkpoint.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 #include "sim/world.h"
 #include "stream/online_trainer.h"
@@ -36,16 +37,11 @@ namespace {
 
 using ::testing::TempDir;
 
-// Pid-suffixed scratch dir: parallel ctest invocations of this binary must
-// not clobber each other's bundle/checkpoint fixtures.
+// Pid-suffixed scratch dir, removed at exit: parallel ctest invocations of
+// this binary must not clobber each other's bundle/checkpoint fixtures.
 std::string StreamPath(const std::string& name) {
-  static const std::string dir = [] {
-    const std::string d =
-        TempDir() + "online_trainer_test." + std::to_string(::getpid());
-    std::filesystem::create_directories(d);
-    return d;
-  }();
-  return dir + "/" + name;
+  static const ScopedTempDir dir("online_trainer_test");
+  return dir.Child(name);
 }
 
 // One shared fixed-seed world: deterministic, small enough that a quick

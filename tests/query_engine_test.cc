@@ -48,6 +48,7 @@
 #include "gtest/gtest.h"
 #include "io/bundle.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -77,8 +78,10 @@ struct EngineFixture {
         "DLInfMA", dlinfma::LocMatcherConfig{}, train_config);
     method->Fit(data, samples);
     // Pid suffix keeps concurrent `ctest -j` test processes (one per gtest
-    // case) from writing the same bundle directory at the same time.
-    dir = TempDir() + "query_engine_bundle." + std::to_string(::getpid());
+    // case) from writing the same bundle directory at the same time. The
+    // fixture is never destroyed; the directory goes at exit.
+    static const ScopedTempDir scratch("query_engine_bundle");
+    dir = scratch.path();
     std::string error;
     CHECK(io::SaveBundle(dir, world, data, samples, *method, &error)) << error;
 
@@ -629,8 +632,8 @@ int64_t PushSmallBundle(int communities, const std::string& dir) {
 // world would abort the engine in World::address).
 TEST(QueryEngineTest, OneStagedGenerationServesEveryShard) {
   constexpr int kShards = 4;
-  const std::string dir =
-      TempDir() + "query_engine_push." + std::to_string(::getpid());
+  const ScopedTempDir scratch("query_engine_push");
+  const std::string& dir = scratch.path();
   const int64_t boot_count = PushSmallBundle(3, dir);
   QueryEngine::Options options;
   options.bundle_dir = dir;

@@ -13,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "obs/structured_log.h"
 #include "obs/trace_log.h"
+#include "scratch_dir.h"
 
 namespace dlinf {
 namespace obs {
@@ -49,7 +50,8 @@ TEST(StructuredLogTest, ClosedSinkEmitsNothing) {
 
 TEST(StructuredLogTest, FileSinkWritesOneJsonObjectPerLine) {
   LogConfigGuard guard;
-  const std::string path = TempDir() + "structured_log_lines.jsonl";
+  const ScopedTempDir scratch("structured_log_test");
+  const std::string path = scratch.Child("lines.jsonl");
   ASSERT_TRUE(StructuredLog::Global().OpenFile(path));
   EXPECT_TRUE(StructuredLogEnabled());
   LogLine(LogSeverity::kInfo, "train.epoch")
@@ -77,7 +79,8 @@ TEST(StructuredLogTest, FileSinkWritesOneJsonObjectPerLine) {
 
 TEST(StructuredLogTest, LinesBelowMinSeverityAreDropped) {
   LogConfigGuard guard;
-  const std::string path = TempDir() + "structured_log_severity.jsonl";
+  const ScopedTempDir scratch("structured_log_test");
+  const std::string path = scratch.Child("severity.jsonl");
   ASSERT_TRUE(StructuredLog::Global().OpenFile(path));
   StructuredLog::Global().SetMinSeverity(LogSeverity::kWarn);
   LogLine(LogSeverity::kDebug, "sev.debug");
@@ -94,7 +97,8 @@ TEST(StructuredLogTest, LinesBelowMinSeverityAreDropped) {
 
 TEST(StructuredLogTest, RateLimitSuppressesPerEventAndCounts) {
   LogConfigGuard guard;
-  const std::string path = TempDir() + "structured_log_rate.jsonl";
+  const ScopedTempDir scratch("structured_log_test");
+  const std::string path = scratch.Child("rate.jsonl");
   ASSERT_TRUE(StructuredLog::Global().OpenFile(path));
   // A generous window so the whole test stays inside one bucket interval.
   StructuredLog::Global().SetRateLimit(5, 3600.0);
@@ -119,7 +123,8 @@ TEST(StructuredLogTest, RateLimitSuppressesPerEventAndCounts) {
 
 TEST(StructuredLogTest, ZeroRateLimitDisablesSuppression) {
   LogConfigGuard guard;
-  const std::string path = TempDir() + "structured_log_nolimit.jsonl";
+  const ScopedTempDir scratch("structured_log_test");
+  const std::string path = scratch.Child("nolimit.jsonl");
   ASSERT_TRUE(StructuredLog::Global().OpenFile(path));
   StructuredLog::Global().SetRateLimit(0);
   for (int i = 0; i < 500; ++i) {
@@ -131,7 +136,8 @@ TEST(StructuredLogTest, ZeroRateLimitDisablesSuppression) {
 
 TEST(StructuredLogTest, TraceIdCorrelatesWithArmedTraceScope) {
   LogConfigGuard guard;
-  const std::string path = TempDir() + "structured_log_trace.jsonl";
+  const ScopedTempDir scratch("structured_log_test");
+  const std::string path = scratch.Child("trace.jsonl");
   ASSERT_TRUE(StructuredLog::Global().OpenFile(path));
   TraceLog::Global().Start(1.0);
   uint64_t trace_id = 0;

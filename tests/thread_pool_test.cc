@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -108,6 +110,96 @@ TEST(ThreadPoolEdgeTest, ParallelForFromAWorkerRunsInline) {
     });
   });
   EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(same_thread);
+}
+
+/// Occupies every worker of `pool` until release() (or a deadline, so that
+/// a ParallelFor that needs a worker ends instead of hanging the test).
+class HeldWorkers {
+ public:
+  explicit HeldWorkers(ThreadPool* pool) : pool_(pool) {
+    for (int i = 0; i < pool->num_threads(); ++i) {
+      pool->Submit([this] {
+        started_.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!released_.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    while (started_.load() < pool->num_threads()) std::this_thread::yield();
+  }
+  ~HeldWorkers() {
+    release();
+    pool_->Wait();
+  }
+  void release() { released_.store(true); }
+
+ private:
+  ThreadPool* pool_;
+  std::atomic<int> started_{0};
+  std::atomic<bool> released_{false};
+};
+
+TEST(ThreadPoolTest, CallerRunsBlocks) {
+  // Every worker is busy elsewhere: the caller runs every block itself,
+  // in index order, and returns without waiting for a worker.
+  ThreadPool pool(2);
+  HeldWorkers held(&pool);
+  std::vector<int64_t> order;
+  bool on_caller = true;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelFor(8, [&](int64_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_TRUE(on_caller);
+}
+
+TEST(ThreadPoolTest, ExceptionInTheCallersBlockIsRethrown) {
+  ThreadPool pool(2);
+  {
+    HeldWorkers held(&pool);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.ParallelFor(6,
+                                  [&](int64_t i) {
+                                    ran.fetch_add(1);
+                                    if (i == 2) {
+                                      throw std::runtime_error("caller's");
+                                    }
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 3);  // Blocks claimed after the throw skip.
+  }
+  // Workers and caller share the next range as usual.
+  std::vector<std::atomic<int>> hits(40);
+  pool.ParallelFor(40, [&hits](int64_t i) { hits[i].fetch_add(1); });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(ThreadPoolTest, NestedCallFromAWorkerStillRunsInline) {
+  // A one-block range runs on a worker; a ParallelFor it makes on the same
+  // pool runs inline there, in order, although three workers are free and
+  // the caller now runs blocks of a longer range itself.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id outer;
+  std::vector<int64_t> order;
+  bool same_thread = true;
+  pool.ParallelFor(1, [&](int64_t) {
+    outer = std::this_thread::get_id();
+    pool.ParallelFor(40, [&](int64_t i) {
+      order.push_back(i);
+      same_thread = same_thread && std::this_thread::get_id() == outer;
+    });
+  });
+  EXPECT_NE(outer, caller);
+  std::vector<int64_t> want(40);
+  for (int64_t i = 0; i < 40; ++i) want[i] = i;
+  EXPECT_EQ(order, want);
   EXPECT_TRUE(same_thread);
 }
 

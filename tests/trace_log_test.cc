@@ -14,6 +14,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/trace_log.h"
+#include "scratch_dir.h"
 
 namespace dlinf {
 namespace obs {
@@ -296,7 +297,8 @@ TEST(TraceLogTest, LongNamesTruncateToMaxNameLength) {
 TEST(TraceLogTest, ExportToFileRoundTrips) {
   TraceLog::Global().Start(1.0);
   TraceInstant("file.mark");
-  const std::string path = TempDir() + "trace_roundtrip.json";
+  const ScopedTempDir scratch("trace_log_test");
+  const std::string path = scratch.Child("roundtrip.json");
   ASSERT_TRUE(TraceLog::Global().ExportChromeJson(path));
   const std::string in_memory = TraceLog::Global().ExportChromeJson();
   TraceLog::Global().Stop();

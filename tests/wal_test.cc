@@ -13,6 +13,7 @@
 #include "fault/fault.h"
 #include "io/wal_frame.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 
 namespace dlinf {
 namespace {
@@ -31,8 +32,8 @@ constexpr size_t kMaxPayload = 1 << 20;
 
 // Pid-suffixed scratch root: parallel ctest shards must not collide.
 std::string ScratchDir(const std::string& name) {
-  const std::string dir = TempDir() + "/wal_test." +
-                          std::to_string(::getpid()) + "/" + name;
+  static const ScopedTempDir root("wal_test");
+  const std::string dir = root.Child(name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
